@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Bounds, compute_sums_from_arrays, read_dataset_csv
-from .errors import DPRatioError, InvalidConfigError, MechanismMismatchError
+from .errors import DPRatioError, InvalidConfigError
 from .inference import (
     Method,
     Scale,
@@ -27,7 +27,7 @@ from .inference import (
     ci_no_correction,
     public_estimate,
 )
-from .mechanisms import MechanismKind, PrivacyBudget, release
+from .mechanisms import MechanismKind, PrivacyBudget, check_mechanism_budget, release
 from .simulation import ExperimentRow, SimulationConfig, run_experiment, write_rows_csv
 
 _SIM_DEFAULTS = {
@@ -42,6 +42,30 @@ _SIM_DEFAULTS = {
     "mc_draws": 200,
     "level": 0.95,
     "seed": 0,
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: What each config-file field must hold, as (description, check).
+_SIM_FIELD_TYPES = {
+    "n": ("an integer", _is_int),
+    "epsilons": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "delta": ("a number or null", lambda v: v is None or _is_number(v)),
+    "weighted": ("true or false", lambda v: isinstance(v, bool)),
+    "mechanism": ('"gaussian" or "laplace"', lambda v: v in ("gaussian", "laplace")),
+    "scale": ('"ratio", "log" or "both"', lambda v: v in ("ratio", "log", "both")),
+    "true_ratio": ("a number", _is_number),
+    "replications": ("an integer", _is_int),
+    "mc_draws": ("an integer", _is_int),
+    "level": ("a number", _is_number),
+    "seed": ("an integer", _is_int),
 }
 
 
@@ -103,14 +127,6 @@ def _resolve_delta(delta: float | None, mechanism: MechanismKind) -> float:
     return 1e-6 if mechanism is MechanismKind.GAUSSIAN else 0.0
 
 
-def _check_mechanism_budget(mechanism: MechanismKind, budget: PrivacyBudget) -> None:
-    # Fail before touching the data, not at release time.
-    if mechanism is MechanismKind.GAUSSIAN and budget.delta == 0.0:
-        raise MechanismMismatchError("the Gaussian mechanism requires delta > 0")
-    if mechanism is MechanismKind.LAPLACE and budget.delta != 0.0:
-        raise MechanismMismatchError("the Laplace mechanism requires delta == 0")
-
-
 def _scales(flag: str) -> list[Scale]:
     if flag == "both":
         return [Scale.RATIO, Scale.LOG]
@@ -120,7 +136,7 @@ def _scales(flag: str) -> list[Scale]:
 def _run_estimate(args: argparse.Namespace) -> int:
     mechanism = MechanismKind(args.mechanism)
     budget = PrivacyBudget(args.epsilon, _resolve_delta(args.delta, mechanism))
-    _check_mechanism_budget(mechanism, budget)
+    check_mechanism_budget(mechanism, budget)  # before touching the data
     if args.include_public and not args.allow_non_dp:
         raise InvalidConfigError("--include-public requires --allow-non-dp")
 
@@ -167,9 +183,15 @@ def _merge_sim_settings(args: argparse.Namespace) -> dict:
     if args.config is not None:
         with args.config.open(encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise InvalidConfigError("config file must hold a JSON object")
         unknown = set(loaded) - set(settings)
         if unknown:
             raise InvalidConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in loaded.items():
+            expected, check = _SIM_FIELD_TYPES[name]
+            if not check(value):
+                raise InvalidConfigError(f"config field {name!r} must be {expected}, got {value!r}")
         settings.update(loaded)
     overrides = {
         "n": args.n,
@@ -234,17 +256,17 @@ def _run_simulate(args: argparse.Namespace) -> int:
     cells = []
     for scale in scales:
         config = SimulationConfig(
-            n=int(settings["n"]),
+            n=settings["n"],
             epsilons=tuple(float(e) for e in settings["epsilons"]),
             delta=delta,
-            weighted=bool(settings["weighted"]),
+            weighted=settings["weighted"],
             mechanism=mechanism,
             scale=scale,
             true_ratio=float(settings["true_ratio"]),
-            replications=int(settings["replications"]),
-            mc_draws=int(settings["mc_draws"]),
+            replications=settings["replications"],
+            mc_draws=settings["mc_draws"],
             level=float(settings["level"]),
-            master_seed=int(settings["seed"]),
+            master_seed=settings["seed"],
         )
         rows = run_experiment(config, threads=threads)
         write_rows_csv(rows, out_dir / _cell_filename(config))

@@ -63,3 +63,7 @@ class DegenerateVarianceError(DPRatioError):
 
 class InvalidIntervalError(DPRatioError):
     """Interval endpoints are inverted."""
+
+
+class MonteCarloRedrawCapError(DegenerateDenominatorError):
+    """Monte Carlo resampling rejected more replicates than its cap allows."""

@@ -2,31 +2,38 @@
 
 Point estimates, plug-in moments, delta-method variances on the ratio and
 log-ratio scales, Wald intervals under three variance strategies, and the
-two-ratio z-test.  Everything here is post-processing of a
-:class:`~dpratio.mechanisms.ReleasedSums`, so it consumes no further privacy
-budget.
+two-ratio z-test.  Everything here is post-processing of released sums, so
+it consumes no further privacy budget.
+
+The math runs on arrays over a :class:`~dpratio.mechanisms.ReleasedBlock`
+of B releases (:func:`estimate_block`); a rejected row becomes NaN with a
+:class:`Refusal` code.  The scalar functions are blocks of one row that
+raise the refusal as an exception instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
+from enum import Enum, IntEnum
 from statistics import NormalDist
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Moments, SumVector
+from .core import SUM_FIELDS, Moments, SumVector
 from .errors import (
     DegenerateDenominatorError,
     DegenerateNumeratorError,
     DegenerateVarianceError,
     InvalidConfigError,
+    MonteCarloRedrawCapError,
     ScaleMismatchError,
 )
-from .mechanisms import ReleasedSums, draw_noise, exact_release
+from .mechanisms import ReleasedBlock, ReleasedSums, draw_noise, exact_release
 
 _NORMAL = NormalDist()
+_SUM_W, _SUM_WY, _SUM_WS, _SUM_W2, _SUM_WY2, _SUM_WS2, _SUM_WYS = range(len(SUM_FIELDS))
 
 
 class Scale(str, Enum):
@@ -39,6 +46,34 @@ class Method(str, Enum):
     NO_CORRECTION = "no_correction"
     MONTE_CARLO = "monte_carlo"
     ANALYTICAL = "analytical"
+
+
+#: Warning flags an estimate can carry, in the order they are reported.
+FLAGS = (
+    "var_s_bar_floored",
+    "var_y_bar_floored",
+    "cov_outside_cauchy_schwarz",
+    "variance_floored",
+    "monte_carlo_redraw",
+)
+_MOMENT_FLAGS = 3  # the first three come from the plug-in moments
+
+
+class Refusal(IntEnum):
+    """Why a row of a block has no estimate.
+
+    The first failing check names the cause, in the order: noisy label sum,
+    log-scale numerator, noisy weight sum, zero mean, Monte Carlo redraws.
+    """
+
+    NONE = 0
+    NONPOSITIVE_DENOMINATOR = 1  # noisy sum_wy or sum_w not positive, or a zero mean
+    NONPOSITIVE_LOG_NUMERATOR = 2  # noisy sum_ws not positive on the log scale
+    MONTE_CARLO_REDRAW_CAP = 3  # more than 10 * draws Monte Carlo replicates rejected
+
+
+#: Refusal causes as reported, in code order.
+REFUSAL_CAUSES = tuple(r.name.lower() for r in Refusal if r is not Refusal.NONE)
 
 
 @dataclass(frozen=True)
@@ -80,40 +115,76 @@ class TwoRatioTest:
     p_value: float
 
 
-def plug_in_moments(released: ReleasedSums) -> Moments:
+class _MomentArrays(NamedTuple):
+    mu_s: np.ndarray
+    mu_y: np.ndarray
+    var_s_bar: np.ndarray
+    var_y_bar: np.ndarray
+    cov_ys_bar: np.ndarray
+    flags: np.ndarray  # (B, 3) booleans: the moment flags of FLAGS
+
+
+class EstimateBlock(NamedTuple):
+    """One method's estimates for every row of a block, as arrays.
+
+    Rows with a ``refusal`` other than ``Refusal.NONE`` hold NaN and no
+    flags; ``flags`` is a (B, len(FLAGS)) boolean matrix.
+    """
+
+    point: np.ndarray
+    variance: np.ndarray
+    ci_lower: np.ndarray
+    ci_upper: np.ndarray
+    refusal: np.ndarray
+    flags: np.ndarray
+
+
+def _refuse(refusal: np.ndarray, mask: np.ndarray, code: Refusal) -> None:
+    """Record ``code`` for the masked rows that have no earlier refusal."""
+    refusal[(refusal == 0) & mask] = int(code)
+
+
+def _point_arrays(values: np.ndarray, scale: Scale, refusal: np.ndarray) -> np.ndarray:
+    """Noisy score sum over noisy label sum, optionally on the log scale."""
+    numerator = values[:, _SUM_WS]
+    denominator = values[:, _SUM_WY]
+    _refuse(refusal, ~(denominator > 0.0), Refusal.NONPOSITIVE_DENOMINATOR)
+    ratio = numerator / denominator
+    if scale is Scale.LOG:
+        _refuse(refusal, ~(numerator > 0.0), Refusal.NONPOSITIVE_LOG_NUMERATOR)
+        return np.log(ratio)
+    return ratio
+
+
+def _moment_arrays(values: np.ndarray, refusal: np.ndarray) -> _MomentArrays:
     """Plug-in means, variances, and covariance of the two weighted means.
 
-    Evaluates the weighted-mean moment formulas with the (noisy) sums.
     Negative variance plug-ins, which noisy sums can produce, are floored at
     zero and flagged; a covariance outside the Cauchy-Schwarz envelope is
     flagged but kept.
     """
-    v = released.values
-    total_w = v["sum_w"]
-    if not total_w > 0.0:
-        raise DegenerateDenominatorError(f"noisy sum_w = {total_w} is not positive")
-    mu_y = v["sum_wy"] / total_w
-    mu_s = v["sum_ws"] / total_w
-    kish_inverse = v["sum_w2"] / (total_w * total_w)
-    var_s = kish_inverse * (v["sum_ws2"] / total_w - mu_s * mu_s)
-    var_y = kish_inverse * (v["sum_wy2"] / total_w - mu_y * mu_y)
-    cov = kish_inverse * (v["sum_wys"] / total_w - mu_y * mu_s)
-    flags = []
-    if var_s < 0.0:
-        var_s = 0.0
-        flags.append("var_s_bar_floored")
-    if var_y < 0.0:
-        var_y = 0.0
-        flags.append("var_y_bar_floored")
-    if cov * cov > var_s * var_y:
-        flags.append("cov_outside_cauchy_schwarz")
-    return Moments(mu_s, mu_y, var_s, var_y, cov, tuple(flags))
+    total_w = values[:, _SUM_W]
+    _refuse(refusal, ~(total_w > 0.0), Refusal.NONPOSITIVE_DENOMINATOR)
+    mu_y = values[:, _SUM_WY] / total_w
+    mu_s = values[:, _SUM_WS] / total_w
+    kish_inverse = values[:, _SUM_W2] / (total_w * total_w)
+    var_s = kish_inverse * (values[:, _SUM_WS2] / total_w - mu_s * mu_s)
+    var_y = kish_inverse * (values[:, _SUM_WY2] / total_w - mu_y * mu_y)
+    cov = kish_inverse * (values[:, _SUM_WYS] / total_w - mu_y * mu_s)
+    floored_s = var_s < 0.0
+    floored_y = var_y < 0.0
+    var_s = np.where(floored_s, 0.0, var_s)
+    var_y = np.where(floored_y, 0.0, var_y)
+    flags = np.column_stack([floored_s, floored_y, cov * cov > var_s * var_y])
+    return _MomentArrays(mu_s, mu_y, var_s, var_y, cov, flags)
 
 
-def _variance_on_scale(m: Moments, scale: Scale) -> tuple[float, tuple[str, ...]]:
+def _variance_arrays(
+    m: _MomentArrays, scale: Scale, refusal: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delta-method variance on ``scale`` (floored at 0) and the floored mask."""
     if scale is Scale.RATIO:
-        if m.mu_y == 0.0:
-            raise DegenerateDenominatorError("ratio variance undefined at mu_y == 0")
+        _refuse(refusal, m.mu_y == 0.0, Refusal.NONPOSITIVE_DENOMINATOR)
         mu_y2 = m.mu_y * m.mu_y
         raw = (
             m.var_s_bar / mu_y2
@@ -121,71 +192,245 @@ def _variance_on_scale(m: Moments, scale: Scale) -> tuple[float, tuple[str, ...]
             + m.mu_s * m.mu_s * m.var_y_bar / (mu_y2 * mu_y2)
         )
     else:
-        if m.mu_s == 0.0 or m.mu_y == 0.0:
-            raise DegenerateDenominatorError("log-ratio variance undefined at zero mean")
+        _refuse(refusal, (m.mu_s == 0.0) | (m.mu_y == 0.0), Refusal.NONPOSITIVE_DENOMINATOR)
         raw = (
             m.var_s_bar / (m.mu_s * m.mu_s)
             - 2.0 * m.cov_ys_bar / (m.mu_s * m.mu_y)
             + m.var_y_bar / (m.mu_y * m.mu_y)
         )
-    if raw < 0.0:
-        return 0.0, ("variance_floored",)
-    return raw, ()
+    floored = raw < 0.0
+    return np.where(floored, 0.0, raw), floored
+
+
+def _wald_arrays(
+    point: np.ndarray, variance: np.ndarray, level: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """point +/- z_{(1+level)/2} * sqrt(variance)."""
+    if not 0.0 < level < 1.0:
+        raise InvalidConfigError(f"level must lie in (0, 1), got {level}")
+    if (variance < 0.0).any():
+        raise ValueError("variance must be non-negative")
+    half = _NORMAL.inv_cdf(0.5 * (1.0 + level)) * np.sqrt(variance)
+    return point - half, point + half
+
+
+def _monte_carlo_extra(
+    released: ReleasedBlock,
+    scale: Scale,
+    point: np.ndarray,
+    rows: np.ndarray,
+    draws: int,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Injected variance of the point estimate, estimated by re-noising.
+
+    For each listed row, ``draws`` fresh noise pairs for the score and label
+    sums are drawn from ``rngs[row]`` at the release variances (numerator
+    first) and added to the noisy sums.  A replicate with a non-positive
+    denominator (or numerator, on the log scale) is redrawn; only the rows
+    that had such rejections enter the redraw loop, and a row that rejects
+    more than 10 * draws replicates is capped.  Returns the mean squared
+    deviation from the point estimate and the redraw and cap masks, all of
+    block length.
+    """
+    extra = np.zeros(len(point))
+    redrawn = np.zeros(len(point), dtype=bool)
+    capped = np.zeros(len(point), dtype=bool)
+    var_s = released.variance("sum_ws")
+    var_y = released.variance("sum_wy")
+    if (var_s == 0.0 and var_y == 0.0) or len(rows) == 0:
+        return extra, redrawn, capped
+    mechanism = released.mechanism
+    numerator = released.values[rows, _SUM_WS]
+    denominator = released.values[rows, _SUM_WY]
+    noisy_num = np.empty((len(rows), draws))
+    noisy_den = np.empty((len(rows), draws))
+    for i, row in enumerate(rows):
+        noisy_num[i] = draw_noise(rngs[row], mechanism, var_s, draws)
+        noisy_den[i] = draw_noise(rngs[row], mechanism, var_y, draws)
+    noisy_num += numerator[:, None]
+    noisy_den += denominator[:, None]
+    ok = noisy_den > 0.0
+    if scale is Scale.LOG:
+        ok &= noisy_num > 0.0
+    replicates = np.divide(noisy_num, noisy_den, out=noisy_num)
+
+    cap = 10 * draws
+    for i in np.flatnonzero(~ok.all(axis=1)):
+        row = rows[i]
+        redrawn[row] = True
+        kept = replicates[i, ok[i]]
+        filled = len(kept)
+        rejected = draws - filled
+        replicates[i, :filled] = kept
+        while filled < draws:
+            k = draws - filled
+            more_num = numerator[i] + draw_noise(rngs[row], mechanism, var_s, k)
+            more_den = denominator[i] + draw_noise(rngs[row], mechanism, var_y, k)
+            accept = more_den > 0.0
+            if scale is Scale.LOG:
+                accept &= more_num > 0.0
+            accepted = int(accept.sum())
+            rejected += k - accepted
+            if rejected > cap:
+                capped[row] = True
+                break
+            replicates[i, filled : filled + accepted] = more_num[accept] / more_den[accept]
+            filled += accepted
+
+    if scale is Scale.LOG:
+        np.log(replicates, out=replicates)
+    replicates -= point[rows, None]
+    extra[rows] = np.mean(np.square(replicates, out=replicates), axis=1)
+    return extra, redrawn, capped
+
+
+def estimate_block(
+    released: ReleasedBlock,
+    method: Method,
+    scale: Scale = Scale.RATIO,
+    level: float = 0.95,
+    draws: int = 200,
+    rngs: Sequence[np.random.Generator] | None = None,
+) -> EstimateBlock:
+    """Point estimates and Wald intervals of one method for every row.
+
+    ``Method.PUBLIC`` is the no-correction pipeline, meant for exact sums.
+    ``Method.MONTE_CARLO`` needs ``rngs``, one generator per row; a row
+    draws from its generator only if it was not refused before.
+    """
+    if method is Method.MONTE_CARLO and draws < 2:
+        raise InvalidConfigError(f"draws must be at least 2, got {draws}")
+    values = released.values
+    refusal = np.zeros(len(values), dtype=np.int8)
+    flags = np.zeros((len(values), len(FLAGS)), dtype=bool)
+    with np.errstate(all="ignore"):
+        point = _point_arrays(values, scale, refusal)
+        moments = _moment_arrays(values, refusal)
+        flags[:, :_MOMENT_FLAGS] = moments.flags
+        if method is Method.ANALYTICAL:
+            # Release noise is independent of the data: it adds its variance to
+            # the score-sum and label-sum terms and leaves the covariance alone.
+            w2 = values[:, _SUM_W] * values[:, _SUM_W]
+            moments = moments._replace(
+                var_s_bar=moments.var_s_bar + released.variance("sum_ws") / w2,
+                var_y_bar=moments.var_y_bar + released.variance("sum_wy") / w2,
+            )
+        variance, flags[:, _MOMENT_FLAGS] = _variance_arrays(moments, scale, refusal)
+        if method is Method.MONTE_CARLO:
+            rows = np.flatnonzero(refusal == 0)
+            extra, flags[:, _MOMENT_FLAGS + 1], capped = _monte_carlo_extra(
+                released, scale, point, rows, draws, rngs
+            )
+            _refuse(refusal, capped, Refusal.MONTE_CARLO_REDRAW_CAP)
+            variance = variance + extra
+    refused = refusal != 0
+    point = np.where(refused, np.nan, point)
+    variance = np.where(refused, np.nan, variance)
+    flags[refused] = False
+    lower, upper = _wald_arrays(point, variance, level)
+    return EstimateBlock(point, variance, lower, upper, refusal, flags)
+
+
+# --------------------------------------------------------------------------
+# Scalar API: blocks of one row.
+# --------------------------------------------------------------------------
+
+
+def _raise_refusal(code: int, released: ReleasedSums, draws: int = 0) -> None:
+    v = released.values
+    if code == Refusal.NONPOSITIVE_DENOMINATOR:
+        raise DegenerateDenominatorError(
+            f"noisy denominator not positive: sum_wy = {v['sum_wy']}, sum_w = {v['sum_w']}"
+        )
+    if code == Refusal.NONPOSITIVE_LOG_NUMERATOR:
+        raise DegenerateNumeratorError(f"noisy sum_ws = {v['sum_ws']} is not positive")
+    if code == Refusal.MONTE_CARLO_REDRAW_CAP:
+        raise MonteCarloRedrawCapError(
+            f"monte carlo resampling exceeded {10 * draws} rejected replicates"
+        )
+
+
+def _estimate_one(
+    released: ReleasedSums,
+    method: Method,
+    scale: Scale,
+    level: float,
+    draws: int = 200,
+    rng: np.random.Generator | None = None,
+) -> RatioEstimate:
+    if method is Method.MONTE_CARLO and rng is None:
+        rng = np.random.default_rng()
+    block = estimate_block(released.as_block(), method, scale, level, draws, [rng])
+    _raise_refusal(block.refusal[0], released, draws)
+    return RatioEstimate(
+        point=float(block.point[0]),
+        variance=float(block.variance[0]),
+        scale=scale,
+        method=method,
+        ci_lower=float(block.ci_lower[0]),
+        ci_upper=float(block.ci_upper[0]),
+        level=level,
+        flags=tuple(f for f, on in zip(FLAGS, block.flags[0]) if on),
+    )
+
+
+def plug_in_moments(released: ReleasedSums) -> Moments:
+    """Plug-in means, variances, and covariance of the two weighted means.
+
+    Negative variance plug-ins are floored at zero and flagged; a
+    covariance outside the Cauchy-Schwarz envelope is flagged but kept.
+    """
+    refusal = np.zeros(1, dtype=np.int8)
+    with np.errstate(all="ignore"):
+        m = _moment_arrays(released.as_block().values, refusal)
+    _raise_refusal(refusal[0], released)
+    return Moments(
+        float(m.mu_s[0]),
+        float(m.mu_y[0]),
+        float(m.var_s_bar[0]),
+        float(m.var_y_bar[0]),
+        float(m.cov_ys_bar[0]),
+        tuple(f for f, on in zip(FLAGS, m.flags[0]) if on),
+    )
+
+
+def _variance_on_scale(m: Moments, scale: Scale) -> float:
+    arrays = _MomentArrays(
+        *(np.array([x]) for x in (m.mu_s, m.mu_y, m.var_s_bar, m.var_y_bar, m.cov_ys_bar)),
+        flags=np.zeros((1, _MOMENT_FLAGS), dtype=bool),
+    )
+    refusal = np.zeros(1, dtype=np.int8)
+    with np.errstate(all="ignore"):
+        variance, _ = _variance_arrays(arrays, scale, refusal)
+    if refusal[0]:
+        raise DegenerateDenominatorError(f"{scale.value}-scale variance undefined at a zero mean")
+    return float(variance[0])
 
 
 def ratio_variance(m: Moments) -> float:
     """Delta-method variance of the ratio of the two means (floored at 0)."""
-    return _variance_on_scale(m, Scale.RATIO)[0]
+    return _variance_on_scale(m, Scale.RATIO)
 
 
 def log_ratio_variance(m: Moments) -> float:
     """Delta-method variance of the log of the ratio (floored at 0)."""
-    return _variance_on_scale(m, Scale.LOG)[0]
+    return _variance_on_scale(m, Scale.LOG)
 
 
 def point_estimate(released: ReleasedSums, scale: Scale = Scale.RATIO) -> float:
     """Noisy score sum over noisy label sum, optionally on the log scale."""
-    numerator = released.values["sum_ws"]
-    denominator = released.values["sum_wy"]
-    if not denominator > 0.0:
-        raise DegenerateDenominatorError(f"noisy sum_wy = {denominator} is not positive")
-    ratio = numerator / denominator
-    if scale is Scale.LOG:
-        if not numerator > 0.0:
-            raise DegenerateNumeratorError(f"noisy sum_ws = {numerator} is not positive")
-        return math.log(ratio)
-    return ratio
+    refusal = np.zeros(1, dtype=np.int8)
+    with np.errstate(all="ignore"):
+        point = _point_arrays(released.as_block().values, scale, refusal)
+    _raise_refusal(refusal[0], released)
+    return float(point[0])
 
 
 def wald_interval(point: float, variance: float, level: float) -> tuple[float, float]:
     """point +/- z_{(1+level)/2} * sqrt(variance)."""
-    if not 0.0 < level < 1.0:
-        raise InvalidConfigError(f"level must lie in (0, 1), got {level}")
-    if variance < 0.0:
-        raise ValueError("variance must be non-negative")
-    half = _NORMAL.inv_cdf(0.5 * (1.0 + level)) * math.sqrt(variance)
-    return point - half, point + half
-
-
-def _wald_estimate(
-    point: float,
-    variance: float,
-    scale: Scale,
-    method: Method,
-    level: float,
-    flags: tuple[str, ...],
-) -> RatioEstimate:
-    lower, upper = wald_interval(point, variance, level)
-    return RatioEstimate(
-        point=point,
-        variance=variance,
-        scale=scale,
-        method=method,
-        ci_lower=lower,
-        ci_upper=upper,
-        level=level,
-        flags=flags,
-    )
+    lower, upper = _wald_arrays(np.array([point]), np.array([variance]), level)
+    return float(lower[0]), float(upper[0])
 
 
 def ci_no_correction(
@@ -197,10 +442,7 @@ def ci_no_correction(
     the delta-method variance directly.  Expect under-coverage at small
     sample sizes or small budgets.
     """
-    point = point_estimate(released, scale)
-    moments = plug_in_moments(released)
-    variance, var_flags = _variance_on_scale(moments, scale)
-    return _wald_estimate(point, variance, scale, Method.NO_CORRECTION, level, moments.flags + var_flags)
+    return _estimate_one(released, Method.NO_CORRECTION, scale, level)
 
 
 def ci_monte_carlo(
@@ -219,51 +461,7 @@ def ci_monte_carlo(
     denominator (or non-positive ratio on the log scale) are redrawn, up to
     10 * draws rejections.
     """
-    if draws < 2:
-        raise InvalidConfigError(f"draws must be at least 2, got {draws}")
-    if rng is None:
-        rng = np.random.default_rng()
-
-    numerator = released.values["sum_ws"]
-    denominator = released.values["sum_wy"]
-    point = point_estimate(released, scale)
-    moments = plug_in_moments(released)
-    base_variance, var_flags = _variance_on_scale(moments, scale)
-    flags = moments.flags + var_flags
-
-    var_s = released.noise_variance["sum_ws"]
-    var_y = released.noise_variance["sum_wy"]
-    if var_s == 0.0 and var_y == 0.0:
-        extra = 0.0
-    else:
-        replicates = np.empty(draws)
-        filled = 0
-        rejected = 0
-        cap = 10 * draws
-        while filled < draws:
-            k = draws - filled
-            noisy_num = numerator + draw_noise(rng, released.mechanism, var_s, k)
-            noisy_den = denominator + draw_noise(rng, released.mechanism, var_y, k)
-            ok = noisy_den > 0.0
-            if scale is Scale.LOG:
-                ok &= noisy_num > 0.0
-            accepted = int(ok.sum())
-            rejected += k - accepted
-            if rejected > cap:
-                raise DegenerateDenominatorError(
-                    f"monte carlo resampling exceeded {cap} rejected replicates"
-                )
-            replicates[filled : filled + accepted] = noisy_num[ok] / noisy_den[ok]
-            filled += accepted
-        if rejected > 0:
-            flags = flags + ("monte_carlo_redraw",)
-        if scale is Scale.LOG:
-            deviations = np.log(replicates) - point
-        else:
-            deviations = replicates - point
-        extra = float(np.mean(deviations * deviations))
-
-    return _wald_estimate(point, base_variance + extra, scale, Method.MONTE_CARLO, level, flags)
+    return _estimate_one(released, Method.MONTE_CARLO, scale, level, draws, rng)
 
 
 def ci_analytical(
@@ -278,28 +476,14 @@ def ci_analytical(
     the usual delta-method variance.  Noise in the remaining released sums
     is not corrected for.
     """
-    point = point_estimate(released, scale)
-    moments = plug_in_moments(released)
-    total_w = released.values["sum_w"]
-    w2 = total_w * total_w
-    corrected = Moments(
-        mu_s=moments.mu_s,
-        mu_y=moments.mu_y,
-        var_s_bar=moments.var_s_bar + released.noise_variance["sum_ws"] / w2,
-        var_y_bar=moments.var_y_bar + released.noise_variance["sum_wy"] / w2,
-        cov_ys_bar=moments.cov_ys_bar,
-        flags=moments.flags,
-    )
-    variance, var_flags = _variance_on_scale(corrected, scale)
-    return _wald_estimate(point, variance, scale, Method.ANALYTICAL, level, corrected.flags + var_flags)
+    return _estimate_one(released, Method.ANALYTICAL, scale, level)
 
 
 def public_estimate(
     sums: SumVector, scale: Scale = Scale.RATIO, level: float = 0.95
 ) -> RatioEstimate:
     """Non-private baseline: the no-correction pipeline on the exact sums."""
-    estimate = ci_no_correction(exact_release(sums), scale, level)
-    return replace(estimate, method=Method.PUBLIC)
+    return _estimate_one(exact_release(sums), Method.PUBLIC, scale, level)
 
 
 def two_ratio_test(a: RatioEstimate, b: RatioEstimate) -> TwoRatioTest:

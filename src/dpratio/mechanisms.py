@@ -4,8 +4,9 @@ The Gaussian mechanism provides (epsilon, delta)-DP, the Laplace mechanism
 pure epsilon-DP.  A release splits the total budget evenly across the
 distinct sums of the profile (basic composition); collapsed duplicates are
 released once and mirrored, which is what makes the smaller profiles cheaper.
-All randomness comes from a caller-supplied numpy Generator, so a release is
-fully determined by one seed.
+All randomness comes from caller-supplied numpy Generators, one per release,
+so a release is fully determined by one seed.  :func:`release_block`
+releases many sum vectors at once; :func:`release` is its block of one.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Bounds, Profile, SumVector, sensitivity_per_sum
+from .core import SUM_FIELDS, Bounds, Profile, SumVector, sensitivity_per_sum
 from .errors import (
     InvalidBudgetError,
     InvalidConfigError,
@@ -44,6 +45,14 @@ class PrivacyBudget:
             raise InvalidBudgetError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (0.0 <= self.delta < 1.0):
             raise InvalidBudgetError(f"delta must lie in [0, 1), got {self.delta}")
+
+
+def check_mechanism_budget(mechanism: MechanismKind, budget: PrivacyBudget) -> None:
+    """Gaussian noise needs delta > 0; Laplace noise gives pure DP, delta == 0."""
+    if mechanism is MechanismKind.GAUSSIAN and budget.delta == 0.0:
+        raise MechanismMismatchError("the Gaussian mechanism requires delta > 0")
+    if mechanism is MechanismKind.LAPLACE and budget.delta != 0.0:
+        raise MechanismMismatchError("the Laplace mechanism requires delta == 0")
 
 
 def gaussian_sigma(sensitivity: float, budget: PrivacyBudget) -> float:
@@ -109,6 +118,30 @@ def draw_noise(
     return float(out) if size is None else out
 
 
+class ReleasedBlock(NamedTuple):
+    """Releases of B sum vectors of one profile under one calibration.
+
+    ``values`` has shape (B, 7) with columns in ``SUM_FIELDS`` order;
+    ``noise_variance`` has shape (7,) and is shared by every row.  Collapsed
+    duplicates mirror the column of the sum they duplicate.  ``mechanism``
+    is ``None`` only for exact (no-noise) sums.
+    """
+
+    values: np.ndarray
+    noise_variance: np.ndarray
+    mechanism: MechanismKind | None
+    per_sum_budget: PrivacyBudget | None
+    profile: Profile
+
+    @classmethod
+    def exact(cls, values: np.ndarray, profile: Profile) -> "ReleasedBlock":
+        """Wrap exact sums as zero-noise releases (the non-private baseline)."""
+        return cls(values, np.zeros(len(SUM_FIELDS)), None, None, profile)
+
+    def variance(self, field: str) -> float:
+        return float(self.noise_variance[SUM_FIELDS.index(field)])
+
+
 @dataclass(frozen=True)
 class ReleasedSums:
     """Noisy sums plus the exact noise calibration used to produce them.
@@ -123,6 +156,16 @@ class ReleasedSums:
     mechanism: MechanismKind | None
     per_sum_budget: PrivacyBudget | None
     profile: Profile
+
+    def as_block(self) -> ReleasedBlock:
+        """This release as a block of one row."""
+        return ReleasedBlock(
+            values=np.array([[self.values[f] for f in SUM_FIELDS]], dtype=np.float64),
+            noise_variance=np.array([self.noise_variance[f] for f in SUM_FIELDS], dtype=np.float64),
+            mechanism=self.mechanism,
+            per_sum_budget=self.per_sum_budget,
+            profile=self.profile,
+        )
 
     @property
     def released_fields(self) -> tuple[str, ...]:
@@ -167,6 +210,47 @@ class ReleasedSums:
         )
 
 
+def release_block(
+    sums: np.ndarray,
+    bounds: Bounds,
+    total_budget: PrivacyBudget,
+    mechanism: MechanismKind,
+    rngs: Sequence[np.random.Generator],
+) -> ReleasedBlock:
+    """Privatize each row of a (B, 7) matrix of exact sums, row i from ``rngs[i]``.
+
+    The rows must be sums of the profile ``bounds`` declares.  Each
+    distinct sum receives independent noise calibrated to its own
+    sensitivity at budget (eps/k, delta/k), where k is the profile size;
+    collapsed duplicates mirror the released column instead of consuming
+    budget.  Every row takes k draws from its own generator, in field order.
+    """
+    check_mechanism_budget(mechanism, total_budget)
+    profile = bounds.profile
+    fields = profile.released_fields
+    per = split_budget(total_budget, len(fields))
+    sens = sensitivity_per_sum(bounds, profile)
+
+    if mechanism is MechanismKind.GAUSSIAN:
+        sigmas = np.array([gaussian_sigma(sens[f], per) for f in fields])
+        noises = sigmas * np.array([rng.standard_normal(len(fields)) for rng in rngs])
+        variances = sigmas * sigmas
+    else:
+        scales = np.array([laplace_scale(sens[f], per.epsilon) for f in fields])
+        noises = _laplace_from_uniform(np.array([rng.random(len(fields)) for rng in rngs]), scales)
+        variances = 2.0 * scales * scales
+
+    columns = [SUM_FIELDS.index(f) for f in fields]
+    values = np.array(sums, dtype=np.float64)
+    values[:, columns] += noises
+    noise_variance = np.zeros(len(SUM_FIELDS))
+    noise_variance[columns] = variances
+    for alias, source in profile.aliases.items():
+        values[:, SUM_FIELDS.index(alias)] = values[:, SUM_FIELDS.index(source)]
+        noise_variance[SUM_FIELDS.index(alias)] = noise_variance[SUM_FIELDS.index(source)]
+    return ReleasedBlock(values, noise_variance, mechanism, per, profile)
+
+
 def release(
     sums: SumVector,
     bounds: Bounds,
@@ -176,46 +260,22 @@ def release(
 ) -> ReleasedSums:
     """Privatize the distinct sums under an even split of ``total_budget``.
 
-    Each released sum receives independent noise calibrated to its own
-    sensitivity at budget (eps/k, delta/k), where k is the profile size.
-    Collapsed duplicates mirror the released entry instead of consuming
-    budget.
+    A block of one row of :func:`release_block`.
     """
     if bounds.profile is not sums.profile:
         raise InvalidConfigError(
             f"bounds declare profile {bounds.profile.value} but sums carry {sums.profile.value}"
         )
-    if mechanism is MechanismKind.GAUSSIAN and total_budget.delta == 0.0:
-        raise MechanismMismatchError("the Gaussian mechanism requires delta > 0")
-    if mechanism is MechanismKind.LAPLACE and total_budget.delta != 0.0:
-        raise MechanismMismatchError("the Laplace mechanism requires delta == 0")
-
-    profile = sums.profile
-    fields = profile.released_fields
-    per = split_budget(total_budget, len(fields))
-    sens = sensitivity_per_sum(bounds, profile)
-
-    if mechanism is MechanismKind.GAUSSIAN:
-        sigmas = np.array([gaussian_sigma(sens[f], per) for f in fields])
-        noises = sigmas * rng.standard_normal(len(fields))
-        variances = sigmas * sigmas
-    else:
-        scales = np.array([laplace_scale(sens[f], per.epsilon) for f in fields])
-        noises = _laplace_from_uniform(rng.random(len(fields)), scales)
-        variances = 2.0 * scales * scales
-
     exact = sums.as_dict()
-    values = {f: exact[f] + float(e) for f, e in zip(fields, noises)}
-    noise_variance = {f: float(v) for f, v in zip(fields, variances)}
-    for alias, source in profile.aliases.items():
-        values[alias] = values[source]
-        noise_variance[alias] = noise_variance[source]
+    block = release_block(
+        np.array([[exact[f] for f in SUM_FIELDS]]), bounds, total_budget, mechanism, [rng]
+    )
     return ReleasedSums(
-        values=values,
-        noise_variance=noise_variance,
+        values=dict(zip(SUM_FIELDS, block.values[0].tolist())),
+        noise_variance=dict(zip(SUM_FIELDS, block.noise_variance.tolist())),
         mechanism=mechanism,
-        per_sum_budget=per,
-        profile=profile,
+        per_sum_budget=block.per_sum_budget,
+        profile=block.profile,
     )
 
 

@@ -8,7 +8,9 @@ width, coverage, and interval score over replications.
 Every replication derives its own random substreams from
 (master_seed, replication index, purpose, epsilon), so results are
 bit-reproducible regardless of worker count or execution order, and adding
-epsilon values never perturbs existing streams.
+epsilon values never perturbs existing streams.  Replications run in blocks:
+data generation and the sums stay per replication, while release and
+inference run on arrays over the block.
 """
 
 from __future__ import annotations
@@ -16,30 +18,17 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Bounds, Record, compute_sums_from_arrays, kish_effective_n
-from .errors import (
-    DegenerateDenominatorError,
-    DegenerateNumeratorError,
-    InvalidConfigError,
-    InvalidIntervalError,
-)
-from .inference import (
-    Method,
-    RatioEstimate,
-    Scale,
-    ci_analytical,
-    ci_monte_carlo,
-    ci_no_correction,
-    public_estimate,
-)
-from .mechanisms import MechanismKind, PrivacyBudget, release
+from .core import SUM_FIELDS, Bounds, Record, compute_sums_from_arrays, kish_effective_n
+from .errors import InvalidConfigError, InvalidIntervalError
+from .inference import FLAGS, REFUSAL_CAUSES, Method, Refusal, Scale, estimate_block
+from .mechanisms import MechanismKind, PrivacyBudget, ReleasedBlock, release_block
 
 #: Clipping range of the Exponential(1) weights in the weighted design.
 WEIGHT_CLIP = (1.0 / 3.0, 3.0)
@@ -50,8 +39,6 @@ _DP_METHODS = (Method.NO_CORRECTION, Method.MONTE_CARLO, Method.ANALYTICAL)
 _PURPOSE_DATA = 0
 _PURPOSE_RELEASE = 1
 _PURPOSE_MC = 2
-
-_DEGENERATE = (DegenerateDenominatorError, DegenerateNumeratorError)
 
 
 @dataclass(frozen=True)
@@ -127,6 +114,8 @@ class ExperimentRow:
     mean_interval_score: float
     mean_effective_n: float
     refusal_count: int
+    flags: Mapping[str, int] = field(default_factory=dict)
+    refusals_by_cause: Mapping[str, int] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         def _clean(x: float) -> float | None:
@@ -140,6 +129,8 @@ class ExperimentRow:
             "score": _clean(self.mean_interval_score),
             "effective_n": _clean(self.mean_effective_n),
             "refusals": self.refusal_count,
+            "refusals_by_cause": dict(self.refusals_by_cause),
+            "flags": dict(self.flags),
         }
 
 
@@ -175,6 +166,13 @@ def generate_dataset(
     return [Record(float(yi), float(si), float(wi)) for yi, si, wi in zip(y, s, w)]
 
 
+def _interval_scores(
+    lower: np.ndarray, upper: np.ndarray, truth: float, alpha: float
+) -> np.ndarray:
+    miss = np.where(truth < lower, lower - truth, np.where(truth > upper, truth - upper, 0.0))
+    return (upper - lower) + 2.0 / alpha * miss
+
+
 def interval_score(lower: float, upper: float, truth: float, alpha: float) -> float:
     """Interval score: width plus 2/alpha-scaled penalty for a missed truth.
 
@@ -185,12 +183,7 @@ def interval_score(lower: float, upper: float, truth: float, alpha: float) -> fl
         raise InvalidIntervalError(f"lower {lower} exceeds upper {upper}")
     if not 0.0 < alpha < 1.0:
         raise InvalidConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    score = upper - lower
-    if truth < lower:
-        score += 2.0 / alpha * (lower - truth)
-    elif truth > upper:
-        score += 2.0 / alpha * (truth - upper)
-    return score
+    return float(_interval_scores(np.array([lower]), np.array([upper]), truth, alpha)[0])
 
 
 def _substream(
@@ -205,54 +198,65 @@ def _substream(
     return np.random.default_rng(seq)
 
 
-def _metrics(estimate: RatioEstimate, truth: float, alpha: float) -> tuple[float, float, float]:
-    covered = float(estimate.ci_lower <= truth <= estimate.ci_upper)
-    return estimate.width, covered, interval_score(estimate.ci_lower, estimate.ci_upper, truth, alpha)
+def _block_size(mc_draws: int) -> int:
+    """Replications per block: keeps the (block, mc_draws) Monte Carlo
+    matrices near 2**14 values, so memory stays flat in the replication count."""
+    return max(1, 2**14 // mc_draws)
 
 
-def _run_replication(config: SimulationConfig, replication: int) -> tuple[float, np.ndarray]:
-    """One replication: returns (effective n, per-cell metric matrix).
+class _BlockResult(NamedTuple):
+    """Per-replication results of a block of replications.
 
-    The matrix has one row per cell (public first, then epsilon-major by
-    method) and columns (width, covered, score); refused cells stay NaN.
+    ``metrics`` has shape (B, cells, 3) with columns (width, covered,
+    score), one cell per row of the output (public first, then
+    epsilon-major by method); refused cells are NaN.  ``refusal`` holds the
+    (B, cells) :class:`Refusal` codes and ``flags`` the (B, cells, FLAGS)
+    warning flags.
     """
-    rng = _substream(config.master_seed, replication, _PURPOSE_DATA)
-    y, s, w = generate_arrays(config.n, config.weighted, config.true_ratio, rng)
+
+    effective_n: np.ndarray
+    metrics: np.ndarray
+    refusal: np.ndarray
+    flags: np.ndarray
+
+
+def _run_block(config: SimulationConfig, start: int, stop: int) -> _BlockResult:
+    """Replications ``start`` to ``stop - 1``, each from its own substreams."""
     bounds = config.bounds
-    sums = compute_sums_from_arrays(y, s, w, bounds)
-    effective_n = kish_effective_n(sums)
+    replications = range(start, stop)
+    exact = np.empty((len(replications), len(SUM_FIELDS)))
+    effective_n = np.empty(len(replications))
+    for i, r in enumerate(replications):
+        rng = _substream(config.master_seed, r, _PURPOSE_DATA)
+        y, s, w = generate_arrays(config.n, config.weighted, config.true_ratio, rng)
+        sums = compute_sums_from_arrays(y, s, w, bounds)
+        effective_n[i] = kish_effective_n(sums)
+        exact[i] = [getattr(sums, f) for f in SUM_FIELDS]
+
+    public = ReleasedBlock.exact(exact, bounds.profile)
+    estimates = [estimate_block(public, Method.PUBLIC, config.scale, config.level)]
+    for eps in config.epsilons:
+        release_rngs = [_substream(config.master_seed, r, _PURPOSE_RELEASE, eps) for r in replications]
+        released = release_block(
+            exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism, release_rngs
+        )
+        mc_rngs = [_substream(config.master_seed, r, _PURPOSE_MC, eps) for r in replications]
+        for method in _DP_METHODS:
+            estimates.append(
+                estimate_block(released, method, config.scale, config.level, config.mc_draws, mc_rngs)
+            )
 
     truth = math.log(config.true_ratio) if config.scale is Scale.LOG else config.true_ratio
-    alpha = 1.0 - config.level
-    cells = np.full((1 + 3 * len(config.epsilons), 3), np.nan)
-
-    try:
-        cells[0] = _metrics(public_estimate(sums, config.scale, config.level), truth, alpha)
-    except _DEGENERATE:
-        pass
-
-    for i, eps in enumerate(config.epsilons):
-        budget = PrivacyBudget(eps, config.delta)
-        released = release(
-            sums, bounds, budget, config.mechanism, _substream(config.master_seed, replication, _PURPOSE_RELEASE, eps)
-        )
-        base = 1 + 3 * i
-        try:
-            cells[base] = _metrics(ci_no_correction(released, config.scale, config.level), truth, alpha)
-        except _DEGENERATE:
-            pass
-        try:
-            mc_rng = _substream(config.master_seed, replication, _PURPOSE_MC, eps)
-            estimate = ci_monte_carlo(released, config.scale, config.level, config.mc_draws, mc_rng)
-            cells[base + 1] = _metrics(estimate, truth, alpha)
-        except _DEGENERATE:
-            pass
-        try:
-            cells[base + 2] = _metrics(ci_analytical(released, config.scale, config.level), truth, alpha)
-        except _DEGENERATE:
-            pass
-
-    return effective_n, cells
+    lower = np.column_stack([e.ci_lower for e in estimates])
+    upper = np.column_stack([e.ci_upper for e in estimates])
+    covered = np.where(np.isnan(lower), np.nan, (lower <= truth) & (truth <= upper))
+    score = _interval_scores(lower, upper, truth, 1.0 - config.level)
+    return _BlockResult(
+        effective_n=effective_n,
+        metrics=np.stack([upper - lower, covered, score], axis=-1),
+        refusal=np.column_stack([e.refusal for e in estimates]),
+        flags=np.stack([e.flags for e in estimates], axis=1),
+    )
 
 
 def run_experiment(config: SimulationConfig, threads: int = 1) -> list[ExperimentRow]:
@@ -260,27 +264,41 @@ def run_experiment(config: SimulationConfig, threads: int = 1) -> list[Experimen
 
     Returns the public row first (epsilon-independent), then one row per
     (epsilon, method).  Degenerate replications are excluded from the means
-    and surfaced through ``refusal_count``.  Output is a pure function of
-    (config, master_seed): metric matrices are indexed by replication, so
-    the aggregation order never depends on ``threads``.
+    and surfaced through ``refusal_count`` and ``refusals_by_cause``;
+    ``flags`` counts the estimates that carry each warning flag.  Output is
+    a pure function of (config, master_seed): replications are split into
+    fixed blocks whose results are concatenated in replication order, so
+    neither the blocks nor ``threads`` change the result.  With
+    ``threads > 1`` the blocks run in a process pool.
     """
     reps = config.replications
     n_cells = 1 + 3 * len(config.epsilons)
-    metrics = np.empty((reps, n_cells, 3))
     effective = np.empty(reps)
+    metrics = np.empty((reps, n_cells, 3))
+    refusal = np.empty((reps, n_cells), dtype=np.int8)
+    flags = np.empty((reps, n_cells, len(FLAGS)), dtype=bool)
+
+    size = _block_size(config.mc_draws)
+    starts = range(0, reps, size)
+    stops = [min(start + size, reps) for start in starts]
+    run = partial(_run_block, config)
+
+    def collect(blocks) -> None:
+        for start, stop, block in zip(starts, stops, blocks):
+            effective[start:stop] = block.effective_n
+            metrics[start:stop] = block.metrics
+            refusal[start:stop] = block.refusal
+            flags[start:stop] = block.flags
 
     if threads <= 1 or reps == 1:
-        for r in range(reps):
-            effective[r], metrics[r] = _run_replication(config, r)
+        collect(map(run, starts, stops))
     else:
-        chunksize = max(1, reps // (8 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(partial(_run_replication, config), range(reps), chunksize=chunksize)
-            for r, (eff, cells) in enumerate(results):
-                effective[r] = eff
-                metrics[r] = cells
+        with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+            collect(pool.map(run, starts, stops))
 
     mean_effective = float(effective.mean())
+    # Per cell, the count of each refusal code but NONE.
+    causes = [np.bincount(codes, minlength=len(Refusal))[1:] for codes in refusal.T]
 
     def _aggregate(cell: int, method: Method, epsilon: float | None) -> ExperimentRow:
         block = metrics[:, cell, :]
@@ -300,6 +318,8 @@ def run_experiment(config: SimulationConfig, threads: int = 1) -> list[Experimen
             mean_interval_score=score,
             mean_effective_n=mean_effective,
             refusal_count=reps - count,
+            flags=dict(zip(FLAGS, flags[:, cell].sum(axis=0).tolist())),
+            refusals_by_cause=dict(zip(REFUSAL_CAUSES, causes[cell].tolist())),
         )
 
     rows = [_aggregate(0, Method.PUBLIC, None)]

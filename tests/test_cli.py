@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from dpratio import FLAGS, REFUSAL_CAUSES
 from dpratio.cli import main
 
 
@@ -131,6 +132,10 @@ class TestSimulate:
         assert [r["method"] for r in rows[:4]] == [
             "public", "no_correction", "monte_carlo", "analytical"
         ]
+        for row in rows:
+            assert list(row["flags"]) == list(FLAGS)
+            assert list(row["refusals_by_cause"]) == list(REFUSAL_CAUSES)
+            assert sum(row["refusals_by_cause"].values()) == row["refusals"]
         assert "public method" in out
 
     def test_single_replication_is_fast(self, tmp_path, capsys):
@@ -191,6 +196,21 @@ class TestSimulate:
         status, out = run_cli(capsys, "simulate", "--output-dir", str(tmp_path), "--config", str(cfg))
         assert status == 2
         assert "bogus" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", "abc"), ("epsilons", 0.5), ("weighted", "no"), ("replications", 2.5)],
+    )
+    def test_config_value_types_checked(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        status, out = run_cli(
+            capsys, "simulate", "--output-dir", str(tmp_path), "--config", str(cfg), "--threads", "1"
+        )
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidConfigError"
+        assert field in error["message"]
 
     def test_csv_bytes_identical_across_thread_counts(self, tmp_path, capsys):
         outputs = []

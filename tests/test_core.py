@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
-from dpratio import _kernels
 
 finite_weights = st.lists(
     st.floats(min_value=0.1, max_value=50.0, allow_nan=False), min_size=2, max_size=40
@@ -274,21 +273,3 @@ class TestCsv:
             d.read_dataset_csv(path)
         assert err.value.line == 2
 
-
-class TestBackends:
-    def test_backends_agree(self):
-        rng = np.random.default_rng(8)
-        y, s, w = _random_arrays(rng, 1000)
-        reference = _kernels.weighted_sums_numpy(y, s, w)
-        active = _kernels.weighted_sums(y, s, w)
-        np.testing.assert_allclose(active, reference, rtol=1e-12)
-
-    @pytest.mark.skipif(_kernels.weighted_sums_numba is None, reason="numba backend unavailable")
-    def test_numba_kernel_matches_fsum(self):
-        rng = np.random.default_rng(9)
-        y, s, w = _random_arrays(rng, 4096)
-        np.testing.assert_allclose(
-            _kernels.weighted_sums_numba(y, s, w),
-            _kernels.weighted_sums_numpy(y, s, w),
-            rtol=1e-13,
-        )

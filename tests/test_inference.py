@@ -226,6 +226,34 @@ class TestMonteCarloCI:
         assert "monte_carlo_redraw" in est.flags
         assert math.isfinite(est.variance)
 
+    def test_block_refuses_exactly_where_scalar_api_raises(self):
+        # Both noisy sums near zero on the log scale: a replicate survives with
+        # probability about 1/4, so with 2 draws an occasional row rejects more
+        # than the cap of 20 replicates.
+        released = make_released(
+            {"sum_ws": 1e-3, "sum_wy": 1e-3}, noise={"sum_ws": 1.0, "sum_wy": 1.0}
+        )
+        seeds = range(32)
+        one = released.as_block()
+        block = d.estimate_block(
+            one._replace(values=np.repeat(one.values, len(seeds), axis=0)),
+            d.Method.MONTE_CARLO, d.Scale.LOG, draws=2,
+            rngs=[np.random.default_rng(seed) for seed in seeds],
+        )
+        capped = 0
+        for i, seed in enumerate(seeds):
+            try:
+                est = d.ci_monte_carlo(released, d.Scale.LOG, draws=2, rng=np.random.default_rng(seed))
+            except d.MonteCarloRedrawCapError:
+                capped += 1
+                assert block.refusal[i] == d.Refusal.MONTE_CARLO_REDRAW_CAP
+                assert math.isnan(block.variance[i]) and not block.flags[i].any()
+                continue
+            assert block.refusal[i] == d.Refusal.NONE
+            assert block.variance[i] == pytest.approx(est.variance, rel=1e-12)
+            assert tuple(f for f, on in zip(d.FLAGS, block.flags[i]) if on) == est.flags
+        assert capped > 0
+
     def test_requires_at_least_two_draws(self):
         _, released, rng = seeded_release(1)
         with pytest.raises(d.InvalidConfigError):

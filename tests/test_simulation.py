@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
-from dpratio.simulation import WEIGHT_CLIP
+from dpratio.simulation import (
+    _PURPOSE_DATA,
+    _PURPOSE_MC,
+    _PURPOSE_RELEASE,
+    WEIGHT_CLIP,
+    _block_size,
+    _run_block,
+    _substream,
+)
 
 
 def small_config(**overrides):
@@ -125,8 +134,10 @@ class TestRunExperiment:
                 assert row.mean_interval_score >= row.mean_width - 1e-12
 
     def test_threads_do_not_change_results(self):
-        config = small_config(replications=8)
-        assert d.run_experiment(config, threads=1) == d.run_experiment(config, threads=2)
+        # 20 replications in blocks of 16 send a full and a partial block to the pool.
+        assert _block_size(1000) == 16
+        for config in (small_config(replications=8), small_config(replications=20, mc_draws=1000)):
+            assert d.run_experiment(config, threads=1) == d.run_experiment(config, threads=2)
 
     def test_refusals_counted_not_fatal(self):
         # Tiny budget on a small weighted sample drives the noisy label sum
@@ -146,6 +157,87 @@ class TestRunExperiment:
         assert rows[0].mean_effective_n == pytest.approx(0.616 * 2000, rel=0.05)
         unweighted = d.run_experiment(small_config(replications=4))
         assert unweighted[0].mean_effective_n == 400.0
+
+
+def _scalar_outcome(estimate, *args):
+    """(estimate or None, refusal cause or None, flags) of one scalar API call."""
+    try:
+        est = estimate(*args)
+    except d.DegenerateNumeratorError:
+        return None, "nonpositive_log_numerator", ()
+    except d.MonteCarloRedrawCapError:
+        return None, "monte_carlo_redraw_cap", ()
+    except d.DegenerateDenominatorError:
+        return None, "nonpositive_denominator", ()
+    return est, None, est.flags
+
+
+def _scalar_replication(config, r):
+    """Per-cell outcomes of replication ``r`` from the public scalar API,
+    on the engine's substreams and in its cell order."""
+    rng = _substream(config.master_seed, r, _PURPOSE_DATA)
+    sums = d.compute_sums_from_arrays(
+        *d.generate_arrays(config.n, config.weighted, config.true_ratio, rng), config.bounds
+    )
+    outcomes = [_scalar_outcome(d.public_estimate, sums, config.scale, config.level)]
+    for eps in config.epsilons:
+        released = d.release(
+            sums, config.bounds, d.PrivacyBudget(eps, config.delta), config.mechanism,
+            _substream(config.master_seed, r, _PURPOSE_RELEASE, eps),
+        )
+        mc_rng = _substream(config.master_seed, r, _PURPOSE_MC, eps)
+        outcomes += [
+            _scalar_outcome(d.ci_no_correction, released, config.scale, config.level),
+            _scalar_outcome(
+                d.ci_monte_carlo, released, config.scale, config.level, config.mc_draws, mc_rng
+            ),
+            _scalar_outcome(d.ci_analytical, released, config.scale, config.level),
+        ]
+    return outcomes
+
+
+class TestBatchedEngineEquivalence:
+    """The block engine against a per-replication loop over the scalar API."""
+
+    @pytest.mark.parametrize("scale", [d.Scale.RATIO, d.Scale.LOG])
+    @pytest.mark.parametrize(
+        "mechanism, delta", [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
+    )
+    def test_per_replication_results_match_scalar_api(self, mechanism, delta, scale):
+        # 40 replications in blocks of 16; epsilon 0.02 on 100 weighted records
+        # makes refusals and Monte Carlo redraws common.
+        config = d.SimulationConfig(
+            n=100, epsilons=(0.02, 1.0), weighted=True, mechanism=mechanism, delta=delta,
+            scale=scale, replications=40, mc_draws=1000, master_seed=5,
+        )
+        assert _block_size(config.mc_draws) == 16
+        engine = _run_block(config, 0, config.replications)
+        truth = math.log(config.true_ratio) if scale is d.Scale.LOG else config.true_ratio
+        alpha = 1.0 - config.level
+
+        expected = np.full(engine.metrics.shape, np.nan)
+        causes = Counter()
+        flags = Counter()
+        for r in range(config.replications):
+            for cell, (est, cause, est_flags) in enumerate(_scalar_replication(config, r)):
+                causes[cell, cause] += 1
+                for flag in est_flags:
+                    flags[cell, flag] += 1
+                if est is not None:
+                    expected[r, cell] = (
+                        est.width,
+                        float(est.ci_lower <= truth <= est.ci_upper),
+                        d.interval_score(est.ci_lower, est.ci_upper, truth, alpha),
+                    )
+        np.testing.assert_allclose(engine.metrics, expected, rtol=1e-12, atol=0.0, equal_nan=True)
+        assert sum(n for (_, cause), n in causes.items() if cause is not None) > 0
+        assert sum(n for (_, flag), n in flags.items() if flag == "monte_carlo_redraw") > 0
+
+        rows = d.run_experiment(config)
+        for cell, row in enumerate(rows):
+            assert row.refusals_by_cause == {c: causes[cell, c] for c in d.REFUSAL_CAUSES}
+            assert row.flags == {f: flags[cell, f] for f in d.FLAGS}
+            assert row.refusal_count == sum(row.refusals_by_cause.values())
 
 
 class TestConfigValidation:
