@@ -27,22 +27,8 @@ from .inference import (
     ci_no_correction,
     public_estimate,
 )
-from .mechanisms import MechanismKind, PrivacyBudget, check_mechanism_budget, release
+from .mechanisms import MechanismKind, PrivacyBudget, check_mechanism_budget, default_delta, release
 from .simulation import ExperimentRow, SimulationConfig, run_experiment, write_rows_csv
-
-_SIM_DEFAULTS = {
-    "n": 5000,
-    "epsilons": [0.2, 0.5, 1.0, 4.0],
-    "delta": None,
-    "weighted": False,
-    "mechanism": "gaussian",
-    "scale": "ratio",
-    "true_ratio": 1.1,
-    "replications": 1000,
-    "mc_draws": 200,
-    "level": 0.95,
-    "seed": 0,
-}
 
 
 def _is_int(value) -> bool:
@@ -53,7 +39,8 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-#: What each config-file field must hold, as (description, check).
+#: What each config-file field must hold, as (description, check).  A field's
+#: flag (``--epsilon`` stores to ``epsilons``) overrides the file's value.
 _SIM_FIELD_TYPES = {
     "n": ("an integer", _is_int),
     "epsilons": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
@@ -66,6 +53,15 @@ _SIM_FIELD_TYPES = {
     "mc_draws": ("an integer", _is_int),
     "level": ("a number", _is_number),
     "seed": ("an integer", _is_int),
+}
+
+#: Conversions of config values to SimulationConfig arguments; JSON numbers
+#: may arrive as integers.
+_SIM_FIELD_CONVERSIONS = {
+    "epsilons": lambda v: tuple(float(e) for e in v),
+    "mechanism": MechanismKind,
+    "true_ratio": float,
+    "level": float,
 }
 
 
@@ -103,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", type=Path, default=None,
                      help="JSON file with config fields; explicit flags take precedence")
     sim.add_argument("--n", type=int, default=None, help="sample size per replication")
-    sim.add_argument("--epsilon", action="append", type=float, default=None,
+    sim.add_argument("--epsilon", action="append", type=float, default=None, dest="epsilons",
                      help="privacy budget; repeat for a grid (default: 0.2 0.5 1.0 4.0)")
     sim.add_argument("--delta", type=float, default=None,
                      help="total delta (default: 1e-6 for gaussian, 0 for laplace)")
@@ -121,12 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_delta(delta: float | None, mechanism: MechanismKind) -> float:
-    if delta is not None:
-        return delta
-    return 1e-6 if mechanism is MechanismKind.GAUSSIAN else 0.0
-
-
 def _scales(flag: str) -> list[Scale]:
     if flag == "both":
         return [Scale.RATIO, Scale.LOG]
@@ -135,8 +125,11 @@ def _scales(flag: str) -> list[Scale]:
 
 def _run_estimate(args: argparse.Namespace) -> int:
     mechanism = MechanismKind(args.mechanism)
-    budget = PrivacyBudget(args.epsilon, _resolve_delta(args.delta, mechanism))
+    delta = default_delta(mechanism) if args.delta is None else args.delta
+    budget = PrivacyBudget(args.epsilon, delta)
     check_mechanism_budget(mechanism, budget)  # before touching the data
+    if args.seed is not None and args.seed < 0:
+        raise InvalidConfigError(f"seed must be non-negative, got {args.seed}")
     if args.include_public and not args.allow_non_dp:
         raise InvalidConfigError("--include-public requires --allow-non-dp")
 
@@ -178,36 +171,33 @@ def _run_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _merge_sim_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_SIM_DEFAULTS)
+def _sim_settings(args: argparse.Namespace) -> dict:
+    """Config-file fields overlaid by the flags given, by field name.
+
+    A missing or null field is left out, so it takes its SimulationConfig
+    default; the file's ``seed`` is the config's ``master_seed``.
+    """
+    settings = {}
     if args.config is not None:
         with args.config.open(encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            settings = json.load(fh)
+        if not isinstance(settings, dict):
             raise InvalidConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - set(settings)
+        unknown = set(settings) - set(_SIM_FIELD_TYPES)
         if unknown:
             raise InvalidConfigError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in loaded.items():
+        for name, value in settings.items():
             expected, check = _SIM_FIELD_TYPES[name]
             if not check(value):
                 raise InvalidConfigError(f"config field {name!r} must be {expected}, got {value!r}")
-        settings.update(loaded)
-    overrides = {
-        "n": args.n,
-        "epsilons": args.epsilon,
-        "delta": args.delta,
-        "weighted": args.weighted,
-        "mechanism": args.mechanism,
-        "scale": args.scale,
-        "true_ratio": args.true_ratio,
-        "replications": args.replications,
-        "mc_draws": args.mc_draws,
-        "level": args.level,
-        "seed": args.seed,
+    for name in _SIM_FIELD_TYPES:
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
+    return {
+        "master_seed" if name == "seed" else name: _SIM_FIELD_CONVERSIONS.get(name, lambda v: v)(value)
+        for name, value in settings.items()
+        if value is not None
     }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-    return settings
 
 
 def format_rows_table(config: SimulationConfig, rows: list[ExperimentRow]) -> str:
@@ -242,10 +232,8 @@ def _cell_filename(config: SimulationConfig) -> str:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    settings = _merge_sim_settings(args)
-    mechanism = MechanismKind(settings["mechanism"])
-    delta = _resolve_delta(settings["delta"], mechanism)
-    scales = _scales(settings["scale"])
+    settings = _sim_settings(args)
+    scales = _scales(settings.pop("scale", SimulationConfig.scale.value))
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     if threads < 1:
         raise InvalidConfigError(f"threads must be at least 1, got {threads}")
@@ -255,19 +243,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
     cells = []
     for scale in scales:
-        config = SimulationConfig(
-            n=settings["n"],
-            epsilons=tuple(float(e) for e in settings["epsilons"]),
-            delta=delta,
-            weighted=settings["weighted"],
-            mechanism=mechanism,
-            scale=scale,
-            true_ratio=float(settings["true_ratio"]),
-            replications=settings["replications"],
-            mc_draws=settings["mc_draws"],
-            level=float(settings["level"]),
-            master_seed=settings["seed"],
-        )
+        config = SimulationConfig(scale=scale, **settings)
         rows = run_experiment(config, threads=threads)
         write_rows_csv(rows, out_dir / _cell_filename(config))
         cells.append({"config": config.to_json_dict(), "rows": [r.to_json_dict() for r in rows]})

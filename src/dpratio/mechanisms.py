@@ -47,6 +47,11 @@ class PrivacyBudget:
             raise InvalidBudgetError(f"delta must lie in [0, 1), got {self.delta}")
 
 
+def default_delta(mechanism: MechanismKind) -> float:
+    """Total delta used when none is given: 1e-6 for Gaussian, 0 for Laplace."""
+    return 1e-6 if mechanism is MechanismKind.GAUSSIAN else 0.0
+
+
 def check_mechanism_budget(mechanism: MechanismKind, budget: PrivacyBudget) -> None:
     """Gaussian noise needs delta > 0; Laplace noise gives pure DP, delta == 0."""
     if mechanism is MechanismKind.GAUSSIAN and budget.delta == 0.0:

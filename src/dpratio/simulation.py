@@ -18,17 +18,17 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SUM_FIELDS, Bounds, Record, compute_sums_from_arrays, kish_effective_n
+from .core import SUM_FIELDS, Bounds, compute_sums_from_arrays, kish_effective_n
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import FLAGS, REFUSAL_CAUSES, Method, Refusal, Scale, estimate_block
-from .mechanisms import MechanismKind, PrivacyBudget, ReleasedBlock, release_block
+from .mechanisms import MechanismKind, PrivacyBudget, ReleasedBlock, default_delta, release_block
 
 #: Clipping range of the Exponential(1) weights in the weighted design.
 WEIGHT_CLIP = (1.0 / 3.0, 3.0)
@@ -43,11 +43,14 @@ _PURPOSE_MC = 2
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One experiment cell: a (weighted, n, mechanism, scale) setting."""
+    """One experiment cell: a (weighted, n, mechanism, scale) setting.
 
-    n: int
+    A ``None`` delta takes the mechanism's default (:func:`default_delta`).
+    """
+
+    n: int = 5000
     epsilons: tuple[float, ...] = (0.2, 0.5, 1.0, 4.0)
-    delta: float = 1e-6
+    delta: float | None = None
     weighted: bool = False
     mechanism: MechanismKind = MechanismKind.GAUSSIAN
     scale: Scale = Scale.RATIO
@@ -58,6 +61,8 @@ class SimulationConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.delta is None:
+            object.__setattr__(self, "delta", default_delta(self.mechanism))
         if self.n < 2:
             raise InvalidConfigError(f"n must be at least 2, got {self.n}")
         if self.replications < 1:
@@ -88,19 +93,11 @@ class SimulationConfig:
         return Bounds.binary_unweighted()
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilons": list(self.epsilons),
-            "delta": self.delta,
-            "weighted": self.weighted,
-            "mechanism": self.mechanism.value,
-            "scale": self.scale.value,
-            "true_ratio": self.true_ratio,
-            "replications": self.replications,
-            "mc_draws": self.mc_draws,
-            "level": self.level,
-            "master_seed": self.master_seed,
-        }
+        doc = asdict(self)
+        doc.update(
+            epsilons=list(self.epsilons), mechanism=self.mechanism.value, scale=self.scale.value
+        )
+        return doc
 
 
 @dataclass(frozen=True)
@@ -156,14 +153,6 @@ def generate_arrays(
     else:
         w = np.ones(n)
     return y, s, w
-
-
-def generate_dataset(
-    n: int, weighted: bool, true_ratio: float, rng: np.random.Generator
-) -> list[Record]:
-    """Like :func:`generate_arrays` but materialized as records."""
-    y, s, w = generate_arrays(n, weighted, true_ratio, rng)
-    return [Record(float(yi), float(si), float(wi)) for yi, si, wi in zip(y, s, w)]
 
 
 def _interval_scores(
@@ -272,29 +261,16 @@ def run_experiment(config: SimulationConfig, threads: int = 1) -> list[Experimen
     ``threads > 1`` the blocks run in a process pool.
     """
     reps = config.replications
-    n_cells = 1 + 3 * len(config.epsilons)
-    effective = np.empty(reps)
-    metrics = np.empty((reps, n_cells, 3))
-    refusal = np.empty((reps, n_cells), dtype=np.int8)
-    flags = np.empty((reps, n_cells, len(FLAGS)), dtype=bool)
-
     size = _block_size(config.mc_draws)
     starts = range(0, reps, size)
     stops = [min(start + size, reps) for start in starts]
     run = partial(_run_block, config)
-
-    def collect(blocks) -> None:
-        for start, stop, block in zip(starts, stops, blocks):
-            effective[start:stop] = block.effective_n
-            metrics[start:stop] = block.metrics
-            refusal[start:stop] = block.refusal
-            flags[start:stop] = block.flags
-
     if threads <= 1 or reps == 1:
-        collect(map(run, starts, stops))
+        blocks = list(map(run, starts, stops))
     else:
         with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-            collect(pool.map(run, starts, stops))
+            blocks = list(pool.map(run, starts, stops))
+    effective, metrics, refusal, flags = (np.concatenate(parts) for parts in zip(*blocks))
 
     mean_effective = float(effective.mean())
     # Per cell, the count of each refusal code but NONE.

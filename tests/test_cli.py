@@ -91,6 +91,16 @@ class TestEstimate:
         assert status == 2
         assert json.loads(out)["error"]["type"] == "MechanismMismatchError"
 
+    def test_negative_seed_rejected_before_data(self, tmp_path, capsys):
+        status, out = run_cli(
+            capsys, "estimate", "--input", str(tmp_path / "absent.csv"), "--epsilon", "1.0",
+            "--seed", "-1",
+        )
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidConfigError"
+        assert "seed" in error["message"]
+
     def test_public_output_needs_acknowledgement(self, binary_csv, capsys):
         status, out = run_cli(
             capsys, "estimate", "--input", str(binary_csv), "--epsilon", "1.0",
@@ -211,6 +221,25 @@ class TestSimulate:
         error = json.loads(out)["error"]
         assert error["type"] == "InvalidConfigError"
         assert field in error["message"]
+
+    def test_config_must_hold_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"n": 100}]))
+        status, out = run_cli(capsys, "simulate", "--output-dir", str(tmp_path), "--config", str(cfg))
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidConfigError"
+        assert "JSON object" in error["message"]
+
+    def test_threads_must_be_positive(self, tmp_path, capsys):
+        status, out = run_cli(
+            capsys, "simulate", "--output-dir", str(tmp_path), "--n", "100",
+            "--replications", "2", "--threads", "0",
+        )
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidConfigError"
+        assert "threads" in error["message"]
 
     def test_csv_bytes_identical_across_thread_counts(self, tmp_path, capsys):
         outputs = []

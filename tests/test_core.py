@@ -254,17 +254,23 @@ class TestCsv:
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("y,s\n0,0.5\n1,oops\n")
-        with pytest.raises(d.DatasetFormatError) as err:
-            d.read_dataset_csv(path)
-        assert err.value.line == 3
+        for content, message in [
+            ("y,s\n0,0.5\n1,oops\n", "non-numeric"),
+            ("y,s,w\n1,0.5,1\n0,0.5\n", "expected 3 fields, got 2"),
+            ("y,s\n0,0.5\n\n1,0.7\n", "expected 2 fields, got 0"),
+        ]:
+            path.write_text(content)
+            with pytest.raises(d.DatasetFormatError, match=message) as err:
+                d.read_dataset_csv(path)
+            assert err.value.line == 3
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("a,b\n0,0.5\n")
-        with pytest.raises(d.DatasetFormatError) as err:
-            d.read_dataset_csv(path)
-        assert err.value.line == 1
+        for content, message in [("a,b\n0,0.5\n", "expected header"), ("", "missing header row")]:
+            path.write_text(content)
+            with pytest.raises(d.DatasetFormatError, match=message) as err:
+                d.read_dataset_csv(path)
+            assert err.value.line == 1
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -56,13 +56,6 @@ class TestGenerate:
         with pytest.raises(d.InvalidConfigError):
             d.generate_arrays(10, False, 0.9, np.random.default_rng(0))
 
-    def test_records_match_arrays(self):
-        records = d.generate_dataset(20, True, 1.1, np.random.default_rng(7))
-        y, s, w = d.generate_arrays(20, True, 1.1, np.random.default_rng(7))
-        assert [r.y for r in records] == y.tolist()
-        assert [r.s for r in records] == s.tolist()
-        assert [r.w for r in records] == w.tolist()
-
 
 class TestIntervalScore:
     def test_covered_equals_width(self):
@@ -259,6 +252,22 @@ class TestConfigValidation:
     def test_level_in_unit_interval(self):
         with pytest.raises(d.InvalidConfigError):
             small_config(level=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 1), ("replications", 0), ("mc_draws", 1), ("true_ratio", 0.9), ("master_seed", 2**64)],
+    )
+    def test_out_of_range_setting_rejected(self, field, value):
+        with pytest.raises(d.InvalidConfigError, match=field):
+            small_config(**{field: value})
+
+    def test_delta_defaults_per_mechanism(self):
+        laplace = d.SimulationConfig(n=100, mechanism=d.MechanismKind.LAPLACE)
+        assert laplace.delta == 0.0 == d.default_delta(d.MechanismKind.LAPLACE)
+        gaussian = d.SimulationConfig(n=100)
+        assert gaussian.delta == 1e-6 == d.default_delta(d.MechanismKind.GAUSSIAN)
+        assert gaussian.n == 100 and d.SimulationConfig().n == 5000
+        assert laplace.to_json_dict()["delta"] == 0.0
 
 
 class TestCsvOutput:
