@@ -22,6 +22,7 @@ from .errors import DPRatioError, InvalidConfigError
 from .inference import (
     Method,
     Scale,
+    check_interval_settings,
     ci_analytical,
     ci_monte_carlo,
     ci_no_correction,
@@ -66,6 +67,7 @@ _SIM_FIELD_CONVERSIONS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    delta_defaults = ", ".join(f"{default_delta(kind):g} for {kind.value}" for kind in MechanismKind)
     parser = argparse.ArgumentParser(
         prog="dpratio",
         description="Differentially private ratio estimation and coverage experiments.",
@@ -75,8 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="privatize a y,s[,w] CSV and estimate the ratio")
     est.add_argument("--input", required=True, type=Path, help="CSV file with header y,s[,w]")
     est.add_argument("--epsilon", required=True, type=float, help="total privacy budget epsilon")
-    est.add_argument("--delta", type=float, default=None,
-                     help="total delta (default: 1e-6 for gaussian, 0 for laplace)")
+    est.add_argument("--delta", type=float, default=None, help=f"total delta (default: {delta_defaults})")
     est.add_argument("--mechanism", choices=["gaussian", "laplace"], default="gaussian")
     est.add_argument("--scale", choices=["ratio", "log", "both"], default="ratio")
     est.add_argument("--level", type=float, default=0.95, help="confidence level")
@@ -100,9 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="JSON file with config fields; explicit flags take precedence")
     sim.add_argument("--n", type=int, default=None, help="sample size per replication")
     sim.add_argument("--epsilon", action="append", type=float, default=None, dest="epsilons",
-                     help="privacy budget; repeat for a grid (default: 0.2 0.5 1.0 4.0)")
-    sim.add_argument("--delta", type=float, default=None,
-                     help="total delta (default: 1e-6 for gaussian, 0 for laplace)")
+                     help="privacy budget; repeat for a grid "
+                     f"(default: {' '.join(map(str, SimulationConfig.epsilons))})")
+    sim.add_argument("--delta", type=float, default=None, help=f"total delta (default: {delta_defaults})")
     sim.add_argument("--weighted", action=argparse.BooleanOptionalAction, default=None,
                      help="draw clipped-Exponential weights instead of unit weights")
     sim.add_argument("--mechanism", choices=["gaussian", "laplace"], default=None)
@@ -111,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--replications", type=int, default=None)
     sim.add_argument("--mc-draws", type=int, default=None)
     sim.add_argument("--level", type=float, default=None)
-    sim.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    sim.add_argument("--seed", type=int, default=None,
+                     help=f"master seed (default {SimulationConfig.master_seed})")
     sim.add_argument("--threads", type=int, default=None,
                      help="worker processes (default: all cores); results do not depend on it")
     return parser
@@ -127,21 +129,16 @@ def _run_estimate(args: argparse.Namespace) -> int:
     mechanism = MechanismKind(args.mechanism)
     delta = default_delta(mechanism) if args.delta is None else args.delta
     budget = PrivacyBudget(args.epsilon, delta)
-    check_mechanism_budget(mechanism, budget)  # before touching the data
+    check_mechanism_budget(mechanism, budget)  # every setting is checked before the data is read
+    check_interval_settings(args.level, args.mc_draws)
     if args.seed is not None and args.seed < 0:
         raise InvalidConfigError(f"seed must be non-negative, got {args.seed}")
     if args.include_public and not args.allow_non_dp:
         raise InvalidConfigError("--include-public requires --allow-non-dp")
-
-    if args.binary:
-        bounds = Bounds.binary(args.w_bounds[0], args.w_bounds[1], unit_weights=args.unit_weights)
-    else:
-        bounds = Bounds(
-            args.y_bounds[0], args.y_bounds[1],
-            args.s_bounds[0], args.s_bounds[1],
-            args.w_bounds[0], args.w_bounds[1],
-            binary_y=False, unit_weights=args.unit_weights,
-        )
+    bounds = Bounds(
+        *args.y_bounds, *args.s_bounds, *args.w_bounds,
+        binary_y=args.binary, unit_weights=args.unit_weights,
+    )
 
     y, s, w = read_dataset_csv(args.input)
     sums = compute_sums_from_arrays(y, s, w, bounds)
@@ -238,12 +235,12 @@ def _run_simulate(args: argparse.Namespace) -> int:
     if threads < 1:
         raise InvalidConfigError(f"threads must be at least 1, got {threads}")
 
+    configs = [SimulationConfig(scale=scale, **settings) for scale in scales]  # before any output
     out_dir = args.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = []
-    for scale in scales:
-        config = SimulationConfig(scale=scale, **settings)
+    for config in configs:
         rows = run_experiment(config, threads=threads)
         write_rows_csv(rows, out_dir / _cell_filename(config))
         cells.append({"config": config.to_json_dict(), "rows": [r.to_json_dict() for r in rows]})

@@ -33,11 +33,11 @@ class InvalidSumsError(DPRatioError):
     """Summary sums violate a structural invariant."""
 
 
-class InvalidBudgetError(DPRatioError):
+class InvalidBudgetError(InvalidConfigError):
     """Privacy budget parameters are out of range."""
 
 
-class MechanismMismatchError(DPRatioError):
+class MechanismMismatchError(InvalidConfigError):
     """The privacy budget is incompatible with the requested mechanism."""
 
 

@@ -202,12 +202,18 @@ def _variance_arrays(
     return np.where(floored, 0.0, raw), floored
 
 
+def check_interval_settings(level: float, draws: int | None = None) -> None:
+    """The confidence level lies in (0, 1); Monte Carlo ``draws``, if given, are at least 2."""
+    if not 0.0 < level < 1.0:
+        raise InvalidConfigError(f"level must lie in (0, 1), got {level}")
+    if draws is not None and draws < 2:
+        raise InvalidConfigError(f"mc_draws must be at least 2, got {draws}")
+
+
 def _wald_arrays(
     point: np.ndarray, variance: np.ndarray, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """point +/- z_{(1+level)/2} * sqrt(variance)."""
-    if not 0.0 < level < 1.0:
-        raise InvalidConfigError(f"level must lie in (0, 1), got {level}")
+    """point +/- z_{(1+level)/2} * sqrt(variance), for a level already checked."""
     if (variance < 0.0).any():
         raise ValueError("variance must be non-negative")
     half = _NORMAL.inv_cdf(0.5 * (1.0 + level)) * np.sqrt(variance)
@@ -299,8 +305,7 @@ def estimate_block(
     ``Method.MONTE_CARLO`` needs ``rngs``, one generator per row; a row
     draws from its generator only if it was not refused before.
     """
-    if method is Method.MONTE_CARLO and draws < 2:
-        raise InvalidConfigError(f"draws must be at least 2, got {draws}")
+    check_interval_settings(level, draws if method is Method.MONTE_CARLO else None)
     values = released.values
     refusal = np.zeros(len(values), dtype=np.int8)
     flags = np.zeros((len(values), len(FLAGS)), dtype=bool)
@@ -429,6 +434,7 @@ def point_estimate(released: ReleasedSums, scale: Scale = Scale.RATIO) -> float:
 
 def wald_interval(point: float, variance: float, level: float) -> tuple[float, float]:
     """point +/- z_{(1+level)/2} * sqrt(variance)."""
+    check_interval_settings(level)
     lower, upper = _wald_arrays(np.array([point]), np.array([variance]), level)
     return float(lower[0]), float(upper[0])
 

@@ -67,8 +67,7 @@ def gaussian_sigma(sensitivity: float, budget: PrivacyBudget) -> float:
     """
     if sensitivity < 0.0:
         raise ValueError("sensitivity must be non-negative")
-    if budget.delta == 0.0:
-        raise MechanismMismatchError("the Gaussian mechanism requires delta > 0")
+    check_mechanism_budget(MechanismKind.GAUSSIAN, budget)
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
 
 
@@ -79,8 +78,7 @@ def laplace_scale(sensitivity: float, epsilon: float) -> float:
     """
     if sensitivity < 0.0:
         raise ValueError("sensitivity must be non-negative")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise InvalidBudgetError(f"epsilon must be positive and finite, got {epsilon}")
+    PrivacyBudget(epsilon)  # owns the epsilon range
     return sensitivity / epsilon
 
 

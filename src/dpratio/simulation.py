@@ -27,8 +27,12 @@ import numpy as np
 
 from .core import SUM_FIELDS, Bounds, compute_sums_from_arrays, kish_effective_n
 from .errors import InvalidConfigError, InvalidIntervalError
-from .inference import FLAGS, REFUSAL_CAUSES, Method, Refusal, Scale, estimate_block
-from .mechanisms import MechanismKind, PrivacyBudget, ReleasedBlock, default_delta, release_block
+from .inference import (
+    FLAGS, REFUSAL_CAUSES, Method, Refusal, Scale, check_interval_settings, estimate_block,
+)
+from .mechanisms import (
+    MechanismKind, PrivacyBudget, ReleasedBlock, check_mechanism_budget, default_delta, release_block,
+)
 
 #: Clipping range of the Exponential(1) weights in the weighted design.
 WEIGHT_CLIP = (1.0 / 3.0, 3.0)
@@ -67,22 +71,15 @@ class SimulationConfig:
             raise InvalidConfigError(f"n must be at least 2, got {self.n}")
         if self.replications < 1:
             raise InvalidConfigError(f"replications must be at least 1, got {self.replications}")
-        if self.mc_draws < 2:
-            raise InvalidConfigError(f"mc_draws must be at least 2, got {self.mc_draws}")
+        check_interval_settings(self.level, self.mc_draws)
         if not self.epsilons:
             raise InvalidConfigError("epsilons must be non-empty")
-        if any(not (math.isfinite(e) and e > 0.0) for e in self.epsilons):
-            raise InvalidConfigError(f"epsilons must be positive and finite, got {self.epsilons}")
-        if not 0.0 < self.level < 1.0:
-            raise InvalidConfigError(f"level must lie in (0, 1), got {self.level}")
+        for epsilon in self.epsilons:
+            check_mechanism_budget(self.mechanism, PrivacyBudget(epsilon, self.delta))
         if self.true_ratio < 1.0:
             raise InvalidConfigError(
                 f"true_ratio must be at least the score upper bound 1, got {self.true_ratio}"
             )
-        if self.mechanism is MechanismKind.GAUSSIAN and not self.delta > 0.0:
-            raise InvalidConfigError("the Gaussian mechanism requires delta > 0")
-        if self.mechanism is MechanismKind.LAPLACE and self.delta != 0.0:
-            raise InvalidConfigError("the Laplace mechanism requires delta == 0")
         if not 0 <= self.master_seed < 2**64:
             raise InvalidConfigError("master_seed must be a 64-bit unsigned integer")
 

@@ -92,14 +92,28 @@ class TestEstimate:
         assert json.loads(out)["error"]["type"] == "MechanismMismatchError"
 
     def test_negative_seed_rejected_before_data(self, tmp_path, capsys):
+        # Each bad setting is reported instead of the missing file.
+        for flag, value, field in (
+            ("--seed", "-1", "seed"), ("--level", "1.5", "level"), ("--mc-draws", "1", "mc_draws")
+        ):
+            status, out = run_cli(
+                capsys, "estimate", "--input", str(tmp_path / "absent.csv"), "--epsilon", "1.0",
+                flag, value,
+            )
+            assert status == 2
+            error = json.loads(out)["error"]
+            assert error["type"] == "InvalidConfigError"
+            assert field in error["message"]
+
+    def test_binary_rejects_other_bounds(self, binary_csv, capsys):
         status, out = run_cli(
-            capsys, "estimate", "--input", str(tmp_path / "absent.csv"), "--epsilon", "1.0",
-            "--seed", "-1",
+            capsys, "estimate", "--input", str(binary_csv), "--epsilon", "1.0",
+            "--binary", "--y-bounds", "0", "5",
         )
         assert status == 2
         error = json.loads(out)["error"]
         assert error["type"] == "InvalidConfigError"
-        assert "seed" in error["message"]
+        assert "binary_y" in error["message"]
 
     def test_public_output_needs_acknowledgement(self, binary_csv, capsys):
         status, out = run_cli(
@@ -170,12 +184,16 @@ class TestSimulate:
         assert report["cells"][0]["config"]["epsilons"] == [0.2, 0.5, 1.0, 4.0]
 
     def test_gaussian_rejects_zero_delta(self, tmp_path, capsys):
-        status, out = run_cli(
-            capsys, "simulate", "--output-dir", str(tmp_path), "--n", "100",
-            "--replications", "2", "--mechanism", "gaussian", "--delta", "0",
-        )
-        assert status == 2
-        assert json.loads(out)["error"]["type"] == "InvalidConfigError"
+        # An invalid delta fails before the output directory is created.
+        for delta, error_type in (("0", "MechanismMismatchError"), ("1.5", "InvalidBudgetError")):
+            out_dir = tmp_path / f"out-{delta}"
+            status, out = run_cli(
+                capsys, "simulate", "--output-dir", str(out_dir), "--n", "100",
+                "--replications", "2", "--mechanism", "gaussian", "--delta", delta,
+            )
+            assert status == 2
+            assert json.loads(out)["error"]["type"] == error_type
+            assert not out_dir.exists()
 
     def test_laplace_with_zero_delta_accepted(self, tmp_path, capsys):
         status, _ = run_cli(

@@ -255,7 +255,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n", 1), ("replications", 0), ("mc_draws", 1), ("true_ratio", 0.9), ("master_seed", 2**64)],
+        [
+            ("n", 1), ("replications", 0), ("mc_draws", 1), ("true_ratio", 0.9),
+            ("master_seed", 2**64), ("delta", 1.5),
+        ],
     )
     def test_out_of_range_setting_rejected(self, field, value):
         with pytest.raises(d.InvalidConfigError, match=field):
