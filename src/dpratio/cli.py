@@ -20,6 +20,8 @@ import numpy as np
 from .core import Bounds, compute_sums_from_arrays, read_dataset_csv
 from .errors import DPRatioError, InvalidConfigError
 from .inference import (
+    DEFAULT_LEVEL,
+    DEFAULT_MC_DRAWS,
     Method,
     Scale,
     check_interval_settings,
@@ -80,13 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--delta", type=float, default=None, help=f"total delta (default: {delta_defaults})")
     est.add_argument("--mechanism", choices=["gaussian", "laplace"], default="gaussian")
     est.add_argument("--scale", choices=["ratio", "log", "both"], default="ratio")
-    est.add_argument("--level", type=float, default=0.95, help="confidence level")
-    est.add_argument("--mc-draws", type=int, default=200, help="Monte Carlo correction draws")
+    est.add_argument("--level", type=float, default=DEFAULT_LEVEL, help="confidence level")
+    est.add_argument("--mc-draws", type=int, default=DEFAULT_MC_DRAWS, help="Monte Carlo correction draws")
     est.add_argument("--seed", type=int, default=None, help="seed for all noise draws")
     est.add_argument("--binary", action="store_true",
                      help="declare binary labels (y in {0,1}, s in [0,1]); releases fewer sums")
-    est.add_argument("--unit-weights", action="store_true",
-                     help="declare all weights exactly 1; releases fewer sums when --binary")
     est.add_argument("--y-bounds", nargs=2, type=float, default=[0.0, 1.0], metavar=("LOW", "HIGH"))
     est.add_argument("--s-bounds", nargs=2, type=float, default=[0.0, 1.0], metavar=("LOW", "HIGH"))
     est.add_argument("--w-bounds", nargs=2, type=float, default=[1.0, 1.0], metavar=("LOW", "HIGH"))
@@ -135,10 +135,7 @@ def _run_estimate(args: argparse.Namespace) -> int:
         raise InvalidConfigError(f"seed must be non-negative, got {args.seed}")
     if args.include_public and not args.allow_non_dp:
         raise InvalidConfigError("--include-public requires --allow-non-dp")
-    bounds = Bounds(
-        *args.y_bounds, *args.s_bounds, *args.w_bounds,
-        binary_y=args.binary, unit_weights=args.unit_weights,
-    )
+    bounds = Bounds(*args.y_bounds, *args.s_bounds, *args.w_bounds, binary_y=args.binary)
 
     y, s, w = read_dataset_csv(args.input)
     sums = compute_sums_from_arrays(y, s, w, bounds)

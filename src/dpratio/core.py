@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,9 +37,9 @@ class Profile(str, Enum):
     """Which of the seven sums are distinct (and hence released separately).
 
     Binary labels make ``sum_wy2`` redundant with ``sum_wy``; unit weights
-    additionally make ``sum_w2`` redundant with ``sum_w``.  The profile is
-    declared by the caller through :class:`Bounds`, never inferred from the
-    data, because the number of released sums is public metadata.
+    additionally make ``sum_w2`` redundant with ``sum_w``.  The profile
+    follows from the public :class:`Bounds`, never from the data, because
+    the number of released sums is public metadata.
     """
 
     FULL7 = "full7"
@@ -68,12 +68,11 @@ class Profile(str, Enum):
 
 @dataclass(frozen=True)
 class Bounds:
-    """Public bounds on label, score, and weight, plus the declared profile.
+    """Public bounds on label, score, and weight, which fix the release profile.
 
-    ``binary_y`` asserts y is 0/1 (forcing unit bounds on y and s);
-    ``unit_weights`` asserts all weights are exactly one.  Both flags tighten
-    the release profile, and both are validated against the data when sums
-    are computed.
+    ``binary_y`` asserts y is 0/1 (forcing unit bounds on y and s) and is
+    checked against the data when sums are computed.  With weight bounds
+    (1, 1) every accepted weight is one, so ``sum_w2`` equals ``sum_w``.
     """
 
     y_low: float = 0.0
@@ -83,7 +82,6 @@ class Bounds:
     w_low: float = 1.0
     w_high: float = 1.0
     binary_y: bool = False
-    unit_weights: bool = False
 
     def __post_init__(self) -> None:
         values = (self.y_low, self.y_high, self.s_low, self.s_high, self.w_low, self.w_high)
@@ -97,26 +95,24 @@ class Bounds:
             raise InvalidConfigError("weight bounds require 0 < w_low <= w_high")
         if self.binary_y and ((self.y_low, self.y_high) != (0.0, 1.0) or (self.s_low, self.s_high) != (0.0, 1.0)):
             raise InvalidConfigError("binary_y requires y and s bounds of (0, 1)")
-        if self.unit_weights and (self.w_low, self.w_high) != (1.0, 1.0):
-            raise InvalidConfigError("unit_weights requires weight bounds of (1, 1)")
 
     @classmethod
-    def binary(cls, w_low: float = 1.0, w_high: float = 1.0, unit_weights: bool = False) -> "Bounds":
+    def binary(cls, w_low: float = 1.0, w_high: float = 1.0) -> "Bounds":
         """Bounds for a binary classification dataset with bounded weights."""
-        return cls(0.0, 1.0, 0.0, 1.0, w_low, w_high, binary_y=True, unit_weights=unit_weights)
+        return cls(0.0, 1.0, 0.0, 1.0, w_low, w_high, binary_y=True)
 
     @classmethod
     def binary_unweighted(cls) -> "Bounds":
         """Bounds for binary classification data with all weights equal to one."""
-        return cls.binary(unit_weights=True)
+        return cls.binary()
 
     @property
     def profile(self) -> Profile:
-        if self.binary_y and self.unit_weights:
+        if not self.binary_y:
+            return Profile.FULL7
+        if (self.w_low, self.w_high) == (1.0, 1.0):
             return Profile.UNWEIGHTED5
-        if self.binary_y:
-            return Profile.BINARY6
-        return Profile.FULL7
+        return Profile.BINARY6
 
 
 @dataclass(frozen=True)
@@ -260,16 +256,14 @@ def compute_sums(records: Sequence[Record], bounds: Bounds) -> SumVector:
     return compute_sums_from_arrays(y, s, w, bounds)
 
 
-def sensitivity_per_sum(bounds: Bounds, profile: Profile | None = None) -> dict[str, float]:
+def sensitivity_per_sum(bounds: Bounds) -> dict[str, float]:
     """Add/remove-one sensitivity of each released sum.
 
     Adding or removing one record changes each sum by at most its summand
     evaluated at the upper bounds, so the sensitivities are products of
     ``w_high``, ``y_high``, ``s_high``.  Returns one entry per released sum
-    of the profile, in canonical field order.
+    of the bounds' profile, in canonical field order.
     """
-    if profile is None:
-        profile = bounds.profile
     uw, uy, us = bounds.w_high, bounds.y_high, bounds.s_high
     full = {
         "sum_w": uw,
@@ -280,7 +274,7 @@ def sensitivity_per_sum(bounds: Bounds, profile: Profile | None = None) -> dict[
         "sum_ws2": uw * us * us,
         "sum_wys": uw * uy * us,
     }
-    return {name: full[name] for name in profile.released_fields}
+    return {name: full[name] for name in bounds.profile.released_fields}
 
 
 def kish_effective_n(sums: SumVector) -> float:
@@ -295,44 +289,72 @@ def read_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Values must parse as finite decimal reals; a missing weight column means
     unit weights.  Raises :class:`DatasetFormatError` naming the offending
-    line on any malformed content.
+    line on any malformed content, including bytes that are not UTF-8 and
+    fields the csv module refuses.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("missing header row", line=1) from None
-        header = [h.strip() for h in header]
-        if header == ["y", "s", "w"]:
-            has_w = True
-        elif header == ["y", "s"]:
-            has_w = False
-        else:
-            raise DatasetFormatError(f"expected header 'y,s,w' or 'y,s', got {header!r}", line=1)
+            return _parse_rows(reader)
+        except csv.Error as exc:
+            raise DatasetFormatError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
+        except UnicodeDecodeError:
+            # The text layer decodes ahead of the reader, so reader.line_num lags.
+            line = _first_non_utf8_line(path)
+            raise DatasetFormatError(f"line {line}: not valid UTF-8", line=line) from None
 
-        ys: list[float] = []
-        ss: list[float] = []
-        ws: list[float] = []
-        width = 3 if has_w else 2
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise DatasetFormatError(
-                    f"line {lineno}: expected {width} fields, got {len(row)}", line=lineno
-                )
-            try:
-                parsed = [float(tok) for tok in row]
-            except ValueError:
-                raise DatasetFormatError(f"line {lineno}: non-numeric value in {row!r}", line=lineno) from None
-            if not all(math.isfinite(v) for v in parsed):
-                raise DatasetFormatError(f"line {lineno}: non-finite value in {row!r}", line=lineno)
-            ys.append(parsed[0])
-            ss.append(parsed[1])
-            ws.append(parsed[2] if has_w else 1.0)
+
+def _parse_rows(reader: Iterator[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The header check and the row parsing of :func:`read_dataset_csv`."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetFormatError("missing header row", line=1) from None
+    header = [h.strip() for h in header]
+    if header == ["y", "s", "w"]:
+        has_w = True
+    elif header == ["y", "s"]:
+        has_w = False
+    else:
+        raise DatasetFormatError(f"expected header 'y,s,w' or 'y,s', got {header!r}", line=1)
+
+    ys: list[float] = []
+    ss: list[float] = []
+    ws: list[float] = []
+    width = 3 if has_w else 2
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise DatasetFormatError(
+                f"line {lineno}: expected {width} fields, got {len(row)}", line=lineno
+            )
+        try:
+            parsed = [float(tok) for tok in row]
+        except ValueError:
+            raise DatasetFormatError(f"line {lineno}: non-numeric value in {row!r}", line=lineno) from None
+        if not all(math.isfinite(v) for v in parsed):
+            raise DatasetFormatError(f"line {lineno}: non-finite value in {row!r}", line=lineno)
+        ys.append(parsed[0])
+        ss.append(parsed[1])
+        ws.append(parsed[2] if has_w else 1.0)
 
     return (
         np.asarray(ys, dtype=np.float64),
         np.asarray(ss, dtype=np.float64),
         np.asarray(ws, dtype=np.float64),
     )
+
+
+def _first_non_utf8_line(path: Path) -> int | None:
+    """Number of the first line of ``path`` that does not decode as UTF-8.
+
+    A newline byte never occurs inside a multi-byte UTF-8 sequence, so each
+    line decodes on its own.
+    """
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None

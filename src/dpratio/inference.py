@@ -35,6 +35,12 @@ from .mechanisms import ReleasedBlock, ReleasedSums, draw_noise, exact_release
 _NORMAL = NormalDist()
 _SUM_W, _SUM_WY, _SUM_WS, _SUM_W2, _SUM_WY2, _SUM_WS2, _SUM_WYS = range(len(SUM_FIELDS))
 
+#: Default confidence level and Monte Carlo draw count of every interval entry point.
+DEFAULT_LEVEL = 0.95
+DEFAULT_MC_DRAWS = 200
+#: A Monte Carlo row is refused once it rejects more than this many replicates per draw.
+_REDRAW_CAP_PER_DRAW = 10
+
 
 class Scale(str, Enum):
     RATIO = "ratio"
@@ -69,7 +75,7 @@ class Refusal(IntEnum):
     NONE = 0
     NONPOSITIVE_DENOMINATOR = 1  # noisy sum_wy or sum_w not positive, or a zero mean
     NONPOSITIVE_LOG_NUMERATOR = 2  # noisy sum_ws not positive on the log scale
-    MONTE_CARLO_REDRAW_CAP = 3  # more than 10 * draws Monte Carlo replicates rejected
+    MONTE_CARLO_REDRAW_CAP = 3  # more than _REDRAW_CAP_PER_DRAW * draws replicates rejected
 
 
 #: Refusal causes as reported, in code order.
@@ -235,9 +241,9 @@ def _monte_carlo_extra(
     first) and added to the noisy sums.  A replicate with a non-positive
     denominator (or numerator, on the log scale) is redrawn; only the rows
     that had such rejections enter the redraw loop, and a row that rejects
-    more than 10 * draws replicates is capped.  Returns the mean squared
-    deviation from the point estimate and the redraw and cap masks, all of
-    block length.
+    more than ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped.
+    Returns the mean squared deviation from the point estimate and the
+    redraw and cap masks, all of block length.
     """
     extra = np.zeros(len(point))
     redrawn = np.zeros(len(point), dtype=bool)
@@ -261,7 +267,7 @@ def _monte_carlo_extra(
         ok &= noisy_num > 0.0
     replicates = np.divide(noisy_num, noisy_den, out=noisy_num)
 
-    cap = 10 * draws
+    cap = _REDRAW_CAP_PER_DRAW * draws
     for i in np.flatnonzero(~ok.all(axis=1)):
         row = rows[i]
         redrawn[row] = True
@@ -295,8 +301,8 @@ def estimate_block(
     released: ReleasedBlock,
     method: Method,
     scale: Scale = Scale.RATIO,
-    level: float = 0.95,
-    draws: int = 200,
+    level: float = DEFAULT_LEVEL,
+    draws: int = DEFAULT_MC_DRAWS,
     rngs: Sequence[np.random.Generator] | None = None,
 ) -> EstimateBlock:
     """Point estimates and Wald intervals of one method for every row.
@@ -352,7 +358,7 @@ def _raise_refusal(code: int, released: ReleasedSums, draws: int = 0) -> None:
         raise DegenerateNumeratorError(f"noisy sum_ws = {v['sum_ws']} is not positive")
     if code == Refusal.MONTE_CARLO_REDRAW_CAP:
         raise MonteCarloRedrawCapError(
-            f"monte carlo resampling exceeded {10 * draws} rejected replicates"
+            f"monte carlo resampling exceeded {_REDRAW_CAP_PER_DRAW * draws} rejected replicates"
         )
 
 
@@ -361,7 +367,7 @@ def _estimate_one(
     method: Method,
     scale: Scale,
     level: float,
-    draws: int = 200,
+    draws: int = DEFAULT_MC_DRAWS,
     rng: np.random.Generator | None = None,
 ) -> RatioEstimate:
     if method is Method.MONTE_CARLO and rng is None:
@@ -440,7 +446,7 @@ def wald_interval(point: float, variance: float, level: float) -> tuple[float, f
 
 
 def ci_no_correction(
-    released: ReleasedSums, scale: Scale = Scale.RATIO, level: float = 0.95
+    released: ReleasedSums, scale: Scale = Scale.RATIO, level: float = DEFAULT_LEVEL
 ) -> RatioEstimate:
     """Wald interval that ignores the noise injected by the release.
 
@@ -454,8 +460,8 @@ def ci_no_correction(
 def ci_monte_carlo(
     released: ReleasedSums,
     scale: Scale = Scale.RATIO,
-    level: float = 0.95,
-    draws: int = 200,
+    level: float = DEFAULT_LEVEL,
+    draws: int = DEFAULT_MC_DRAWS,
     rng: np.random.Generator | None = None,
 ) -> RatioEstimate:
     """Wald interval with the injected variance estimated by simulation.
@@ -465,13 +471,13 @@ def ci_monte_carlo(
     squared deviation of the re-noised ratios from the point estimate is
     added to the no-correction variance.  Replicates with a non-positive
     denominator (or non-positive ratio on the log scale) are redrawn, up to
-    10 * draws rejections.
+    ten times ``draws`` rejections.
     """
     return _estimate_one(released, Method.MONTE_CARLO, scale, level, draws, rng)
 
 
 def ci_analytical(
-    released: ReleasedSums, scale: Scale = Scale.RATIO, level: float = 0.95
+    released: ReleasedSums, scale: Scale = Scale.RATIO, level: float = DEFAULT_LEVEL
 ) -> RatioEstimate:
     """Wald interval with the injected variance added in closed form.
 
@@ -486,7 +492,7 @@ def ci_analytical(
 
 
 def public_estimate(
-    sums: SumVector, scale: Scale = Scale.RATIO, level: float = 0.95
+    sums: SumVector, scale: Scale = Scale.RATIO, level: float = DEFAULT_LEVEL
 ) -> RatioEstimate:
     """Non-private baseline: the no-correction pipeline on the exact sums."""
     return _estimate_one(exact_release(sums), Method.PUBLIC, scale, level)

@@ -232,7 +232,7 @@ def release_block(
     profile = bounds.profile
     fields = profile.released_fields
     per = split_budget(total_budget, len(fields))
-    sens = sensitivity_per_sum(bounds, profile)
+    sens = sensitivity_per_sum(bounds)
 
     if mechanism is MechanismKind.GAUSSIAN:
         sigmas = np.array([gaussian_sigma(sens[f], per) for f in fields])

@@ -28,7 +28,8 @@ import numpy as np
 from .core import SUM_FIELDS, Bounds, compute_sums_from_arrays, kish_effective_n
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import (
-    FLAGS, REFUSAL_CAUSES, Method, Refusal, Scale, check_interval_settings, estimate_block,
+    DEFAULT_LEVEL, DEFAULT_MC_DRAWS, FLAGS, REFUSAL_CAUSES, Method, Refusal, Scale,
+    check_interval_settings, estimate_block,
 )
 from .mechanisms import (
     MechanismKind, PrivacyBudget, ReleasedBlock, check_mechanism_budget, default_delta, release_block,
@@ -43,6 +44,14 @@ _DP_METHODS = (Method.NO_CORRECTION, Method.MONTE_CARLO, Method.ANALYTICAL)
 _PURPOSE_DATA = 0
 _PURPOSE_RELEASE = 1
 _PURPOSE_MC = 2
+
+
+def _check_true_ratio(true_ratio: float) -> None:
+    """Labels are Bernoulli(s / true_ratio), so the ratio is finite and at least max s = 1."""
+    if not (math.isfinite(true_ratio) and true_ratio >= 1.0):
+        raise InvalidConfigError(
+            f"true_ratio must be finite and at least the score upper bound 1, got {true_ratio}"
+        )
 
 
 @dataclass(frozen=True)
@@ -60,8 +69,8 @@ class SimulationConfig:
     scale: Scale = Scale.RATIO
     true_ratio: float = 1.1
     replications: int = 1000
-    mc_draws: int = 200
-    level: float = 0.95
+    mc_draws: int = DEFAULT_MC_DRAWS
+    level: float = DEFAULT_LEVEL
     master_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -76,10 +85,7 @@ class SimulationConfig:
             raise InvalidConfigError("epsilons must be non-empty")
         for epsilon in self.epsilons:
             check_mechanism_budget(self.mechanism, PrivacyBudget(epsilon, self.delta))
-        if self.true_ratio < 1.0:
-            raise InvalidConfigError(
-                f"true_ratio must be at least the score upper bound 1, got {self.true_ratio}"
-            )
+        _check_true_ratio(self.true_ratio)
         if not 0 <= self.master_seed < 2**64:
             raise InvalidConfigError("master_seed must be a 64-bit unsigned integer")
 
@@ -139,10 +145,7 @@ def generate_arrays(
     """
     if n < 1:
         raise InvalidConfigError(f"n must be at least 1, got {n}")
-    if true_ratio < 1.0:
-        raise InvalidConfigError(
-            f"true_ratio must be at least the score upper bound 1, got {true_ratio}"
-        )
+    _check_true_ratio(true_ratio)
     s = rng.beta(2.0, 2.0, n)
     y = (rng.random(n) < s / true_ratio).astype(np.float64)
     if weighted:

@@ -23,7 +23,7 @@ class TestEstimate:
     def test_vanishing_noise_recovers_public_ratio(self, binary_csv, capsys):
         status, out = run_cli(
             capsys, "estimate", "--input", str(binary_csv), "--epsilon", "1e6",
-            "--binary", "--unit-weights", "--seed", "42",
+            "--binary", "--seed", "42",
         )
         assert status == 0
         doc = json.loads(out)
@@ -36,7 +36,7 @@ class TestEstimate:
 
     def test_seeded_runs_are_byte_identical(self, binary_csv, capsys):
         args = ("estimate", "--input", str(binary_csv), "--epsilon", "2.0",
-                "--binary", "--unit-weights", "--seed", "42")
+                "--binary", "--seed", "42")
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
         assert first == second
@@ -44,7 +44,7 @@ class TestEstimate:
     def test_both_scales(self, binary_csv, capsys):
         status, out = run_cli(
             capsys, "estimate", "--input", str(binary_csv), "--epsilon", "1e6",
-            "--binary", "--unit-weights", "--scale", "both", "--seed", "1",
+            "--binary", "--scale", "both", "--seed", "1",
         )
         assert status == 0
         doc = json.loads(out)
@@ -54,12 +54,13 @@ class TestEstimate:
 
     def test_malformed_row_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("y,s\n0,0.5\n1,not-a-number\n")
-        status, out = run_cli(capsys, "estimate", "--input", str(path), "--epsilon", "1.0")
-        assert status == 2
-        doc = json.loads(out)
-        assert doc["error"]["type"] == "DatasetFormatError"
-        assert doc["error"]["line"] == 3
+        for content in (b"y,s\n0,0.5\n1,not-a-number\n", b"y,s\n1,0.5\n0,0.2\xe95\n"):
+            path.write_bytes(content)
+            status, out = run_cli(capsys, "estimate", "--input", str(path), "--epsilon", "1.0")
+            assert status == 2
+            doc = json.loads(out)
+            assert doc["error"]["type"] == "DatasetFormatError"
+            assert doc["error"]["line"] == 3
 
     def test_bounds_violation_reports_index(self, tmp_path, capsys):
         path = tmp_path / "oob.csv"
@@ -118,23 +119,30 @@ class TestEstimate:
     def test_public_output_needs_acknowledgement(self, binary_csv, capsys):
         status, out = run_cli(
             capsys, "estimate", "--input", str(binary_csv), "--epsilon", "1.0",
-            "--binary", "--unit-weights", "--include-public",
+            "--binary", "--include-public",
         )
         assert status == 2
         assert "allow-non-dp" in json.loads(out)["error"]["message"]
 
         status, out = run_cli(
             capsys, "estimate", "--input", str(binary_csv), "--epsilon", "1e6",
-            "--binary", "--unit-weights", "--include-public", "--allow-non-dp", "--seed", "7",
+            "--binary", "--include-public", "--allow-non-dp", "--seed", "7",
         )
         assert status == 0
         doc = json.loads(out)
         assert [e["method"] for e in doc["public_estimates"]] == ["public"]
 
+    def test_unit_weights_flag_removed(self, binary_csv):
+        # Binary data at weight bounds (1, 1) already releases the 5-sum profile.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["estimate", "--input", str(binary_csv), "--epsilon", "1.0", "--binary",
+                  "--unit-weights"])
+        assert exit_info.value.code == 2
+
     def test_laplace_requires_zero_delta(self, binary_csv, capsys):
         status, out = run_cli(
             capsys, "estimate", "--input", str(binary_csv), "--epsilon", "1.0",
-            "--mechanism", "laplace", "--delta", "1e-6", "--binary", "--unit-weights",
+            "--mechanism", "laplace", "--delta", "1e-6", "--binary",
         )
         assert status == 2
         assert json.loads(out)["error"]["type"] == "MechanismMismatchError"

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -150,7 +151,7 @@ class TestSensitivities:
 
     def test_product_of_upper_bounds(self):
         bounds = d.Bounds(0.0, 1.0, 0.0, 1.0, 0.5, 3.0)
-        sens = d.sensitivity_per_sum(bounds, d.Profile.FULL7)
+        sens = d.sensitivity_per_sum(bounds)
         assert [sens[f] for f in d.core.SUM_FIELDS] == [3.0, 3.0, 3.0, 9.0, 3.0, 3.0, 3.0]
 
         binary = d.sensitivity_per_sum(d.Bounds.binary(w_low=0.5, w_high=3.0))
@@ -163,14 +164,14 @@ class TestSensitivities:
 
     def test_monotone_in_each_upper_bound(self):
         base = d.Bounds(0.0, 0.8, 0.0, 0.6, 0.2, 2.0)
-        sens = d.sensitivity_per_sum(base, d.Profile.FULL7)
+        sens = d.sensitivity_per_sum(base)
         bumps = [
             d.Bounds(0.0, 0.9, 0.0, 0.6, 0.2, 2.0),
             d.Bounds(0.0, 0.8, 0.0, 0.7, 0.2, 2.0),
             d.Bounds(0.0, 0.8, 0.0, 0.6, 0.2, 2.5),
         ]
         for bumped in bumps:
-            larger = d.sensitivity_per_sum(bumped, d.Profile.FULL7)
+            larger = d.sensitivity_per_sum(bumped)
             assert all(larger[f] >= sens[f] for f in d.core.SUM_FIELDS)
             assert any(larger[f] > sens[f] for f in d.core.SUM_FIELDS)
 
@@ -233,6 +234,9 @@ class TestBounds:
 
     def test_profile_selection(self):
         assert d.Bounds.binary_unweighted().profile is d.Profile.UNWEIGHTED5
+        assert d.Bounds.binary().profile is d.Profile.UNWEIGHTED5
+        assert d.Bounds.binary(w_low=1.0, w_high=1.0).profile is d.Profile.UNWEIGHTED5
+        assert d.Bounds(0, 1, 0, 1, 1, 1).profile is d.Profile.FULL7
         assert d.Bounds.binary(w_low=0.5, w_high=2.0).profile is d.Profile.BINARY6
         assert d.Bounds(0, 1, 0, 1, 0.5, 2.0).profile is d.Profile.FULL7
 
@@ -255,11 +259,13 @@ class TestCsv:
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "data.csv"
         for content, message in [
-            ("y,s\n0,0.5\n1,oops\n", "non-numeric"),
-            ("y,s,w\n1,0.5,1\n0,0.5\n", "expected 3 fields, got 2"),
-            ("y,s\n0,0.5\n\n1,0.7\n", "expected 2 fields, got 0"),
+            (b"y,s\n0,0.5\n1,oops\n", "non-numeric"),
+            (b"y,s,w\n1,0.5,1\n0,0.5\n", "expected 3 fields, got 2"),
+            (b"y,s\n0,0.5\n\n1,0.7\n", "expected 2 fields, got 0"),
+            (b"y,s\n1,0.5\n0,0.2\xe95\n", "not valid UTF-8"),
+            (b"y,s\n0,0.5\n1," + b"1" * (csv.field_size_limit() + 1) + b"\n", "field larger"),
         ]:
-            path.write_text(content)
+            path.write_bytes(content)
             with pytest.raises(d.DatasetFormatError, match=message) as err:
                 d.read_dataset_csv(path)
             assert err.value.line == 3

@@ -53,8 +53,9 @@ class TestGenerate:
         assert abs(s.mean() / y.mean() - 1.0) < 0.02
 
     def test_sub_unit_ratio_rejected(self):
-        with pytest.raises(d.InvalidConfigError):
-            d.generate_arrays(10, False, 0.9, np.random.default_rng(0))
+        for ratio in (0.9, math.nan, math.inf):
+            with pytest.raises(d.InvalidConfigError):
+                d.generate_arrays(10, False, ratio, np.random.default_rng(0))
 
 
 class TestIntervalScore:
@@ -257,7 +258,8 @@ class TestConfigValidation:
         "field, value",
         [
             ("n", 1), ("replications", 0), ("mc_draws", 1), ("true_ratio", 0.9),
-            ("master_seed", 2**64), ("delta", 1.5),
+            ("true_ratio", math.nan), ("true_ratio", math.inf), ("master_seed", 2**64),
+            ("delta", 1.5),
         ],
     )
     def test_out_of_range_setting_rejected(self, field, value):
