@@ -10,11 +10,12 @@ types immutable.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -289,10 +290,104 @@ def read_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Values must parse as finite decimal reals; a missing weight column means
     unit weights.  Raises :class:`DatasetFormatError` naming the offending
-    line on any malformed content, including bytes that are not UTF-8 and
-    fields the csv module refuses.
+    physical line on any malformed content, including bytes that are not
+    UTF-8 and fields the csv module refuses.
+
+    Files of plain numeric lines are parsed by numpy's C reader; any other
+    file, valid or not, is read again from the start by the strict csv
+    parser, which alone decides what else is accepted and how errors read.
     """
     path = Path(path)
+    columns = _read_plain(path)
+    return columns if columns is not None else _read_strict(path)
+
+
+# Body bytes per block of the plain reader; each block is cut after its last
+# newline, so it holds whole lines.
+_BLOCK_BYTES = 1 << 20
+
+# The only bytes a plain block may hold.  Spaces, quotes, carriage returns,
+# underscores and letters such as those of ``nan`` go to the strict parser.
+_PLAIN_BYTES = b"0123456789.,+-eE\n"
+
+
+def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The columns of a file of plain numeric lines, or None for the strict parser.
+
+    A quoted newline can straddle a block cut, so one block the plain reader
+    cannot vouch for sends the whole file, not just that block, to the
+    strict parser.
+    """
+    limit = csv.field_size_limit()
+    with path.open("rb") as fh:
+        width = _plain_header_width(fh.readline())
+        if width is None:
+            return None
+        parts = [np.empty((0, width))]  # so that a header-only file concatenates
+        tail = b""
+        while True:
+            chunk = fh.read(_BLOCK_BYTES)
+            data = tail + chunk
+            cut = data.rfind(b"\n") + 1 if chunk else len(data)
+            block, tail = data[:cut], data[cut:]
+            if len(tail) > limit:
+                return None
+            if block:
+                values = _parse_plain_block(block, width, limit)
+                if values is None:
+                    return None
+                parts.append(values)
+            if not chunk:
+                break
+    y = np.concatenate([p[:, 0] for p in parts])
+    s = np.concatenate([p[:, 1] for p in parts])
+    w = np.concatenate([p[:, 2] for p in parts]) if width == 3 else np.ones(y.size)
+    return y, s, w
+
+
+def _plain_header_width(line: bytes) -> int | None:
+    """:func:`_header_width` of a header line without quotes or carriage returns.
+
+    Those two can make a csv record span physical lines; without them the
+    csv module splits this one line as it would split the whole file's
+    first record.  Returns None where the strict parser must judge the line.
+    """
+    if b'"' in line or b"\r" in line:
+        return None
+    try:
+        return _header_width(next(csv.reader([line.decode("utf-8")])))
+    except (UnicodeDecodeError, csv.Error, DatasetFormatError):
+        return None
+
+
+def _parse_plain_block(block: bytes, width: int, limit: int) -> np.ndarray | None:
+    """The ``(lines, width)`` values of one block, or None for the strict parser.
+
+    numpy's C reader parses each field with the same correctly rounded
+    conversion as ``float()``, but it skips blank lines and does not know
+    the csv module's field size limit, so both are checked here first.
+    """
+    if block.translate(None, _PLAIN_BYTES):
+        return None
+    ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+    if not block.endswith(b"\n"):
+        ends = np.append(ends, len(block))
+    spans = np.diff(ends, prepend=-1)  # line lengths plus one
+    if spans.min() == 1 or spans.max() > limit + 1:
+        return None
+    try:
+        values = np.loadtxt(
+            io.StringIO(block.decode("ascii")), dtype=np.float64, delimiter=",", comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    if values.shape != (ends.size, width) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _read_strict(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`read_dataset_csv` by the csv module, one ``float()`` per field."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -305,25 +400,33 @@ def read_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
             raise DatasetFormatError(f"line {line}: not valid UTF-8", line=line) from None
 
 
-def _parse_rows(reader: Iterator[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The header check and the row parsing of :func:`read_dataset_csv`."""
+def _header_width(header: list[str]) -> int:
+    """Number of columns a header row names: 3 for ``y,s,w``, 2 for ``y,s``."""
+    names = [h.strip() for h in header]
+    if names == ["y", "s", "w"]:
+        return 3
+    if names == ["y", "s"]:
+        return 2
+    raise DatasetFormatError(f"expected header 'y,s,w' or 'y,s', got {names!r}", line=1)
+
+
+def _parse_rows(reader) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The header check and the row parsing of :func:`_read_strict`.
+
+    ``reader.line_num`` counts physical lines, so a record holding a quoted
+    newline moves every later line number on by one.
+    """
     try:
         header = next(reader)
     except StopIteration:
         raise DatasetFormatError("missing header row", line=1) from None
-    header = [h.strip() for h in header]
-    if header == ["y", "s", "w"]:
-        has_w = True
-    elif header == ["y", "s"]:
-        has_w = False
-    else:
-        raise DatasetFormatError(f"expected header 'y,s,w' or 'y,s', got {header!r}", line=1)
+    width = _header_width(header)
 
     ys: list[float] = []
     ss: list[float] = []
     ws: list[float] = []
-    width = 3 if has_w else 2
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num
         if len(row) != width:
             raise DatasetFormatError(
                 f"line {lineno}: expected {width} fields, got {len(row)}", line=lineno
@@ -336,7 +439,7 @@ def _parse_rows(reader: Iterator[list[str]]) -> tuple[np.ndarray, np.ndarray, np
             raise DatasetFormatError(f"line {lineno}: non-finite value in {row!r}", line=lineno)
         ys.append(parsed[0])
         ss.append(parsed[1])
-        ws.append(parsed[2] if has_w else 1.0)
+        ws.append(parsed[2] if width == 3 else 1.0)
 
     return (
         np.asarray(ys, dtype=np.float64),

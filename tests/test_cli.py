@@ -62,6 +62,14 @@ class TestEstimate:
             assert doc["error"]["type"] == "DatasetFormatError"
             assert doc["error"]["line"] == 3
 
+    def test_header_only_input_is_empty_dataset(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        for content in ("y,s\n", "y,s,w\n"):
+            path.write_text(content)
+            status, out = run_cli(capsys, "estimate", "--input", str(path), "--epsilon", "1.0")
+            assert status == 2
+            assert json.loads(out)["error"]["type"] == "EmptyDatasetError"
+
     def test_bounds_violation_reports_index(self, tmp_path, capsys):
         path = tmp_path / "oob.csv"
         path.write_text("y,s\n0,0.5\n2,0.5\n")

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
+from dpratio import core
 
 finite_weights = st.lists(
     st.floats(min_value=0.1, max_value=50.0, allow_nan=False), min_size=2, max_size=40
@@ -264,6 +265,8 @@ class TestCsv:
             (b"y,s\n0,0.5\n\n1,0.7\n", "expected 2 fields, got 0"),
             (b"y,s\n1,0.5\n0,0.2\xe95\n", "not valid UTF-8"),
             (b"y,s\n0,0.5\n1," + b"1" * (csv.field_size_limit() + 1) + b"\n", "field larger"),
+            # Finite when parsed, so only the field size limit can reject it.
+            (b"y,s\n0,0.5\n1,0." + b"0" * csv.field_size_limit() + b"1\n", "field larger"),
         ]:
             path.write_bytes(content)
             with pytest.raises(d.DatasetFormatError, match=message) as err:
@@ -285,3 +288,90 @@ class TestCsv:
             d.read_dataset_csv(path)
         assert err.value.line == 2
 
+    def test_errors_name_physical_lines(self, tmp_path):
+        # The quoted newline makes the record on lines 2-3 one record.
+        path = tmp_path / "data.csv"
+        path.write_bytes(b'y,s\n"0\n",0.5\n1,x\n')
+        with pytest.raises(d.DatasetFormatError, match="line 4") as err:
+            d.read_dataset_csv(path)
+        assert err.value.line == 4
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "data.csv"
+        for content in ("y,s\n", "y,s,w\n"):
+            path.write_text(content)
+            columns = d.read_dataset_csv(path)
+            assert [c.shape for c in columns] == [(0,), (0,), (0,)]
+            with pytest.raises(d.EmptyDatasetError):
+                d.compute_sums_from_arrays(*columns, _loose_bounds())
+
+    def test_blocks_keep_global_record_index(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        y, s, w = _random_arrays(rng, 300)
+        w[250] = 20.0
+        path = tmp_path / "data.csv"
+        rows = zip(y.tolist(), s.tolist(), w.tolist())
+        path.write_text("y,s,w\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 256)
+        assert path.stat().st_size > 20 * core._BLOCK_BYTES
+
+        def strict(path):
+            raise AssertionError("plain file sent to the strict parser")
+
+        monkeypatch.setattr(core, "_read_strict", strict)
+        columns = d.read_dataset_csv(path)
+        for got, want in zip(columns, (y, s, w)):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(d.BoundsViolationError) as err:
+            d.compute_sums_from_arrays(*columns, _loose_bounds())
+        assert err.value.index == 250
+
+
+_PLAIN_TOKENS = ["0", "1", "0.1", "1e-3", "+.5", "-0", "0.30000000000000004", "2.5E+2", "1e999"]
+# Fields the strict parser accepts, or rejects with its own message, that the
+# plain reader must leave to it.
+_ODD_TOKENS = [" 1", "1_0", "nan", "inf", "-Infinity", '"0.5"', '"0\n"', "#1", "", "1,", "e"]
+_HEADERS = {2: ["y,s", " y , s", '"y",s'], 3: ["y,s,w", "y,s, w", '"y","s","w"']}
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV bytes; about half are plain, the rest mix in what only the csv module reads."""
+    width = draw(st.sampled_from([2, 3]))
+    token = st.one_of(
+        st.sampled_from(_PLAIN_TOKENS), st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    )
+    plain_row = st.lists(token, min_size=width, max_size=width)
+    if draw(st.booleans()):
+        header = draw(st.sampled_from(_HEADERS[width]))
+        # Mostly plain rows, so that later blocks are reached too; blank lines,
+        # rows of the wrong width and odd fields in the rest.
+        odd_row = st.lists(st.one_of(token, st.sampled_from(_ODD_TOKENS)), max_size=width + 1)
+        row = st.one_of(plain_row, plain_row, plain_row, st.just([]), odd_row)
+        newline = st.sampled_from(["\n", "\n", "\n", "\r\n"])
+    else:
+        header, row, newline = _HEADERS[width][0], plain_row, st.just("\n")
+    lines = draw(st.lists(st.tuples(row, newline), max_size=30))
+    text = header + "\n" + "".join(",".join(r) + end for r, end in lines)
+    if draw(st.booleans()):
+        text = text.removesuffix("\n")
+    return text.encode()
+
+
+def _outcome(read, path):
+    try:
+        columns = read(path)
+    except d.DPRatioError as exc:
+        return type(exc), exc.line
+    return [c.tobytes() for c in columns]
+
+
+class TestPlainReaderMatchesStrictParser:
+    @given(content=_csv_files(), block_bytes=st.integers(min_value=1, max_value=64))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_arrays_or_same_error(self, tmp_path, monkeypatch, content, block_bytes):
+        # Blocks of a few dozen bytes cut most files several times.
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
+        assert _outcome(d.read_dataset_csv, path) == _outcome(core._read_strict, path)
