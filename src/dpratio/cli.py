@@ -31,7 +31,7 @@ from .inference import (
     public_estimate,
 )
 from .mechanisms import MechanismKind, PrivacyBudget, check_mechanism_budget, default_delta, release
-from .simulation import ExperimentRow, SimulationConfig, run_experiment, write_rows_csv
+from .simulation import ExperimentRow, SimulationConfig, run_experiments, write_rows_csv
 
 
 def _is_int(value) -> bool:
@@ -115,8 +115,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default {SimulationConfig.master_seed})")
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker processes (default: all cores); results do not depend on it")
+                     help="worker processes (default: usable cores); results do not depend on it")
     return parser
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on, which pinning can make fewer than the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _scales(flag: str) -> list[Scale]:
@@ -228,7 +235,7 @@ def _cell_filename(config: SimulationConfig) -> str:
 def _run_simulate(args: argparse.Namespace) -> int:
     settings = _sim_settings(args)
     scales = _scales(settings.pop("scale", SimulationConfig.scale.value))
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
+    threads = args.threads if args.threads is not None else _usable_cores()
     if threads < 1:
         raise InvalidConfigError(f"threads must be at least 1, got {threads}")
 
@@ -237,8 +244,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = []
-    for config in configs:
-        rows = run_experiment(config, threads=threads)
+    for config, rows in zip(configs, run_experiments(configs, threads=threads)):
         write_rows_csv(rows, out_dir / _cell_filename(config))
         cells.append({"config": config.to_json_dict(), "rows": [r.to_json_dict() for r in rows]})
         print(format_rows_table(config, rows))

@@ -303,8 +303,11 @@ def read_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 # Body bytes per block of the plain reader; each block is cut after its last
-# newline, so it holds whole lines.
-_BLOCK_BYTES = 1 << 20
+# newline, so it holds whole lines.  A block's transients (its bytes, text
+# and StringIO) are a few times this size; at 1 MiB the allocator kept up
+# to ~12 MB of them after the read, more or less with the file's line
+# lengths, and the peak moved with it.  At 256 KiB it keeps ~1 MB.
+_BLOCK_BYTES = 1 << 18
 
 # The only bytes a plain block may hold.  Spaces, quotes, carriage returns,
 # underscores and letters such as those of ``nan`` go to the strict parser.
@@ -317,13 +320,21 @@ def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     A quoted newline can straddle a block cut, so one block the plain reader
     cannot vouch for sends the whole file, not just that block, to the
     strict parser.
+
+    The lines are counted first and each block is copied into columns of
+    that length, so memory holds the result once, beside one block's
+    transients, rather than twice while per-block arrays are joined.
     """
     limit = csv.field_size_limit()
     with path.open("rb") as fh:
         width = _plain_header_width(fh.readline())
         if width is None:
             return None
-        parts = [np.empty((0, width))]  # so that a header-only file concatenates
+        body = fh.tell()
+        rows = _count_lines(fh)
+        fh.seek(body)
+        columns = [np.empty(rows) for _ in range(width)]
+        filled = 0
         tail = b""
         while True:
             chunk = fh.read(_BLOCK_BYTES)
@@ -334,15 +345,26 @@ def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
                 return None
             if block:
                 values = _parse_plain_block(block, width, limit)
-                if values is None:
+                if values is None or filled + len(values) > rows:
                     return None
-                parts.append(values)
+                for column, part in zip(columns, values.T):
+                    column[filled:filled + len(values)] = part
+                filled += len(values)
             if not chunk:
                 break
-    y = np.concatenate([p[:, 0] for p in parts])
-    s = np.concatenate([p[:, 1] for p in parts])
-    w = np.concatenate([p[:, 2] for p in parts]) if width == 3 else np.ones(y.size)
-    return y, s, w
+    if filled != rows:  # the file changed between the count and the parse
+        return None
+    y, s, *rest = columns
+    return y, s, rest[0] if rest else np.ones(rows)
+
+
+def _count_lines(fh) -> int:
+    """Lines from the position of ``fh`` to its end, an unterminated last one included."""
+    lines, last = 0, b"\n"
+    while chunk := fh.read(_BLOCK_BYTES):
+        lines += chunk.count(b"\n")
+        last = chunk[-1:]
+    return lines + (last != b"\n")
 
 
 def _plain_header_width(line: bytes) -> int | None:

@@ -30,7 +30,9 @@ from .errors import (
     MonteCarloRedrawCapError,
     ScaleMismatchError,
 )
-from .mechanisms import ReleasedBlock, ReleasedSums, draw_noise, exact_release
+from .mechanisms import (
+    ReleasedBlock, ReleasedSums, draw_noise, exact_release, noise_from_raw, raw_draws,
+)
 
 _NORMAL = NormalDist()
 _SUM_W, _SUM_WY, _SUM_WS, _SUM_W2, _SUM_WY2, _SUM_WS2, _SUM_WYS = range(len(SUM_FIELDS))
@@ -255,11 +257,19 @@ def _monte_carlo_extra(
     mechanism = released.mechanism
     numerator = released.values[rows, _SUM_WS]
     denominator = released.values[rows, _SUM_WY]
-    noisy_num = np.empty((len(rows), draws))
-    noisy_den = np.empty((len(rows), draws))
-    for i, row in enumerate(rows):
-        noisy_num[i] = draw_noise(rngs[row], mechanism, var_s, draws)
-        noisy_den[i] = draw_noise(rngs[row], mechanism, var_y, draws)
+    # First pass: each row fills its (numerator, denominator) draws with one
+    # generator call, then one transform maps the whole block to noise.  As
+    # in draw_noise, a sum without noise draws nothing, so the drawn halves
+    # are the contiguous slice lo:hi and the stream matches per-sum calls.
+    lo = 0 if mechanism is not None and var_s > 0.0 else 1
+    hi = 2 if mechanism is not None and var_y > 0.0 else 1
+    noisy = np.zeros((len(rows), 2, draws))
+    if lo < hi:
+        drawn = noisy[:, lo:hi]
+        for i, row in enumerate(rows):
+            raw_draws(rngs[row], mechanism, out=drawn[i])
+        noise_from_raw(drawn, mechanism, np.array([var_s, var_y])[lo:hi, None])
+    noisy_num, noisy_den = noisy[:, 0], noisy[:, 1]
     noisy_num += numerator[:, None]
     noisy_den += denominator[:, None]
     ok = noisy_den > 0.0

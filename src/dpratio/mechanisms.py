@@ -92,12 +92,55 @@ def split_budget(total: PrivacyBudget, k: int) -> PrivacyBudget:
     return PrivacyBudget(total.epsilon / k, total.delta / k)
 
 
+#: Smallest positive double: a uniform draw of exactly 0.0 is clamped to it.
+_TINY = np.finfo(np.float64).tiny
+
+
 def _laplace_from_uniform(u: np.ndarray, scale) -> np.ndarray:
-    # Inverse CDF of the centred Laplace. u == 0.0 (possible: rng.random()
-    # covers [0, 1)) is clamped to the smallest positive double, which maps
-    # to a finite deep-tail draw of the correct sign.
-    u = np.maximum(u, np.finfo(np.float64).tiny)
-    return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))
+    """Inverse CDF of the centred Laplace at ``scale``, computed in place on ``u``.
+
+    Below the median a draw is scale * log(2u), above it -scale * log(2(1 - u)),
+    so one log serves both halves.  u == 0.0 (possible: rng.random() covers
+    [0, 1)) is clamped to the smallest positive double, which maps to a
+    finite deep-tail draw of the correct sign.
+    """
+    np.maximum(u, _TINY, out=u)
+    upper = u >= 0.5
+    np.subtract(1.0, u, out=u, where=upper)
+    u *= 2.0
+    np.log(u, out=u)
+    u *= scale
+    np.negative(u, out=u, where=upper)
+    return u
+
+
+def raw_draws(
+    rng: np.random.Generator,
+    mechanism: MechanismKind,
+    size: int | None = None,
+    out: np.ndarray | None = None,
+):
+    """The draws :func:`noise_from_raw` maps to noise: standard normals for the
+    Gaussian mechanism, uniforms on [0, 1) for Laplace, in stream order.
+
+    With ``out``, fills it in C order; filling a (2, k) array draws the
+    same stream as two calls of size k.
+    """
+    if mechanism is MechanismKind.GAUSSIAN:
+        return rng.standard_normal(size, out=out)
+    return rng.random(size, out=out)
+
+
+def noise_from_raw(raw: np.ndarray, mechanism: MechanismKind, noise_variance) -> np.ndarray:
+    """Map :func:`raw_draws` to centred noise with ``noise_variance``, in place.
+
+    ``noise_variance`` is a scalar or an array that broadcasts against
+    ``raw``, so one call can transform draws of several variances.
+    """
+    if mechanism is MechanismKind.GAUSSIAN:
+        raw *= np.sqrt(noise_variance)
+        return raw
+    return _laplace_from_uniform(raw, np.sqrt(noise_variance / 2.0))
 
 
 def draw_noise(
@@ -108,17 +151,15 @@ def draw_noise(
 ) -> np.ndarray | float:
     """Centred noise with the given variance from the mechanism's distribution.
 
-    A ``None`` mechanism (the no-noise public pathway) yields zeros.
+    A ``None`` mechanism (the no-noise public pathway) or a zero variance
+    yields zeros and draws nothing from ``rng``.
     """
     if noise_variance < 0.0:
         raise ValueError("noise_variance must be non-negative")
     if mechanism is None or noise_variance == 0.0:
         return 0.0 if size is None else np.zeros(size)
-    if mechanism is MechanismKind.GAUSSIAN:
-        return math.sqrt(noise_variance) * rng.standard_normal(size)
-    scale = math.sqrt(noise_variance / 2.0)
-    out = _laplace_from_uniform(rng.random(size), scale)
-    return float(out) if size is None else out
+    noise = noise_from_raw(np.asarray(raw_draws(rng, mechanism, size)), mechanism, noise_variance)
+    return float(noise) if size is None else noise
 
 
 class ReleasedBlock(NamedTuple):
@@ -234,13 +275,16 @@ def release_block(
     per = split_budget(total_budget, len(fields))
     sens = sensitivity_per_sum(bounds)
 
+    noises = np.empty((len(rngs), len(fields)))
+    for rng, row in zip(rngs, noises):
+        raw_draws(rng, mechanism, out=row)
     if mechanism is MechanismKind.GAUSSIAN:
         sigmas = np.array([gaussian_sigma(sens[f], per) for f in fields])
-        noises = sigmas * np.array([rng.standard_normal(len(fields)) for rng in rngs])
+        noises *= sigmas
         variances = sigmas * sigmas
     else:
         scales = np.array([laplace_scale(sens[f], per.epsilon) for f in fields])
-        noises = _laplace_from_uniform(np.array([rng.random(len(fields)) for rng in rngs]), scales)
+        _laplace_from_uniform(noises, scales)
         variances = 2.0 * scales * scales
 
     columns = [SUM_FIELDS.index(f) for f in fields]

@@ -8,9 +8,11 @@ width, coverage, and interval score over replications.
 Every replication derives its own random substreams from
 (master_seed, replication index, purpose, epsilon), so results are
 bit-reproducible regardless of worker count or execution order, and adding
-epsilon values never perturbs existing streams.  Replications run in blocks:
-data generation and the sums stay per replication, while release and
-inference run on arrays over the block.
+epsilon values never perturbs existing streams.  The scale is not part of
+that key, so cells that differ only in scale draw the same data and
+releases: :func:`run_experiments` runs them in one pass, sharing those
+draws.  Replications run in blocks: data generation and the sums stay per
+replication, while release and inference run on arrays over the block.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -28,7 +30,7 @@ import numpy as np
 from .core import SUM_FIELDS, Bounds, compute_sums_from_arrays, kish_effective_n
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import (
-    DEFAULT_LEVEL, DEFAULT_MC_DRAWS, FLAGS, REFUSAL_CAUSES, Method, Refusal, Scale,
+    DEFAULT_LEVEL, DEFAULT_MC_DRAWS, FLAGS, REFUSAL_CAUSES, EstimateBlock, Method, Refusal, Scale,
     check_interval_settings, estimate_block,
 )
 from .mechanisms import (
@@ -209,8 +211,15 @@ class _BlockResult(NamedTuple):
     flags: np.ndarray
 
 
-def _run_block(config: SimulationConfig, start: int, stop: int) -> _BlockResult:
-    """Replications ``start`` to ``stop - 1``, each from its own substreams."""
+def _run_block(
+    config: SimulationConfig, scales: Sequence[Scale], start: int, stop: int
+) -> list[_BlockResult]:
+    """Replications ``start`` to ``stop - 1`` of ``config`` on each of ``scales``.
+
+    The data, sums and releases are drawn once and shared by every scale;
+    each scale's Monte Carlo generators are built afresh from the same
+    substreams, because its redraws and refusals differ.
+    """
     bounds = config.bounds
     replications = range(start, stop)
     exact = np.empty((len(replications), len(SUM_FIELDS)))
@@ -223,19 +232,29 @@ def _run_block(config: SimulationConfig, start: int, stop: int) -> _BlockResult:
         exact[i] = [getattr(sums, f) for f in SUM_FIELDS]
 
     public = ReleasedBlock.exact(exact, bounds.profile)
-    estimates = [estimate_block(public, Method.PUBLIC, config.scale, config.level)]
+    estimates = [[estimate_block(public, Method.PUBLIC, scale, config.level)] for scale in scales]
     for eps in config.epsilons:
         release_rngs = [_substream(config.master_seed, r, _PURPOSE_RELEASE, eps) for r in replications]
         released = release_block(
             exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism, release_rngs
         )
-        mc_rngs = [_substream(config.master_seed, r, _PURPOSE_MC, eps) for r in replications]
-        for method in _DP_METHODS:
-            estimates.append(
-                estimate_block(released, method, config.scale, config.level, config.mc_draws, mc_rngs)
-            )
+        for scale, scale_estimates in zip(scales, estimates):
+            mc_rngs = [_substream(config.master_seed, r, _PURPOSE_MC, eps) for r in replications]
+            for method in _DP_METHODS:
+                scale_estimates.append(
+                    estimate_block(released, method, scale, config.level, config.mc_draws, mc_rngs)
+                )
+    return [
+        _block_result(scale_estimates, scale, config, effective_n)
+        for scale, scale_estimates in zip(scales, estimates)
+    ]
 
-    truth = math.log(config.true_ratio) if config.scale is Scale.LOG else config.true_ratio
+
+def _block_result(
+    estimates: Sequence[EstimateBlock], scale: Scale, config: SimulationConfig, effective_n: np.ndarray
+) -> _BlockResult:
+    """Score one scale's estimates against the true ratio on that scale."""
+    truth = math.log(config.true_ratio) if scale is Scale.LOG else config.true_ratio
     lower = np.column_stack([e.ci_lower for e in estimates])
     upper = np.column_stack([e.ci_upper for e in estimates])
     covered = np.where(np.isnan(lower), np.nan, (lower <= truth) & (truth <= upper))
@@ -248,6 +267,36 @@ def _run_block(config: SimulationConfig, start: int, stop: int) -> _BlockResult:
     )
 
 
+def run_experiments(
+    configs: Sequence[SimulationConfig], threads: int = 1
+) -> list[list[ExperimentRow]]:
+    """Run cells that differ only in ``scale`` in one pass; one row list per config.
+
+    The scale is not part of any substream key, so such cells share their
+    data, sums and releases, which are drawn once per replication; each
+    result equals :func:`run_experiment` of its config.  Replications are
+    split into fixed blocks whose results are concatenated in replication
+    order, so neither the blocks nor ``threads`` change the result.  With
+    ``threads > 1`` the blocks run in one process pool.
+    """
+    if not configs:
+        raise InvalidConfigError("run_experiments needs at least one config")
+    base = configs[0]
+    if any(replace(config, scale=base.scale) != base for config in configs):
+        raise InvalidConfigError("configs run together must differ only in scale")
+    reps = base.replications
+    size = _block_size(base.mc_draws)
+    starts = range(0, reps, size)
+    stops = [min(start + size, reps) for start in starts]
+    run = partial(_run_block, base, tuple(config.scale for config in configs))
+    if threads <= 1 or reps == 1:
+        blocks = list(map(run, starts, stops))
+    else:
+        with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+            blocks = list(pool.map(run, starts, stops))
+    return [_cell_rows(config, [block[k] for block in blocks]) for k, config in enumerate(configs)]
+
+
 def run_experiment(config: SimulationConfig, threads: int = 1) -> list[ExperimentRow]:
     """Run all replications of one cell and aggregate per (method, epsilon).
 
@@ -255,21 +304,16 @@ def run_experiment(config: SimulationConfig, threads: int = 1) -> list[Experimen
     (epsilon, method).  Degenerate replications are excluded from the means
     and surfaced through ``refusal_count`` and ``refusals_by_cause``;
     ``flags`` counts the estimates that carry each warning flag.  Output is
-    a pure function of (config, master_seed): replications are split into
-    fixed blocks whose results are concatenated in replication order, so
-    neither the blocks nor ``threads`` change the result.  With
-    ``threads > 1`` the blocks run in a process pool.
+    a pure function of (config, master_seed), whatever ``threads`` is; with
+    ``threads > 1`` the replication blocks run in a process pool.  The
+    one-config case of :func:`run_experiments`.
     """
+    return run_experiments([config], threads)[0]
+
+
+def _cell_rows(config: SimulationConfig, blocks: Sequence[_BlockResult]) -> list[ExperimentRow]:
+    """The rows of one cell from its blocks' per-replication results."""
     reps = config.replications
-    size = _block_size(config.mc_draws)
-    starts = range(0, reps, size)
-    stops = [min(start + size, reps) for start in starts]
-    run = partial(_run_block, config)
-    if threads <= 1 or reps == 1:
-        blocks = list(map(run, starts, stops))
-    else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-            blocks = list(pool.map(run, starts, stops))
     effective, metrics, refusal, flags = (np.concatenate(parts) for parts in zip(*blocks))
 
     mean_effective = float(effective.mean())

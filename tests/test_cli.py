@@ -1,9 +1,10 @@
 import json
+import os
 import time
 
 import pytest
 
-from dpratio import FLAGS, REFUSAL_CAUSES
+from dpratio import FLAGS, REFUSAL_CAUSES, cli
 from dpratio.cli import main
 
 
@@ -287,3 +288,39 @@ class TestSimulate:
             assert status == 0
             outputs.append((out_dir / "gaussian_ratio_n150_unweighted.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_threads_default_to_usable_cores(self, tmp_path, capsys, monkeypatch, pinned):
+        # Pinned to one CPU of many, the default pool has one worker; where
+        # the affinity mask cannot be read, every core counts.
+        seen = []
+        run_experiments = cli.run_experiments
+
+        def spy(configs, threads):
+            seen.append(threads)
+            return run_experiments(configs, threads)
+
+        monkeypatch.setattr(cli, "run_experiments", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        if pinned:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        status, _ = run_cli(
+            capsys, "simulate", "--output-dir", str(tmp_path), "--n", "100",
+            "--epsilon", "0.5", "--replications", "1", "--mc-draws", "20",
+        )
+        assert status == 0
+        assert seen == [1 if pinned else 64]
+
+    def test_both_scales_match_separate_runs(self, tmp_path, capsys):
+        args = ["--n", "100", "--weighted", "--mechanism", "laplace", "--epsilon", "0.05",
+                "--replications", "20", "--mc-draws", "1000", "--seed", "4", "--threads", "2"]
+        for scale in ("both", "ratio", "log"):
+            status, _ = run_cli(
+                capsys, "simulate", "--output-dir", str(tmp_path / scale), "--scale", scale, *args
+            )
+            assert status == 0
+        for scale in ("ratio", "log"):
+            name = f"laplace_{scale}_n100_weighted.csv"
+            assert (tmp_path / "both" / name).read_bytes() == (tmp_path / scale / name).read_bytes()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dpratio as d
+from dpratio import inference
 from dpratio.core import SUM_FIELDS
 
 
@@ -258,6 +259,126 @@ class TestMonteCarloCI:
         _, released, rng = seeded_release(1)
         with pytest.raises(d.InvalidConfigError):
             d.ci_monte_carlo(released, draws=1, rng=rng)
+
+
+def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
+    """The Monte Carlo correction row by row, with one draw_noise call per sum
+    and batch (numerator first): the algorithm the batched first pass replaced."""
+    extra = np.zeros(len(point))
+    redrawn = np.zeros(len(point), dtype=bool)
+    capped = np.zeros(len(point), dtype=bool)
+    var_s, var_y = released.variance("sum_ws"), released.variance("sum_wy")
+    if var_s == 0.0 and var_y == 0.0:
+        return extra, redrawn, capped
+    num_col, den_col = SUM_FIELDS.index("sum_ws"), SUM_FIELDS.index("sum_wy")
+
+    def accepted(row, k):
+        num = released.values[row, num_col] + d.draw_noise(rngs[row], released.mechanism, var_s, k)
+        den = released.values[row, den_col] + d.draw_noise(rngs[row], released.mechanism, var_y, k)
+        ok = den > 0.0
+        if scale is d.Scale.LOG:
+            ok &= num > 0.0
+        return num[ok] / den[ok]
+
+    for row in rows:
+        kept = [accepted(row, draws)]
+        filled = len(kept[0])
+        rejected = draws - filled
+        redrawn[row] = rejected > 0
+        while filled < draws:
+            more = accepted(row, draws - filled)
+            rejected += draws - filled - len(more)
+            if rejected > inference._REDRAW_CAP_PER_DRAW * draws:
+                capped[row] = True
+                break
+            kept.append(more)
+            filled += len(more)
+        if capped[row]:
+            continue
+        replicates = np.concatenate(kept)
+        if scale is d.Scale.LOG:
+            replicates = np.log(replicates)
+        extra[row] = np.mean(np.square(replicates - point[row]))
+    return extra, redrawn, capped
+
+
+def _simulated_release(mechanism, bounds, epsilon, rows=16, n=100, weighted=True):
+    """A block of releases of synthetic datasets of ``n`` records under ``bounds``."""
+    exact = []
+    for row in range(rows):
+        y, s, w = d.generate_arrays(n, weighted, 1.1, np.random.default_rng([5, row]))
+        if bounds.s_high == 0.0:
+            s = np.zeros(n)
+        sums = d.compute_sums_from_arrays(y, s, w, bounds).as_dict()
+        exact.append([sums[f] for f in SUM_FIELDS])
+    delta = 1e-6 if mechanism is d.MechanismKind.GAUSSIAN else 0.0
+    rngs = [np.random.default_rng([6, row]) for row in range(rows)]
+    return d.release_block(np.array(exact), bounds, d.PrivacyBudget(epsilon, delta), mechanism, rngs)
+
+
+_MECHANISMS = [d.MechanismKind.GAUSSIAN, d.MechanismKind.LAPLACE]
+_WEIGHTED = d.Bounds.binary(w_low=1 / 3, w_high=3.0)
+
+
+class TestBatchedMonteCarloPass:
+    """estimate_block's Monte Carlo method, bit for bit, against a per-row loop
+    over draw_noise on the same generators, which must end in the same state."""
+
+    def _check(self, monkeypatch, released, scale, draws):
+        def run():
+            rngs = [np.random.default_rng([7, row]) for row in range(len(released.values))]
+            est = d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws, rngs=rngs)
+            return est, [rng.bit_generator.state for rng in rngs]
+
+        batched, batched_states = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "_monte_carlo_extra", _per_row_monte_carlo_extra)
+            expected, expected_states = run()
+        for name, got, want in zip(batched._fields, batched, expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert batched_states == expected_states
+        return batched
+
+    @pytest.mark.parametrize("scale", [d.Scale.RATIO, d.Scale.LOG])
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_redraw_heavy_block(self, monkeypatch, mechanism, scale):
+        # Epsilon 0.02 on 100 weighted records: refusals and redraws are common.
+        released = _simulated_release(mechanism, _WEIGHTED, 0.02)
+        est = self._check(monkeypatch, released, scale, 1000)
+        assert est.flags[:, d.FLAGS.index("monte_carlo_redraw")].any()
+        assert (est.refusal == d.Refusal.NONE).any()
+
+    @pytest.mark.parametrize("scale", [d.Scale.RATIO, d.Scale.LOG])
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_sum_without_noise_draws_nothing(self, monkeypatch, mechanism, scale):
+        # Score bounds (0, 0) give sum_ws no noise, so only the denominator
+        # draws.  A positive numerator in its place makes the replicates, not
+        # just the redraws, depend on which draws the denominator reads; the
+        # mirror case gives sum_wy no noise instead.
+        released = _simulated_release(mechanism, d.Bounds(0, 1, 0, 0), 0.02, weighted=False)
+        assert released.variance("sum_ws") == 0.0 < released.variance("sum_wy")
+        self._check(monkeypatch, released, scale, 1000)
+        positive = released.values.copy()
+        positive[:, SUM_FIELDS.index("sum_ws")] = 30.0
+        est = self._check(monkeypatch, released._replace(values=positive), scale, 1000)
+        assert est.flags[:, d.FLAGS.index("monte_carlo_redraw")].any()
+        noisy = _simulated_release(mechanism, _WEIGHTED, 0.05)
+        quiet_y = noisy.noise_variance.copy()
+        quiet_y[SUM_FIELDS.index("sum_wy")] = 0.0
+        self._check(monkeypatch, noisy._replace(noise_variance=quiet_y), scale, 1000)
+        # Without a mechanism (a release read back from JSON may lack one)
+        # no sum draws, whatever its variance.
+        self._check(monkeypatch, noisy._replace(mechanism=None), scale, 1000)
+
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_capped_rows(self, monkeypatch, mechanism):
+        # Both noisy sums near zero on the log scale with 2 draws: some rows
+        # reject more than the cap of 20 replicates.
+        released = _simulated_release(mechanism, _WEIGHTED, 0.05, rows=200, n=20)
+        values = np.full_like(released.values, 20.0)
+        values[:, [SUM_FIELDS.index("sum_ws"), SUM_FIELDS.index("sum_wy")]] = 1e-3
+        est = self._check(monkeypatch, released._replace(values=values), d.Scale.LOG, 2)
+        assert (est.refusal == d.Refusal.MONTE_CARLO_REDRAW_CAP).any()
 
 
 class TestAnalyticalCI:

@@ -212,6 +212,21 @@ class TestDrawNoise:
         assert (d.draw_noise(rng, None, 4.0, 5) == 0.0).all()
 
     @pytest.mark.parametrize("mechanism", [d.MechanismKind.GAUSSIAN, d.MechanismKind.LAPLACE])
+    def test_bit_exact_transform_of_the_stream(self, mechanism):
+        # Gaussian noise is sigma times standard normals; Laplace noise is the
+        # inverse CDF at scale sqrt(variance / 2) of uniforms on [0, 1).
+        rng = np.random.default_rng(8)
+        if mechanism is d.MechanismKind.GAUSSIAN:
+            expected = 3.0 * rng.standard_normal(1000)
+        else:
+            u, b = rng.random(1000), math.sqrt(4.5)
+            expected = np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(2.0 * (1.0 - u)))
+        noise = d.draw_noise(np.random.default_rng(8), mechanism, 9.0, 1000)
+        assert noise.tobytes() == expected.tobytes()
+        scalar = d.draw_noise(np.random.default_rng(8), mechanism, 9.0)
+        assert type(scalar) is float and scalar == expected[0]
+
+    @pytest.mark.parametrize("mechanism", [d.MechanismKind.GAUSSIAN, d.MechanismKind.LAPLACE])
     def test_variance_matches_request(self, mechanism):
         rng = np.random.default_rng(77)
         sample = d.draw_noise(rng, mechanism, 9.0, 200_000)

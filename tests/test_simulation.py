@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,13 +200,16 @@ class TestBatchedEngineEquivalence:
     )
     def test_per_replication_results_match_scalar_api(self, mechanism, delta, scale):
         # 40 replications in blocks of 16; epsilon 0.02 on 100 weighted records
-        # makes refusals and Monte Carlo redraws common.
+        # makes refusals and Monte Carlo redraws common.  The block runs both
+        # scales in one pass, as simulate --scale both does; ``scale`` picks
+        # the one checked here.
         config = d.SimulationConfig(
             n=100, epsilons=(0.02, 1.0), weighted=True, mechanism=mechanism, delta=delta,
             scale=scale, replications=40, mc_draws=1000, master_seed=5,
         )
         assert _block_size(config.mc_draws) == 16
-        engine = _run_block(config, 0, config.replications)
+        scales = (d.Scale.RATIO, d.Scale.LOG)
+        engine = _run_block(config, scales, 0, config.replications)[scales.index(scale)]
         truth = math.log(config.true_ratio) if scale is d.Scale.LOG else config.true_ratio
         alpha = 1.0 - config.level
 
@@ -232,6 +236,38 @@ class TestBatchedEngineEquivalence:
             assert row.refusals_by_cause == {c: causes[cell, c] for c in d.REFUSAL_CAUSES}
             assert row.flags == {f: flags[cell, f] for f in d.FLAGS}
             assert row.refusal_count == sum(row.refusals_by_cause.values())
+
+
+class TestRunExperiments:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "mechanism, delta", [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
+    )
+    def test_each_cell_equals_its_own_run(self, mechanism, delta, threads):
+        # Two blocks of 16 and 4 replications; epsilon 0.02 brings refusals
+        # and redraws, which differ between the scales.
+        ratio = small_config(
+            n=100, epsilons=(0.02, 1.0), weighted=True, mechanism=mechanism, delta=delta,
+            replications=20, mc_draws=1000,
+        )
+        log = replace(ratio, scale=d.Scale.LOG)
+        separate = [d.run_experiment(ratio), d.run_experiment(log)]
+        assert d.run_experiments([ratio, log], threads) == separate
+        assert d.run_experiments([log, ratio], threads) == separate[::-1]
+        assert separate[0] != separate[1]
+
+    @pytest.mark.parametrize(
+        "change", [{"n": 401}, {"epsilons": (0.5, 1.0)}, {"master_seed": 98}, {"weighted": True}]
+    )
+    def test_cells_must_differ_only_in_scale(self, change):
+        ratio = small_config()
+        log = replace(ratio, scale=d.Scale.LOG, **change)
+        with pytest.raises(d.InvalidConfigError, match="only in scale"):
+            d.run_experiments([ratio, log])
+
+    def test_needs_a_config(self):
+        with pytest.raises(d.InvalidConfigError):
+            d.run_experiments([])
 
 
 class TestConfigValidation:
