@@ -66,6 +66,13 @@ class Profile(str, Enum):
     def size(self) -> int:
         return len(self.released_fields)
 
+    def mirror(self, *arrays: np.ndarray) -> None:
+        """Copy each released sum into the collapsed sums that duplicate it,
+        in place, along the last axis (``SUM_FIELDS`` order) of every array."""
+        for alias, source in self.aliases.items():
+            for array in arrays:
+                array[..., SUM_FIELDS.index(alias)] = array[..., SUM_FIELDS.index(source)]
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -239,11 +246,8 @@ def compute_sums_from_arrays(
             raise BoundsViolationError(f"record {idx}: y={float(y[idx])} not in {{0, 1}}", index=idx)
 
     totals = weighted_sums(y, s, w)
-    values = dict(zip(SUM_FIELDS, (float(t) for t in totals)))
-    profile = bounds.profile
-    for alias, source in profile.aliases.items():
-        values[alias] = values[source]
-    return SumVector(profile=profile, **values)
+    bounds.profile.mirror(totals)
+    return SumVector(profile=bounds.profile, **dict(zip(SUM_FIELDS, totals.tolist())))
 
 
 def compute_sums(records: Sequence[Record], bounds: Bounds) -> SumVector:

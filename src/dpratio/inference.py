@@ -7,8 +7,8 @@ it consumes no further privacy budget.
 
 The math runs on arrays over a :class:`~dpratio.mechanisms.ReleasedBlock`
 of B releases (:func:`estimate_block`); a rejected row becomes NaN with a
-:class:`Refusal` code.  The scalar functions are blocks of one row that
-raise the refusal as an exception instead.
+:class:`Refusal` code.  The ``ci_*`` functions run it on the one-row block
+of a :class:`~dpratio.mechanisms.ReleasedSums` and raise the refusal instead.
 """
 
 from __future__ import annotations
@@ -222,8 +222,6 @@ def _wald_arrays(
     point: np.ndarray, variance: np.ndarray, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """point +/- z_{(1+level)/2} * sqrt(variance), for a level already checked."""
-    if (variance < 0.0).any():
-        raise ValueError("variance must be non-negative")
     half = _NORMAL.inv_cdf(0.5 * (1.0 + level)) * np.sqrt(variance)
     return point - half, point + half
 
@@ -354,22 +352,8 @@ def estimate_block(
 
 
 # --------------------------------------------------------------------------
-# Scalar API: blocks of one row.
+# One release: the block engine on a block of one row.
 # --------------------------------------------------------------------------
-
-
-def _raise_refusal(code: int, released: ReleasedSums, draws: int = 0) -> None:
-    v = released.values
-    if code == Refusal.NONPOSITIVE_DENOMINATOR:
-        raise DegenerateDenominatorError(
-            f"noisy denominator not positive: sum_wy = {v['sum_wy']}, sum_w = {v['sum_w']}"
-        )
-    if code == Refusal.NONPOSITIVE_LOG_NUMERATOR:
-        raise DegenerateNumeratorError(f"noisy sum_ws = {v['sum_ws']} is not positive")
-    if code == Refusal.MONTE_CARLO_REDRAW_CAP:
-        raise MonteCarloRedrawCapError(
-            f"monte carlo resampling exceeded {_REDRAW_CAP_PER_DRAW * draws} rejected replicates"
-        )
 
 
 def _estimate_one(
@@ -380,10 +364,21 @@ def _estimate_one(
     draws: int = DEFAULT_MC_DRAWS,
     rng: np.random.Generator | None = None,
 ) -> RatioEstimate:
+    """``method`` on the one-row block of ``released``; a refusal raises."""
     if method is Method.MONTE_CARLO and rng is None:
         rng = np.random.default_rng()
-    block = estimate_block(released.as_block(), method, scale, level, draws, [rng])
-    _raise_refusal(block.refusal[0], released, draws)
+    block = estimate_block(released.block, method, scale, level, draws, [rng])
+    code, v = block.refusal[0], released.values
+    if code == Refusal.NONPOSITIVE_DENOMINATOR:
+        raise DegenerateDenominatorError(
+            f"noisy denominator not positive: sum_wy = {v['sum_wy']}, sum_w = {v['sum_w']}"
+        )
+    if code == Refusal.NONPOSITIVE_LOG_NUMERATOR:
+        raise DegenerateNumeratorError(f"noisy sum_ws = {v['sum_ws']} is not positive")
+    if code == Refusal.MONTE_CARLO_REDRAW_CAP:
+        raise MonteCarloRedrawCapError(
+            f"monte carlo resampling exceeded {_REDRAW_CAP_PER_DRAW * draws} rejected replicates"
+        )
     return RatioEstimate(
         point=float(block.point[0]),
         variance=float(block.variance[0]),
@@ -396,63 +391,18 @@ def _estimate_one(
     )
 
 
-def plug_in_moments(released: ReleasedSums) -> Moments:
-    """Plug-in means, variances, and covariance of the two weighted means.
-
-    Negative variance plug-ins are floored at zero and flagged; a
-    covariance outside the Cauchy-Schwarz envelope is flagged but kept.
-    """
-    refusal = np.zeros(1, dtype=np.int8)
-    with np.errstate(all="ignore"):
-        m = _moment_arrays(released.as_block().values, refusal)
-    _raise_refusal(refusal[0], released)
-    return Moments(
-        float(m.mu_s[0]),
-        float(m.mu_y[0]),
-        float(m.var_s_bar[0]),
-        float(m.var_y_bar[0]),
-        float(m.cov_ys_bar[0]),
-        tuple(f for f, on in zip(FLAGS, m.flags[0]) if on),
-    )
-
-
-def _variance_on_scale(m: Moments, scale: Scale) -> float:
+def ratio_variance(m: Moments) -> float:
+    """Delta-method variance of the ratio of the two means (floored at 0)."""
     arrays = _MomentArrays(
         *(np.array([x]) for x in (m.mu_s, m.mu_y, m.var_s_bar, m.var_y_bar, m.cov_ys_bar)),
         flags=np.zeros((1, _MOMENT_FLAGS), dtype=bool),
     )
     refusal = np.zeros(1, dtype=np.int8)
     with np.errstate(all="ignore"):
-        variance, _ = _variance_arrays(arrays, scale, refusal)
+        variance, _ = _variance_arrays(arrays, Scale.RATIO, refusal)
     if refusal[0]:
-        raise DegenerateDenominatorError(f"{scale.value}-scale variance undefined at a zero mean")
+        raise DegenerateDenominatorError("ratio-scale variance undefined at a zero mean")
     return float(variance[0])
-
-
-def ratio_variance(m: Moments) -> float:
-    """Delta-method variance of the ratio of the two means (floored at 0)."""
-    return _variance_on_scale(m, Scale.RATIO)
-
-
-def log_ratio_variance(m: Moments) -> float:
-    """Delta-method variance of the log of the ratio (floored at 0)."""
-    return _variance_on_scale(m, Scale.LOG)
-
-
-def point_estimate(released: ReleasedSums, scale: Scale = Scale.RATIO) -> float:
-    """Noisy score sum over noisy label sum, optionally on the log scale."""
-    refusal = np.zeros(1, dtype=np.int8)
-    with np.errstate(all="ignore"):
-        point = _point_arrays(released.as_block().values, scale, refusal)
-    _raise_refusal(refusal[0], released)
-    return float(point[0])
-
-
-def wald_interval(point: float, variance: float, level: float) -> tuple[float, float]:
-    """point +/- z_{(1+level)/2} * sqrt(variance)."""
-    check_interval_settings(level)
-    lower, upper = _wald_arrays(np.array([point]), np.array([variance]), level)
-    return float(lower[0]), float(upper[0])
 
 
 def ci_no_correction(

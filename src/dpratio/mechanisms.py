@@ -6,14 +6,15 @@ distinct sums of the profile (basic composition); collapsed duplicates are
 released once and mirrored, which is what makes the smaller profiles cheaper.
 All randomness comes from caller-supplied numpy Generators, one per release,
 so a release is fully determined by one seed.  :func:`release_block`
-releases many sum vectors at once; :func:`release` is its block of one.
+releases many sum vectors at once; :func:`release` is its block of one,
+read through the one-row view :class:`ReleasedSums`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
@@ -186,47 +187,47 @@ class ReleasedBlock(NamedTuple):
         return float(self.noise_variance[SUM_FIELDS.index(field)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReleasedSums:
-    """Noisy sums plus the exact noise calibration used to produce them.
+    """One release: a view of a :class:`ReleasedBlock` of one row.
 
-    ``values`` and ``noise_variance`` carry all seven canonical field names;
-    collapsed duplicates mirror the single released entry.  ``mechanism`` is
-    ``None`` only for the no-noise pathway built by :func:`exact_release`.
+    ``values`` and ``noise_variance`` read the row as mappings over all
+    seven canonical field names; collapsed duplicates mirror the single
+    released entry.  ``mechanism`` is ``None`` only for the no-noise
+    pathway built by :func:`exact_release`.
     """
 
-    values: Mapping[str, float]
-    noise_variance: Mapping[str, float]
-    mechanism: MechanismKind | None
-    per_sum_budget: PrivacyBudget | None
-    profile: Profile
+    block: ReleasedBlock
 
-    def as_block(self) -> ReleasedBlock:
-        """This release as a block of one row."""
-        return ReleasedBlock(
-            values=np.array([[self.values[f] for f in SUM_FIELDS]], dtype=np.float64),
-            noise_variance=np.array([self.noise_variance[f] for f in SUM_FIELDS], dtype=np.float64),
-            mechanism=self.mechanism,
-            per_sum_budget=self.per_sum_budget,
-            profile=self.profile,
-        )
+    mechanism = property(lambda self: self.block.mechanism)
+    per_sum_budget = property(lambda self: self.block.per_sum_budget)
+    profile = property(lambda self: self.block.profile)
+    released_fields = property(lambda self: self.block.profile.released_fields)
 
     @property
-    def released_fields(self) -> tuple[str, ...]:
-        return self.profile.released_fields
+    def values(self) -> dict[str, float]:
+        return dict(zip(SUM_FIELDS, self.block.values[0].tolist()))
+
+    @property
+    def noise_variance(self) -> dict[str, float]:
+        return dict(zip(SUM_FIELDS, self.block.noise_variance.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReleasedSums):
+            return NotImplemented
+        return (self.values, self.noise_variance, self.mechanism, self.per_sum_budget, self.profile) == (
+            other.values, other.noise_variance, other.mechanism, other.per_sum_budget, other.profile
+        )
 
     def to_json_dict(self) -> dict:
-        released = self.released_fields
+        released, budget = self.released_fields, self.per_sum_budget
+        values, variance = self.values, self.noise_variance
         return {
             "mechanism": self.mechanism.value if self.mechanism is not None else None,
             "profile": self.profile.value,
-            "per_sum_budget": (
-                {"epsilon": self.per_sum_budget.epsilon, "delta": self.per_sum_budget.delta}
-                if self.per_sum_budget is not None
-                else None
-            ),
-            "values": {f: self.values[f] for f in released},
-            "noise_variance": {f: self.noise_variance[f] for f in released},
+            "per_sum_budget": asdict(budget) if budget is not None else None,
+            "values": {f: values[f] for f in released},
+            "noise_variance": {f: variance[f] for f in released},
         }
 
     def to_json(self, **kwargs) -> str:
@@ -235,23 +236,19 @@ class ReleasedSums:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "ReleasedSums":
         profile = Profile(payload["profile"])
-        mechanism = payload.get("mechanism")
-        budget = payload.get("per_sum_budget")
-        values = dict(payload["values"])
-        variance = dict(payload["noise_variance"])
-        missing = set(profile.released_fields) - set(values)
-        if missing:
-            raise InvalidConfigError(f"released values missing fields: {sorted(missing)}")
-        for alias, source in profile.aliases.items():
-            values[alias] = values[source]
-            variance[alias] = variance[source]
-        return cls(
-            values=values,
-            noise_variance=variance,
-            mechanism=MechanismKind(mechanism) if mechanism is not None else None,
-            per_sum_budget=PrivacyBudget(**budget) if budget is not None else None,
-            profile=profile,
-        )
+        released = profile.released_fields
+        columns = [SUM_FIELDS.index(f) for f in released]
+        values, variance = np.zeros((1, len(SUM_FIELDS))), np.zeros(len(SUM_FIELDS))
+        for key, array in (("values", values[0]), ("noise_variance", variance)):
+            missing = set(released) - set(payload[key])
+            if missing:
+                raise InvalidConfigError(f"released {key} missing fields: {sorted(missing)}")
+            array[columns] = [payload[key][f] for f in released]
+        profile.mirror(values, variance)
+        mechanism, budget = payload.get("mechanism"), payload.get("per_sum_budget")
+        mechanism = MechanismKind(mechanism) if mechanism is not None else None
+        budget = PrivacyBudget(**budget) if budget is not None else None
+        return cls(ReleasedBlock(values, variance, mechanism, budget, profile))
 
 
 def release_block(
@@ -292,9 +289,7 @@ def release_block(
     values[:, columns] += noises
     noise_variance = np.zeros(len(SUM_FIELDS))
     noise_variance[columns] = variances
-    for alias, source in profile.aliases.items():
-        values[:, SUM_FIELDS.index(alias)] = values[:, SUM_FIELDS.index(source)]
-        noise_variance[SUM_FIELDS.index(alias)] = noise_variance[SUM_FIELDS.index(source)]
+    profile.mirror(values, noise_variance)
     return ReleasedBlock(values, noise_variance, mechanism, per, profile)
 
 
@@ -313,26 +308,11 @@ def release(
         raise InvalidConfigError(
             f"bounds declare profile {bounds.profile.value} but sums carry {sums.profile.value}"
         )
-    exact = sums.as_dict()
-    block = release_block(
-        np.array([[exact[f] for f in SUM_FIELDS]]), bounds, total_budget, mechanism, [rng]
-    )
-    return ReleasedSums(
-        values=dict(zip(SUM_FIELDS, block.values[0].tolist())),
-        noise_variance=dict(zip(SUM_FIELDS, block.noise_variance.tolist())),
-        mechanism=mechanism,
-        per_sum_budget=block.per_sum_budget,
-        profile=block.profile,
-    )
+    row = np.array([[getattr(sums, f) for f in SUM_FIELDS]])
+    return ReleasedSums(release_block(row, bounds, total_budget, mechanism, [rng]))
 
 
 def exact_release(sums: SumVector) -> ReleasedSums:
     """Wrap exact sums as a zero-noise release (the non-private baseline)."""
-    values = sums.as_dict()
-    return ReleasedSums(
-        values=values,
-        noise_variance={f: 0.0 for f in values},
-        mechanism=None,
-        per_sum_budget=None,
-        profile=sums.profile,
-    )
+    row = np.array([[getattr(sums, f) for f in SUM_FIELDS]], dtype=np.float64)
+    return ReleasedSums(ReleasedBlock.exact(row, sums.profile))

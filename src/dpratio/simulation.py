@@ -179,14 +179,14 @@ def interval_score(lower: float, upper: float, truth: float, alpha: float) -> fl
 
 def _substream(
     master_seed: int, replication: int, purpose: int, epsilon: float | None = None
-) -> np.random.Generator:
+) -> np.random.SeedSequence:
+    """The seed of one stream; ``np.random.default_rng`` of it always draws the same."""
     key: list[int] = [replication, purpose]
     if epsilon is not None:
         # Key on the bit pattern of the value so editing the epsilon list
         # never shifts the streams of the remaining epsilons.
         key.append(int(np.float64(epsilon).view(np.uint64)))
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
-    return np.random.default_rng(seq)
+    return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
 
 
 def _block_size(mc_draws: int) -> int:
@@ -218,14 +218,14 @@ def _run_block(
 
     The data, sums and releases are drawn once and shared by every scale;
     each scale's Monte Carlo generators are built afresh from the same
-    substreams, because its redraws and refusals differ.
+    seed sequences, because its redraws and refusals differ.
     """
     bounds = config.bounds
     replications = range(start, stop)
     exact = np.empty((len(replications), len(SUM_FIELDS)))
     effective_n = np.empty(len(replications))
     for i, r in enumerate(replications):
-        rng = _substream(config.master_seed, r, _PURPOSE_DATA)
+        rng = np.random.default_rng(_substream(config.master_seed, r, _PURPOSE_DATA))
         y, s, w = generate_arrays(config.n, config.weighted, config.true_ratio, rng)
         sums = compute_sums_from_arrays(y, s, w, bounds)
         effective_n[i] = kish_effective_n(sums)
@@ -234,12 +234,16 @@ def _run_block(
     public = ReleasedBlock.exact(exact, bounds.profile)
     estimates = [[estimate_block(public, Method.PUBLIC, scale, config.level)] for scale in scales]
     for eps in config.epsilons:
-        release_rngs = [_substream(config.master_seed, r, _PURPOSE_RELEASE, eps) for r in replications]
+        release_rngs = [
+            np.random.default_rng(_substream(config.master_seed, r, _PURPOSE_RELEASE, eps))
+            for r in replications
+        ]
         released = release_block(
             exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism, release_rngs
         )
+        mc_seqs = [_substream(config.master_seed, r, _PURPOSE_MC, eps) for r in replications]
         for scale, scale_estimates in zip(scales, estimates):
-            mc_rngs = [_substream(config.master_seed, r, _PURPOSE_MC, eps) for r in replications]
+            mc_rngs = [np.random.default_rng(seq) for seq in mc_seqs]
             for method in _DP_METHODS:
                 scale_estimates.append(
                     estimate_block(released, method, scale, config.level, config.mc_draws, mc_rngs)

@@ -16,8 +16,45 @@ def make_released(values, noise=None, mechanism=d.MechanismKind.GAUSSIAN,
     nv = {f: 0.0 for f in SUM_FIELDS}
     if noise:
         nv.update(noise)
-    return d.ReleasedSums(values=vals, noise_variance=nv, mechanism=mechanism,
-                          per_sum_budget=d.PrivacyBudget(1.0, 1e-6), profile=profile)
+    block = d.ReleasedBlock(
+        np.array([[vals[f] for f in SUM_FIELDS]]), np.array([nv[f] for f in SUM_FIELDS]),
+        mechanism, d.PrivacyBudget(1.0, 1e-6), profile,
+    )
+    return d.ReleasedSums(block)
+
+
+def plug_in_moments(released):
+    """The block engine's plug-in moments of a one-row release, and its refusal code."""
+    refusal = np.zeros(1, dtype=np.int8)
+    with np.errstate(all="ignore"):
+        m = inference._moment_arrays(released.block.values, refusal)
+    flags = tuple(f for f, on in zip(d.FLAGS, m.flags[0]) if on)
+    return d.Moments(*(float(x[0]) for x in m[:5]), flags), refusal[0]
+
+
+def log_ratio_variance(m):
+    """The block engine's log-scale delta-method variance of one set of moments."""
+    arrays = inference._MomentArrays(
+        *(np.array([x]) for x in (m.mu_s, m.mu_y, m.var_s_bar, m.var_y_bar, m.cov_ys_bar)),
+        np.zeros((1, inference._MOMENT_FLAGS), dtype=bool),
+    )
+    refusal = np.zeros(1, dtype=np.int8)
+    variance, _ = inference._variance_arrays(arrays, d.Scale.LOG, refusal)
+    assert refusal[0] == d.Refusal.NONE
+    return float(variance[0])
+
+
+def point_estimate(released, scale=d.Scale.RATIO):
+    """The block engine's point estimate of a one-row release, and its refusal code."""
+    refusal = np.zeros(1, dtype=np.int8)
+    with np.errstate(all="ignore"):
+        point = inference._point_arrays(released.block.values, scale, refusal)
+    return float(point[0]), refusal[0]
+
+
+def wald_interval(point, variance, level):
+    lower, upper = inference._wald_arrays(np.array([point]), np.array([variance]), level)
+    return float(lower[0]), float(upper[0])
 
 
 def seeded_release(seed, epsilon=0.5, n=2000, weighted=False,
@@ -36,7 +73,8 @@ class TestPlugInMoments:
         sums = d.compute_sums(
             [d.Record(0, 0.4), d.Record(1, 0.6)], d.Bounds.binary_unweighted()
         )
-        m = d.plug_in_moments(d.exact_release(sums))
+        m, refusal = plug_in_moments(d.exact_release(sums))
+        assert refusal == d.Refusal.NONE
         assert m.mu_s == pytest.approx(0.5, rel=1e-15)
         assert m.mu_y == pytest.approx(0.5, rel=1e-15)
         assert m.var_s_bar == pytest.approx(0.005, rel=1e-12)
@@ -49,8 +87,8 @@ class TestPlugInMoments:
         y, s = rng.random(50), rng.random(50)
         w = rng.uniform(1.0, 2.0, 50)
         bounds = d.Bounds(0, 1, 0, 1, 0.1, 50.0)
-        base = d.plug_in_moments(d.exact_release(d.compute_sums_from_arrays(y, s, w, bounds)))
-        scaled = d.plug_in_moments(
+        base, _ = plug_in_moments(d.exact_release(d.compute_sums_from_arrays(y, s, w, bounds)))
+        scaled, _ = plug_in_moments(
             d.exact_release(d.compute_sums_from_arrays(y, s, 7.0 * w, bounds))
         )
         for f in ("mu_s", "mu_y", "var_s_bar", "var_y_bar", "cov_ys_bar"):
@@ -58,7 +96,7 @@ class TestPlugInMoments:
 
     def test_constant_score_has_zero_variance(self):
         records = [d.Record(1, 0.3), d.Record(0, 0.3), d.Record(1, 0.3)]
-        m = d.plug_in_moments(d.exact_release(d.compute_sums(records, d.Bounds.binary_unweighted())))
+        m, _ = plug_in_moments(d.exact_release(d.compute_sums(records, d.Bounds.binary_unweighted())))
         assert m.var_s_bar == pytest.approx(0.0, abs=1e-16)
 
     def test_negative_plug_in_variance_floored_and_flagged(self):
@@ -66,13 +104,15 @@ class TestPlugInMoments:
             {"sum_w": 100.0, "sum_w2": 100.0, "sum_ws": 80.0, "sum_ws2": 10.0,
              "sum_wy": 50.0, "sum_wy2": 50.0, "sum_wys": 40.0}
         )
-        m = d.plug_in_moments(released)
+        m, _ = plug_in_moments(released)
         assert m.var_s_bar == 0.0
         assert "var_s_bar_floored" in m.flags
 
     def test_degenerate_weight_total(self):
+        released = make_released({"sum_w": -3.0})
+        assert plug_in_moments(released)[1] == d.Refusal.NONPOSITIVE_DENOMINATOR
         with pytest.raises(d.DegenerateDenominatorError):
-            d.plug_in_moments(make_released({"sum_w": -3.0}))
+            d.ci_no_correction(released)
 
 
 class TestDeltaMethodVariances:
@@ -90,11 +130,11 @@ class TestDeltaMethodVariances:
             d.ratio_variance(d.Moments(1.0, 0.0, 0.04, 0.09, 0.01))
 
     def test_log_variance_example(self):
-        assert d.log_ratio_variance(self.MOMENTS) == pytest.approx(0.0525, rel=1e-12)
+        assert log_ratio_variance(self.MOMENTS) == pytest.approx(0.0525, rel=1e-12)
 
     def test_log_variance_perfect_dependence(self):
         m = d.Moments(2.0, 2.0, 0.04, 0.04, 0.04)
-        assert d.log_ratio_variance(m) == 0.0
+        assert log_ratio_variance(m) == 0.0
 
     def test_log_matches_ratio_variance_over_r_squared(self):
         rng = np.random.default_rng(9)
@@ -104,7 +144,7 @@ class TestDeltaMethodVariances:
             rho = rng.uniform(-0.9, 0.9)
             m = d.Moments(mu_s, mu_y, var_s, var_y, rho * math.sqrt(var_s * var_y))
             r = mu_s / mu_y
-            assert d.log_ratio_variance(m) == pytest.approx(
+            assert log_ratio_variance(m) == pytest.approx(
                 d.ratio_variance(m) / (r * r), rel=1e-12
             )
 
@@ -126,50 +166,56 @@ class TestDeltaMethodVariances:
 class TestPointEstimate:
     def test_direct_ratio(self):
         released = make_released({"sum_ws": 110.0, "sum_wy": 100.0})
-        assert d.point_estimate(released) == 1.1
+        assert point_estimate(released) == (1.1, d.Refusal.NONE)
 
     def test_zero_noise_release_matches_public_ratio(self):
         sums, _, _ = seeded_release(5)
         released = d.exact_release(sums)
-        assert d.point_estimate(released) == sums.sum_ws / sums.sum_wy
+        assert point_estimate(released)[0] == sums.sum_ws / sums.sum_wy
 
     def test_log_scale(self):
         released = make_released({"sum_ws": 110.0, "sum_wy": 100.0})
-        assert d.point_estimate(released, d.Scale.LOG) == pytest.approx(math.log(1.1), rel=1e-15)
+        assert point_estimate(released, d.Scale.LOG)[0] == pytest.approx(math.log(1.1), rel=1e-15)
 
     def test_degenerate_denominator(self):
+        released = make_released({"sum_ws": 10.0, "sum_wy": 0.0})
+        assert point_estimate(released)[1] == d.Refusal.NONPOSITIVE_DENOMINATOR
         with pytest.raises(d.DegenerateDenominatorError):
-            d.point_estimate(make_released({"sum_ws": 10.0, "sum_wy": 0.0}))
+            d.ci_no_correction(released)
 
     def test_degenerate_numerator_on_log_scale(self):
+        released = make_released({"sum_ws": -1.0, "sum_wy": 100.0})
+        assert point_estimate(released, d.Scale.LOG)[1] == d.Refusal.NONPOSITIVE_LOG_NUMERATOR
         with pytest.raises(d.DegenerateNumeratorError):
-            d.point_estimate(make_released({"sum_ws": -1.0, "sum_wy": 100.0}), d.Scale.LOG)
+            d.ci_no_correction(released, d.Scale.LOG)
 
     def test_mean_point_estimate_near_truth_at_generous_budget(self):
         # n=10000, epsilon=4: the noisy point estimate stays centred on 1.1.
         points = []
         for rep in range(1000):
             _, released, _ = seeded_release(rep, epsilon=4.0, n=10_000)
-            points.append(d.point_estimate(released))
+            points.append(point_estimate(released)[0])
         assert abs(np.mean(points) - 1.1) < 0.01
 
 
 class TestWaldInterval:
     def test_zero_variance_degenerate(self):
-        assert d.wald_interval(1.1, 0.0, 0.95) == (1.1, 1.1)
+        assert wald_interval(1.1, 0.0, 0.95) == (1.1, 1.1)
 
     def test_reference_interval(self):
-        lo, hi = d.wald_interval(1.1, 0.0004, 0.95)
+        lo, hi = wald_interval(1.1, 0.0004, 0.95)
         assert lo == pytest.approx(1.06080, abs=5e-6)
         assert hi == pytest.approx(1.13920, abs=5e-6)
 
     def test_one_sigma_level(self):
-        lo, hi = d.wald_interval(0.0, 1.0, 0.6827)
+        lo, hi = wald_interval(0.0, 1.0, 0.6827)
         assert hi - lo == pytest.approx(2.0, abs=1e-3)
 
     def test_invalid_level(self):
         with pytest.raises(d.InvalidConfigError):
-            d.wald_interval(0.0, 1.0, 1.0)
+            d.estimate_block(make_released({}).block, d.Method.NO_CORRECTION, level=1.0)
+        with pytest.raises(d.InvalidConfigError):
+            d.ci_analytical(make_released({}), level=1.0)
 
 
 class TestZeroNoiseReduction:
@@ -235,7 +281,7 @@ class TestMonteCarloCI:
             {"sum_ws": 1e-3, "sum_wy": 1e-3}, noise={"sum_ws": 1.0, "sum_wy": 1.0}
         )
         seeds = range(32)
-        one = released.as_block()
+        one = released.block
         block = d.estimate_block(
             one._replace(values=np.repeat(one.values, len(seeds), axis=0)),
             d.Method.MONTE_CARLO, d.Scale.LOG, draws=2,
@@ -387,7 +433,7 @@ class TestAnalyticalCI:
         # variances there, and evaluate the ratio variance on the sum scale.
         for seed in range(10):
             _, released, _ = seeded_release(seed, epsilon=0.5)
-            m = d.plug_in_moments(released)
+            m, _ = plug_in_moments(released)
             total = released.values["sum_w"]
             mean_s = m.mu_s * total
             mean_y = m.mu_y * total
@@ -449,7 +495,7 @@ class TestScaleConsistency:
 
 class TestTwoRatioTest:
     def _estimate(self, point, variance, scale=d.Scale.RATIO):
-        lo, hi = d.wald_interval(point, variance, 0.95)
+        lo, hi = wald_interval(point, variance, 0.95)
         return d.RatioEstimate(point, variance, scale, d.Method.ANALYTICAL, lo, hi, 0.95)
 
     def test_identical_estimates(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
+from dpratio.core import SUM_FIELDS
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 
@@ -204,6 +205,65 @@ class TestRelease:
         assert all(v == 0.0 for v in released.noise_variance.values())
         assert released.values == sums.as_dict()
 
+
+
+_PROFILE_BOUNDS = {
+    d.Profile.FULL7: d.Bounds(0.0, 1.0, 0.0, 1.0, 0.5, 2.0),
+    d.Profile.BINARY6: d.Bounds.binary(w_low=0.5, w_high=2.0),
+    d.Profile.UNWEIGHTED5: d.Bounds.binary_unweighted(),
+}
+_MECHANISM_DELTAS = [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
+
+
+def _profile_release(profile, mechanism, delta, seed=11):
+    """Sums of 300 records under ``profile``'s bounds and their release, seeded."""
+    bounds = _PROFILE_BOUNDS[profile]
+    rng = np.random.default_rng(3)
+    y = (rng.random(300) < 0.5).astype(float)
+    w = np.ones(300) if profile is d.Profile.UNWEIGHTED5 else rng.uniform(0.5, 2.0, 300)
+    sums = d.compute_sums_from_arrays(y, rng.random(300), w, bounds)
+    budget = d.PrivacyBudget(1.0, delta)
+    released = d.release(sums, bounds, budget, mechanism, np.random.default_rng(seed))
+    return sums, bounds, budget, released
+
+
+@pytest.mark.parametrize("mechanism, delta", _MECHANISM_DELTAS)
+@pytest.mark.parametrize("profile", list(_PROFILE_BOUNDS))
+class TestReleasedSumsView:
+    """A ReleasedSums is a one-row view of a ReleasedBlock, bit for bit."""
+
+    def test_view_is_the_release_block_row(self, profile, mechanism, delta):
+        sums, bounds, budget, released = _profile_release(profile, mechanism, delta)
+        exact = np.array([[sums.as_dict()[f] for f in SUM_FIELDS]])
+        block = d.release_block(exact, bounds, budget, mechanism, [np.random.default_rng(11)])
+        view = released.block
+        assert view.values.shape == (1, 7) and view.noise_variance.shape == (7,)
+        assert view.values.tobytes() == block.values.tobytes()
+        assert view.noise_variance.tobytes() == block.noise_variance.tobytes()
+        assert (view.mechanism, view.per_sum_budget, view.profile) == (
+            block.mechanism, block.per_sum_budget, block.profile
+        )
+        assert released.values == dict(zip(SUM_FIELDS, block.values[0].tolist()))
+        assert released.noise_variance == dict(zip(SUM_FIELDS, block.noise_variance.tolist()))
+
+    def test_json_roundtrip_is_bit_exact(self, profile, mechanism, delta):
+        _, _, _, released = _profile_release(profile, mechanism, delta)
+        restored = d.ReleasedSums.from_json_dict(json.loads(json.dumps(released.to_json_dict())))
+        assert restored.block.values.tobytes() == released.block.values.tobytes()
+        assert restored.block.noise_variance.tobytes() == released.block.noise_variance.tobytes()
+        for alias, source in profile.aliases.items():
+            assert restored.values[alias] == restored.values[source]
+            assert restored.noise_variance[alias] == restored.noise_variance[source]
+        assert restored == released
+
+    def test_json_missing_released_field(self, profile, mechanism, delta):
+        _, _, _, released = _profile_release(profile, mechanism, delta)
+        for key in ("values", "noise_variance"):
+            for field in profile.released_fields:
+                payload = released.to_json_dict()
+                del payload[key][field]
+                with pytest.raises(d.InvalidConfigError, match=field):
+                    d.ReleasedSums.from_json_dict(payload)
 
 class TestDrawNoise:
     def test_zero_variance_is_zero(self):

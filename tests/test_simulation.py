@@ -170,7 +170,7 @@ def _scalar_outcome(estimate, *args):
 def _scalar_replication(config, r):
     """Per-cell outcomes of replication ``r`` from the public scalar API,
     on the engine's substreams and in its cell order."""
-    rng = _substream(config.master_seed, r, _PURPOSE_DATA)
+    rng = np.random.default_rng(_substream(config.master_seed, r, _PURPOSE_DATA))
     sums = d.compute_sums_from_arrays(
         *d.generate_arrays(config.n, config.weighted, config.true_ratio, rng), config.bounds
     )
@@ -178,9 +178,9 @@ def _scalar_replication(config, r):
     for eps in config.epsilons:
         released = d.release(
             sums, config.bounds, d.PrivacyBudget(eps, config.delta), config.mechanism,
-            _substream(config.master_seed, r, _PURPOSE_RELEASE, eps),
+            np.random.default_rng(_substream(config.master_seed, r, _PURPOSE_RELEASE, eps)),
         )
-        mc_rng = _substream(config.master_seed, r, _PURPOSE_MC, eps)
+        mc_rng = np.random.default_rng(_substream(config.master_seed, r, _PURPOSE_MC, eps))
         outcomes += [
             _scalar_outcome(d.ci_no_correction, released, config.scale, config.level),
             _scalar_outcome(
