@@ -30,9 +30,9 @@ from .errors import (
     MonteCarloRedrawCapError,
     ScaleMismatchError,
 )
-from .mechanisms import (
-    ReleasedBlock, ReleasedSums, draw_noise, exact_release, noise_from_raw, raw_draws,
-)
+from .mechanisms import ReleasedBlock, ReleasedSums, exact_release, noise_from_raw, raw_draws
+# perfbench/tracer.py wraps this name; it goes with ROADMAP item 5.
+from .mechanisms import draw_noise  # noqa: F401
 
 _NORMAL = NormalDist()
 _SUM_W, _SUM_WY, _SUM_WS, _SUM_W2, _SUM_WY2, _SUM_WS2, _SUM_WYS = range(len(SUM_FIELDS))
@@ -239,9 +239,13 @@ def _monte_carlo_extra(
     For each listed row, ``draws`` fresh noise pairs for the score and label
     sums are drawn from ``rngs[row]`` at the release variances (numerator
     first) and added to the noisy sums.  A replicate with a non-positive
-    denominator (or numerator, on the log scale) is redrawn; only the rows
-    that had such rejections enter the redraw loop, and a row that rejects
-    more than ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped.
+    denominator (or numerator, on the log scale) is redrawn.  Redraws run in
+    rounds over every row that still lacks replicates: each row draws the
+    pairs it lacks with one call on its own generator (the stream of a
+    per-row loop, so the generators must be distinct), one transform maps
+    the round to noise, and each row's accepted replicates follow the ones
+    it holds.  A row that rejects more than ``_REDRAW_CAP_PER_DRAW * draws``
+    replicates is capped and writes nothing in that round.
     Returns the mean squared deviation from the point estimate and the
     redraw and cap masks, all of block length.
     """
@@ -261,12 +265,13 @@ def _monte_carlo_extra(
     # are the contiguous slice lo:hi and the stream matches per-sum calls.
     lo = 0 if mechanism is not None and var_s > 0.0 else 1
     hi = 2 if mechanism is not None and var_y > 0.0 else 1
+    variances = np.array([var_s, var_y])[lo:hi, None]
     noisy = np.zeros((len(rows), 2, draws))
     if lo < hi:
         drawn = noisy[:, lo:hi]
         for i, row in enumerate(rows):
             raw_draws(rngs[row], mechanism, out=drawn[i])
-        noise_from_raw(drawn, mechanism, np.array([var_s, var_y])[lo:hi, None])
+        noise_from_raw(drawn, mechanism, variances)
     noisy_num, noisy_den = noisy[:, 0], noisy[:, 1]
     noisy_num += numerator[:, None]
     noisy_den += denominator[:, None]
@@ -275,28 +280,54 @@ def _monte_carlo_extra(
         ok &= noisy_num > 0.0
     replicates = np.divide(noisy_num, noisy_den, out=noisy_num)
 
+    # Rows with rejections move their accepted replicates to the front.
+    filled = ok.sum(axis=1)
+    replicates[np.arange(draws) < filled[:, None]] = replicates[ok]
+    pending = np.flatnonzero(filled < draws)  # positions in ``rows``
+    redrawn[rows[pending]] = True
+    filled = filled[pending]
+    rejected = draws - filled
     cap = _REDRAW_CAP_PER_DRAW * draws
-    for i in np.flatnonzero(~ok.all(axis=1)):
-        row = rows[i]
-        redrawn[row] = True
-        kept = replicates[i, ok[i]]
-        filled = len(kept)
-        rejected = draws - filled
-        replicates[i, :filled] = kept
-        while filled < draws:
-            k = draws - filled
-            more_num = numerator[i] + draw_noise(rngs[row], mechanism, var_s, k)
-            more_den = denominator[i] + draw_noise(rngs[row], mechanism, var_y, k)
-            accept = more_den > 0.0
-            if scale is Scale.LOG:
-                accept &= more_num > 0.0
-            accepted = int(accept.sum())
-            rejected += k - accepted
-            if rejected > cap:
-                capped[row] = True
-                break
-            replicates[i, filled : filled + accepted] = more_num[accept] / more_den[accept]
-            filled += accepted
+    flat = noisy.reshape(-1)  # replicate (i, j) is flat[i * 2 * draws + j]
+    while len(pending):
+        # Each pending row draws the k replicates it lacks with one generator
+        # call, k draws per noisy sum, numerator first, as draw_noise would.
+        k = draws - filled
+        ends = np.cumsum(k)
+        starts = ends - k
+        seg = np.repeat(np.arange(len(pending)), k)  # the pending row of each replicate
+        noise = np.zeros((2, ends[-1]))
+        if lo < hi:
+            m = hi - lo
+            raw = np.empty(m * ends[-1])
+            for row, a, b in zip(rows[pending].tolist(), (m * starts).tolist(), (m * ends).tolist()):
+                raw_draws(rngs[row], mechanism, out=raw[a:b])
+            # Replicate j of row r reads its half-h draw at j + (m-1)*starts[r] + h*k[r].
+            at = np.arange(ends[-1]) + (m - 1) * starts[seg]
+            noise[lo:hi] = raw[at + np.arange(m)[:, None] * k[seg]]
+            noise_from_raw(noise[lo:hi], mechanism, variances)
+        noise[0] += numerator[pending[seg]]
+        noise[1] += denominator[pending[seg]]
+        more_num, more_den = noise
+        accept = more_den > 0.0
+        if scale is Scale.LOG:
+            accept &= more_num > 0.0
+        write = np.flatnonzero(accept)
+        owner = seg[write]
+        accepted = np.bincount(owner, minlength=len(pending))
+        rejected += k - accepted
+        over = rejected > cap
+        # A row's accepted replicates follow its filled ones, in draw order.
+        first = np.cumsum(accepted) - accepted  # the row's first place in ``write``
+        target = (pending * (2 * draws) + filled - first)[owner] + np.arange(len(write))
+        ratios = more_num[write] / more_den[write]
+        if over.any():
+            capped[rows[pending[over]]] = True
+            target, ratios = target[~over[owner]], ratios[~over[owner]]  # a capped row writes nothing
+        flat[target] = ratios
+        filled += accepted
+        going = ~over & (filled < draws)
+        pending, filled, rejected = pending[going], filled[going], rejected[going]
 
     if scale is Scale.LOG:
         np.log(replicates, out=replicates)

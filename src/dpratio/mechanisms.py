@@ -235,6 +235,11 @@ class ReleasedSums:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "ReleasedSums":
+        """A release read back from :meth:`to_json_dict`'s payload.
+
+        It must meet what :func:`release_block` guarantees: every released
+        value finite, every noise variance finite and at least 0.
+        """
         profile = Profile(payload["profile"])
         released = profile.released_fields
         columns = [SUM_FIELDS.index(f) for f in released]
@@ -244,6 +249,10 @@ class ReleasedSums:
             if missing:
                 raise InvalidConfigError(f"released {key} missing fields: {sorted(missing)}")
             array[columns] = [payload[key][f] for f in released]
+            for field, x in zip(released, array[columns].tolist()):
+                if not math.isfinite(x) or (key == "noise_variance" and x < 0.0):
+                    need = "finite and >= 0" if key == "noise_variance" else "finite"
+                    raise InvalidConfigError(f"released {key}.{field} must be {need}, got {x}")
         profile.mirror(values, variance)
         mechanism, budget = payload.get("mechanism"), payload.get("per_sum_budget")
         mechanism = MechanismKind(mechanism) if mechanism is not None else None

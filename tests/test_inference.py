@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dpratio as d
 from dpratio import inference
@@ -348,17 +350,17 @@ def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
     return extra, redrawn, capped
 
 
-def _simulated_release(mechanism, bounds, epsilon, rows=16, n=100, weighted=True):
+def _simulated_release(mechanism, bounds, epsilon, rows=16, n=100, weighted=True, seed=5):
     """A block of releases of synthetic datasets of ``n`` records under ``bounds``."""
     exact = []
     for row in range(rows):
-        y, s, w = d.generate_arrays(n, weighted, 1.1, np.random.default_rng([5, row]))
+        y, s, w = d.generate_arrays(n, weighted, 1.1, np.random.default_rng([seed, row]))
         if bounds.s_high == 0.0:
             s = np.zeros(n)
         sums = d.compute_sums_from_arrays(y, s, w, bounds).as_dict()
         exact.append([sums[f] for f in SUM_FIELDS])
     delta = 1e-6 if mechanism is d.MechanismKind.GAUSSIAN else 0.0
-    rngs = [np.random.default_rng([6, row]) for row in range(rows)]
+    rngs = [np.random.default_rng([seed + 1, row]) for row in range(rows)]
     return d.release_block(np.array(exact), bounds, d.PrivacyBudget(epsilon, delta), mechanism, rngs)
 
 
@@ -425,6 +427,45 @@ class TestBatchedMonteCarloPass:
         values[:, [SUM_FIELDS.index("sum_ws"), SUM_FIELDS.index("sum_wy")]] = 1e-3
         est = self._check(monkeypatch, released._replace(values=values), d.Scale.LOG, 2)
         assert (est.refusal == d.Refusal.MONTE_CARLO_REDRAW_CAP).any()
+
+
+class TestBatchedRedrawRounds:
+    """The batched redraw rounds against the per-row loop, on drawn settings."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mechanism=st.sampled_from(_MECHANISMS),
+        scale=st.sampled_from([d.Scale.RATIO, d.Scale.LOG]),
+        epsilon=st.floats(0.01, 0.2),
+        draws=st.integers(2, 1000),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        offset=st.one_of(st.none(), st.floats(0.01, 3.0)),
+        quiet=st.sampled_from([None, "sum_ws", "sum_wy", "mechanism"]),
+    )
+    # Gaussian, log scale, 2 draws, sums 0.01 deviations above zero: a row is capped.
+    @example(
+        mechanism=d.MechanismKind.GAUSSIAN, scale=d.Scale.LOG, epsilon=0.05, draws=2, rows=40,
+        seed=0, offset=0.01, quiet=None,
+    )
+    def test_matches_per_row_loop(self, mechanism, scale, epsilon, draws, rows, seed, offset, quiet):
+        released = _simulated_release(mechanism, _WEIGHTED, epsilon, rows=rows, seed=seed)
+        if offset is not None:
+            # Both noisy sums ``offset`` noise deviations above zero: at a
+            # small offset most replicates are redrawn, and rows with few
+            # draws can be capped.
+            values = released.values.copy()
+            sd = math.sqrt(released.variance("sum_wy"))
+            values[:, [SUM_FIELDS.index("sum_ws"), SUM_FIELDS.index("sum_wy")]] = offset * sd
+            released = released._replace(values=values)
+        if quiet == "mechanism":
+            released = released._replace(mechanism=None)
+        elif quiet is not None:
+            variance = released.noise_variance.copy()
+            variance[SUM_FIELDS.index(quiet)] = 0.0
+            released = released._replace(noise_variance=variance)
+        # _check compares every output array bit for bit and the generators' end states.
+        TestBatchedMonteCarloPass()._check(pytest.MonkeyPatch(), released, scale, draws)
 
 
 class TestAnalyticalCI:

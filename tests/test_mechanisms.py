@@ -265,6 +265,33 @@ class TestReleasedSumsView:
                 with pytest.raises(d.InvalidConfigError, match=field):
                     d.ReleasedSums.from_json_dict(payload)
 
+    def test_json_rejects_non_finite_values_and_bad_variances(self, profile, mechanism, delta):
+        # A release read from outside must meet what release_block guarantees;
+        # a negative variance would otherwise narrow the analytical interval.
+        _, _, _, released = _profile_release(profile, mechanism, delta)
+        bad = {
+            "values": [math.nan, math.inf, -math.inf],
+            "noise_variance": [math.nan, math.inf, -math.inf, -5.0, -1e-300],
+        }
+        for key, entries in bad.items():
+            for field in profile.released_fields:
+                for entry in entries:
+                    payload = released.to_json_dict()
+                    payload[key][field] = entry
+                    with pytest.raises(d.InvalidConfigError, match=rf"{key}\.{field}\b"):
+                        d.ReleasedSums.from_json_dict(json.loads(json.dumps(payload)))
+
+    def test_json_accepts_negative_values_and_zero_variances(self, profile, mechanism, delta):
+        _, _, _, released = _profile_release(profile, mechanism, delta)
+        payload = released.to_json_dict()
+        for field in profile.released_fields:
+            payload["values"][field] = -5.0
+            payload["noise_variance"][field] = 0.0
+        restored = d.ReleasedSums.from_json_dict(payload)
+        assert all(restored.values[f] == -5.0 for f in profile.released_fields)
+        assert all(restored.noise_variance[f] == 0.0 for f in profile.released_fields)
+
+
 class TestDrawNoise:
     def test_zero_variance_is_zero(self):
         rng = np.random.default_rng(0)
