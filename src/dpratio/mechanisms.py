@@ -87,10 +87,18 @@ def split_budget(total: PrivacyBudget, k: int) -> PrivacyBudget:
     """Even per-release budget so k releases jointly satisfy ``total``.
 
     Basic composition: k releases at (eps/k, delta/k) compose to (eps, delta).
+    A positive part of ``total`` so small that its share underflows to 0 is
+    rejected here, naming the total and k rather than the per-sum value.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InvalidSplitError(f"k must be a positive integer, got {k!r}")
-    return PrivacyBudget(total.epsilon / k, total.delta / k)
+    epsilon, delta = total.epsilon / k, total.delta / k
+    if epsilon == 0.0 or delta == 0.0 < total.delta:
+        raise InvalidBudgetError(
+            f"total epsilon {total.epsilon!r} and delta {total.delta!r} split over k={k} sums "
+            f"underflow to per-sum epsilons of {epsilon!r} and deltas of {delta!r}"
+        )
+    return PrivacyBudget(epsilon, delta)
 
 
 #: Smallest positive double: a uniform draw of exactly 0.0 is clamped to it.

@@ -6,9 +6,10 @@ three DP interval methods across a grid of privacy budgets, and aggregates
 width, coverage, and interval score over replications.
 
 Every replication derives its own random substreams from
-(master_seed, replication index, purpose, epsilon), so results are
-bit-reproducible regardless of worker count or execution order, and adding
-epsilon values never perturbs existing streams.  The scale is not part of
+(master_seed, replication index, purpose, epsilon), numpy SeedSequence keys
+whose seeds :mod:`dpratio._seeding` computes a block at a time, so results
+are bit-reproducible regardless of worker count or execution order, and
+adding epsilon values never perturbs existing streams.  The scale is not part of
 that key, so cells that differ only in scale draw the same data and
 releases: :func:`run_experiments` runs them in one pass, sharing those
 draws.  Replications run in blocks: data generation and the sums stay per
@@ -35,6 +36,7 @@ from .inference import (
 )
 from .mechanisms import (
     MechanismKind, PrivacyBudget, ReleasedBlock, check_mechanism_budget, default_delta, release_block,
+    split_budget,
 )
 
 #: Clipping range of the Exponential(1) weights in the weighted design.
@@ -80,13 +82,17 @@ class SimulationConfig:
             object.__setattr__(self, "delta", default_delta(self.mechanism))
         if self.n < 2:
             raise InvalidConfigError(f"n must be at least 2, got {self.n}")
-        if self.replications < 1:
-            raise InvalidConfigError(f"replications must be at least 1, got {self.replications}")
+        # Each replication index must fit one 32-bit word of its stream key.
+        if not 1 <= self.replications <= 2**32:
+            raise InvalidConfigError(f"replications must lie in [1, 2**32], got {self.replications}")
         check_interval_settings(self.level, self.mc_draws)
         if not self.epsilons:
             raise InvalidConfigError("epsilons must be non-empty")
+        k = self.bounds.profile.size
         for epsilon in self.epsilons:
-            check_mechanism_budget(self.mechanism, PrivacyBudget(epsilon, self.delta))
+            budget = PrivacyBudget(epsilon, self.delta)
+            check_mechanism_budget(self.mechanism, budget)
+            split_budget(budget, k)
         _check_true_ratio(self.true_ratio)
         if not 0 <= self.master_seed < 2**64:
             raise InvalidConfigError("master_seed must be a 64-bit unsigned integer")
@@ -177,18 +183,6 @@ def interval_score(lower: float, upper: float, truth: float, alpha: float) -> fl
     return float(_interval_scores(np.array([lower]), np.array([upper]), truth, alpha)[0])
 
 
-def _substream(
-    master_seed: int, replication: int, purpose: int, epsilon: float | None = None
-) -> np.random.SeedSequence:
-    """The seed of one stream; ``np.random.default_rng`` of it always draws the same."""
-    key: list[int] = [replication, purpose]
-    if epsilon is not None:
-        # Key on the bit pattern of the value so editing the epsilon list
-        # never shifts the streams of the remaining epsilons.
-        key.append(int(np.float64(epsilon).view(np.uint64)))
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
-
-
 def _block_size(mc_draws: int) -> int:
     """Replications per block: keeps the (block, mc_draws) Monte Carlo
     matrices near 2**14 values, so memory stays flat in the replication count."""
@@ -218,14 +212,16 @@ def _run_block(
 
     The data, sums and releases are drawn once and shared by every scale;
     each scale's Monte Carlo generators are built afresh from the same
-    seed sequences, because its redraws and refusals differ.
+    seeds, because its redraws and refusals differ.
     """
+    # Imported here: it loads numpy.random, which ``import dpratio`` must not.
+    from ._seeding import generators, state_words
+
+    block_seeds = partial(state_words, config.master_seed, start, stop)
     bounds = config.bounds
-    replications = range(start, stop)
-    exact = np.empty((len(replications), len(SUM_FIELDS)))
-    effective_n = np.empty(len(replications))
-    for i, r in enumerate(replications):
-        rng = np.random.default_rng(_substream(config.master_seed, r, _PURPOSE_DATA))
+    exact = np.empty((stop - start, len(SUM_FIELDS)))
+    effective_n = np.empty(stop - start)
+    for i, rng in enumerate(generators(block_seeds(_PURPOSE_DATA))):
         y, s, w = generate_arrays(config.n, config.weighted, config.true_ratio, rng)
         sums = compute_sums_from_arrays(y, s, w, bounds)
         effective_n[i] = kish_effective_n(sums)
@@ -234,16 +230,13 @@ def _run_block(
     public = ReleasedBlock.exact(exact, bounds.profile)
     estimates = [[estimate_block(public, Method.PUBLIC, scale, config.level)] for scale in scales]
     for eps in config.epsilons:
-        release_rngs = [
-            np.random.default_rng(_substream(config.master_seed, r, _PURPOSE_RELEASE, eps))
-            for r in replications
-        ]
         released = release_block(
-            exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism, release_rngs
+            exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism,
+            generators(block_seeds(_PURPOSE_RELEASE, eps)),
         )
-        mc_seqs = [_substream(config.master_seed, r, _PURPOSE_MC, eps) for r in replications]
+        mc_seeds = block_seeds(_PURPOSE_MC, eps)
         for scale, scale_estimates in zip(scales, estimates):
-            mc_rngs = [np.random.default_rng(seq) for seq in mc_seqs]
+            mc_rngs = generators(mc_seeds)
             for method in _DP_METHODS:
                 scale_estimates.append(
                     estimate_block(released, method, scale, config.level, config.mc_draws, mc_rngs)

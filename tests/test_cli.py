@@ -102,17 +102,24 @@ class TestEstimate:
         assert json.loads(out)["error"]["type"] == "MechanismMismatchError"
 
     def test_negative_seed_rejected_before_data(self, tmp_path, capsys):
-        # Each bad setting is reported instead of the missing file.
-        for flag, value, field in (
-            ("--seed", "-1", "seed"), ("--level", "1.5", "level"), ("--mc-draws", "1", "mc_draws")
+        # Each bad setting is reported instead of the missing file.  A total
+        # epsilon or delta of 5e-324 is valid, but its per-sum share is 0.
+        for flags, error_type, field in (
+            (("--epsilon", "1.0", "--seed", "-1"), "InvalidConfigError", "seed"),
+            (("--epsilon", "1.0", "--level", "1.5"), "InvalidConfigError", "level"),
+            (("--epsilon", "1.0", "--mc-draws", "1"), "InvalidConfigError", "mc_draws"),
+            (
+                ("--epsilon", "5e-324", "--binary", "--mechanism", "laplace"),
+                "InvalidBudgetError", "split over k=5",
+            ),
+            (("--epsilon", "1.0", "--delta", "5e-324"), "InvalidBudgetError", "split over k=7"),
         ):
             status, out = run_cli(
-                capsys, "estimate", "--input", str(tmp_path / "absent.csv"), "--epsilon", "1.0",
-                flag, value,
+                capsys, "estimate", "--input", str(tmp_path / "absent.csv"), *flags
             )
             assert status == 2
             error = json.loads(out)["error"]
-            assert error["type"] == "InvalidConfigError"
+            assert error["type"] == error_type
             assert field in error["message"]
 
     def test_binary_rejects_other_bounds(self, binary_csv, capsys):
@@ -201,12 +208,18 @@ class TestSimulate:
         assert report["cells"][0]["config"]["epsilons"] == [0.2, 0.5, 1.0, 4.0]
 
     def test_gaussian_rejects_zero_delta(self, tmp_path, capsys):
-        # An invalid delta fails before the output directory is created.
-        for delta, error_type in (("0", "MechanismMismatchError"), ("1.5", "InvalidBudgetError")):
-            out_dir = tmp_path / f"out-{delta}"
+        # An invalid budget fails before the output directory is created; the
+        # last two underflow to 0 when split over the 5 sums.
+        for i, (flags, error_type) in enumerate((
+            (("--mechanism", "gaussian", "--delta", "0"), "MechanismMismatchError"),
+            (("--mechanism", "gaussian", "--delta", "1.5"), "InvalidBudgetError"),
+            (("--mechanism", "laplace", "--epsilon", "5e-324"), "InvalidBudgetError"),
+            (("--mechanism", "gaussian", "--delta", "5e-324"), "InvalidBudgetError"),
+        )):
+            out_dir = tmp_path / f"out-{i}"
             status, out = run_cli(
                 capsys, "simulate", "--output-dir", str(out_dir), "--n", "100",
-                "--replications", "2", "--mechanism", "gaussian", "--delta", delta,
+                "--replications", "2", *flags,
             )
             assert status == 2
             assert json.loads(out)["error"]["type"] == error_type

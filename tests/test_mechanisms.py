@@ -84,6 +84,13 @@ class TestSplitBudget:
         per = d.split_budget(d.PrivacyBudget(0.2, 0.0), 5)
         assert per == d.PrivacyBudget(0.04, 0.0)
 
+    def test_underflow_names_total_and_k(self):
+        with pytest.raises(d.InvalidBudgetError, match=r"total epsilon 5e-324 .* k=5 sums"):
+            d.split_budget(d.PrivacyBudget(5e-324), 5)
+        with pytest.raises(d.InvalidBudgetError, match=r"delta 5e-324 split over k=6 sums"):
+            d.split_budget(d.PrivacyBudget(1.0, 5e-324), 6)
+        assert d.split_budget(d.PrivacyBudget(1e-320, 0.0), 7).delta == 0.0
+
     @pytest.mark.parametrize("k", [0, -1, 2.0, True])
     def test_invalid_k(self, k):
         with pytest.raises(d.InvalidSplitError):

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
+from dpratio._seeding import _Seed, generators, state_words
 from dpratio.simulation import (
     _PURPOSE_DATA,
     _PURPOSE_MC,
@@ -16,8 +21,18 @@ from dpratio.simulation import (
     WEIGHT_CLIP,
     _block_size,
     _run_block,
-    _substream,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _substream(master_seed, replication, purpose, epsilon=None):
+    """numpy's own seed of one stream, the oracle of ``_seeding.state_words``:
+    ``np.random.default_rng`` of it draws what the engine's generator draws."""
+    key = [replication, purpose]
+    if epsilon is not None:
+        key.append(int(np.float64(epsilon).view(np.uint64)))
+    return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
 
 
 def small_config(**overrides):
@@ -270,6 +285,49 @@ class TestRunExperiments:
             d.run_experiments([])
 
 
+def _float_from_bits(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
+class TestStreamSeeds:
+    """The vectorised seeding against numpy's SeedSequence."""
+
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 20),
+        purpose=st.integers(0, 2),
+        epsilon=st.one_of(
+            st.none(),
+            st.floats(min_value=np.finfo(np.float64).tiny, max_value=1e300),
+            # Subnormals whose bit pattern is one 32-bit key word.
+            st.integers(1, 2**32 - 1).map(_float_from_bits),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_matches_numpy(self, master_seed, start, rows, purpose, epsilon):
+        stop = min(start + rows, 2**32)
+        engine = generators(state_words(master_seed, start, stop, purpose, epsilon))
+        assert len(engine) == stop - start
+        for r, rng in zip(range(start, stop), engine):
+            oracle = np.random.default_rng(_substream(master_seed, r, purpose, epsilon))
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_seed_answers_only_pcg64s_request(self):
+        words = state_words(7, 0, 1, _PURPOSE_DATA)[0]
+        assert _Seed(words).generate_state(4, np.uint64) is words
+        for request in ((4, np.uint32), (8, np.uint64), (2, np.uint64), (4,)):
+            with pytest.raises(ValueError, match="generate_state"):
+                _Seed(words).generate_state(*request)
+
+    def test_package_import_leaves_numpy_random_unloaded(self):
+        # Only the block runner loads numpy.random, so a pooled simulate's
+        # parent process and every command's start-up stay without it.
+        code = "import dpratio, dpratio.cli, sys; assert 'numpy.random' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 class TestConfigValidation:
     def test_laplace_requires_zero_delta(self):
         with pytest.raises(d.InvalidConfigError):
@@ -295,7 +353,8 @@ class TestConfigValidation:
         [
             ("n", 1), ("replications", 0), ("mc_draws", 1), ("true_ratio", 0.9),
             ("true_ratio", math.nan), ("true_ratio", math.inf), ("master_seed", 2**64),
-            ("delta", 1.5),
+            ("delta", 1.5), ("replications", 2**32 + 1), ("epsilons", (5e-324,)),
+            ("delta", 5e-324),
         ],
     )
     def test_out_of_range_setting_rejected(self, field, value):
