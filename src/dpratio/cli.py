@@ -31,7 +31,7 @@ from .inference import (
     public_estimate,
 )
 from .mechanisms import (
-    MechanismKind, PrivacyBudget, check_mechanism_budget, default_delta, release, split_budget,
+    MechanismKind, PrivacyBudget, calibrate, check_mechanism_budget, default_delta, release,
 )
 from .simulation import ExperimentRow, SimulationConfig, run_experiments, write_rows_csv
 
@@ -145,7 +145,7 @@ def _run_estimate(args: argparse.Namespace) -> int:
     if args.include_public and not args.allow_non_dp:
         raise InvalidConfigError("--include-public requires --allow-non-dp")
     bounds = Bounds(*args.y_bounds, *args.s_bounds, *args.w_bounds, binary_y=args.binary)
-    split_budget(budget, bounds.profile.size)
+    calibrate(bounds, budget, mechanism)
 
     y, s, w = read_dataset_csv(args.input)
     sums = compute_sums_from_arrays(y, s, w, bounds)

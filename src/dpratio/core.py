@@ -167,17 +167,7 @@ class SumVector:
     profile: Profile
 
     def __post_init__(self) -> None:
-        values = self.as_dict()
-        if not all(math.isfinite(v) for v in values.values()):
-            raise InvalidSumsError("sums must be finite")
-        if not self.sum_w > 0.0:
-            raise InvalidSumsError("sum_w must be positive for non-empty data")
-        for alias, source in self.profile.aliases.items():
-            if values[alias] != values[source]:
-                raise InvalidSumsError(f"profile {self.profile.value} requires {alias} == {source}")
-        cs_bound = self.sum_wy2 * self.sum_ws2
-        if self.sum_wys * self.sum_wys > cs_bound * (1.0 + _CS_SLACK) + _CS_SLACK:
-            raise InvalidSumsError("sum_wys^2 exceeds sum_wy2 * sum_ws2")
+        _check_sum_rows(np.array([getattr(self, f) for f in SUM_FIELDS]), self.profile)
 
     def as_dict(self) -> dict[str, float]:
         return {f: getattr(self, f) for f in SUM_FIELDS}
@@ -195,6 +185,9 @@ class SumVector:
 def weighted_sums(y: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The seven sums (w, wy, ws, w^2, wy^2, ws^2, wys), in ``SUM_FIELDS`` order.
 
+    Sums over the last axis, so (n,) arrays give (7,) sums and (rows, n)
+    arrays, one dataset per row, give (rows, 7); on C-contiguous rows each
+    row's sums equal those of the row on its own, bit for bit.
     Bounds keep every summand non-negative, so each sum has condition
     number 1 and numpy's pairwise summation bounds its relative error by
     O(log n) units in the last place (Higham 1993).  That keeps any
@@ -202,21 +195,87 @@ def weighted_sums(y: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     Columns are summed one at a time: stacking them first costs an extra
     n-by-7 copy.
     """
+    totals = np.empty(y.shape[:-1] + (len(SUM_FIELDS),))
     wy = w * y
     ws = w * s
-    return np.array([
-        np.sum(w), np.sum(wy), np.sum(ws),
-        np.sum(w * w), np.sum(wy * y), np.sum(ws * s), np.sum(wy * s),
-    ])
+    # Each product is summed as soon as it is made, so one at most is alive.
+    for i, product in enumerate((w, wy, ws)):
+        np.add.reduce(product, axis=-1, out=totals[..., i])
+    np.add.reduce(w * w, axis=-1, out=totals[..., 3])
+    np.add.reduce(wy * y, axis=-1, out=totals[..., 4])
+    np.add.reduce(ws * s, axis=-1, out=totals[..., 5])
+    np.add.reduce(wy * s, axis=-1, out=totals[..., 6])
+    return totals
 
 
-def _validate_column(values: np.ndarray, low: float, high: float, name: str) -> None:
-    ok = (values >= low) & (values <= high)  # NaN compares false
-    if not ok.all():
-        idx = int(np.argmin(ok))
-        raise BoundsViolationError(
-            f"record {idx}: {name}={float(values[idx])} outside [{low}, {high}]", index=idx
-        )
+def _check_records(y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, first_row: int) -> None:
+    """Every value within ``bounds`` and, for binary labels, every label 0 or 1.
+
+    The arrays hold one dataset, (n,), or one per row, (rows, n).  The
+    error names the first offending record of the first offending dataset,
+    checked as on its own: its labels, scores and weights against their
+    bounds, then its labels for binariness.  A matrix's rows are the
+    replications ``first_row`` onwards, and the error names that one too.
+    NaN compares false, so it is always out of bounds.
+    """
+    columns = (("y", y, bounds.y_low, bounds.y_high), ("s", s, bounds.s_low, bounds.s_high),
+               ("w", w, bounds.w_low, bounds.w_high))
+    # The fast path: two reductions per column (NaN fails both), and with
+    # labels in [0, 1] every nonzero label is 1 exactly when they count alike.
+    if all(values.min() >= low and values.max() <= high for _, values, low, high in columns) and (
+        not bounds.binary_y or np.count_nonzero(y) == np.count_nonzero(y == 1.0)
+    ):
+        return
+    ok = [(values >= low) & (values <= high) for _, values, low, high in columns]
+    if bounds.binary_y:
+        ok.append((y == 0.0) | (y == 1.0))
+    if y.ndim == 1:
+        row, where = (), ""
+    else:
+        row = int(np.argmin(np.logical_and.reduce(ok).all(axis=-1)))
+        where = f"replication {first_row + row}, "
+        row = (row,)
+    for (name, values, low, high), mask in zip(columns, ok):
+        if not mask[row].all():
+            idx = int(np.argmin(mask[row]))
+            raise BoundsViolationError(
+                f"{where}record {idx}: {name}={float(values[row][idx])} outside [{low}, {high}]", index=idx
+            )
+    idx = int(np.argmin(ok[-1][row]))
+    raise BoundsViolationError(f"{where}record {idx}: y={float(y[row][idx])} not in {{0, 1}}", index=idx)
+
+
+def _check_sum_rows(totals: np.ndarray, profile: Profile) -> None:
+    """The invariants of exact sums, for (7,) or (rows, 7) ``SUM_FIELDS`` rows."""
+    if not np.isfinite(totals).all():
+        raise InvalidSumsError("sums must be finite")
+    column = {f: totals[..., i] for i, f in enumerate(SUM_FIELDS)}
+    if not (column["sum_w"] > 0.0).all():
+        raise InvalidSumsError("sum_w must be positive for non-empty data")
+    for alias, source in profile.aliases.items():
+        if not (column[alias] == column[source]).all():
+            raise InvalidSumsError(f"profile {profile.value} requires {alias} == {source}")
+    with np.errstate(over="ignore"):
+        cs_bound = column["sum_wy2"] * column["sum_ws2"]
+        if (column["sum_wys"] * column["sum_wys"] > cs_bound * (1.0 + _CS_SLACK) + _CS_SLACK).any():
+            raise InvalidSumsError("sum_wys^2 exceeds sum_wy2 * sum_ws2")
+
+
+def exact_sums(
+    y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, first_row: int = 0
+) -> np.ndarray:
+    """The checked sums of (n,) or (rows, n) data: (7,) or (rows, 7), ``SUM_FIELDS`` order.
+
+    Every record is checked against ``bounds`` first (see
+    :func:`_check_records`; ``first_row`` numbers the rows of a matrix in
+    its errors), the profile's collapsed sums are mirrored, and the sums
+    must meet :class:`SumVector`'s invariants.  Rows must be C-contiguous.
+    """
+    _check_records(y, s, w, bounds, first_row)
+    totals = weighted_sums(y, s, w)
+    bounds.profile.mirror(totals)
+    _check_sum_rows(totals, bounds.profile)
+    return totals
 
 
 def compute_sums_from_arrays(
@@ -236,17 +295,7 @@ def compute_sums_from_arrays(
         raise InvalidConfigError("y, s, w must be one-dimensional arrays of equal length")
     if y.size == 0:
         raise EmptyDatasetError("dataset has no records")
-    _validate_column(y, bounds.y_low, bounds.y_high, "y")
-    _validate_column(s, bounds.s_low, bounds.s_high, "s")
-    _validate_column(w, bounds.w_low, bounds.w_high, "w")
-    if bounds.binary_y:
-        binary = (y == 0.0) | (y == 1.0)
-        if not binary.all():
-            idx = int(np.argmin(binary))
-            raise BoundsViolationError(f"record {idx}: y={float(y[idx])} not in {{0, 1}}", index=idx)
-
-    totals = weighted_sums(y, s, w)
-    bounds.profile.mirror(totals)
+    totals = exact_sums(y, s, w, bounds)
     return SumVector(profile=bounds.profile, **dict(zip(SUM_FIELDS, totals.tolist())))
 
 
@@ -284,9 +333,16 @@ def sensitivity_per_sum(bounds: Bounds) -> dict[str, float]:
 
 def kish_effective_n(sums: SumVector) -> float:
     """Kish's effective sample size, (sum w)^2 / sum w^2."""
-    if not sums.sum_w2 > 0.0:
+    return float(kish_rows(np.array([getattr(sums, f) for f in SUM_FIELDS])))
+
+
+def kish_rows(totals: np.ndarray) -> np.ndarray:
+    """:func:`kish_effective_n` of (7,) or (rows, 7) ``SUM_FIELDS`` rows."""
+    sum_w, sum_w2 = totals[..., SUM_FIELDS.index("sum_w")], totals[..., SUM_FIELDS.index("sum_w2")]
+    if not (sum_w2 > 0.0).all():
         raise InvalidSumsError("sum_w2 must be positive")
-    return sums.sum_w * sums.sum_w / sums.sum_w2
+    with np.errstate(over="ignore"):
+        return sum_w * sum_w / sum_w2
 
 
 def read_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from statistics import NormalDist
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -226,69 +226,106 @@ def _wald_arrays(
     return point - half, point + half
 
 
-def _monte_carlo_extra(
-    released: ReleasedBlock,
-    scale: Scale,
-    point: np.ndarray,
-    rows: np.ndarray,
-    draws: int,
-    rngs: Sequence[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Injected variance of the point estimate, estimated by re-noising.
+class _FirstPass(NamedTuple):
+    """The first Monte Carlo pass over the rows ``rows`` of a block.
 
-    For each listed row, ``draws`` fresh noise pairs for the score and label
-    sums are drawn from ``rngs[row]`` at the release variances (numerator
-    first) and added to the noisy sums.  A replicate with a non-positive
-    denominator (or numerator, on the log scale) is redrawn.  Redraws run in
-    rounds over every row that still lacks replicates: each row draws the
-    pairs it lacks with one call on its own generator (the stream of a
-    per-row loop, so the generators must be distinct), one transform maps
-    the round to noise, and each row's accepted replicates follow the ones
-    it holds.  A row that rejects more than ``_REDRAW_CAP_PER_DRAW * draws``
-    replicates is capped and writes nothing in that round.
-    Returns the mean squared deviation from the point estimate and the
-    redraw and cap masks, all of block length.
+    ``ratios`` holds each row's ``draws`` re-noised numerator over
+    denominator, ``num_ok`` and ``den_ok`` whether those sums are positive.
+    Only the halves ``lo:hi`` (numerator 0, denominator 1) carry noise, at
+    ``variances``.  ``rngs`` maps each row to its generator, just past the
+    pass; a scale that redraws a row takes its generator out.
     """
-    extra = np.zeros(len(point))
-    redrawn = np.zeros(len(point), dtype=bool)
-    capped = np.zeros(len(point), dtype=bool)
-    var_s = released.variance("sum_ws")
-    var_y = released.variance("sum_wy")
-    if (var_s == 0.0 and var_y == 0.0) or len(rows) == 0:
-        return extra, redrawn, capped
+
+    rows: np.ndarray
+    ratios: np.ndarray
+    num_ok: np.ndarray
+    den_ok: np.ndarray
+    lo: int
+    hi: int
+    variances: np.ndarray
+    rngs: dict[int, np.random.Generator]
+
+
+def _first_pass(
+    released: ReleasedBlock, rows: np.ndarray, draws: int, rngs: Sequence[np.random.Generator]
+) -> _FirstPass:
+    """Each row fills its (numerator, denominator) draws with one call on its
+    generator, then one transform maps them all to noise.  As in draw_noise,
+    a sum without noise draws nothing, so the drawn halves are the
+    contiguous slice lo:hi and the stream matches per-sum calls."""
     mechanism = released.mechanism
-    numerator = released.values[rows, _SUM_WS]
-    denominator = released.values[rows, _SUM_WY]
-    # First pass: each row fills its (numerator, denominator) draws with one
-    # generator call, then one transform maps the whole block to noise.  As
-    # in draw_noise, a sum without noise draws nothing, so the drawn halves
-    # are the contiguous slice lo:hi and the stream matches per-sum calls.
+    var_s, var_y = released.variance("sum_ws"), released.variance("sum_wy")
     lo = 0 if mechanism is not None and var_s > 0.0 else 1
     hi = 2 if mechanism is not None and var_y > 0.0 else 1
     variances = np.array([var_s, var_y])[lo:hi, None]
     noisy = np.zeros((len(rows), 2, draws))
     if lo < hi:
         drawn = noisy[:, lo:hi]
-        for i, row in enumerate(rows):
-            raw_draws(rngs[row], mechanism, out=drawn[i])
+        for rng, out in zip(rngs, drawn):
+            raw_draws(rng, mechanism, out=out)
         noise_from_raw(drawn, mechanism, variances)
     noisy_num, noisy_den = noisy[:, 0], noisy[:, 1]
-    noisy_num += numerator[:, None]
-    noisy_den += denominator[:, None]
-    ok = noisy_den > 0.0
+    noisy_num += released.values[rows, _SUM_WS, None]
+    noisy_den += released.values[rows, _SUM_WY, None]
+    return _FirstPass(
+        rows, noisy_num / noisy_den, noisy_num > 0.0, noisy_den > 0.0, lo, hi, variances,
+        dict(zip(rows.tolist(), rngs)),
+    )
+
+
+def _redraw_rounds(
+    released: ReleasedBlock,
+    first: _FirstPass,
+    scale: Scale,
+    point: np.ndarray,
+    rows: np.ndarray,
+    draws: int,
+    rngs: Callable[[np.ndarray], Sequence[np.random.Generator]],
+    last: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The correction of one scale for ``rows``, a subset of the first pass's.
+
+    A replicate with a non-positive denominator (or numerator, on the log
+    scale) is redrawn.  Redraws run in rounds over every row that still
+    lacks replicates: each row draws the pairs it lacks with one call on its
+    own generator (the stream of a per-row loop, so the generators must be
+    distinct), one transform maps the round to noise, and each row's
+    accepted replicates follow the ones it holds.  A row that rejects more
+    than ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped and writes
+    nothing in that round.  A row whose first-pass generator an earlier
+    scale has already redrawn from gets a new one from ``rngs``, moved past
+    the first pass by drawing it again.  Only the ``last`` scale may take
+    the first pass's ratios without a copy.
+    """
+    extra = np.zeros(len(point))
+    redrawn = np.zeros(len(point), dtype=bool)
+    capped = np.zeros(len(point), dtype=bool)
+    mechanism, lo, hi, variances = released.mechanism, first.lo, first.hi, first.variances
+    m = hi - lo
+    at = np.searchsorted(first.rows, rows)
+    ok = first.den_ok[at]
     if scale is Scale.LOG:
-        ok &= noisy_num > 0.0
-    replicates = np.divide(noisy_num, noisy_den, out=noisy_num)
+        ok &= first.num_ok[at]
+    replicates = first.ratios if last and len(rows) == len(first.rows) else first.ratios[at]
 
     # Rows with rejections move their accepted replicates to the front.
     filled = ok.sum(axis=1)
     replicates[np.arange(draws) < filled[:, None]] = replicates[ok]
     pending = np.flatnonzero(filled < draws)  # positions in ``rows``
     redrawn[rows[pending]] = True
+    gens = {row: first.rngs.pop(row, None) for row in rows[pending].tolist()}
+    stale = [row for row, rng in gens.items() if rng is None]
+    if stale:
+        for row, rng in zip(stale, rngs(np.array(stale))):
+            if m:
+                raw_draws(rng, mechanism, m * draws)
+            gens[row] = rng
+    numerator = released.values[rows, _SUM_WS]
+    denominator = released.values[rows, _SUM_WY]
     filled = filled[pending]
     rejected = draws - filled
     cap = _REDRAW_CAP_PER_DRAW * draws
-    flat = noisy.reshape(-1)  # replicate (i, j) is flat[i * 2 * draws + j]
+    flat = replicates.reshape(-1)  # replicate (i, j) is flat[i * draws + j]
     while len(pending):
         # Each pending row draws the k replicates it lacks with one generator
         # call, k draws per noisy sum, numerator first, as draw_noise would.
@@ -297,11 +334,10 @@ def _monte_carlo_extra(
         starts = ends - k
         seg = np.repeat(np.arange(len(pending)), k)  # the pending row of each replicate
         noise = np.zeros((2, ends[-1]))
-        if lo < hi:
-            m = hi - lo
+        if m:
             raw = np.empty(m * ends[-1])
             for row, a, b in zip(rows[pending].tolist(), (m * starts).tolist(), (m * ends).tolist()):
-                raw_draws(rngs[row], mechanism, out=raw[a:b])
+                raw_draws(gens[row], mechanism, out=raw[a:b])
             # Replicate j of row r reads its half-h draw at j + (m-1)*starts[r] + h*k[r].
             at = np.arange(ends[-1]) + (m - 1) * starts[seg]
             noise[lo:hi] = raw[at + np.arange(m)[:, None] * k[seg]]
@@ -318,8 +354,8 @@ def _monte_carlo_extra(
         rejected += k - accepted
         over = rejected > cap
         # A row's accepted replicates follow its filled ones, in draw order.
-        first = np.cumsum(accepted) - accepted  # the row's first place in ``write``
-        target = (pending * (2 * draws) + filled - first)[owner] + np.arange(len(write))
+        first_place = np.cumsum(accepted) - accepted  # the row's first place in ``write``
+        target = (pending * draws + filled - first_place)[owner] + np.arange(len(write))
         ratios = more_num[write] / more_den[write]
         if over.any():
             capped[rows[pending[over]]] = True
@@ -336,6 +372,40 @@ def _monte_carlo_extra(
     return extra, redrawn, capped
 
 
+def _monte_carlo_extras(
+    released: ReleasedBlock,
+    cells: Sequence[tuple[Scale, np.ndarray, np.ndarray]],
+    draws: int,
+    rngs: Callable[[np.ndarray], Sequence[np.random.Generator]],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Injected variance of the point estimates, estimated by re-noising.
+
+    Each cell is a (scale, point estimates, rows to correct) triple.  For
+    each such row, ``draws`` fresh noise pairs for the score and label sums
+    are drawn from the row's own generator at the release variances
+    (numerator first) and added to the noisy sums.  That first pass is the
+    same on every scale, so it is made once (:func:`_first_pass`), over the
+    union of the cells' rows; each cell then runs its own redraws
+    (:func:`_redraw_rounds`).  ``rngs(rows)`` returns the generators of the
+    given block rows at the start of their streams, so each cell sees the
+    streams it would see on its own.  Returns, per cell, the mean squared
+    deviation from the point estimate and the redraw and cap masks, all of
+    block length.
+    """
+    size = len(released.values)
+    drawn = np.zeros(size, dtype=bool)
+    for _, _, rows in cells:
+        drawn[rows] = True
+    union = np.flatnonzero(drawn)
+    if (released.variance("sum_ws") == 0.0 and released.variance("sum_wy") == 0.0) or len(union) == 0:
+        return [(np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)) for _ in cells]
+    first = _first_pass(released, union, draws, rngs(union))
+    return [
+        _redraw_rounds(released, first, scale, point, rows, draws, rngs, last=i == len(cells) - 1)
+        for i, (scale, point, rows) in enumerate(cells)
+    ]
+
+
 def estimate_block(
     released: ReleasedBlock,
     method: Method,
@@ -350,36 +420,65 @@ def estimate_block(
     ``Method.MONTE_CARLO`` needs ``rngs``, one generator per row; a row
     draws from its generator only if it was not refused before.
     """
+    row_rngs = None if rngs is None else (lambda rows: [rngs[row] for row in rows.tolist()])
+    return _estimate_scales(released, method, (scale,), level, draws, row_rngs)[0]
+
+
+def _estimate_scales(
+    released: ReleasedBlock,
+    method: Method,
+    scales: Sequence[Scale],
+    level: float = DEFAULT_LEVEL,
+    draws: int = DEFAULT_MC_DRAWS,
+    rngs: Callable[[np.ndarray], Sequence[np.random.Generator]] | None = None,
+) -> list[EstimateBlock]:
+    """:func:`estimate_block` on each of ``scales``, one Monte Carlo first pass for all.
+
+    ``rngs(rows)`` returns the Monte Carlo generators of the given block
+    rows, each at the start of its stream, and may be called more than
+    once for a row (see :func:`_monte_carlo_extras`).  Each scale's result
+    equals :func:`estimate_block` of that scale on fresh generators.
+    """
     check_interval_settings(level, draws if method is Method.MONTE_CARLO else None)
     values = released.values
-    refusal = np.zeros(len(values), dtype=np.int8)
-    flags = np.zeros((len(values), len(FLAGS)), dtype=bool)
+    points, variances, refusals, flags = [], [], [], []
     with np.errstate(all="ignore"):
-        point = _point_arrays(values, scale, refusal)
-        moments = _moment_arrays(values, refusal)
-        flags[:, :_MOMENT_FLAGS] = moments.flags
-        if method is Method.ANALYTICAL:
-            # Release noise is independent of the data: it adds its variance to
-            # the score-sum and label-sum terms and leaves the covariance alone.
-            w2 = values[:, _SUM_W] * values[:, _SUM_W]
-            moments = moments._replace(
-                var_s_bar=moments.var_s_bar + released.variance("sum_ws") / w2,
-                var_y_bar=moments.var_y_bar + released.variance("sum_wy") / w2,
-            )
-        variance, flags[:, _MOMENT_FLAGS] = _variance_arrays(moments, scale, refusal)
+        for scale in scales:
+            refusal = np.zeros(len(values), dtype=np.int8)
+            flag = np.zeros((len(values), len(FLAGS)), dtype=bool)
+            point = _point_arrays(values, scale, refusal)
+            moments = _moment_arrays(values, refusal)
+            flag[:, :_MOMENT_FLAGS] = moments.flags
+            if method is Method.ANALYTICAL:
+                # Release noise is independent of the data: it adds its variance to
+                # the score-sum and label-sum terms and leaves the covariance alone.
+                w2 = values[:, _SUM_W] * values[:, _SUM_W]
+                moments = moments._replace(
+                    var_s_bar=moments.var_s_bar + released.variance("sum_ws") / w2,
+                    var_y_bar=moments.var_y_bar + released.variance("sum_wy") / w2,
+                )
+            variance, flag[:, _MOMENT_FLAGS] = _variance_arrays(moments, scale, refusal)
+            points.append(point)
+            variances.append(variance)
+            refusals.append(refusal)
+            flags.append(flag)
         if method is Method.MONTE_CARLO:
-            rows = np.flatnonzero(refusal == 0)
-            extra, flags[:, _MOMENT_FLAGS + 1], capped = _monte_carlo_extra(
-                released, scale, point, rows, draws, rngs
-            )
-            _refuse(refusal, capped, Refusal.MONTE_CARLO_REDRAW_CAP)
-            variance = variance + extra
-    refused = refusal != 0
-    point = np.where(refused, np.nan, point)
-    variance = np.where(refused, np.nan, variance)
-    flags[refused] = False
-    lower, upper = _wald_arrays(point, variance, level)
-    return EstimateBlock(point, variance, lower, upper, refusal, flags)
+            cells = [(scale, point, np.flatnonzero(refusal == 0))
+                     for scale, point, refusal in zip(scales, points, refusals)]
+            extras = _monte_carlo_extras(released, cells, draws, rngs)
+            for i, (extra, redrawn, capped) in enumerate(extras):
+                flags[i][:, _MOMENT_FLAGS + 1] = redrawn
+                _refuse(refusals[i], capped, Refusal.MONTE_CARLO_REDRAW_CAP)
+                variances[i] = variances[i] + extra
+    blocks = []
+    for point, variance, refusal, flag in zip(points, variances, refusals, flags):
+        refused = refusal != 0
+        point = np.where(refused, np.nan, point)
+        variance = np.where(refused, np.nan, variance)
+        flag[refused] = False
+        lower, upper = _wald_arrays(point, variance, level)
+        blocks.append(EstimateBlock(point, variance, lower, upper, refusal, flag))
+    return blocks
 
 
 # --------------------------------------------------------------------------

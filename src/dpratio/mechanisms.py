@@ -101,6 +101,48 @@ def split_budget(total: PrivacyBudget, k: int) -> PrivacyBudget:
     return PrivacyBudget(epsilon, delta)
 
 
+class Calibration(NamedTuple):
+    """The noise of one release, per released sum in profile order.
+
+    ``scales`` are the Gaussian standard deviations or the Laplace scales;
+    ``variances`` the noise variances they give.
+    """
+
+    per_sum_budget: PrivacyBudget
+    scales: np.ndarray
+    variances: np.ndarray
+
+
+def calibrate(bounds: Bounds, total_budget: PrivacyBudget, mechanism: MechanismKind) -> Calibration:
+    """Per-sum noise of a release of the profile ``bounds`` declares at ``total_budget``.
+
+    Owns every check a release makes of its budget: the mechanism's delta,
+    the split over the k released sums, and noise variances that stay
+    finite.  A tiny total epsilon can leave every per-sum share positive
+    and still square a scale past the largest double; that budget is
+    rejected here, naming epsilon, delta, k and the mechanism.
+    """
+    check_mechanism_budget(mechanism, total_budget)
+    fields = bounds.profile.released_fields
+    per = split_budget(total_budget, len(fields))
+    sens = sensitivity_per_sum(bounds)
+    # Python floats overflow to inf without a warning; the check below owns that case.
+    if mechanism is MechanismKind.GAUSSIAN:
+        scales = [gaussian_sigma(sens[f], per) for f in fields]
+        variances = [x * x for x in scales]
+    else:
+        scales = [laplace_scale(sens[f], per.epsilon) for f in fields]
+        variances = [2.0 * x * x for x in scales]
+    for field, variance in zip(fields, variances):
+        if not math.isfinite(variance):
+            raise InvalidBudgetError(
+                f"{mechanism.value} noise at total epsilon {total_budget.epsilon!r} and delta "
+                f"{total_budget.delta!r} split over k={len(fields)} sums (per-sum epsilons of "
+                f"{per.epsilon!r}) has a variance that is not finite for {field}"
+            )
+    return Calibration(per, np.array(scales), np.array(variances))
+
+
 #: Smallest positive double: a uniform draw of exactly 0.0 is clamped to it.
 _TINY = np.finfo(np.float64).tiny
 
@@ -108,19 +150,23 @@ _TINY = np.finfo(np.float64).tiny
 def _laplace_from_uniform(u: np.ndarray, scale) -> np.ndarray:
     """Inverse CDF of the centred Laplace at ``scale``, computed in place on ``u``.
 
-    Below the median a draw is scale * log(2u), above it -scale * log(2(1 - u)),
-    so one log serves both halves.  u == 0.0 (possible: rng.random() covers
-    [0, 1)) is clamped to the smallest positive double, which maps to a
-    finite deep-tail draw of the correct sign.
+    Below the median a draw is scale * log(2u), above it -scale * log(2(1 - u)).
+    One log of 2 * min(u, 1 - u) serves both halves, and the sign comes
+    from the same temporary t = 1 - u: the draw is -copysign(|x|, t - 0.5),
+    so u == 0.5 gives -0.0 and no ufunc runs under a mask.  u == 0.0
+    (possible: rng.random() covers [0, 1)) is clamped to the smallest
+    positive double, which maps to a finite deep-tail draw of the correct
+    sign.
     """
     np.maximum(u, _TINY, out=u)
-    upper = u >= 0.5
-    np.subtract(1.0, u, out=u, where=upper)
+    t = 1.0 - u
+    np.minimum(u, t, out=u)
+    t -= 0.5
     u *= 2.0
     np.log(u, out=u)
     u *= scale
-    np.negative(u, out=u, where=upper)
-    return u
+    np.copysign(u, t, out=u)
+    return np.negative(u, out=u)
 
 
 def raw_draws(
@@ -283,31 +329,25 @@ def release_block(
     collapsed duplicates mirror the released column instead of consuming
     budget.  Every row takes k draws from its own generator, in field order.
     """
-    check_mechanism_budget(mechanism, total_budget)
+    calibration = calibrate(bounds, total_budget, mechanism)
     profile = bounds.profile
     fields = profile.released_fields
-    per = split_budget(total_budget, len(fields))
-    sens = sensitivity_per_sum(bounds)
 
     noises = np.empty((len(rngs), len(fields)))
     for rng, row in zip(rngs, noises):
         raw_draws(rng, mechanism, out=row)
     if mechanism is MechanismKind.GAUSSIAN:
-        sigmas = np.array([gaussian_sigma(sens[f], per) for f in fields])
-        noises *= sigmas
-        variances = sigmas * sigmas
+        noises *= calibration.scales
     else:
-        scales = np.array([laplace_scale(sens[f], per.epsilon) for f in fields])
-        _laplace_from_uniform(noises, scales)
-        variances = 2.0 * scales * scales
+        _laplace_from_uniform(noises, calibration.scales)
 
     columns = [SUM_FIELDS.index(f) for f in fields]
     values = np.array(sums, dtype=np.float64)
     values[:, columns] += noises
     noise_variance = np.zeros(len(SUM_FIELDS))
-    noise_variance[columns] = variances
+    noise_variance[columns] = calibration.variances
     profile.mirror(values, noise_variance)
-    return ReleasedBlock(values, noise_variance, mechanism, per, profile)
+    return ReleasedBlock(values, noise_variance, mechanism, calibration.per_sum_budget, profile)
 
 
 def release(

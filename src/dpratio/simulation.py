@@ -12,8 +12,10 @@ are bit-reproducible regardless of worker count or execution order, and
 adding epsilon values never perturbs existing streams.  The scale is not part of
 that key, so cells that differ only in scale draw the same data and
 releases: :func:`run_experiments` runs them in one pass, sharing those
-draws.  Replications run in blocks: data generation and the sums stay per
-replication, while release and inference run on arrays over the block.
+draws.  Replications run in blocks, and each stage runs on arrays over the
+block: the datasets are drawn into (rows, n) matrices a chunk at a time and
+summed in one pass per chunk, and release and inference, including one
+Monte Carlo first pass shared by the scales, run on the block's sums.
 """
 
 from __future__ import annotations
@@ -28,15 +30,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SUM_FIELDS, Bounds, compute_sums_from_arrays, kish_effective_n
+from .core import SUM_FIELDS, Bounds, exact_sums, kish_rows
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import (
     DEFAULT_LEVEL, DEFAULT_MC_DRAWS, FLAGS, REFUSAL_CAUSES, EstimateBlock, Method, Refusal, Scale,
-    check_interval_settings, estimate_block,
+    _estimate_scales, check_interval_settings,
 )
 from .mechanisms import (
-    MechanismKind, PrivacyBudget, ReleasedBlock, check_mechanism_budget, default_delta, release_block,
-    split_budget,
+    MechanismKind, PrivacyBudget, ReleasedBlock, calibrate, default_delta, release_block,
 )
 
 #: Clipping range of the Exponential(1) weights in the weighted design.
@@ -48,6 +49,10 @@ _DP_METHODS = (Method.NO_CORRECTION, Method.MONTE_CARLO, Method.ANALYTICAL)
 _PURPOSE_DATA = 0
 _PURPOSE_RELEASE = 1
 _PURPOSE_MC = 2
+
+
+#: Values per chunk of a block's datasets: a chunk holds max(1, _CHUNK_VALUES // n) of them.
+_CHUNK_VALUES = 2**12
 
 
 def _check_true_ratio(true_ratio: float) -> None:
@@ -88,11 +93,9 @@ class SimulationConfig:
         check_interval_settings(self.level, self.mc_draws)
         if not self.epsilons:
             raise InvalidConfigError("epsilons must be non-empty")
-        k = self.bounds.profile.size
+        bounds = self.bounds
         for epsilon in self.epsilons:
-            budget = PrivacyBudget(epsilon, self.delta)
-            check_mechanism_budget(self.mechanism, budget)
-            split_budget(budget, k)
+            calibrate(bounds, PrivacyBudget(epsilon, self.delta), self.mechanism)
         _check_true_ratio(self.true_ratio)
         if not 0 <= self.master_seed < 2**64:
             raise InvalidConfigError("master_seed must be a 64-bit unsigned integer")
@@ -154,13 +157,23 @@ def generate_arrays(
     if n < 1:
         raise InvalidConfigError(f"n must be at least 1, got {n}")
     _check_true_ratio(true_ratio)
-    s = rng.beta(2.0, 2.0, n)
-    y = (rng.random(n) < s / true_ratio).astype(np.float64)
-    if weighted:
-        w = np.clip(rng.standard_exponential(n), WEIGHT_CLIP[0], WEIGHT_CLIP[1])
-    else:
-        w = np.ones(n)
+    y, s, w = np.empty(n), np.empty(n), np.empty(n)
+    _draw_dataset(rng, weighted, true_ratio, y, s, w)
     return y, s, w
+
+
+def _draw_dataset(
+    rng: np.random.Generator, weighted: bool, true_ratio: float, y: np.ndarray, s: np.ndarray, w: np.ndarray
+) -> None:
+    """:func:`generate_arrays` into the caller's contiguous rows, settings unchecked."""
+    s[:] = rng.beta(2.0, 2.0, len(s))
+    rng.random(out=y)
+    np.less(y, s / true_ratio, out=y)
+    if weighted:
+        rng.standard_exponential(out=w)
+        np.clip(w, WEIGHT_CLIP[0], WEIGHT_CLIP[1], out=w)
+    else:
+        w.fill(1.0)
 
 
 def _interval_scores(
@@ -205,42 +218,62 @@ class _BlockResult(NamedTuple):
     flags: np.ndarray
 
 
+def _block_sums(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact (B, 7) sums and the Kish sizes of replications ``start`` to ``stop - 1``.
+
+    The datasets are drawn a chunk of rows at a time into (rows, n)
+    matrices, each row from its own stream as :func:`generate_arrays`
+    would draw it, and each chunk is checked and summed in one pass; the
+    results equal a per-replication loop bit for bit.  ``config`` owns the
+    settings :func:`generate_arrays` checks, so they are not checked again.
+    """
+    from ._seeding import generators, state_words  # loads numpy.random, as in _run_block
+
+    data_words = state_words(config.master_seed, start, stop, _PURPOSE_DATA)
+    n = config.n
+    exact = np.empty((stop - start, len(SUM_FIELDS)))
+    chunk = max(1, _CHUNK_VALUES // n)
+    data = np.empty((3, min(chunk, stop - start), n))
+    for lo in range(0, stop - start, chunk):
+        hi = min(lo + chunk, stop - start)
+        y, s, w = data[:, : hi - lo]
+        for rng, *row in zip(generators(data_words[lo:hi]), y, s, w):
+            _draw_dataset(rng, config.weighted, config.true_ratio, *row)
+        exact[lo:hi] = exact_sums(y, s, w, config.bounds, start + lo)
+    return exact, kish_rows(exact)
+
+
 def _run_block(
     config: SimulationConfig, scales: Sequence[Scale], start: int, stop: int
 ) -> list[_BlockResult]:
     """Replications ``start`` to ``stop - 1`` of ``config`` on each of ``scales``.
 
-    The data, sums and releases are drawn once and shared by every scale;
-    each scale's Monte Carlo generators are built afresh from the same
-    seeds, because its redraws and refusals differ.
+    The data, sums, releases and the first Monte Carlo pass are drawn once
+    and shared by every scale; a scale's redraws, which differ, run on
+    generators at the point of the stream where that pass left them.
     """
     # Imported here: it loads numpy.random, which ``import dpratio`` must not.
     from ._seeding import generators, state_words
 
     block_seeds = partial(state_words, config.master_seed, start, stop)
     bounds = config.bounds
-    exact = np.empty((stop - start, len(SUM_FIELDS)))
-    effective_n = np.empty(stop - start)
-    for i, rng in enumerate(generators(block_seeds(_PURPOSE_DATA))):
-        y, s, w = generate_arrays(config.n, config.weighted, config.true_ratio, rng)
-        sums = compute_sums_from_arrays(y, s, w, bounds)
-        effective_n[i] = kish_effective_n(sums)
-        exact[i] = [getattr(sums, f) for f in SUM_FIELDS]
+    exact, effective_n = _block_sums(config, start, stop)
 
     public = ReleasedBlock.exact(exact, bounds.profile)
-    estimates = [[estimate_block(public, Method.PUBLIC, scale, config.level)] for scale in scales]
+    estimates = [[block] for block in _estimate_scales(public, Method.PUBLIC, scales, config.level)]
     for eps in config.epsilons:
         released = release_block(
             exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism,
             generators(block_seeds(_PURPOSE_RELEASE, eps)),
         )
-        mc_seeds = block_seeds(_PURPOSE_MC, eps)
-        for scale, scale_estimates in zip(scales, estimates):
-            mc_rngs = generators(mc_seeds)
-            for method in _DP_METHODS:
-                scale_estimates.append(
-                    estimate_block(released, method, scale, config.level, config.mc_draws, mc_rngs)
-                )
+        mc_words = block_seeds(_PURPOSE_MC, eps)
+        for method in _DP_METHODS:
+            blocks = _estimate_scales(
+                released, method, scales, config.level, config.mc_draws,
+                lambda rows: generators(mc_words[rows]),
+            )
+            for scale_estimates, block in zip(estimates, blocks):
+                scale_estimates.append(block)
     return [
         _block_result(scale_estimates, scale, config, effective_n)
         for scale, scale_estimates in zip(scales, estimates)
@@ -270,8 +303,8 @@ def run_experiments(
     """Run cells that differ only in ``scale`` in one pass; one row list per config.
 
     The scale is not part of any substream key, so such cells share their
-    data, sums and releases, which are drawn once per replication; each
-    result equals :func:`run_experiment` of its config.  Replications are
+    data, sums, releases and first Monte Carlo pass, which are drawn once
+    per replication; each result equals :func:`run_experiment` of its config.  Replications are
     split into fixed blocks whose results are concatenated in replication
     order, so neither the blocks nor ``threads`` change the result.  With
     ``threads > 1`` the blocks run in one process pool.

@@ -103,7 +103,8 @@ class TestEstimate:
 
     def test_negative_seed_rejected_before_data(self, tmp_path, capsys):
         # Each bad setting is reported instead of the missing file.  A total
-        # epsilon or delta of 5e-324 is valid, but its per-sum share is 0.
+        # epsilon or delta of 5e-324 is valid, but its per-sum share is 0; at
+        # a total epsilon of 1e-300 the noise variance overflows.
         for flags, error_type, field in (
             (("--epsilon", "1.0", "--seed", "-1"), "InvalidConfigError", "seed"),
             (("--epsilon", "1.0", "--level", "1.5"), "InvalidConfigError", "level"),
@@ -113,6 +114,12 @@ class TestEstimate:
                 "InvalidBudgetError", "split over k=5",
             ),
             (("--epsilon", "1.0", "--delta", "5e-324"), "InvalidBudgetError", "split over k=7"),
+            # Positive per-sum shares whose noise variance overflows.
+            (("--epsilon", "1e-300"), "InvalidBudgetError", "gaussian noise at total epsilon 1e-300"),
+            (
+                ("--epsilon", "1e-300", "--binary", "--mechanism", "laplace"),
+                "InvalidBudgetError", "laplace noise at total epsilon 1e-300",
+            ),
         ):
             status, out = run_cli(
                 capsys, "estimate", "--input", str(tmp_path / "absent.csv"), *flags
@@ -208,13 +215,16 @@ class TestSimulate:
         assert report["cells"][0]["config"]["epsilons"] == [0.2, 0.5, 1.0, 4.0]
 
     def test_gaussian_rejects_zero_delta(self, tmp_path, capsys):
-        # An invalid budget fails before the output directory is created; the
-        # last two underflow to 0 when split over the 5 sums.
+        # An invalid budget fails before the output directory is created; two
+        # underflow to 0 when split over the 5 sums, and at epsilon 1e-300 the
+        # noise variance overflows.
         for i, (flags, error_type) in enumerate((
             (("--mechanism", "gaussian", "--delta", "0"), "MechanismMismatchError"),
             (("--mechanism", "gaussian", "--delta", "1.5"), "InvalidBudgetError"),
             (("--mechanism", "laplace", "--epsilon", "5e-324"), "InvalidBudgetError"),
             (("--mechanism", "gaussian", "--delta", "5e-324"), "InvalidBudgetError"),
+            (("--mechanism", "gaussian", "--epsilon", "1e-300"), "InvalidBudgetError"),
+            (("--mechanism", "laplace", "--epsilon", "1e-300"), "InvalidBudgetError"),
         )):
             out_dir = tmp_path / f"out-{i}"
             status, out = run_cli(

@@ -28,3 +28,16 @@ def test_permutation_changes_no_sum_beyond_contract():
     perm = rng.permutation(n)
     again = weighted_sums(y[perm], s[perm], w[perm])
     np.testing.assert_allclose(again, base, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 777, 5000, 100_000])
+def test_matrix_rows_equal_their_own_sums(n):
+    # The block data path sums a (rows, n) matrix; each row must get the
+    # sums of the row on its own, bit for bit.
+    rng = np.random.default_rng(n)
+    y, s, w = rng.random((3, 3, n))
+    y, s, w = (np.ascontiguousarray(a) for a in (y, s, w))
+    block = weighted_sums(y, s, w)
+    assert block.shape == (3, 7)
+    for row in range(3):
+        assert block[row].tobytes() == weighted_sums(y[row].copy(), s[row].copy(), w[row].copy()).tobytes()

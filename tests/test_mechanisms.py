@@ -326,3 +326,101 @@ class TestDrawNoise:
         sample = d.draw_noise(rng, mechanism, 9.0, 200_000)
         assert sample.var() == pytest.approx(9.0, rel=0.03)
         assert abs(sample.mean()) < 0.05
+
+
+def _masked_laplace(u, scale):
+    """The inverse Laplace CDF as masked ufuncs: below the median scale * log(2u),
+    above it the negated log of 2(1 - u), u == 0.0 clamped to the smallest double."""
+    u = np.maximum(u, np.finfo(np.float64).tiny)
+    upper = u >= 0.5
+    np.subtract(1.0, u, out=u, where=upper)
+    u *= 2.0
+    np.log(u, out=u)
+    u *= scale
+    np.negative(u, out=u, where=upper)
+    return u
+
+
+# Uniforms that stress the transform: both ends of [0, 1), the median and its
+# neighbours, and the smallest subnormal.
+_EDGE_UNIFORMS = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 2.0**-1074]
+_uniforms = st.one_of(st.sampled_from(_EDGE_UNIFORMS), st.floats(0.0, 1.0, exclude_max=True))
+
+
+class TestLaplaceTransform:
+    """The unmasked inverse CDF against the masked one, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        draws=st.integers(1, 12),
+        uniforms=st.lists(_uniforms, min_size=1, max_size=144),
+        scales=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2),
+    )
+    def test_monte_carlo_shape_matches_masked_formula(self, rows, draws, uniforms, scales):
+        # The Monte Carlo passes transform (B, 2, draws) blocks with (2, 1) scales.
+        u = np.resize(np.array(uniforms), (rows, 2, draws))
+        scale = np.array(scales)[:, None]
+        expected = _masked_laplace(u, scale)
+        got = d.mechanisms._laplace_from_uniform(u.copy(), scale)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 20),
+        uniforms=st.lists(_uniforms, min_size=1, max_size=140),
+        scales=st.lists(st.floats(0.0, 1e6), min_size=7, max_size=7),
+        k=st.sampled_from([5, 6, 7]),
+    )
+    def test_release_shape_matches_masked_formula(self, rows, uniforms, scales, k):
+        # release_block transforms (B, k) blocks with one scale per column.
+        u = np.resize(np.array(uniforms), (rows, k))
+        scale = np.array(scales[:k])
+        expected = _masked_laplace(u, scale)
+        got = d.mechanisms._laplace_from_uniform(u.copy(), scale)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_edge_uniforms(self):
+        u = np.array(_EDGE_UNIFORMS)
+        got = d.mechanisms._laplace_from_uniform(u.copy(), 2.0)
+        assert got.tobytes() == _masked_laplace(u, 2.0).tobytes()
+        assert np.signbit(got[1]) and got[1] == 0.0  # the median maps to -0.0
+        assert np.isfinite(got).all()
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("profile_bounds", [
+        d.Bounds.binary_unweighted(), d.Bounds.binary(w_low=0.5, w_high=2.0), d.Bounds(0, 1, 0, 1, 0.5, 3.0),
+    ])
+    @pytest.mark.parametrize("mechanism, delta", [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)])
+    def test_release_uses_the_calibration(self, profile_bounds, mechanism, delta):
+        budget = d.PrivacyBudget(0.7, delta)
+        calibration = d.calibrate(profile_bounds, budget, mechanism)
+        fields = profile_bounds.profile.released_fields
+        sens = d.sensitivity_per_sum(profile_bounds)
+        per = d.split_budget(budget, len(fields))
+        assert calibration.per_sum_budget == per
+        if mechanism is d.MechanismKind.GAUSSIAN:
+            scales = [d.gaussian_sigma(sens[f], per) for f in fields]
+            variances = [x * x for x in scales]
+        else:
+            scales = [d.laplace_scale(sens[f], per.epsilon) for f in fields]
+            variances = [2.0 * x * x for x in scales]
+        assert calibration.scales.tolist() == scales
+        assert calibration.variances.tolist() == variances
+        released = d.release_block(
+            np.ones((1, 7)), profile_bounds, budget, mechanism, [np.random.default_rng(1)]
+        )
+        assert [released.variance(f) for f in fields] == variances
+
+    @pytest.mark.parametrize("mechanism, delta, k", [
+        (d.MechanismKind.GAUSSIAN, 1e-6, 6), (d.MechanismKind.LAPLACE, 0.0, 6),
+    ])
+    def test_non_finite_variance_names_the_budget(self, mechanism, delta, k):
+        bounds = d.Bounds.binary(w_low=0.5, w_high=2.0)
+        budget = d.PrivacyBudget(1e-300, delta)
+        message = rf"{mechanism.value} noise at total epsilon 1e-300 and delta {delta!r} split over k={k}"
+        with pytest.raises(d.InvalidBudgetError, match=message):
+            d.calibrate(bounds, budget, mechanism)
+        with pytest.raises(d.InvalidBudgetError, match=message):
+            d.release_block(np.ones((1, 7)), bounds, budget, mechanism, [np.random.default_rng(1)])

@@ -13,13 +13,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
+from dpratio import simulation
 from dpratio._seeding import _Seed, generators, state_words
+from dpratio.core import SUM_FIELDS
 from dpratio.simulation import (
     _PURPOSE_DATA,
     _PURPOSE_MC,
     _PURPOSE_RELEASE,
     WEIGHT_CLIP,
     _block_size,
+    _block_sums,
     _run_block,
 )
 
@@ -285,6 +288,78 @@ class TestRunExperiments:
             d.run_experiments([])
 
 
+class TestBlockSums:
+    """The chunked data path of a block against a per-replication loop of
+    generate_arrays, compute_sums_from_arrays and kish_effective_n."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 700),
+        weighted=st.booleans(),
+        start=st.integers(0, 200),
+        rows=st.integers(1, 90),
+        master_seed=st.integers(0, 2**64 - 1),
+        mc_draws=st.sampled_from([200, 1000, 2**14]),
+        chunk_values=st.sampled_from([None, 700, 1500]),
+    )
+    def test_matches_per_replication_loop(
+        self, n, weighted, start, rows, master_seed, mc_draws, chunk_values
+    ):
+        # The range is cut where run_experiments cuts its blocks (81, 16 or 1
+        # replications); chunks of max(1, chunk_values // n) rows cut each block.
+        config = small_config(
+            n=n, weighted=weighted, master_seed=master_seed, replications=start + rows, mc_draws=mc_draws
+        )
+        size = _block_size(mc_draws)
+        cuts = [start] + [c for c in range(size * (start // size + 1), start + rows, size)] + [start + rows]
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk_values is not None:
+                patch.setattr(simulation, "_CHUNK_VALUES", chunk_values)
+            parts = [_block_sums(config, a, b) for a, b in zip(cuts, cuts[1:])]
+        exact = np.concatenate([p[0] for p in parts])
+        kish = np.concatenate([p[1] for p in parts])
+        assert exact.shape == (rows, len(SUM_FIELDS)) and kish.shape == (rows,)
+        for i, r in enumerate(range(start, start + rows)):
+            rng = np.random.default_rng(_substream(master_seed, r, _PURPOSE_DATA))
+            y, s, w = d.generate_arrays(n, weighted, config.true_ratio, rng)
+            sums = d.compute_sums_from_arrays(y, s, w, config.bounds)
+            assert exact[i].tobytes() == np.array([getattr(sums, f) for f in SUM_FIELDS]).tobytes()
+            assert kish[i].tobytes() == np.float64(d.kish_effective_n(sums)).tobytes()
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("y", 1.5, r"y=1.5 outside \[0.0, 1.0\]"),
+            ("s", math.nan, r"s=nan outside \[0.0, 1.0\]"),
+            ("w", 5.0, r"w=5.0 outside \[0.3333333333333333, 3.0\]"),
+            ("s", -0.25, r"s=-0.25 outside"),
+            ("y", 0.5, r"y=0.5 not in \{0, 1\}"),
+        ],
+    )
+    def test_bad_value_names_replication_and_record(self, monkeypatch, column, value, message):
+        # Replications 20-89 in chunks of 13 rows (n=300): the value lands in
+        # replication 57, record 211, mid-chunk.  Replication 58 holds an
+        # out-of-bounds label at an earlier record, and labels are checked
+        # first, yet the earlier replication is named.
+        config = small_config(n=300, weighted=True, replications=100)
+        draw = simulation._draw_dataset
+        drawn = []
+
+        def corrupt(rng, weighted, true_ratio, y, s, w):
+            draw(rng, weighted, true_ratio, y, s, w)
+            if len(drawn) == 37:
+                {"y": y, "s": s, "w": w}[column][211] = value
+            elif len(drawn) == 38:
+                y[5] = 2.0
+            drawn.append(True)
+
+        monkeypatch.setattr(simulation, "_draw_dataset", corrupt)
+        with pytest.raises(d.BoundsViolationError, match="^replication 57, record 211: " + message) as err:
+            _block_sums(config, 20, 90)
+        assert err.value.index == 211
+        assert len(drawn) == 39  # the chunk of replications 46-58 was drawn, no later one
+
+
 def _float_from_bits(bits):
     return float(np.uint64(bits).view(np.float64))
 
@@ -354,12 +429,18 @@ class TestConfigValidation:
             ("n", 1), ("replications", 0), ("mc_draws", 1), ("true_ratio", 0.9),
             ("true_ratio", math.nan), ("true_ratio", math.inf), ("master_seed", 2**64),
             ("delta", 1.5), ("replications", 2**32 + 1), ("epsilons", (5e-324,)),
-            ("delta", 5e-324),
+            ("delta", 5e-324), ("epsilons", (1e-300,)),
+            # A dict holds every override of an input that needs more than one.
+            pytest.param(
+                "epsilons", {"epsilons": (1e-300,), "mechanism": d.MechanismKind.LAPLACE, "delta": 0.0},
+                id="epsilons-1e-300-laplace",
+            ),
         ],
     )
     def test_out_of_range_setting_rejected(self, field, value):
+        overrides = value if isinstance(value, dict) else {field: value}
         with pytest.raises(d.InvalidConfigError, match=field):
-            small_config(**{field: value})
+            small_config(**overrides)
 
     def test_delta_defaults_per_mechanism(self):
         laplace = d.SimulationConfig(n=100, mechanism=d.MechanismKind.LAPLACE)
