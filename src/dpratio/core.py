@@ -261,23 +261,6 @@ def _check_sum_rows(totals: np.ndarray, profile: Profile) -> None:
             raise InvalidSumsError("sum_wys^2 exceeds sum_wy2 * sum_ws2")
 
 
-def exact_sums(
-    y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, first_row: int = 0
-) -> np.ndarray:
-    """The checked sums of (n,) or (rows, n) data: (7,) or (rows, 7), ``SUM_FIELDS`` order.
-
-    Every record is checked against ``bounds`` first (see
-    :func:`_check_records`; ``first_row`` numbers the rows of a matrix in
-    its errors), the profile's collapsed sums are mirrored, and the sums
-    must meet :class:`SumVector`'s invariants.  Rows must be C-contiguous.
-    """
-    _check_records(y, s, w, bounds, first_row)
-    totals = weighted_sums(y, s, w)
-    bounds.profile.mirror(totals)
-    _check_sum_rows(totals, bounds.profile)
-    return totals
-
-
 def compute_sums_from_arrays(
     y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds
 ) -> SumVector:
@@ -295,7 +278,9 @@ def compute_sums_from_arrays(
         raise InvalidConfigError("y, s, w must be one-dimensional arrays of equal length")
     if y.size == 0:
         raise EmptyDatasetError("dataset has no records")
-    totals = exact_sums(y, s, w, bounds)
+    _check_records(y, s, w, bounds, 0)
+    totals = weighted_sums(y, s, w)
+    bounds.profile.mirror(totals)
     return SumVector(profile=bounds.profile, **dict(zip(SUM_FIELDS, totals.tolist())))
 
 

@@ -41,10 +41,6 @@ class MechanismMismatchError(InvalidConfigError):
     """The privacy budget is incompatible with the requested mechanism."""
 
 
-class InvalidSplitError(DPRatioError):
-    """A privacy budget cannot be split into the requested number of parts."""
-
-
 class DegenerateDenominatorError(DPRatioError):
     """A (noisy) denominator is non-positive, so no estimate is produced."""
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from statistics import NormalDist
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,8 +232,8 @@ class _FirstPass(NamedTuple):
     ``ratios`` holds each row's ``draws`` re-noised numerator over
     denominator, ``num_ok`` and ``den_ok`` whether those sums are positive.
     Only the halves ``lo:hi`` (numerator 0, denominator 1) carry noise, at
-    ``variances``.  ``rngs`` maps each row to its generator, just past the
-    pass; a scale that redraws a row takes its generator out.
+    ``variances``.  ``states`` holds the generator state, just past the
+    pass, of each row a scale has redrawn, for the scales that redraw it later.
     """
 
     rows: np.ndarray
@@ -243,15 +243,15 @@ class _FirstPass(NamedTuple):
     lo: int
     hi: int
     variances: np.ndarray
-    rngs: dict[int, np.random.Generator]
+    states: dict[int, dict]
 
 
 def _first_pass(
     released: ReleasedBlock, rows: np.ndarray, draws: int, rngs: Sequence[np.random.Generator]
 ) -> _FirstPass:
     """Each row fills its (numerator, denominator) draws with one call on its
-    generator, then one transform maps them all to noise.  As in draw_noise,
-    a sum without noise draws nothing, so the drawn halves are the
+    generator ``rngs[row]``, then one transform maps them all to noise.  As in
+    draw_noise, a sum without noise draws nothing, so the drawn halves are the
     contiguous slice lo:hi and the stream matches per-sum calls."""
     mechanism = released.mechanism
     var_s, var_y = released.variance("sum_ws"), released.variance("sum_wy")
@@ -261,15 +261,14 @@ def _first_pass(
     noisy = np.zeros((len(rows), 2, draws))
     if lo < hi:
         drawn = noisy[:, lo:hi]
-        for rng, out in zip(rngs, drawn):
-            raw_draws(rng, mechanism, out=out)
+        for row, out in zip(rows.tolist(), drawn):
+            raw_draws(rngs[row], mechanism, out=out)
         noise_from_raw(drawn, mechanism, variances)
     noisy_num, noisy_den = noisy[:, 0], noisy[:, 1]
     noisy_num += released.values[rows, _SUM_WS, None]
     noisy_den += released.values[rows, _SUM_WY, None]
     return _FirstPass(
-        rows, noisy_num / noisy_den, noisy_num > 0.0, noisy_den > 0.0, lo, hi, variances,
-        dict(zip(rows.tolist(), rngs)),
+        rows, noisy_num / noisy_den, noisy_num > 0.0, noisy_den > 0.0, lo, hi, variances, {}
     )
 
 
@@ -280,8 +279,7 @@ def _redraw_rounds(
     point: np.ndarray,
     rows: np.ndarray,
     draws: int,
-    rngs: Callable[[np.ndarray], Sequence[np.random.Generator]],
-    last: bool,
+    rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The correction of one scale for ``rows``, a subset of the first pass's.
 
@@ -292,10 +290,9 @@ def _redraw_rounds(
     distinct), one transform maps the round to noise, and each row's
     accepted replicates follow the ones it holds.  A row that rejects more
     than ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped and writes
-    nothing in that round.  A row whose first-pass generator an earlier
-    scale has already redrawn from gets a new one from ``rngs``, moved past
-    the first pass by drawing it again.  Only the ``last`` scale may take
-    the first pass's ratios without a copy.
+    nothing in that round.  The first scale to redraw a row saves its
+    generator's state in ``first.states``; a later scale restores it, so
+    each scale redraws from where the first pass left the stream.
     """
     extra = np.zeros(len(point))
     redrawn = np.zeros(len(point), dtype=bool)
@@ -306,20 +303,18 @@ def _redraw_rounds(
     ok = first.den_ok[at]
     if scale is Scale.LOG:
         ok &= first.num_ok[at]
-    replicates = first.ratios if last and len(rows) == len(first.rows) else first.ratios[at]
+    replicates = first.ratios[at]
 
     # Rows with rejections move their accepted replicates to the front.
     filled = ok.sum(axis=1)
     replicates[np.arange(draws) < filled[:, None]] = replicates[ok]
     pending = np.flatnonzero(filled < draws)  # positions in ``rows``
     redrawn[rows[pending]] = True
-    gens = {row: first.rngs.pop(row, None) for row in rows[pending].tolist()}
-    stale = [row for row, rng in gens.items() if rng is None]
-    if stale:
-        for row, rng in zip(stale, rngs(np.array(stale))):
-            if m:
-                raw_draws(rng, mechanism, m * draws)
-            gens[row] = rng
+    for row in rows[pending].tolist():
+        if row in first.states:
+            rngs[row].bit_generator.state = first.states[row]
+        else:
+            first.states[row] = rngs[row].bit_generator.state
     numerator = released.values[rows, _SUM_WS]
     denominator = released.values[rows, _SUM_WY]
     filled = filled[pending]
@@ -337,7 +332,7 @@ def _redraw_rounds(
         if m:
             raw = np.empty(m * ends[-1])
             for row, a, b in zip(rows[pending].tolist(), (m * starts).tolist(), (m * ends).tolist()):
-                raw_draws(gens[row], mechanism, out=raw[a:b])
+                raw_draws(rngs[row], mechanism, out=raw[a:b])
             # Replicate j of row r reads its half-h draw at j + (m-1)*starts[r] + h*k[r].
             at = np.arange(ends[-1]) + (m - 1) * starts[seg]
             noise[lo:hi] = raw[at + np.arange(m)[:, None] * k[seg]]
@@ -376,7 +371,7 @@ def _monte_carlo_extras(
     released: ReleasedBlock,
     cells: Sequence[tuple[Scale, np.ndarray, np.ndarray]],
     draws: int,
-    rngs: Callable[[np.ndarray], Sequence[np.random.Generator]],
+    rngs: Sequence[np.random.Generator],
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Injected variance of the point estimates, estimated by re-noising.
 
@@ -386,11 +381,10 @@ def _monte_carlo_extras(
     (numerator first) and added to the noisy sums.  That first pass is the
     same on every scale, so it is made once (:func:`_first_pass`), over the
     union of the cells' rows; each cell then runs its own redraws
-    (:func:`_redraw_rounds`).  ``rngs(rows)`` returns the generators of the
-    given block rows at the start of their streams, so each cell sees the
-    streams it would see on its own.  Returns, per cell, the mean squared
-    deviation from the point estimate and the redraw and cap masks, all of
-    block length.
+    (:func:`_redraw_rounds`) from where that pass left the row's generator
+    ``rngs[row]``, so each cell sees the stream it would see on its own.
+    Returns, per cell, the mean squared deviation from the point estimate
+    and the redraw and cap masks, all of block length.
     """
     size = len(released.values)
     drawn = np.zeros(size, dtype=bool)
@@ -399,11 +393,8 @@ def _monte_carlo_extras(
     union = np.flatnonzero(drawn)
     if (released.variance("sum_ws") == 0.0 and released.variance("sum_wy") == 0.0) or len(union) == 0:
         return [(np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)) for _ in cells]
-    first = _first_pass(released, union, draws, rngs(union))
-    return [
-        _redraw_rounds(released, first, scale, point, rows, draws, rngs, last=i == len(cells) - 1)
-        for i, (scale, point, rows) in enumerate(cells)
-    ]
+    first = _first_pass(released, union, draws, rngs)
+    return [_redraw_rounds(released, first, scale, point, rows, draws, rngs) for scale, point, rows in cells]
 
 
 def estimate_block(
@@ -417,11 +408,10 @@ def estimate_block(
     """Point estimates and Wald intervals of one method for every row.
 
     ``Method.PUBLIC`` is the no-correction pipeline, meant for exact sums.
-    ``Method.MONTE_CARLO`` needs ``rngs``, one generator per row; a row
-    draws from its generator only if it was not refused before.
+    ``Method.MONTE_CARLO`` needs ``rngs``, one distinct generator per row;
+    a row draws from its generator only if it was not refused before.
     """
-    row_rngs = None if rngs is None else (lambda rows: [rngs[row] for row in rows.tolist()])
-    return _estimate_scales(released, method, (scale,), level, draws, row_rngs)[0]
+    return _estimate_scales(released, method, (scale,), level, draws, rngs)[0]
 
 
 def _estimate_scales(
@@ -430,17 +420,21 @@ def _estimate_scales(
     scales: Sequence[Scale],
     level: float = DEFAULT_LEVEL,
     draws: int = DEFAULT_MC_DRAWS,
-    rngs: Callable[[np.ndarray], Sequence[np.random.Generator]] | None = None,
+    rngs: Sequence[np.random.Generator] | None = None,
 ) -> list[EstimateBlock]:
     """:func:`estimate_block` on each of ``scales``, one Monte Carlo first pass for all.
 
-    ``rngs(rows)`` returns the Monte Carlo generators of the given block
-    rows, each at the start of its stream, and may be called more than
-    once for a row (see :func:`_monte_carlo_extras`).  Each scale's result
-    equals :func:`estimate_block` of that scale on fresh generators.
+    ``rngs`` holds one generator per row, each at the start of its stream.
+    Each scale's result equals :func:`estimate_block` of that scale on fresh
+    generators.
     """
     check_interval_settings(level, draws if method is Method.MONTE_CARLO else None)
     values = released.values
+    if method is Method.MONTE_CARLO and (rngs is None or len(rngs) < len(values)):
+        raise InvalidConfigError(
+            f"monte carlo needs one generator per row: got {0 if rngs is None else len(rngs)} "
+            f"for {len(values)} rows"
+        )
     points, variances, refusals, flags = [], [], [], []
     with np.errstate(all="ignore"):
         for scale in scales:

@@ -21,12 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import SUM_FIELDS, Bounds, Profile, SumVector, sensitivity_per_sum
-from .errors import (
-    InvalidBudgetError,
-    InvalidConfigError,
-    InvalidSplitError,
-    MechanismMismatchError,
-)
+from .errors import InvalidBudgetError, InvalidConfigError, MechanismMismatchError
 
 
 class MechanismKind(str, Enum):
@@ -83,24 +78,6 @@ def laplace_scale(sensitivity: float, epsilon: float) -> float:
     return sensitivity / epsilon
 
 
-def split_budget(total: PrivacyBudget, k: int) -> PrivacyBudget:
-    """Even per-release budget so k releases jointly satisfy ``total``.
-
-    Basic composition: k releases at (eps/k, delta/k) compose to (eps, delta).
-    A positive part of ``total`` so small that its share underflows to 0 is
-    rejected here, naming the total and k rather than the per-sum value.
-    """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidSplitError(f"k must be a positive integer, got {k!r}")
-    epsilon, delta = total.epsilon / k, total.delta / k
-    if epsilon == 0.0 or delta == 0.0 < total.delta:
-        raise InvalidBudgetError(
-            f"total epsilon {total.epsilon!r} and delta {total.delta!r} split over k={k} sums "
-            f"underflow to per-sum epsilons of {epsilon!r} and deltas of {delta!r}"
-        )
-    return PrivacyBudget(epsilon, delta)
-
-
 class Calibration(NamedTuple):
     """The noise of one release, per released sum in profile order.
 
@@ -117,14 +94,23 @@ def calibrate(bounds: Bounds, total_budget: PrivacyBudget, mechanism: MechanismK
     """Per-sum noise of a release of the profile ``bounds`` declares at ``total_budget``.
 
     Owns every check a release makes of its budget: the mechanism's delta,
-    the split over the k released sums, and noise variances that stay
-    finite.  A tiny total epsilon can leave every per-sum share positive
-    and still square a scale past the largest double; that budget is
-    rejected here, naming epsilon, delta, k and the mechanism.
+    the even split over the k released sums (basic composition: k releases
+    at (eps/k, delta/k) compose to (eps, delta)), and noise variances that
+    stay finite.  A positive part of the total whose share underflows to 0
+    is rejected, naming the total and k.  A tiny total epsilon can leave
+    every share positive and still square a scale past the largest double;
+    that budget is rejected too, naming epsilon, delta, k and the mechanism.
     """
     check_mechanism_budget(mechanism, total_budget)
     fields = bounds.profile.released_fields
-    per = split_budget(total_budget, len(fields))
+    k = len(fields)
+    epsilon, delta = total_budget.epsilon / k, total_budget.delta / k
+    if epsilon == 0.0 or delta == 0.0 < total_budget.delta:
+        raise InvalidBudgetError(
+            f"total epsilon {total_budget.epsilon!r} and delta {total_budget.delta!r} split over "
+            f"k={k} sums underflow to per-sum epsilons of {epsilon!r} and deltas of {delta!r}"
+        )
+    per = PrivacyBudget(epsilon, delta)
     sens = sensitivity_per_sum(bounds)
     # Python floats overflow to inf without a warning; the check below owns that case.
     if mechanism is MechanismKind.GAUSSIAN:
@@ -137,7 +123,7 @@ def calibrate(bounds: Bounds, total_budget: PrivacyBudget, mechanism: MechanismK
         if not math.isfinite(variance):
             raise InvalidBudgetError(
                 f"{mechanism.value} noise at total epsilon {total_budget.epsilon!r} and delta "
-                f"{total_budget.delta!r} split over k={len(fields)} sums (per-sum epsilons of "
+                f"{total_budget.delta!r} split over k={k} sums (per-sum epsilons of "
                 f"{per.epsilon!r}) has a variance that is not finite for {field}"
             )
     return Calibration(per, np.array(scales), np.array(variances))

@@ -30,7 +30,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SUM_FIELDS, Bounds, exact_sums, kish_rows
+from . import core
+from .core import SUM_FIELDS, Bounds, _check_records, _check_sum_rows, kish_rows
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import (
     DEFAULT_LEVEL, DEFAULT_MC_DRAWS, FLAGS, REFUSAL_CAUSES, EstimateBlock, Method, Refusal, Scale,
@@ -223,14 +224,15 @@ def _block_sums(config: SimulationConfig, start: int, stop: int) -> tuple[np.nda
 
     The datasets are drawn a chunk of rows at a time into (rows, n)
     matrices, each row from its own stream as :func:`generate_arrays`
-    would draw it, and each chunk is checked and summed in one pass; the
-    results equal a per-replication loop bit for bit.  ``config`` owns the
-    settings :func:`generate_arrays` checks, so they are not checked again.
+    would draw it, and each chunk's records are checked and summed in one
+    pass; the block's sums are then checked once.  The results equal a
+    per-replication loop bit for bit.  ``config`` owns the settings
+    :func:`generate_arrays` checks, so they are not checked again.
     """
     from ._seeding import generators, state_words  # loads numpy.random, as in _run_block
 
     data_words = state_words(config.master_seed, start, stop, _PURPOSE_DATA)
-    n = config.n
+    n, bounds = config.n, config.bounds
     exact = np.empty((stop - start, len(SUM_FIELDS)))
     chunk = max(1, _CHUNK_VALUES // n)
     data = np.empty((3, min(chunk, stop - start), n))
@@ -239,7 +241,11 @@ def _block_sums(config: SimulationConfig, start: int, stop: int) -> tuple[np.nda
         y, s, w = data[:, : hi - lo]
         for rng, *row in zip(generators(data_words[lo:hi]), y, s, w):
             _draw_dataset(rng, config.weighted, config.true_ratio, *row)
-        exact[lo:hi] = exact_sums(y, s, w, config.bounds, start + lo)
+        _check_records(y, s, w, bounds, start + lo)
+        # Looked up on the module, where perfbench's tracer wraps the kernel.
+        exact[lo:hi] = core.weighted_sums(y, s, w)
+    bounds.profile.mirror(exact)
+    _check_sum_rows(exact, bounds.profile)
     return exact, kish_rows(exact)
 
 
@@ -266,12 +272,9 @@ def _run_block(
             exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism,
             generators(block_seeds(_PURPOSE_RELEASE, eps)),
         )
-        mc_words = block_seeds(_PURPOSE_MC, eps)
+        mc_rngs = generators(block_seeds(_PURPOSE_MC, eps))
         for method in _DP_METHODS:
-            blocks = _estimate_scales(
-                released, method, scales, config.level, config.mc_draws,
-                lambda rows: generators(mc_words[rows]),
-            )
+            blocks = _estimate_scales(released, method, scales, config.level, config.mc_draws, mc_rngs)
             for scale_estimates, block in zip(estimates, blocks):
                 scale_estimates.append(block)
     return [

@@ -351,10 +351,10 @@ def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
 
 
 def _per_row_monte_carlo_extras(released, cells, draws, rngs):
-    """The per-row loop on each (scale, point, rows) cell, each on generators
-    at the start of its streams: what the shared first pass must equal."""
+    """The per-row loop on each (scale, point, rows) cell, on the generators
+    ``rngs[row]``: what the batched pass of one cell must equal."""
     return [
-        _per_row_monte_carlo_extra(released, scale, point, rows, draws, dict(zip(rows.tolist(), rngs(rows))))
+        _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs)
         for scale, point, rows in cells
     ]
 
@@ -594,8 +594,8 @@ class TestSharedFirstPass:
         offset=st.one_of(st.none(), st.floats(0.01, 3.0)),
     )
     # Gaussian noise comes from the ziggurat, which takes a variable number of
-    # stream words per draw, so this catches a rebuilt generator that does not
-    # skip exactly the first pass.
+    # stream words per draw, so this catches a later scale that does not
+    # resume exactly where the first pass left a generator.
     @example(mechanism=d.MechanismKind.GAUSSIAN, epsilon=0.02, draws=300, rows=30, seed=1, offset=0.5)
     def test_each_scale_equals_its_own_pass(self, mechanism, epsilon, draws, rows, seed, offset):
         released = _simulated_release(mechanism, _WEIGHTED, epsilon, rows=rows, seed=seed)
@@ -604,32 +604,36 @@ class TestSharedFirstPass:
             sd = math.sqrt(released.variance("sum_wy"))
             values[:, [SUM_FIELDS.index("sum_ws"), SUM_FIELDS.index("sum_wy")]] = offset * sd
             released = released._replace(values=values)
-        built = []
 
-        def rngs(rows_asked):
-            built.extend(rows_asked.tolist())
-            return [np.random.default_rng([11, row]) for row in rows_asked.tolist()]
+        def rngs():
+            return [np.random.default_rng([11, row]) for row in range(rows)]
 
         alone = {
-            scale: d.estimate_block(
-                released, d.Method.MONTE_CARLO, scale, draws=draws,
-                rngs=[np.random.default_rng([11, row]) for row in range(rows)],
-            )
+            scale: d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws, rngs=rngs())
             for scale in (d.Scale.RATIO, d.Scale.LOG)
         }
         for order in ((d.Scale.RATIO, d.Scale.LOG), (d.Scale.LOG, d.Scale.RATIO)):
-            built.clear()
             shared = inference._estimate_scales(
-                released, d.Method.MONTE_CARLO, order, draws=draws, rngs=rngs
+                released, d.Method.MONTE_CARLO, order, draws=draws, rngs=rngs()
             )
             for scale, est in zip(order, shared):
                 for name, got, want in zip(est._fields, est, alone[scale]):
                     assert got.tobytes() == want.tobytes(), (scale, name)
-            # Each row is built once for the first pass, and again only if
-            # both scales redraw it (a capped row was redrawn, too).
-            redrawn = [
-                alone[scale].flags[:, d.FLAGS.index("monte_carlo_redraw")]
-                | (alone[scale].refusal == d.Refusal.MONTE_CARLO_REDRAW_CAP)
-                for scale in order
-            ]
-            assert len(built) - len(set(built)) == int((redrawn[0] & redrawn[1]).sum())
+
+
+class TestMonteCarloGenerators:
+    """Monte Carlo without a generator for every row is refused before any draw."""
+
+    def _released(self):
+        return _simulated_release(d.MechanismKind.GAUSSIAN, _WEIGHTED, 0.5, rows=3)
+
+    def test_missing_generators(self):
+        with pytest.raises(d.InvalidConfigError, match=r"got 0 for 3 rows"):
+            d.estimate_block(self._released(), d.Method.MONTE_CARLO)
+
+    def test_fewer_generators_than_rows(self):
+        rngs = [np.random.default_rng(row) for row in range(2)]
+        states = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(d.InvalidConfigError, match=r"got 2 for 3 rows"):
+            d.estimate_block(self._released(), d.Method.MONTE_CARLO, rngs=rngs)
+        assert [rng.bit_generator.state for rng in rngs] == states

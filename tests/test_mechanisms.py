@@ -70,31 +70,37 @@ class TestLaplaceScale:
         assert d.laplace_scale(sensitivity, eps * (1.0 + factor)) < base
 
 
-class TestSplitBudget:
-    def test_six_way_split(self):
-        per = d.split_budget(d.PrivacyBudget(1.0, 1e-6), 6)
-        assert per.epsilon == 1.0 / 6.0
-        assert per.delta == 1e-6 / 6.0
+_PROFILE_BOUNDS = {
+    d.Profile.FULL7: d.Bounds(0.0, 1.0, 0.0, 1.0, 0.5, 2.0),
+    d.Profile.BINARY6: d.Bounds.binary(w_low=0.5, w_high=2.0),
+    d.Profile.UNWEIGHTED5: d.Bounds.binary_unweighted(),
+}
 
-    def test_single_release_unchanged(self):
-        total = d.PrivacyBudget(0.7, 1e-5)
-        assert d.split_budget(total, 1) == total
+
+class TestSplitBudget:
+    """calibrate splits the total budget evenly over the k sums of the profile."""
+
+    @pytest.mark.parametrize("profile, k", [
+        (d.Profile.UNWEIGHTED5, 5), (d.Profile.BINARY6, 6), (d.Profile.FULL7, 7),
+    ])
+    def test_even_split(self, profile, k):
+        bounds = _PROFILE_BOUNDS[profile]
+        assert len(profile.released_fields) == k
+        per = d.calibrate(bounds, d.PrivacyBudget(1.0, 1e-6), d.MechanismKind.GAUSSIAN).per_sum_budget
+        assert per == d.PrivacyBudget(1.0 / k, 1e-6 / k)
 
     def test_pure_dp_split(self):
-        per = d.split_budget(d.PrivacyBudget(0.2, 0.0), 5)
+        bounds = _PROFILE_BOUNDS[d.Profile.UNWEIGHTED5]
+        per = d.calibrate(bounds, d.PrivacyBudget(0.2, 0.0), d.MechanismKind.LAPLACE).per_sum_budget
         assert per == d.PrivacyBudget(0.04, 0.0)
 
     def test_underflow_names_total_and_k(self):
-        with pytest.raises(d.InvalidBudgetError, match=r"total epsilon 5e-324 .* k=5 sums"):
-            d.split_budget(d.PrivacyBudget(5e-324), 5)
-        with pytest.raises(d.InvalidBudgetError, match=r"delta 5e-324 split over k=6 sums"):
-            d.split_budget(d.PrivacyBudget(1.0, 5e-324), 6)
-        assert d.split_budget(d.PrivacyBudget(1e-320, 0.0), 7).delta == 0.0
-
-    @pytest.mark.parametrize("k", [0, -1, 2.0, True])
-    def test_invalid_k(self, k):
-        with pytest.raises(d.InvalidSplitError):
-            d.split_budget(d.PrivacyBudget(1.0, 1e-6), k)
+        with pytest.raises(d.InvalidBudgetError, match=r"total epsilon 5e-324 .* k=5 sums underflow"):
+            d.calibrate(_PROFILE_BOUNDS[d.Profile.UNWEIGHTED5], d.PrivacyBudget(5e-324), d.MechanismKind.LAPLACE)
+        with pytest.raises(d.InvalidBudgetError, match=r"delta 5e-324 split over k=6 sums underflow"):
+            d.calibrate(
+                _PROFILE_BOUNDS[d.Profile.BINARY6], d.PrivacyBudget(1.0, 5e-324), d.MechanismKind.GAUSSIAN
+            )
 
 
 class TestBudgetValidation:
@@ -126,7 +132,7 @@ class TestRelease:
             np.random.default_rng(1),
         )
         assert len(released.released_fields) == 6
-        per = d.split_budget(d.PrivacyBudget(1.0, 1e-6), 6)
+        per = d.PrivacyBudget(1.0 / 6, 1e-6 / 6)
         assert released.per_sum_budget == per
         sens = d.sensitivity_per_sum(bounds)
         for field in released.released_fields:
@@ -213,12 +219,6 @@ class TestRelease:
         assert released.values == sums.as_dict()
 
 
-
-_PROFILE_BOUNDS = {
-    d.Profile.FULL7: d.Bounds(0.0, 1.0, 0.0, 1.0, 0.5, 2.0),
-    d.Profile.BINARY6: d.Bounds.binary(w_low=0.5, w_high=2.0),
-    d.Profile.UNWEIGHTED5: d.Bounds.binary_unweighted(),
-}
 _MECHANISM_DELTAS = [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
 
 
@@ -398,7 +398,7 @@ class TestCalibration:
         calibration = d.calibrate(profile_bounds, budget, mechanism)
         fields = profile_bounds.profile.released_fields
         sens = d.sensitivity_per_sum(profile_bounds)
-        per = d.split_budget(budget, len(fields))
+        per = d.PrivacyBudget(0.7 / len(fields), delta / len(fields))
         assert calibration.per_sum_budget == per
         if mechanism is d.MechanismKind.GAUSSIAN:
             scales = [d.gaussian_sigma(sens[f], per) for f in fields]
