@@ -94,6 +94,13 @@ class TestSplitBudget:
         per = d.calibrate(bounds, d.PrivacyBudget(0.2, 0.0), d.MechanismKind.LAPLACE).per_sum_budget
         assert per == d.PrivacyBudget(0.04, 0.0)
 
+    @pytest.mark.parametrize("profile", list(_PROFILE_BOUNDS))
+    def test_pure_dp_delta_stays_zero(self, profile):
+        """A pure-DP delta share of 0 is the total's own 0, not an underflow."""
+        k = len(profile.released_fields)
+        calibration = d.calibrate(_PROFILE_BOUNDS[profile], d.PrivacyBudget(1e-3, 0.0), d.MechanismKind.LAPLACE)
+        assert calibration.per_sum_budget == d.PrivacyBudget(1e-3 / k, 0.0)
+
     def test_underflow_names_total_and_k(self):
         with pytest.raises(d.InvalidBudgetError, match=r"total epsilon 5e-324 .* k=5 sums underflow"):
             d.calibrate(_PROFILE_BOUNDS[d.Profile.UNWEIGHTED5], d.PrivacyBudget(5e-324), d.MechanismKind.LAPLACE)
@@ -101,6 +108,9 @@ class TestSplitBudget:
             d.calibrate(
                 _PROFILE_BOUNDS[d.Profile.BINARY6], d.PrivacyBudget(1.0, 5e-324), d.MechanismKind.GAUSSIAN
             )
+        # A tiny pure-DP total keeps every share positive: it fails on its variance, not as an underflow.
+        with pytest.raises(d.InvalidBudgetError, match=r"k=7 sums \(per-sum epsilons .* not finite"):
+            d.calibrate(_PROFILE_BOUNDS[d.Profile.FULL7], d.PrivacyBudget(1e-320, 0.0), d.MechanismKind.LAPLACE)
 
 
 class TestBudgetValidation:
