@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import Bounds, compute_sums_from_arrays, read_dataset_csv
+from .core import Bounds, _usable_cores, sum_dataset_csv
+# perfbench/tracer.py wraps these names; estimate no longer calls them.
+from .core import compute_sums_from_arrays, read_dataset_csv  # noqa: F401
 from .errors import DPRatioError, InvalidConfigError
 from .inference import (
     DEFAULT_LEVEL,
@@ -121,13 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usable_cores() -> int:
-    """CPUs this process may run on, which pinning can make fewer than the machine's."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _scales(flag: str) -> list[Scale]:
     if flag == "both":
         return [Scale.RATIO, Scale.LOG]
@@ -147,8 +141,7 @@ def _run_estimate(args: argparse.Namespace) -> int:
     bounds = Bounds(*args.y_bounds, *args.s_bounds, *args.w_bounds, binary_y=args.binary)
     calibrate(bounds, budget, mechanism)
 
-    y, s, w = read_dataset_csv(args.input)
-    sums = compute_sums_from_arrays(y, s, w, bounds)
+    sums = sum_dataset_csv(args.input, bounds)
 
     scales = _scales(args.scale)
     root = np.random.SeedSequence(args.seed)

@@ -2,9 +2,11 @@
 
 Everything downstream (noise calibration, ratio inference, simulation) runs
 on up to seven weighted sums of the raw records.  This module computes those
-sums exactly, knows their sensitivity under add/remove-one neighboring, and
-provides Kish's effective sample size.  All functions here are pure and all
-types immutable.
+sums, knows their sensitivity under add/remove-one neighboring, and
+provides Kish's effective sample size.  A CSV dataset is summed as it is
+read, in parallel byte ranges, by exact binned summation, so its sums do not
+depend on record order, block cuts or core count.  All functions here are
+pure and all types immutable.
 """
 
 from __future__ import annotations
@@ -12,10 +14,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -194,6 +199,11 @@ def weighted_sums(y: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     reordering of the records far inside the 1e-12 relative contract.
     Columns are summed one at a time: stacking them first costs an extra
     n-by-7 copy.
+
+    This is the one deliberate second summation path: ``simulate`` and
+    :func:`compute_sums_from_arrays` sum here, on records whose order is
+    fixed, while :func:`sum_dataset_csv` folds the same summands
+    (:func:`_summands`) into exactly rounded, order-free :class:`_BinnedSums`.
     """
     totals = np.empty(y.shape[:-1] + (len(SUM_FIELDS),))
     wy = w * y
@@ -208,15 +218,35 @@ def weighted_sums(y: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _check_records(y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, first_row: int) -> None:
+def _summands(y: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (7, n) summands of the seven sums of one dataset, in ``SUM_FIELDS`` order.
+
+    Formed as :func:`weighted_sums` forms them and as :func:`_summand_bounds`
+    bounds them.  Folded by :class:`_BinnedSums` into exactly rounded sums
+    that do not depend on record order, this is the one deliberate second
+    summation path beside :func:`weighted_sums`, for :func:`sum_dataset_csv`.
+    """
+    x = np.empty((len(SUM_FIELDS), len(y)))
+    np.copyto(x[0], w)
+    np.multiply(w, y, out=x[1])
+    np.multiply(w, s, out=x[2])
+    np.multiply(w, w, out=x[3])
+    np.multiply(x[1], y, out=x[4])
+    np.multiply(x[2], s, out=x[5])
+    np.multiply(x[1], s, out=x[6])
+    return x
+
+
+def _check_records(y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, first: int) -> None:
     """Every value within ``bounds`` and, for binary labels, every label 0 or 1.
 
-    The arrays hold one dataset, (n,), or one per row, (rows, n).  The
-    error names the first offending record of the first offending dataset,
-    checked as on its own: its labels, scores and weights against their
-    bounds, then its labels for binariness.  A matrix's rows are the
-    replications ``first_row`` onwards, and the error names that one too.
-    NaN compares false, so it is always out of bounds.
+    The arrays hold one dataset, (n,), whose records are numbered from
+    ``first``, or one per row, (rows, n), whose rows are the replications
+    ``first`` onwards.  The error names the first offending record of the
+    first offending dataset, and of that record the first failing check:
+    its label, score and weight against their bounds, then its label for
+    binariness.  A matrix's error names the replication too.  NaN compares
+    false, so it is always out of bounds.
     """
     columns = (("y", y, bounds.y_low, bounds.y_high), ("s", s, bounds.s_low, bounds.s_high),
                ("w", w, bounds.w_low, bounds.w_high))
@@ -229,20 +259,21 @@ def _check_records(y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, 
     ok = [(values >= low) & (values <= high) for _, values, low, high in columns]
     if bounds.binary_y:
         ok.append((y == 0.0) | (y == 1.0))
+    record_ok = np.logical_and.reduce(ok)
     if y.ndim == 1:
-        row, where = (), ""
+        row, where, offset = (), "", first
     else:
-        row = int(np.argmin(np.logical_and.reduce(ok).all(axis=-1)))
-        where = f"replication {first_row + row}, "
+        row = int(np.argmin(record_ok.all(axis=-1)))
+        where, offset = f"replication {first + row}, ", 0
         row = (row,)
+    at = row + (int(np.argmin(record_ok[row])),)
+    idx = offset + at[-1]
     for (name, values, low, high), mask in zip(columns, ok):
-        if not mask[row].all():
-            idx = int(np.argmin(mask[row]))
+        if not mask[at]:
             raise BoundsViolationError(
-                f"{where}record {idx}: {name}={float(values[row][idx])} outside [{low}, {high}]", index=idx
+                f"{where}record {idx}: {name}={float(values[at])} outside [{low}, {high}]", index=idx
             )
-    idx = int(np.argmin(ok[-1][row]))
-    raise BoundsViolationError(f"{where}record {idx}: y={float(y[row][idx])} not in {{0, 1}}", index=idx)
+    raise BoundsViolationError(f"{where}record {idx}: y={float(y[at])} not in {{0, 1}}", index=idx)
 
 
 def _check_sum_rows(totals: np.ndarray, profile: Profile) -> None:
@@ -295,24 +326,29 @@ def compute_sums(records: Sequence[Record], bounds: Bounds) -> SumVector:
     return compute_sums_from_arrays(y, s, w, bounds)
 
 
+def _summand_bounds(bounds: Bounds) -> dict[str, float]:
+    """The largest summand of each of the seven sums, in ``SUM_FIELDS`` order.
+
+    Each is the summand at the upper bounds, formed by the same products in
+    the same order as :func:`_summands` forms it; rounding is monotone, so
+    no summand of records within ``bounds`` exceeds it.
+    """
+    uw, uy, us = bounds.w_high, bounds.y_high, bounds.s_high
+    wy, ws = uw * uy, uw * us
+    return {
+        "sum_w": uw, "sum_wy": wy, "sum_ws": ws, "sum_w2": uw * uw,
+        "sum_wy2": wy * uy, "sum_ws2": ws * us, "sum_wys": wy * us,
+    }
+
+
 def sensitivity_per_sum(bounds: Bounds) -> dict[str, float]:
     """Add/remove-one sensitivity of each released sum.
 
     Adding or removing one record changes each sum by at most its summand
-    evaluated at the upper bounds, so the sensitivities are products of
-    ``w_high``, ``y_high``, ``s_high``.  Returns one entry per released sum
-    of the bounds' profile, in canonical field order.
+    evaluated at the upper bounds (:func:`_summand_bounds`).  Returns one
+    entry per released sum of the bounds' profile, in canonical field order.
     """
-    uw, uy, us = bounds.w_high, bounds.y_high, bounds.s_high
-    full = {
-        "sum_w": uw,
-        "sum_wy": uw * uy,
-        "sum_ws": uw * us,
-        "sum_w2": uw * uw,
-        "sum_wy2": uw * uy * uy,
-        "sum_ws2": uw * us * us,
-        "sum_wys": uw * uy * us,
-    }
+    full = _summand_bounds(bounds)
     return {name: full[name] for name in bounds.profile.released_fields}
 
 
@@ -330,7 +366,109 @@ def kish_rows(totals: np.ndarray) -> np.ndarray:
         return sum_w * sum_w / sum_w2
 
 
-def read_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _usable_cores() -> int:
+    """CPUs this process may run on, which pinning can make fewer than the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _BinnedSums:
+    """Running sums of the seven summands, exact whatever the order of the records.
+
+    Pre-rounded ("binned") summation (Demmel & Nguyen, "Fast Reproducible
+    Floating-Point Summation", ARITH 2013; Rump, Ogita & Oishi, "Accurate
+    Floating-Point Summation, Part I", SIAM J. Sci. Comput. 2008).  At most
+    ``records`` summands are added to each sum, each at most that sum's
+    bound M (:func:`_summand_bounds`; the records are checked first).
+    Fold j of a sum rounds what is left of each summand x to
+    q = (x + σ) − σ, where σ is a power of two at least 2·records times the
+    largest value left: 2·records·M for the first fold, the largest
+    remainder of the last fold after it.  Then q and the remainder x − q
+    are exact, and every partial sum of the q is too, so a fold's total is
+    the same in any order, under any block cuts and across processes.  A
+    block folds until its remainders are all 0; each sum is then the
+    ``math.fsum`` of its fold totals, the correctly rounded exact sum.
+    """
+
+    def __init__(self, bounds: Bounds, records: int) -> None:
+        reach = records.bit_length() + 1  # 2**reach >= 2 * records
+        exponents = []
+        for field, bound in _summand_bounds(bounds).items():
+            # bound < 2**exponent, so the first sigma, 2**(exponent + reach), exceeds 2 * records * bound.
+            exponent = math.frexp(bound)[1] + reach
+            if not math.isfinite(bound) or exponent > 1023:
+                raise InvalidConfigError(
+                    f"bounds allow {field} summands up to {bound!r}: a sum over up to {records} records "
+                    "can overflow a double"
+                )
+            exponents.append(exponent)
+        self._first = np.array(exponents)
+        self._step = 53 - reach  # fold j + 1 starts where the remainders of fold j can reach
+        self.folds: list[np.ndarray] = []
+
+    def _fold(self, j: int) -> np.ndarray:
+        """The (7,) running totals of fold ``j``, added as the folds are reached."""
+        while len(self.folds) <= j:
+            self.folds.append(np.zeros(len(SUM_FIELDS)))
+        return self.folds[j]
+
+    def add(self, y: np.ndarray, s: np.ndarray, w: np.ndarray) -> None:
+        """Fold the summands of one block of records."""
+        x = _summands(y, s, w)
+        q = np.empty_like(x)
+        j = 0
+        while x.any():
+            sigma = np.ldexp(1.0, self._first - j * self._step)[:, None]
+            np.add(x, sigma, out=q)
+            q -= sigma
+            x -= q
+            totals = self._fold(j)
+            totals += np.add.reduce(q, axis=1)
+            j += 1
+
+    def merge(self, other: "_BinnedSums") -> None:
+        """Add the fold totals of records summed elsewhere, exactly."""
+        for j, totals in enumerate(other.folds):
+            mine = self._fold(j)
+            mine += totals
+
+    def sums(self) -> np.ndarray:
+        """The seven sums, each correctly rounded, in ``SUM_FIELDS`` order."""
+        return np.array([math.fsum(totals[i] for totals in self.folds) for i in range(len(SUM_FIELDS))])
+
+
+class _RangeSums(NamedTuple):
+    """What folding the records of one byte range found.
+
+    ``violation`` is the index in the range and the (y, s, w) values of its
+    first out-of-bounds record, after which nothing more is folded.
+    """
+
+    rows: int
+    binned: _BinnedSums
+    violation: tuple[int, float, float, float] | None
+
+
+# Body bytes per block of the plain reader; each block is cut after its last
+# newline, so it holds whole lines.  A block's transients (its bytes, text
+# and StringIO) are a few times this size; at 1 MiB the allocator kept up
+# to ~12 MB of them after the read, more or less with the file's line
+# lengths, and the peak moved with it.  At 256 KiB it keeps ~1 MB.
+_BLOCK_BYTES = 1 << 18
+
+# Body bytes per byte range: a file of at least two ranges is summed by one
+# process per usable core, the parent folding the first range.
+_RANGE_BYTES = 1 << 22
+
+# The only bytes a plain block may hold.  Spaces, quotes, carriage returns,
+# underscores and letters such as those of ``nan`` go to the strict parser.
+_PLAIN_BYTES = b"0123456789.,+-eE\n"
+
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def read_dataset_csv(path: str | Path) -> _Columns:
     """Read a ``y,s,w`` CSV (the ``w`` column is optional) into arrays.
 
     Values must parse as finite decimal reals; a missing weight column means
@@ -341,75 +479,160 @@ def read_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Files of plain numeric lines are parsed by numpy's C reader; any other
     file, valid or not, is read again from the start by the strict csv
     parser, which alone decides what else is accepted and how errors read.
+    Both yield the blocks that :func:`sum_dataset_csv` folds.
     """
     path = Path(path)
-    columns = _read_plain(path)
-    return columns if columns is not None else _read_strict(path)
+    with path.open("rb") as fh:
+        width = _plain_header_width(fh.readline())
+        body, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    if width is not None:
+        blocks = list(_plain_blocks(path, width, body, size))
+        if None not in blocks:
+            return _join(blocks)
+    return _read_strict(path)
 
 
-# Body bytes per block of the plain reader; each block is cut after its last
-# newline, so it holds whole lines.  A block's transients (its bytes, text
-# and StringIO) are a few times this size; at 1 MiB the allocator kept up
-# to ~12 MB of them after the read, more or less with the file's line
-# lengths, and the peak moved with it.  At 256 KiB it keeps ~1 MB.
-_BLOCK_BYTES = 1 << 18
+def sum_dataset_csv(path: str | Path, bounds: Bounds) -> SumVector:
+    """The sums of a ``y,s[,w]`` CSV, read as :func:`read_dataset_csv` reads it.
 
-# The only bytes a plain block may hold.  Spaces, quotes, carriage returns,
-# underscores and letters such as those of ``nan`` go to the strict parser.
-_PLAIN_BYTES = b"0123456789.,+-eE\n"
+    The columns are never held: each block of records is checked against
+    ``bounds`` and folded into :class:`_BinnedSums`, so every sum is
+    correctly rounded, equal to ``math.fsum`` of its summands whatever the
+    record order, block size or number of processes.  A plain file's body is
+    cut at line starts into one byte range per usable core, at most one per
+    ``_RANGE_BYTES``; the parent folds the first while a process pool folds
+    the rest.  Any range the plain reader cannot vouch for sends the whole
+    file to the strict parser, in this process.
+
+    Errors are those of reading, then summing, the whole file: a format
+    error anywhere wins over any bounds violation, the first out-of-bounds
+    record in file order is named by its 0-based index, and a file without
+    records raises :class:`EmptyDatasetError`.
+    """
+    path = Path(path)
+    with path.open("rb") as fh:
+        width = _plain_header_width(fh.readline())
+        body, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        # Every record takes at least 3 bytes ("y,s") plus a newline before the next.
+        records = size // 3 + 1
+        total = _BinnedSums(bounds, records)
+        count = max(1, min(_usable_cores(), (size - body) // _RANGE_BYTES))
+        cuts = None if width is None else _range_cuts(fh, body, size, count)
+    parts = None if cuts is None else _fold_ranges(path, width, bounds, records, cuts)
+    if parts is None or None in parts:
+        parts = [_fold_blocks(_strict_blocks(path), bounds, records)]
+    rows = 0
+    for part in parts:
+        if part.violation is not None:
+            # The range's first out-of-bounds record, checked again under its index in the file.
+            index, *record = part.violation
+            _check_records(*(np.array([v]) for v in record), bounds, rows + index)
+        rows += part.rows
+        total.merge(part.binned)
+    if rows == 0:
+        raise EmptyDatasetError("dataset has no records")
+    if rows > records:
+        raise DatasetFormatError(f"{path} grew while it was read")
+    sums = total.sums()
+    bounds.profile.mirror(sums)
+    return SumVector(profile=bounds.profile, **dict(zip(SUM_FIELDS, sums.tolist())))
 
 
-def _read_plain(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The columns of a file of plain numeric lines, or None for the strict parser.
+def _range_cuts(fh, start: int, stop: int, count: int) -> list[int] | None:
+    """``count + 1`` offsets from ``start`` to ``stop`` that cut the lines
+    between them into ``count`` ranges of about equal size.
 
-    A quoted newline can straddle a block cut, so one block the plain reader
-    cannot vouch for sends the whole file, not just that block, to the
-    strict parser.
+    Each inner cut is the start of the line that holds the byte before its
+    even share.  A line longer than the csv field size limit, which no
+    plain line is, gives None.
+    """
+    limit = csv.field_size_limit()
+    cuts = [start]
+    for i in range(1, count):
+        fh.seek(start + (stop - start) * i // count - 1)
+        line = fh.readline(limit + 1)
+        if len(line) > limit:
+            return None
+        cuts.append(min(fh.tell(), stop))
+    return cuts + [stop]
 
-    The lines are counted first and each block is copied into columns of
-    that length, so memory holds the result once, beside one block's
-    transients, rather than twice while per-block arrays are joined.
+
+def _fold_ranges(
+    path: Path, width: int, bounds: Bounds, records: int, cuts: list[int]
+) -> list[_RangeSums | None]:
+    """:func:`_fold_range` of each range between ``cuts``, in file order."""
+    fold = partial(_fold_range, path, width, bounds, records)
+    if len(cuts) == 2:
+        return [fold(*cuts)]
+    with ProcessPoolExecutor(max_workers=len(cuts) - 2) as pool:
+        rest = pool.map(fold, cuts[1:-1], cuts[2:])
+        return [fold(cuts[0], cuts[1]), *rest]
+
+
+def _fold_range(
+    path: Path, width: int, bounds: Bounds, records: int, start: int, stop: int
+) -> _RangeSums | None:
+    """The folded plain lines in bytes ``start`` to ``stop``, or None for the strict parser."""
+    return _fold_blocks(_plain_blocks(path, width, start, stop), bounds, records)
+
+
+def _fold_blocks(blocks: Iterable[_Columns | None], bounds: Bounds, records: int) -> _RangeSums | None:
+    """Check and fold each block until the first out-of-bounds record, then
+    only read on, since a later format error wins; None at a None block."""
+    binned = _BinnedSums(bounds, records)
+    rows, violation = 0, None
+    for columns in blocks:
+        if columns is None:
+            return None
+        if violation is None:
+            try:
+                _check_records(*columns, bounds, 0)
+            except BoundsViolationError as exc:
+                violation = (rows + exc.index, *(float(c[exc.index]) for c in columns))
+            else:
+                binned.add(*columns)
+        rows += len(columns[0])
+    return _RangeSums(rows, binned, violation)
+
+
+def _join(blocks: list[_Columns]) -> _Columns:
+    """One column of each kind from a list of blocks of columns."""
+    if not blocks:
+        return np.empty(0), np.empty(0), np.empty(0)
+    y, s, w = (np.concatenate(column) for column in zip(*blocks))
+    return y, s, w
+
+
+def _plain_blocks(path: Path, width: int, start: int, stop: int) -> Iterable[_Columns | None]:
+    """The (y, s, w) columns of the lines in bytes ``start`` to ``stop``, a block at a time.
+
+    ``start`` is a line start and ``stop`` a line start or the end of the
+    file.  Yields None, and stops, at the first block the plain reader cannot
+    vouch for: a quoted newline can straddle a block cut, so such a block
+    sends the whole file, not just that block, to the strict parser.
     """
     limit = csv.field_size_limit()
     with path.open("rb") as fh:
-        width = _plain_header_width(fh.readline())
-        if width is None:
-            return None
-        body = fh.tell()
-        rows = _count_lines(fh)
-        fh.seek(body)
-        columns = [np.empty(rows) for _ in range(width)]
-        filled = 0
-        tail = b""
+        fh.seek(start)
+        left, tail = stop - start, b""
         while True:
-            chunk = fh.read(_BLOCK_BYTES)
+            chunk = fh.read(min(_BLOCK_BYTES, left))
+            left -= len(chunk)
             data = tail + chunk
             cut = data.rfind(b"\n") + 1 if chunk else len(data)
             block, tail = data[:cut], data[cut:]
             if len(tail) > limit:
-                return None
+                yield None
+                return
             if block:
                 values = _parse_plain_block(block, width, limit)
-                if values is None or filled + len(values) > rows:
-                    return None
-                for column, part in zip(columns, values.T):
-                    column[filled:filled + len(values)] = part
-                filled += len(values)
+                if values is None:
+                    yield None
+                    return
+                y, s, *rest = values.T
+                yield y, s, rest[0] if rest else np.ones(len(values))
             if not chunk:
-                break
-    if filled != rows:  # the file changed between the count and the parse
-        return None
-    y, s, *rest = columns
-    return y, s, rest[0] if rest else np.ones(rows)
-
-
-def _count_lines(fh) -> int:
-    """Lines from the position of ``fh`` to its end, an unterminated last one included."""
-    lines, last = 0, b"\n"
-    while chunk := fh.read(_BLOCK_BYTES):
-        lines += chunk.count(b"\n")
-        last = chunk[-1:]
-    return lines + (last != b"\n")
+                return
 
 
 def _plain_header_width(line: bytes) -> int | None:
@@ -453,12 +676,17 @@ def _parse_plain_block(block: bytes, width: int, limit: int) -> np.ndarray | Non
     return values
 
 
-def _read_strict(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_strict(path: Path) -> _Columns:
     """:func:`read_dataset_csv` by the csv module, one ``float()`` per field."""
+    return _join(list(_strict_blocks(path)))
+
+
+def _strict_blocks(path: Path) -> Iterable[_Columns]:
+    """The (y, s, w) columns of the records the csv module reads, a block at a time."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            return _parse_rows(reader)
+            yield from _parse_rows(reader)
         except csv.Error as exc:
             raise DatasetFormatError(f"line {reader.line_num}: {exc}", line=reader.line_num) from None
         except UnicodeDecodeError:
@@ -477,11 +705,12 @@ def _header_width(header: list[str]) -> int:
     raise DatasetFormatError(f"expected header 'y,s,w' or 'y,s', got {names!r}", line=1)
 
 
-def _parse_rows(reader) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The header check and the row parsing of :func:`_read_strict`.
+def _parse_rows(reader) -> Iterable[_Columns]:
+    """The header check and the row parsing of :func:`_strict_blocks`.
 
-    ``reader.line_num`` counts physical lines, so a record holding a quoted
-    newline moves every later line number on by one.
+    Blocks hold about as many records as a plain block.  ``reader.line_num``
+    counts physical lines, so a record holding a quoted newline moves every
+    later line number on by one.
     """
     try:
         header = next(reader)
@@ -489,9 +718,7 @@ def _parse_rows(reader) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DatasetFormatError("missing header row", line=1) from None
     width = _header_width(header)
 
-    ys: list[float] = []
-    ss: list[float] = []
-    ws: list[float] = []
+    rows: list[list[float]] = []
     for row in reader:
         lineno = reader.line_num
         if len(row) != width:
@@ -504,15 +731,17 @@ def _parse_rows(reader) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise DatasetFormatError(f"line {lineno}: non-numeric value in {row!r}", line=lineno) from None
         if not all(math.isfinite(v) for v in parsed):
             raise DatasetFormatError(f"line {lineno}: non-finite value in {row!r}", line=lineno)
-        ys.append(parsed[0])
-        ss.append(parsed[1])
-        ws.append(parsed[2] if width == 3 else 1.0)
+        rows.append(parsed if width == 3 else parsed + [1.0])
+        if len(rows) * 32 >= _BLOCK_BYTES:
+            yield _strict_columns(rows)
+            rows = []
+    if rows:
+        yield _strict_columns(rows)
 
-    return (
-        np.asarray(ys, dtype=np.float64),
-        np.asarray(ss, dtype=np.float64),
-        np.asarray(ws, dtype=np.float64),
-    )
+
+def _strict_columns(rows: list[list[float]]) -> _Columns:
+    y, s, w = np.array(rows, dtype=np.float64).T
+    return y, s, w
 
 
 def _first_non_utf8_line(path: Path) -> int | None:

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -82,7 +83,8 @@ class Calibration(NamedTuple):
     """The noise of one release, per released sum in profile order.
 
     ``scales`` are the Gaussian standard deviations or the Laplace scales;
-    ``variances`` the noise variances they give.
+    ``variances`` the noise variances they give.  Both arrays are read-only:
+    :func:`calibrate` hands the same calibration to every caller.
     """
 
     per_sum_budget: PrivacyBudget
@@ -100,7 +102,20 @@ def calibrate(bounds: Bounds, total_budget: PrivacyBudget, mechanism: MechanismK
     is rejected, naming the total and k.  A tiny total epsilon can leave
     every share positive and still square a scale past the largest double;
     that budget is rejected too, naming epsilon, delta, k and the mechanism.
+
+    Each calibration is built once and then returned from a cache.
     """
+    # Equal keys can differ in the sign of a zero (delta = -0.0 == 0.0), and
+    # that sign reaches the output, so it is part of the key.
+    signs = tuple(math.copysign(1.0, v) for v in (*vars(bounds).values(), *vars(total_budget).values()))
+    return _calibrate(bounds, total_budget, mechanism, signs)
+
+
+@lru_cache(maxsize=256)
+def _calibrate(
+    bounds: Bounds, total_budget: PrivacyBudget, mechanism: MechanismKind, signs: tuple[float, ...]
+) -> Calibration:
+    """:func:`calibrate`, once per key; ``signs`` only keys the cache."""
     check_mechanism_budget(mechanism, total_budget)
     fields = bounds.profile.released_fields
     k = len(fields)
@@ -126,7 +141,9 @@ def calibrate(bounds: Bounds, total_budget: PrivacyBudget, mechanism: MechanismK
                 f"{total_budget.delta!r} split over k={k} sums (per-sum epsilons of "
                 f"{per.epsilon!r}) has a variance that is not finite for {field}"
             )
-    return Calibration(per, np.array(scales), np.array(variances))
+    scales, variances = np.array(scales), np.array(variances)
+    scales.flags.writeable = variances.flags.writeable = False
+    return Calibration(per, scales, variances)
 
 
 #: Smallest positive double: a uniform draw of exactly 0.0 is clamped to it.

@@ -3,8 +3,10 @@ import os
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dpratio import FLAGS, REFUSAL_CAUSES, cli
+from dpratio import FLAGS, REFUSAL_CAUSES, cli, core
 from dpratio.cli import main
 
 
@@ -169,6 +171,68 @@ class TestEstimate:
         )
         assert status == 2
         assert json.loads(out)["error"]["type"] == "MechanismMismatchError"
+
+
+_RECORDS = st.lists(
+    st.tuples(st.sampled_from([0, 1]), st.floats(0.0, 1.0), st.floats(0.5, 2.0)), max_size=60
+)
+
+
+class TestEstimateIngest:
+    @given(records=_RECORDS, data=st.data())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_json_identical_under_line_permutation(self, tmp_path, capsys, monkeypatch, records, data):
+        # Each run cuts the file into its own blocks and up to three ranges.
+        # One positive label keeps the public ratio defined, and at epsilon
+        # 1e3 no interval refuses, so the whole document is compared.
+        lines = [f"{y},{s!r},{w!r}\n" for y, s, w in [(1, 0.5, 1.0), *records]]
+        order = data.draw(st.permutations(range(len(lines))))
+        terminated = data.draw(st.booleans())
+        path = tmp_path / "data.csv"
+        outputs = []
+        for chosen in (lines, [lines[i] for i in order]):
+            monkeypatch.setattr(core, "_BLOCK_BYTES", data.draw(st.integers(1, 256)))
+            monkeypatch.setattr(core, "_RANGE_BYTES", data.draw(st.integers(8, 256)))
+            cores = data.draw(st.integers(1, 3))
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            body = "".join(chosen)
+            path.write_text("y,s,w\n" + (body if terminated else body.removesuffix("\n")))
+            outputs.append(run_cli(
+                capsys, "estimate", "--input", str(path), "--epsilon", "1e3", "--binary",
+                "--w-bounds", "0.5", "2", "--scale", "both", "--include-public", "--allow-non-dp", "--seed", "3",
+            ))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
+    def test_bounds_violation_names_global_index(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(core, "_RANGE_BYTES", 256)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 3)
+        path = tmp_path / "oob.csv"
+        path.write_text("y,s\n" + "0,0.5\n" * 200 + "2,0.5\n" + "1,0.5\n" * 5)
+        status, out = run_cli(capsys, "estimate", "--input", str(path), "--epsilon", "1.0", "--binary")
+        assert status == 2
+        assert json.loads(out)["error"] == {
+            "type": "BoundsViolationError", "message": "record 200: y=2.0 outside [0.0, 1.0]", "index": 200,
+        }
+
+    def test_huge_bounds_give_finite_sums_or_a_structured_error(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("y,s,w\n" + "1,0.5,3\n0,0.25,1\n" * 50)
+        # At 1e300 the sum_w2 noise variance overflows; at 1e154 a sum of 100
+        # summands up to 1e308 can overflow; at 1e150 the sums are exact.
+        cases = (("1e300", "InvalidBudgetError"), ("1e154", "InvalidConfigError"), ("1e150", None))
+        for w_high, error_type in cases:
+            status, out = run_cli(
+                capsys, "estimate", "--input", str(path), "--epsilon", "1e300", "--mechanism", "laplace",
+                "--delta", "0", "--w-bounds", "1", w_high, "--seed", "1",
+            )
+            assert "NaN" not in out
+            doc = json.loads(out)
+            if error_type is None:
+                assert status == 0
+                assert doc["released"]["values"]["sum_w2"] == pytest.approx(500.0, abs=200.0)
+            else:
+                assert status == 2 and doc["error"]["type"] == error_type
 
 
 class TestSimulate:

@@ -375,3 +375,122 @@ class TestPlainReaderMatchesStrictParser:
         path.write_bytes(content)
         monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
         assert _outcome(d.read_dataset_csv, path) == _outcome(core._read_strict, path)
+
+
+def _csv_bytes(y, s, w, newline="\n"):
+    rows = zip(y.tolist(), s.tolist(), w.tolist())
+    return ("y,s,w" + newline + "".join(f"{a!r},{b!r},{c!r}{newline}" for a, b, c in rows)).encode()
+
+
+def _sum_bytes(sums):
+    return np.array([getattr(sums, f) for f in core.SUM_FIELDS]).tobytes()
+
+
+@pytest.fixture
+def three_ranges(monkeypatch):
+    """Small blocks and ranges and three usable cores: a few kB of CSV are
+    summed in three byte ranges, two of them by a process pool.  Yields the
+    cuts of each summed file."""
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 512)
+    monkeypatch.setattr(core, "_RANGE_BYTES", 1024)
+    monkeypatch.setattr(core, "_usable_cores", lambda: 3)
+    cuts = []
+    range_cuts = core._range_cuts
+
+    def spy(*args):
+        cuts.append(range_cuts(*args))
+        return cuts[-1]
+
+    monkeypatch.setattr(core, "_range_cuts", spy)
+    return cuts
+
+
+class TestSumDatasetCsv:
+    def test_sums_equal_fsum_bit_for_bit(self, tmp_path, three_ranges):
+        # Scores over 600 binary orders of magnitude take many folds to reach.
+        rng = np.random.default_rng(17)
+        n = 400
+        y = (rng.random(n) < 0.5).astype(float)
+        s = rng.random(n) * 2.0 ** -rng.integers(0, 600, n)
+        w = rng.uniform(1 / 3, 3.0, n)
+        path = tmp_path / "data.csv"
+        path.write_bytes(_csv_bytes(y, s, w))
+        sums = core.sum_dataset_csv(path, d.Bounds.binary(w_low=1 / 3, w_high=3.0))
+        assert len(three_ranges[-1]) == 4
+        want = np.array([math.fsum(column) for column in core._summands(y, s, w)])
+        assert _sum_bytes(sums) == want.tobytes()
+
+    def test_plain_and_strict_paths_agree(self, tmp_path, three_ranges):
+        # CRLF line endings send the same records to the strict parser.
+        rng = np.random.default_rng(3)
+        y, s, w = _random_arrays(rng, 300)
+        bounds = _loose_bounds()
+        plain, strict = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        plain.write_bytes(_csv_bytes(y, s, w))
+        strict.write_bytes(_csv_bytes(y, s, w, "\r\n"))
+        from_plain = core.sum_dataset_csv(plain, bounds)
+        assert len(three_ranges) == 1 and len(three_ranges[0]) == 4
+        from_strict = core.sum_dataset_csv(strict, bounds)
+        assert len(three_ranges) == 1  # the CR in the header goes to the strict parser
+        assert _sum_bytes(from_plain) == _sum_bytes(from_strict)
+        want = np.array([math.fsum(column) for column in core._summands(y, s, w)])
+        assert _sum_bytes(from_plain) == want.tobytes()
+
+    def test_bounds_violation_in_last_range_has_global_index(self, tmp_path, three_ranges):
+        rng = np.random.default_rng(5)
+        y, s, w = _random_arrays(rng, 300)
+        w[290] = 20.0
+        path = tmp_path / "data.csv"
+        path.write_bytes(_csv_bytes(y, s, w))
+        with pytest.raises(d.BoundsViolationError, match="^record 290: w=20.0 outside") as err:
+            core.sum_dataset_csv(path, _loose_bounds())
+        assert err.value.index == 290
+        cuts = three_ranges[-1]
+        assert len(cuts) == 4 and path.read_bytes()[: cuts[2]].count(b"\n") < 1 + 290
+
+    def test_first_violation_in_file_order_wins(self, tmp_path, three_ranges):
+        # A score out of bounds in the first range is named before a label
+        # out of bounds in the last, though labels are checked first.
+        rng = np.random.default_rng(6)
+        y, s, w = _random_arrays(rng, 300)
+        s[10], y[280] = 1.5, 2.0
+        path = tmp_path / "data.csv"
+        path.write_bytes(_csv_bytes(y, s, w))
+        with pytest.raises(d.BoundsViolationError, match="^record 10: s=1.5 outside") as err:
+            core.sum_dataset_csv(path, _loose_bounds())
+        assert err.value.index == 10
+
+    def test_format_error_in_later_range_beats_earlier_violation(self, tmp_path, three_ranges):
+        rng = np.random.default_rng(7)
+        y, s, w = _random_arrays(rng, 300)
+        w[3] = 20.0
+        lines = _csv_bytes(y, s, w).split(b"\n")
+        lines[281] = b"1,oops,1"  # record 280 is on physical line 282
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(d.DatasetFormatError, match="non-numeric") as err:
+            core.sum_dataset_csv(path, _loose_bounds())
+        assert err.value.line == 282
+        assert len(three_ranges[-1]) == 4
+
+    def test_header_only_file_is_empty(self, tmp_path, three_ranges):
+        path = tmp_path / "data.csv"
+        for content in ("y,s\n", "y,s,w\n", "y,s,w", "y,s\r\n"):
+            path.write_text(content, newline="")
+            with pytest.raises(d.EmptyDatasetError):
+                core.sum_dataset_csv(path, _loose_bounds())
+
+    def test_bounds_whose_sums_can_overflow(self, tmp_path, three_ranges):
+        # With w_high = 1e300, sum_w2's summands are bounded by inf; at 1e154
+        # by 1e308, which a few records can overflow.  Either is a structured
+        # error before any record is read; at 1e150 the sums are exact.
+        rng = np.random.default_rng(8)
+        y, s, w = _random_arrays(rng, 300)
+        path = tmp_path / "data.csv"
+        path.write_bytes(_csv_bytes(y, s, w))
+        for w_high in (1e300, 1e154):
+            with pytest.raises(d.InvalidConfigError, match="sum_w2 summands up to"):
+                core.sum_dataset_csv(path, d.Bounds(w_low=0.1, w_high=w_high))
+        sums = core.sum_dataset_csv(path, d.Bounds(w_low=0.1, w_high=1e150))
+        want = np.array([math.fsum(column) for column in core._summands(y, s, w)])
+        assert _sum_bytes(sums) == want.tobytes()

@@ -434,3 +434,26 @@ class TestCalibration:
             d.calibrate(bounds, budget, mechanism)
         with pytest.raises(d.InvalidBudgetError, match=message):
             d.release_block(np.ones((1, 7)), bounds, budget, mechanism, [np.random.default_rng(1)])
+
+    def test_each_calibration_is_built_once_and_read_only(self):
+        bounds, budget = d.Bounds.binary(w_low=0.5, w_high=2.0), d.PrivacyBudget(0.9, 1e-6)
+        first = d.calibrate(bounds, budget, d.MechanismKind.GAUSSIAN)
+        assert d.calibrate(d.Bounds.binary(w_low=0.5, w_high=2.0), d.PrivacyBudget(0.9, 1e-6),
+                           d.MechanismKind.GAUSSIAN) is first
+        for array in (first.scales, first.variances):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("first_sign", [-1.0, 1.0])
+    def test_cache_keeps_the_sign_of_a_zero(self, first_sign):
+        # -0.0 == 0.0 and both hash alike, yet a per-sum delta of -0.0 prints
+        # as -0.0, and a Gaussian scale of -0.0 flips the sign of zero noise.
+        laplace, gaussian = d.MechanismKind.LAPLACE, d.MechanismKind.GAUSSIAN
+        for sign in (first_sign, -first_sign):
+            zero = math.copysign(0.0, sign)
+            per = d.calibrate(d.Bounds(), d.PrivacyBudget(0.35, zero), laplace).per_sum_budget
+            assert math.copysign(1.0, per.delta) == sign
+            assert json.dumps(per.delta) == ("-0.0" if sign < 0 else "0.0")
+            bounds = d.Bounds(0.0, zero, 0.0, 1.0, 1.0, 2.0)
+            scales = d.calibrate(bounds, d.PrivacyBudget(0.35, 1e-6), gaussian).scales
+            assert math.copysign(1.0, scales[d.Profile.FULL7.released_fields.index("sum_wy")]) == sign
