@@ -164,7 +164,7 @@ def _run_estimate(args: argparse.Namespace) -> int:
     doc = {"input": str(args.input), "released": released.to_json_dict(), "estimates": estimates}
     if args.include_public:
         doc["public_estimates"] = public
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2, allow_nan=False))
     return 0
 
 

@@ -12,7 +12,6 @@ pure and all types immutable.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -451,19 +450,40 @@ class _RangeSums(NamedTuple):
 
 
 # Body bytes per block of the plain reader; each block is cut after its last
-# newline, so it holds whole lines.  A block's transients (its bytes, text
-# and StringIO) are a few times this size; at 1 MiB the allocator kept up
-# to ~12 MB of them after the read, more or less with the file's line
-# lengths, and the peak moved with it.  At 256 KiB it keeps ~1 MB.
-_BLOCK_BYTES = 1 << 18
+# newline, so it holds whole lines.  A block's transients are its bytes, a
+# copy without ``.+-eE``, the int64 offsets of its non-digit bytes, and a few
+# field-sized arrays: offsets, digit counts, three uint64 words and a
+# longdouble quotient per field (no str, no StringIO).  At 64 KiB a block of
+# lines like ``1,0.9123456789012345,1.234567890123456`` has about 5,000
+# fields, and each transient stays under the 128 KiB at which the allocator
+# maps fresh pages for it; larger blocks paid those page faults on every
+# temporary and raised the peak.
+_BLOCK_BYTES = 1 << 16
 
 # Body bytes per byte range: a file of at least two ranges is summed by one
 # process per usable core, the parent folding the first range.
 _RANGE_BYTES = 1 << 22
 
-# The only bytes a plain block may hold.  Spaces, quotes, carriage returns,
-# underscores and letters such as those of ``nan`` go to the strict parser.
-_PLAIN_BYTES = b"0123456789.,+-eE\n"
+# What a plain block's non-digit bytes may be.  Spaces, quotes, carriage
+# returns, underscores and letters such as those of ``nan`` go to the strict
+# parser.
+_NEWLINE, _COMMA, _DOT, _PLUS, _MINUS, _EXPONENT = 1, 2, 3, 4, 5, 6
+_BYTE_KINDS = np.zeros(256, dtype=np.uint8)
+_BYTE_KINDS[list(b"\n,.+-eE")] = [_NEWLINE, _COMMA, _DOT, _PLUS, _MINUS, _EXPONENT, _EXPONENT]
+
+# The decimal reader: x87 extended precision (a 64-bit significand, stored
+# in 16 bytes, as on x86-64), the powers of ten it and a double hold
+# exactly, and the constants of the eight-digit step.
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+_EXTENDED_POWERS = np.cumprod(np.array([1] + [10] * 24, dtype=np.longdouble))
+_POWERS = 10.0 ** np.arange(23)
+_WINDOW_PAD = b"0" * 24  # the window of a field near the block start
+# Row s clears the first s bytes of a 24-byte window.
+_WINDOW_MASKS = np.frombuffer(b"".join(bytes(s) + b"\xff" * (24 - s) for s in range(25)), dtype="V24")
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+_EVERY_FOURTH_BYTE = np.uint64(0x000000FF000000FF)
+_WEIGHTS_OF_BYTES_0_4 = np.uint64(100 + (10**6 << 32))
+_WEIGHTS_OF_BYTES_2_6 = np.uint64(1 + (10**4 << 32))
 
 _Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -476,9 +496,10 @@ def read_dataset_csv(path: str | Path) -> _Columns:
     physical line on any malformed content, including bytes that are not
     UTF-8 and fields the csv module refuses.
 
-    Files of plain numeric lines are parsed by numpy's C reader; any other
-    file, valid or not, is read again from the start by the strict csv
-    parser, which alone decides what else is accepted and how errors read.
+    Files of plain numeric lines are parsed a block at a time by
+    :func:`_parse_plain_block`; any other file, valid or not, is read again
+    from the start by the strict csv parser, which alone decides what else
+    is accepted and how errors read.
     Both yield the blocks that :func:`sum_dataset_csv` folds.
     """
     path = Path(path)
@@ -653,27 +674,125 @@ def _plain_header_width(line: bytes) -> int | None:
 def _parse_plain_block(block: bytes, width: int, limit: int) -> np.ndarray | None:
     """The ``(lines, width)`` values of one block, or None for the strict parser.
 
-    numpy's C reader parses each field with the same correctly rounded
-    conversion as ``float()``, but it skips blank lines and does not know
-    the csv module's field size limit, so both are checked here first.
+    Every value has the bits ``float()`` gives its field: most fields are
+    read by :func:`_decimal_values`, the rest by ``float()`` itself.  None
+    stands for what the strict parser must judge: a byte outside
+    ``0-9 . , + - e E`` and newline, a blank line, a line of another width
+    or longer than the csv field size limit, and a field that ``float()``
+    rejects or reads as inf.
     """
-    if block.translate(None, _PLAIN_BYTES):
+    codes = np.frombuffer(block, dtype=np.uint8)
+    odd = np.flatnonzero(codes - np.uint8(ord("0")) > 9)
+    kinds = _BYTE_KINDS.take(codes[odd])
+    if not kinds.all():
         return None
-    ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
     if not block.endswith(b"\n"):
-        ends = np.append(ends, len(block))
-    spans = np.diff(ends, prepend=-1)  # line lengths plus one
-    if spans.min() == 1 or spans.max() > limit + 1:
+        odd = np.append(odd, len(block))
+        kinds = np.append(kinds, np.uint8(_NEWLINE))
+    # Every field ends at a separator: each line's last at a newline, the
+    # others at commas.  A blank line is a line of one field.  The last
+    # separator is a newline, so a count of fields that ``width`` does not
+    # divide leaves one newline more than there are line ends.
+    is_sep = kinds <= _COMMA
+    at_sep = np.flatnonzero(is_sep)
+    fields = at_sep.size
+    line_ends = at_sep[width - 1 :: width]
+    if not (kinds[line_ends] == _NEWLINE).all() or np.count_nonzero(kinds == _NEWLINE) != line_ends.size:
         return None
-    try:
-        values = np.loadtxt(
-            io.StringIO(block.decode("ascii")), dtype=np.float64, delimiter=",", comments=None, ndmin=2
-        )
-    except ValueError:
+    seps = odd[at_sep]
+    # No line is longer than its block.
+    if len(block) > limit and np.diff(odd[line_ends], prepend=-1).max() > limit + 1:
         return None
-    if values.shape != (ends.size, width) or not np.isfinite(values).all():
-        return None
-    return values
+
+    # Each field's dot, sign or exponent ("mark"), and the field it lies in.
+    at_mark = np.flatnonzero(~is_sep)
+    marks, mark_kinds = odd[at_mark], kinds[at_mark]
+    mark_fields = at_mark - np.arange(at_mark.size)
+    # The field ends once the marks are deleted, and the digits of each field.
+    ends = seps - at_sep
+    ends += np.arange(fields)
+    digits = np.diff(ends, prepend=-1)
+    digits -= 1
+    scale = np.zeros(fields, dtype=np.intp)
+    dots = mark_kinds == _DOT
+    dot_fields = mark_fields[dots]
+    scale[dot_fields] = seps[dot_fields] - marks[dots] - 1
+    values, inexact = _decimal_values(block.translate(None, b".+-eE"), ends, digits, scale)
+    inexact[dot_fields[1:][dot_fields[1:] == dot_fields[:-1]]] = True
+    np.logical_not(dots, out=dots)
+    if dots.any():
+        # Signs and exponents: only a sign that starts its field is read here.
+        fields_of, kinds_of = mark_fields[dots], mark_kinds[dots]
+        leading = marks[dots] == np.where(fields_of > 0, seps[fields_of - 1] + 1, 0)
+        leading &= kinds_of != _EXPONENT
+        inexact[fields_of[~leading]] = True
+        values[fields_of[leading & (kinds_of == _MINUS)]] *= -1.0
+
+    for i in np.flatnonzero(inexact).tolist():
+        start = int(seps[i - 1]) + 1 if i else 0
+        try:
+            value = float(block[start : seps[i]])
+        except ValueError:
+            return None
+        if not math.isfinite(value):
+            return None
+        values[i] = value
+    return values.reshape(-1, width)
+
+
+def _decimal_values(stripped: bytes, ends: np.ndarray, digits: np.ndarray, scale: np.ndarray):
+    """The doubles of decimal fields, and a mask of those it cannot vouch for.
+
+    Field i is the ``digits[i]`` bytes of ``stripped`` before ``ends[i]``,
+    read as an integer D over 10**``scale[i]``.  The last 24 bytes before
+    each end are read as three little-endian words; the bytes before the
+    field's digits are masked off, and each word's eight digits become one
+    integer in a few multiply-shift steps (Lemire, "Number Parsing at a
+    Gigabyte per Second", Softw. Pract. Exp. 2021).  D < 2**64 and 10**k for
+    k <= 27 are exact in x87 extended precision, so one extended division
+    rounds D / 10**k once; rounding that to a double rounds twice, which
+    can differ from rounding once only when the extended quotient lies on
+    the midpoint between two doubles (Clinger, "How to Read Floating Point
+    Numbers Accurately", PLDI 1990).  Without extended precision only
+    D <= 2**53 and k <= 22, exact in a double, are read here.  The mask
+    holds fields of 0 or more than 24 digits, D >= 2**64, and those two
+    cases; their values are left undefined.
+    """
+    padded = _WINDOW_PAD + stripped
+    windows = np.ndarray((len(padded) - 23,), dtype="V24", buffer=padded, strides=(1,))
+    words = windows[ends].view(np.uint64).reshape(-1, 3)
+    words ^= _ASCII_ZEROS  # digits to 0-9; a subtraction would borrow across bytes
+    words &= _WINDOW_MASKS[24 - np.clip(digits, 0, 24)].view(np.uint64).reshape(-1, 3)
+    pairs = words >> np.uint64(8)
+    words *= np.uint64(10)
+    words += pairs  # byte i: the two-digit number of digits i and i + 1
+    np.right_shift(words, np.uint64(16), out=pairs)
+    pairs &= _EVERY_FOURTH_BYTE
+    pairs *= _WEIGHTS_OF_BYTES_2_6
+    words &= _EVERY_FOURTH_BYTE
+    words *= _WEIGHTS_OF_BYTES_0_4
+    words += pairs
+    words >>= np.uint64(32)  # each word's eight digits as one integer
+    high, middle, low = words.T
+    inexact = high > np.uint64(1843)  # D >= 1844 * 10**16 may not fit 64 bits
+    mantissa = high * np.uint64(10**16)
+    middle *= np.uint64(10**8)
+    mantissa += middle
+    mantissa += low
+    inexact |= digits < 1
+    inexact |= digits > 24
+    scale = np.minimum(scale, 24)  # only fields of at most 24 digits are read here
+    if _EXTENDED:
+        quotient = mantissa.astype(np.longdouble)
+        quotient /= _EXTENDED_POWERS[scale]
+        # The low 11 of the 64 significand bits are what rounding to a double drops.
+        inexact |= quotient.view(np.uint64)[::2] & np.uint64(0x7FF) == np.uint64(0x400)
+        return quotient.astype(np.float64), inexact
+    inexact |= mantissa > np.uint64(1 << 53)
+    inexact |= scale > 22
+    values = mantissa.astype(np.float64)
+    values /= _POWERS[np.minimum(scale, 22)]
+    return values, inexact
 
 
 def _read_strict(path: Path) -> _Columns:

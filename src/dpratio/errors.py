@@ -54,7 +54,7 @@ class ScaleMismatchError(DPRatioError):
 
 
 class DegenerateVarianceError(DPRatioError):
-    """Combined variance is zero, so the test statistic is undefined."""
+    """A variance is zero or not finite, so a statistic or interval is undefined."""
 
 
 class InvalidIntervalError(DPRatioError):

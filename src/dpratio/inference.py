@@ -488,7 +488,8 @@ def _estimate_one(
     draws: int = DEFAULT_MC_DRAWS,
     rng: np.random.Generator | None = None,
 ) -> RatioEstimate:
-    """``method`` on the one-row block of ``released``; a refusal raises."""
+    """``method`` on the one-row block of ``released``; a refusal raises, and so
+    does a variance or interval end that is not finite."""
     if method is Method.MONTE_CARLO and rng is None:
         rng = np.random.default_rng()
     block = estimate_block(released.block, method, scale, level, draws, [rng])
@@ -503,13 +504,19 @@ def _estimate_one(
         raise MonteCarloRedrawCapError(
             f"monte carlo resampling exceeded {_REDRAW_CAP_PER_DRAW * draws} rejected replicates"
         )
+    variance, lower, upper = (float(a[0]) for a in (block.variance, block.ci_lower, block.ci_upper))
+    if not all(math.isfinite(x) for x in (variance, lower, upper)):
+        raise DegenerateVarianceError(
+            f"{method.value} variance {variance!r} or interval ({lower!r}, {upper!r}) on the "
+            f"{scale.value} scale is not finite"
+        )
     return RatioEstimate(
         point=float(block.point[0]),
-        variance=float(block.variance[0]),
+        variance=variance,
         scale=scale,
         method=method,
-        ci_lower=float(block.ci_lower[0]),
-        ci_upper=float(block.ci_upper[0]),
+        ci_lower=lower,
+        ci_upper=upper,
         level=level,
         flags=tuple(f for f, on in zip(FLAGS, block.flags[0]) if on),
     )

@@ -234,6 +234,19 @@ class TestEstimateIngest:
             else:
                 assert status == 2 and doc["error"]["type"] == error_type
 
+    def test_overflowing_variance_is_a_structured_error(self, tmp_path, capsys):
+        # The sums are finite, but squaring weights near 1e140 overflows the
+        # variance plug-in to inf - inf: no NaN may reach the JSON.
+        path = tmp_path / "data.csv"
+        path.write_text("y,s,w\n" + "1,0.5,3\n0,0.25,1e140\n" * 50)
+        status, out = run_cli(
+            capsys, "estimate", "--input", str(path), "--epsilon", "1e300", "--mechanism", "laplace",
+            "--delta", "0", "--w-bounds", "1", "1e150", "--seed", "1",
+        )
+        assert "NaN" not in out
+        assert status == 2
+        assert json.loads(out)["error"]["type"] == "DegenerateVarianceError"
+
 
 class TestSimulate:
     def test_smoke_run_writes_outputs(self, tmp_path, capsys):

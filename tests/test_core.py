@@ -1,4 +1,5 @@
 import csv
+import decimal
 import math
 
 import numpy as np
@@ -375,6 +376,115 @@ class TestPlainReaderMatchesStrictParser:
         path.write_bytes(content)
         monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
         assert _outcome(d.read_dataset_csv, path) == _outcome(core._read_strict, path)
+
+
+def _midpoint_decimal(x, digits):
+    """The exact decimal expansion of the midpoint above the double ``x``,
+    cut to ``digits`` significant digits when that is given."""
+    high = math.nextafter(x, math.inf)
+    with decimal.localcontext(decimal.Context(prec=2000)):
+        mid = (decimal.Decimal(x) + decimal.Decimal(high)) / 2
+        if digits is not None:
+            mid = decimal.Context(prec=digits).plus(mid)
+    return format(mid, "f")
+
+
+def _digit_string(sign, body, dot):
+    return sign + (body if dot is None else body[:dot] + "." + body[dot:])
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_FIELDS = st.one_of(
+    _finite.map(repr),
+    _finite.map(lambda x: "%.17e" % x),
+    st.builds(
+        _digit_string,
+        st.sampled_from(["", "+", "-"]),
+        st.text("0123456789", min_size=1, max_size=26),
+        st.none() | st.integers(0, 26),
+    ),
+    # Ties that must round to even, and cuts just off a tie, where rounding
+    # twice (to extended, then to double) can differ from rounding once.
+    st.builds(
+        _midpoint_decimal,
+        st.floats(min_value=0.0, max_value=2.0**70) | st.floats(min_value=1e-30, max_value=1e30),
+        st.none() | st.integers(16, 21),
+    ),
+)
+
+# Fields around what the fast path reads: signs and bare dots, 19 and 20
+# digits, the largest D it takes (1843 99999999 99999999), 2**64 - 1 and
+# 2**64, 24 and 25 digits, k = 22, 23, 27 and 28, both sides of 2**53, and
+# two cuts near a tie between doubles where rounding twice errs.
+_EDGE_FIELDS = [
+    "-0", "+0", "-0.0", "+.5", "-.5", "5.", "-5.", "0", "00000000000000000000001",
+    "9999999999999999999", "99999999999999999999", "1844674407370955161.5", "18446744073709551615",
+    "18439999999999999999", "18440000000000000000", "18446744073709551616", "18449999999999999999",
+    "000000000000000000001234", "1000000000000000000000000",
+    "0." + "0" * 21 + "1", "0." + "0" * 22 + "1", "0." + "0" * 26 + "1", "0." + "0" * 27 + "1",
+    "1." + "0" * 26 + "1", "1." + "0" * 27 + "1", "9." + "9" * 22, "9." + "9" * 23,
+    "9007199254740991", "9007199254740992", "9007199254740993", "9007199254740995",
+    "-9007199254740993", "900719925474099.3", "90071992547409.925", "0.432959649893271320",
+    "0.8812407764289670875", "1e-5", "-1e-5", "2.5E+2",
+]
+
+
+def _check_decimal_reader(fields, width, monkeypatch):
+    """Both branches of the reader give the bits of ``float()`` on every field."""
+    fields = fields + ["0"] * (-len(fields) % width)
+    block = "\n".join(",".join(fields[i : i + width]) for i in range(0, len(fields), width)).encode()
+    want = np.array([float(f) for f in fields]).reshape(-1, width)
+    for extended in (core._EXTENDED, False):
+        monkeypatch.setattr(core, "_EXTENDED", extended)
+        got = core._parse_plain_block(block + b"\n", width, csv.field_size_limit())
+        assert got is not None and got.tobytes() == want.tobytes(), (extended, block)
+
+
+def _decimal_values_of(fields):
+    """:func:`core._decimal_values` of unsigned fields of digits and at most one dot."""
+    stripped = ",".join(f.replace(".", "") for f in fields).encode()
+    ends = np.array([i for i, b in enumerate(stripped + b",") if b == ord(",")])
+    digits = np.diff(ends, prepend=-1) - 1
+    scale = np.array([len(f) - f.index(".") - 1 if "." in f else 0 for f in fields])
+    return core._decimal_values(stripped, ends, digits, scale)
+
+
+class TestDecimalReader:
+    @given(fields=st.lists(_FIELDS, min_size=1, max_size=40), width=st.sampled_from([2, 3]))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bits_equal_float(self, monkeypatch, fields, width):
+        _check_decimal_reader(fields, width, monkeypatch)
+
+    def test_edge_fields(self, monkeypatch):
+        _check_decimal_reader(_EDGE_FIELDS, 3, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "field", ["e5", "+e5", "5e", "1e5e5", "1.2.3", "..5", "+-1", "--1", "1-", "1+2", ".", "-", "+", ""]
+    )
+    def test_fields_float_rejects_send_the_block_to_the_strict_parser(self, field):
+        with pytest.raises(ValueError):
+            float(field)
+        for block in (f"{field},1\n".encode(), f"1,2\n3,{field}".encode()):
+            assert core._parse_plain_block(block, 2, csv.field_size_limit()) is None
+
+    def test_double_rounding_traps_are_left_to_float(self):
+        # The extended quotient of each lies on a midpoint between two doubles
+        # (an exact tie for the first two): one more rounding would give the
+        # wrong neighbour, or the right one only by luck.
+        fields = ["9007199254740993", "9007199254740995", "0.432959649893271320", "0.8812407764289670875"]
+        _, inexact = _decimal_values_of(fields)
+        assert inexact.all()
+
+    def test_benchmark_shaped_fields_stay_on_the_fast_path(self):
+        # Labels, and reprs of scores and weights: a field goes to float()
+        # only on a tie, about once in 20,000 such fields.
+        if not core._EXTENDED:
+            pytest.skip("without extended precision, mantissas above 2**53 go to float()")
+        rng = np.random.default_rng(4)
+        values = np.concatenate([rng.random(300), rng.uniform(1 / 3, 3.0, 300), [0.0, 1.0]])
+        got, inexact = _decimal_values_of([repr(v) for v in values.tolist()])
+        assert not inexact.any()
+        assert got.tobytes() == values.tobytes()
 
 
 def _csv_bytes(y, s, w, newline="\n"):
