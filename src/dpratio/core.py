@@ -475,11 +475,13 @@ _BYTE_KINDS[list(b"\n,.+-eE")] = [_NEWLINE, _COMMA, _DOT, _PLUS, _MINUS, _EXPONE
 # in 16 bytes, as on x86-64), the powers of ten it and a double hold
 # exactly, and the constants of the eight-digit step.
 _EXTENDED = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
-_EXTENDED_POWERS = np.cumprod(np.array([1] + [10] * 24, dtype=np.longdouble))
+_EXTENDED_POWERS = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
 _POWERS = 10.0 ** np.arange(23)
 _WINDOW_PAD = b"0" * 24  # the window of a field near the block start
-# Row s clears the first s bytes of a 24-byte window.
-_WINDOW_MASKS = np.frombuffer(b"".join(bytes(s) + b"\xff" * (24 - s) for s in range(25)), dtype="V24")
+# Row s clears the first s bytes of a 24-byte window, and its last word the
+# first s - 16 bytes of an 8-byte one.
+_WINDOW_MASKS = np.frombuffer(b"".join(bytes(s) + b"\xff" * (24 - s) for s in range(25)), dtype=np.uint64)
+_WINDOW_MASKS = _WINDOW_MASKS.reshape(25, 3)
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
 _EVERY_FOURTH_BYTE = np.uint64(0x000000FF000000FF)
 _WEIGHTS_OF_BYTES_0_4 = np.uint64(100 + (10**6 << 32))
@@ -705,6 +707,8 @@ def _parse_plain_block(block: bytes, width: int, limit: int) -> np.ndarray | Non
         return None
 
     # Each field's dot, sign or exponent ("mark"), and the field it lies in.
+    # Once the marks are deleted, the byte at block offset p lies at p less
+    # the count of marks before it, so mark m stood at ``marks[m] - m``.
     at_mark = np.flatnonzero(~is_sep)
     marks, mark_kinds = odd[at_mark], kinds[at_mark]
     mark_fields = at_mark - np.arange(at_mark.size)
@@ -713,20 +717,52 @@ def _parse_plain_block(block: bytes, width: int, limit: int) -> np.ndarray | Non
     ends += np.arange(fields)
     digits = np.diff(ends, prepend=-1)
     digits -= 1
+    stripped = block.translate(None, b".+-eE")
     scale = np.zeros(fields, dtype=np.intp)
+    rejected, negative = [], None
     dots = mark_kinds == _DOT
-    dot_fields = mark_fields[dots]
-    scale[dot_fields] = seps[dot_fields] - marks[dots] - 1
-    values, inexact = _decimal_values(block.translate(None, b".+-eE"), ends, digits, scale)
-    inexact[dot_fields[1:][dot_fields[1:] == dot_fields[:-1]]] = True
-    np.logical_not(dots, out=dots)
-    if dots.any():
-        # Signs and exponents: only a sign that starts its field is read here.
-        fields_of, kinds_of = mark_fields[dots], mark_kinds[dots]
-        leading = marks[dots] == np.where(fields_of > 0, seps[fields_of - 1] + 1, 0)
-        leading &= kinds_of != _EXPONENT
-        inexact[fields_of[~leading]] = True
-        values[fields_of[leading & (kinds_of == _MINUS)]] *= -1.0
+    at_other = np.flatnonzero(~dots)
+    if at_other.size:
+        # Signs and exponents.  A sign is read here at the start of its field
+        # or right after an exponent mark.
+        fields_of, kinds_of, at = mark_fields[at_other], mark_kinds[at_other], marks[at_other]
+        is_exponent = kinds_of == _EXPONENT
+        leading = at == np.where(fields_of > 0, seps[fields_of - 1] + 1, 0)
+        read = _BYTE_KINDS[codes[at - 1]] == _EXPONENT
+        read |= leading
+        read |= is_exponent
+        rejected.append(fields_of[~read])
+        negative = fields_of[leading & (kinds_of == _MINUS)]
+        if is_exponent.any():
+            # The field's stripped bytes after its exponent mark are the
+            # exponent's digits: at most 8 are read here, and the integer
+            # they write comes off the scale.
+            exponent_fields, exponent_marks = fields_of[is_exponent], at_other[is_exponent]
+            exponent_at = marks[exponent_marks]
+            exponent_digits = ends[exponent_fields] - exponent_at
+            exponent_digits += exponent_marks
+            exponents = _digit_words(stripped, ends[exponent_fields], exponent_digits, 8).ravel().astype(np.intp)
+            exponents[codes.take(exponent_at + 1, mode="clip") == ord("-")] *= -1
+            rejected += [
+                exponent_fields[1:][exponent_fields[1:] == exponent_fields[:-1]],
+                exponent_fields[(exponent_digits < 1) | (exponent_digits > 8)],
+            ]
+            ends[exponent_fields] -= exponent_digits
+            digits[exponent_fields] -= exponent_digits
+            scale[exponent_fields] -= exponents
+    # Each dot adds to the scale the digits between it and the mantissa's
+    # end; a count below 0 is a dot after the exponent mark.
+    at_dot = np.flatnonzero(dots)
+    dot_fields = mark_fields[at_dot]
+    fraction_digits = ends[dot_fields] - marks[at_dot]
+    fraction_digits += at_dot
+    scale[dot_fields] += fraction_digits
+    rejected += [dot_fields[1:][dot_fields[1:] == dot_fields[:-1]], dot_fields[fraction_digits < 0]]
+    values, inexact = _decimal_values(stripped, ends, digits, scale)
+    for i in rejected:
+        inexact[i] = True
+    if negative is not None:
+        values[negative] *= -1.0
 
     for i in np.flatnonzero(inexact).tolist():
         start = int(seps[i - 1]) + 1 if i else 0
@@ -744,25 +780,59 @@ def _decimal_values(stripped: bytes, ends: np.ndarray, digits: np.ndarray, scale
     """The doubles of decimal fields, and a mask of those it cannot vouch for.
 
     Field i is the ``digits[i]`` bytes of ``stripped`` before ``ends[i]``,
-    read as an integer D over 10**``scale[i]``.  The last 24 bytes before
-    each end are read as three little-endian words; the bytes before the
-    field's digits are masked off, and each word's eight digits become one
-    integer in a few multiply-shift steps (Lemire, "Number Parsing at a
-    Gigabyte per Second", Softw. Pract. Exp. 2021).  D < 2**64 and 10**k for
-    k <= 27 are exact in x87 extended precision, so one extended division
-    rounds D / 10**k once; rounding that to a double rounds twice, which
-    can differ from rounding once only when the extended quotient lies on
-    the midpoint between two doubles (Clinger, "How to Read Floating Point
-    Numbers Accurately", PLDI 1990).  Without extended precision only
-    D <= 2**53 and k <= 22, exact in a double, are read here.  The mask
-    holds fields of 0 or more than 24 digits, D >= 2**64, and those two
-    cases; their values are left undefined.
+    read by :func:`_digit_words` as an integer D, over 10**``scale[i]``.
+    D < 2**64 and 10**k for k <= 27 are exact in x87 extended precision, so
+    one extended division (or, for a negative scale, multiplication) rounds
+    D / 10**k once; rounding that to a double rounds twice, which can differ
+    from rounding once only when the extended result lies on the midpoint
+    between two doubles (Clinger, "How to Read Floating Point Numbers
+    Accurately", PLDI 1990).  Without extended precision only D <= 2**53
+    and |k| <= 22, exact in a double, are read here.  The mask holds fields
+    of 0 or more than 24 digits, D that may not fit 64 bits, |k| beyond
+    those bounds, and those two cases; their values are left undefined.
+    """
+    high, middle, low = _digit_words(stripped, ends, digits, 24).T
+    inexact = high > np.uint64(1843)  # D >= 1844 * 10**16 may not fit 64 bits
+    mantissa = high * np.uint64(10**16)
+    middle *= np.uint64(10**8)
+    mantissa += middle
+    mantissa += low
+    inexact |= digits < 1
+    inexact |= digits > 24
+    bound = 27 if _EXTENDED else 22
+    powers = np.abs(scale)
+    inexact |= powers > bound
+    np.minimum(powers, bound, out=powers)
+    scaled_up = np.flatnonzero(scale < 0)
+    if _EXTENDED:
+        quotient = mantissa.astype(np.longdouble)
+        quotient /= _EXTENDED_POWERS[powers]
+        quotient[scaled_up] = mantissa[scaled_up] * _EXTENDED_POWERS[powers[scaled_up]]
+        # The low 11 of the 64 significand bits are what rounding to a double drops.
+        inexact |= quotient.view(np.uint64)[::2] & np.uint64(0x7FF) == np.uint64(0x400)
+        return quotient.astype(np.float64), inexact
+    inexact |= mantissa > np.uint64(1 << 53)
+    values = mantissa.astype(np.float64)
+    values /= _POWERS[powers]
+    values[scaled_up] = mantissa[scaled_up] * _POWERS[powers[scaled_up]]
+    return values, inexact
+
+
+def _digit_words(stripped: bytes, ends: np.ndarray, digits: np.ndarray, size: int) -> np.ndarray:
+    """The ``size`` (8 or 24) bytes of ``stripped`` before each of ``ends``
+    as ``size // 8`` words, each the integer its eight digits write, where
+    the bytes before the last ``digits[i]`` count as zeros.
+
+    The words are read little-endian, the bytes before the field's digits
+    are masked off, and each word's eight digits become one integer in a
+    few multiply-shift steps (Lemire, "Number Parsing at a Gigabyte per
+    Second", Softw. Pract. Exp. 2021).
     """
     padded = _WINDOW_PAD + stripped
-    windows = np.ndarray((len(padded) - 23,), dtype="V24", buffer=padded, strides=(1,))
-    words = windows[ends].view(np.uint64).reshape(-1, 3)
+    windows = np.ndarray((len(stripped) + 1,), dtype=f"V{size}", buffer=padded, offset=24 - size, strides=(1,))
+    words = windows[ends].view(np.uint64).reshape(len(ends), size // 8)
     words ^= _ASCII_ZEROS  # digits to 0-9; a subtraction would borrow across bytes
-    words &= _WINDOW_MASKS[24 - np.clip(digits, 0, 24)].view(np.uint64).reshape(-1, 3)
+    words &= _WINDOW_MASKS[:, 3 - size // 8 :].take(24 - np.minimum(digits, size), axis=0)
     pairs = words >> np.uint64(8)
     words *= np.uint64(10)
     words += pairs  # byte i: the two-digit number of digits i and i + 1
@@ -773,26 +843,7 @@ def _decimal_values(stripped: bytes, ends: np.ndarray, digits: np.ndarray, scale
     words *= _WEIGHTS_OF_BYTES_0_4
     words += pairs
     words >>= np.uint64(32)  # each word's eight digits as one integer
-    high, middle, low = words.T
-    inexact = high > np.uint64(1843)  # D >= 1844 * 10**16 may not fit 64 bits
-    mantissa = high * np.uint64(10**16)
-    middle *= np.uint64(10**8)
-    mantissa += middle
-    mantissa += low
-    inexact |= digits < 1
-    inexact |= digits > 24
-    scale = np.minimum(scale, 24)  # only fields of at most 24 digits are read here
-    if _EXTENDED:
-        quotient = mantissa.astype(np.longdouble)
-        quotient /= _EXTENDED_POWERS[scale]
-        # The low 11 of the 64 significand bits are what rounding to a double drops.
-        inexact |= quotient.view(np.uint64)[::2] & np.uint64(0x7FF) == np.uint64(0x400)
-        return quotient.astype(np.float64), inexact
-    inexact |= mantissa > np.uint64(1 << 53)
-    inexact |= scale > 22
-    values = mantissa.astype(np.float64)
-    values /= _POWERS[np.minimum(scale, 22)]
-    return values, inexact
+    return words
 
 
 def _read_strict(path: Path) -> _Columns:

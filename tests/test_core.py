@@ -393,10 +393,29 @@ def _digit_string(sign, body, dot):
     return sign + (body if dot is None else body[:dot] + "." + body[dot:])
 
 
+def _exponent_string(mantissa, mark, sign, zeros, exponent):
+    return f"{mantissa}{mark}{sign}{'0' * zeros}{exponent}"
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _FIELDS = st.one_of(
     _finite.map(repr),
     _finite.map(lambda x: "%.17e" % x),
+    _finite.map(lambda x: "%.18e" % x),
+    # Exponents around the |k| <= 27 the fast path reads, some with leading zeros.
+    st.builds(
+        _exponent_string,
+        st.builds(
+            _digit_string,
+            st.sampled_from(["", "-"]),
+            st.text("0123456789", min_size=1, max_size=26),
+            st.none() | st.integers(0, 26),
+        ),
+        st.sampled_from("eE"),
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from([0, 0, 1, 6, 7]),
+        st.integers(0, 60),
+    ),
     st.builds(
         _digit_string,
         st.sampled_from(["", "+", "-"]),
@@ -414,8 +433,10 @@ _FIELDS = st.one_of(
 
 # Fields around what the fast path reads: signs and bare dots, 19 and 20
 # digits, the largest D it takes (1843 99999999 99999999), 2**64 - 1 and
-# 2**64, 24 and 25 digits, k = 22, 23, 27 and 28, both sides of 2**53, and
-# two cuts near a tie between doubles where rounding twice errs.
+# 2**64, 24 and 25 digits, k = 22, 23, 27 and 28, both sides of 2**53, two
+# cuts near a tie between doubles where rounding twice errs, and exponents:
+# k from -28 to 28, 8 and 9 exponent digits, a dot at either end of the
+# mantissa, and a tie reached by multiplying.
 _EDGE_FIELDS = [
     "-0", "+0", "-0.0", "+.5", "-.5", "5.", "-5.", "0", "00000000000000000000001",
     "9999999999999999999", "99999999999999999999", "1844674407370955161.5", "18446744073709551615",
@@ -426,6 +447,14 @@ _EDGE_FIELDS = [
     "9007199254740991", "9007199254740992", "9007199254740993", "9007199254740995",
     "-9007199254740993", "900719925474099.3", "90071992547409.925", "0.432959649893271320",
     "0.8812407764289670875", "1e-5", "-1e-5", "2.5E+2",
+    "1e-05", "-0e0", "0E-99", "1e0", "+1e+0", "5.e-3", ".5e3", "-.5E+3",
+    "1e22", "1e23", "1e27", "1e28",
+    "1e-22", "1e-23", "1e-27", "1e-28", "9.999999999999999e22",
+    "1e00000027", "1e000000027", "1e-000000027", "1e-100000001",
+    "123456789012345678901234e-3", "1234567890123456789012345e3",
+    "18446744073709551615e-27", "18446744073709551615e8",
+    "1.7976931348623157e308", "2.2250738585072014e-308", "5e-324", "9007199254740993e0", "9.007199254740993e15",
+    "4503599627370497e1", "1.000000000000000000e+00", "9.862425869288434788e-01",
 ]
 
 
@@ -459,7 +488,11 @@ class TestDecimalReader:
         _check_decimal_reader(_EDGE_FIELDS, 3, monkeypatch)
 
     @pytest.mark.parametrize(
-        "field", ["e5", "+e5", "5e", "1e5e5", "1.2.3", "..5", "+-1", "--1", "1-", "1+2", ".", "-", "+", ""]
+        "field",
+        [
+            "e5", "+e5", "5e", "1e5e5", "1.2.3", "..5", "+-1", "--1", "1-", "1+2", ".", "-", "+", "",
+            "1e5.5", "1e1.5", "1e0.0", "1ee5", "1e+-5", "1e5-", ".e1", "1e-", "1E+", "e+5", "-e5", "1e-5+",
+        ],
     )
     def test_fields_float_rejects_send_the_block_to_the_strict_parser(self, field):
         with pytest.raises(ValueError):
@@ -485,6 +518,22 @@ class TestDecimalReader:
         got, inexact = _decimal_values_of([repr(v) for v in values.tolist()])
         assert not inexact.any()
         assert got.tobytes() == values.tobytes()
+
+
+    def test_exponent_spellings_stay_on_the_fast_path(self, monkeypatch):
+        # np.savetxt's default %.18e, and reprs such as 1e-05, are read by
+        # the vectorised path, not one float() call per field.
+        if not core._EXTENDED:
+            pytest.skip("without extended precision, mantissas above 2**53 go to float()")
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.random(300), rng.uniform(1 / 3, 3.0, 300), -rng.random(100), [0.0, 1.0]])
+        fields = ["%.18e" % v for v in values.tolist()] + ["%.17e" % v for v in values.tolist()]
+        fields += [repr(v) for v in (values * 1e-5).tolist()]
+        calls = []
+        monkeypatch.setattr(core, "float", lambda field: calls.append(field) or float(field), raising=False)
+        got = core._parse_plain_block(("\n".join(fields) + "\n").encode(), 1, csv.field_size_limit())
+        assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
+        assert calls == []
 
 
 def _csv_bytes(y, s, w, newline="\n"):
