@@ -226,14 +226,27 @@ def _wald_arrays(
     return point - half, point + half
 
 
+#: Monte Carlo values per piece: passes over a block's (rows, draws) replicates
+#: take max(1, _PIECE_VALUES // draws) rows at a time, so their temporaries
+#: stay this small however many rows the block has.
+_PIECE_VALUES = 2**13
+
+
+def _pieces(count: int, draws: int) -> list[slice]:
+    """Consecutive slices of ``count`` rows, each of at most ``_PIECE_VALUES`` draws (or one row)."""
+    step = max(1, _PIECE_VALUES // draws)
+    return [slice(a, a + step) for a in range(0, count, step)]
+
+
 class _FirstPass(NamedTuple):
     """The first Monte Carlo pass over the rows ``rows`` of a block.
 
     ``ratios`` holds each row's ``draws`` re-noised numerator over
-    denominator, ``num_ok`` and ``den_ok`` whether those sums are positive.
-    Only the halves ``lo:hi`` (numerator 0, denominator 1) carry noise, at
-    ``variances``.  ``states`` holds the generator state, just past the
-    pass, of each row a scale has redrawn, for the scales that redraw it later.
+    denominator, ``num_ok`` and ``den_ok`` whether those sums are positive:
+    10 bytes a draw, all a pass keeps.  Only the halves ``lo:hi``
+    (numerator 0, denominator 1) carry noise, at ``variances``.  ``states``
+    holds the generator state, just past the pass, of each row a scale has
+    redrawn, for the scales that redraw it later.
     """
 
     rows: np.ndarray
@@ -250,26 +263,45 @@ def _first_pass(
     released: ReleasedBlock, rows: np.ndarray, draws: int, rngs: Sequence[np.random.Generator]
 ) -> _FirstPass:
     """Each row fills its (numerator, denominator) draws with one call on its
-    generator ``rngs[row]``, then one transform maps them all to noise.  As in
-    draw_noise, a sum without noise draws nothing, so the drawn halves are the
-    contiguous slice lo:hi and the stream matches per-sum calls."""
+    generator ``rngs[row]``, then one transform per piece of rows maps them to
+    noise.  As in draw_noise, a sum without noise draws nothing, so the drawn
+    halves are the contiguous slice lo:hi and the stream matches per-sum calls.
+    Every step is elementwise or per row, so the pieces give the values one
+    pass over all rows would."""
     mechanism = released.mechanism
     var_s, var_y = released.variance("sum_ws"), released.variance("sum_wy")
     lo = 0 if mechanism is not None and var_s > 0.0 else 1
     hi = 2 if mechanism is not None and var_y > 0.0 else 1
     variances = np.array([var_s, var_y])[lo:hi, None]
-    noisy = np.zeros((len(rows), 2, draws))
-    if lo < hi:
-        drawn = noisy[:, lo:hi]
-        for row, out in zip(rows.tolist(), drawn):
-            raw_draws(rngs[row], mechanism, out=out)
-        noise_from_raw(drawn, mechanism, variances)
-    noisy_num, noisy_den = noisy[:, 0], noisy[:, 1]
-    noisy_num += released.values[rows, _SUM_WS, None]
-    noisy_den += released.values[rows, _SUM_WY, None]
-    return _FirstPass(
-        rows, noisy_num / noisy_den, noisy_num > 0.0, noisy_den > 0.0, lo, hi, variances, {}
+    first = _FirstPass(
+        rows, np.empty((len(rows), draws)), np.empty((len(rows), draws), dtype=bool),
+        np.empty((len(rows), draws), dtype=bool), lo, hi, variances, {},
     )
+    for piece in _pieces(len(rows), draws):
+        part = rows[piece]
+        noisy = np.zeros((len(part), 2, draws))
+        if lo < hi:
+            drawn = noisy[:, lo:hi]
+            for row, out in zip(part.tolist(), drawn):
+                raw_draws(rngs[row], mechanism, out=out)
+            noise_from_raw(drawn, mechanism, variances)
+        noisy_num, noisy_den = noisy[:, 0], noisy[:, 1]
+        noisy_num += released.values[part, _SUM_WS, None]
+        noisy_den += released.values[part, _SUM_WY, None]
+        np.greater(noisy_num, 0.0, out=first.num_ok[piece])
+        np.greater(noisy_den, 0.0, out=first.den_ok[piece])
+        np.divide(noisy_num, noisy_den, out=first.ratios[piece])
+    return first
+
+
+def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Scale) -> np.ndarray:
+    """Each row's mean squared deviation of its ``replicates`` from its ``point``,
+    on ``scale``; overwrites ``replicates``.  Each row is reduced on its own,
+    so a row's result does not depend on the rows beside it."""
+    if scale is Scale.LOG:
+        np.log(replicates, out=replicates)
+    replicates -= point[:, None]
+    return np.mean(np.square(replicates, out=replicates), axis=1)
 
 
 def _redraw_rounds(
@@ -284,15 +316,19 @@ def _redraw_rounds(
     """The correction of one scale for ``rows``, a subset of the first pass's.
 
     A replicate with a non-positive denominator (or numerator, on the log
-    scale) is redrawn.  Redraws run in rounds over every row that still
-    lacks replicates: each row draws the pairs it lacks with one call on its
-    own generator (the stream of a per-row loop, so the generators must be
-    distinct), one transform maps the round to noise, and each row's
-    accepted replicates follow the ones it holds.  A row that rejects more
-    than ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped and writes
-    nothing in that round.  The first scale to redraw a row saves its
-    generator's state in ``first.states``; a later scale restores it, so
-    each scale redraws from where the first pass left the stream.
+    scale) is redrawn.  A row without such a replicate reads its first-pass
+    ratios a piece of rows at a time; only the rows with rejections copy
+    theirs, accepted ones first.  Redraws run in rounds over every row that
+    still lacks replicates: each row draws the k replicates it lacks with one
+    call on its own generator, k draws per noisy sum, numerator first (the
+    stream of a per-row loop, so the generators must be distinct); a boolean
+    mask splits the round's draws into numerator and denominator rows, in
+    order, one transform maps them to noise, and each row's accepted
+    replicates follow the ones it holds.  A row that rejects more than
+    ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped and writes nothing
+    in that round.  The first scale to redraw a row saves its generator's
+    state in ``first.states``; a later scale restores it, so each scale
+    redraws from where the first pass left the stream.
     """
     extra = np.zeros(len(point))
     redrawn = np.zeros(len(point), dtype=bool)
@@ -303,67 +339,75 @@ def _redraw_rounds(
     ok = first.den_ok[at]
     if scale is Scale.LOG:
         ok &= first.num_ok[at]
-    replicates = first.ratios[at]
-
-    # Rows with rejections move their accepted replicates to the front.
     filled = ok.sum(axis=1)
-    replicates[np.arange(draws) < filled[:, None]] = replicates[ok]
-    pending = np.flatnonzero(filled < draws)  # positions in ``rows``
-    redrawn[rows[pending]] = True
-    for row in rows[pending].tolist():
+    full = filled == draws
+    done = np.flatnonzero(full)  # positions in ``rows``
+    for piece in _pieces(len(done), draws):
+        part = done[piece]
+        extra[rows[part]] = _mean_square_deviation(first.ratios[at[part]], point[rows[part]], scale)
+
+    pending = np.flatnonzero(~full)
+    owners = rows[pending]  # the block row of each row of ``held``
+    redrawn[owners] = True
+    for row in owners.tolist():
         if row in first.states:
             rngs[row].bit_generator.state = first.states[row]
         else:
             first.states[row] = rngs[row].bit_generator.state
-    numerator = released.values[rows, _SUM_WS]
-    denominator = released.values[rows, _SUM_WY]
+    # Rows with rejections move their accepted replicates to the front.
+    held = np.zeros((len(pending), draws))
     filled = filled[pending]
+    for piece in _pieces(len(pending), draws):
+        part = pending[piece]
+        held[piece][np.arange(draws) < filled[piece, None]] = first.ratios[at[part]][ok[part]]
+    del ok
+    numerator = released.values[owners, _SUM_WS]
+    denominator = released.values[owners, _SUM_WY]
+    live = np.arange(len(pending))  # rows of ``held`` that still lack replicates
     rejected = draws - filled
     cap = _REDRAW_CAP_PER_DRAW * draws
-    flat = replicates.reshape(-1)  # replicate (i, j) is flat[i * draws + j]
-    while len(pending):
-        # Each pending row draws the k replicates it lacks with one generator
-        # call, k draws per noisy sum, numerator first, as draw_noise would.
+    flat = held.reshape(-1)  # replicate j of held row i is flat[i * draws + j]
+    while len(live):
         k = draws - filled
         ends = np.cumsum(k)
         starts = ends - k
-        seg = np.repeat(np.arange(len(pending)), k)  # the pending row of each replicate
         noise = np.zeros((2, ends[-1]))
         if m:
             raw = np.empty(m * ends[-1])
-            for row, a, b in zip(rows[pending].tolist(), (m * starts).tolist(), (m * ends).tolist()):
+            for row, a, b in zip(owners[live].tolist(), (m * starts).tolist(), (m * ends).tolist()):
                 raw_draws(rngs[row], mechanism, out=raw[a:b])
-            # Replicate j of row r reads its half-h draw at j + (m-1)*starts[r] + h*k[r].
-            at = np.arange(ends[-1]) + (m - 1) * starts[seg]
-            noise[lo:hi] = raw[at + np.arange(m)[:, None] * k[seg]]
+            if m == 1:
+                noise[lo] = raw
+            else:  # row r's draws are its k[r] numerator draws, then its k[r] denominator draws
+                numerator_draw = np.repeat(np.tile([True, False], len(k)), np.repeat(k, 2))
+                np.compress(numerator_draw, raw, out=noise[0])
+                np.compress(~numerator_draw, raw, out=noise[1])
+            del raw
             noise_from_raw(noise[lo:hi], mechanism, variances)
-        noise[0] += numerator[pending[seg]]
-        noise[1] += denominator[pending[seg]]
         more_num, more_den = noise
+        more_num += np.repeat(numerator[live], k)
+        more_den += np.repeat(denominator[live], k)
         accept = more_den > 0.0
         if scale is Scale.LOG:
             accept &= more_num > 0.0
-        write = np.flatnonzero(accept)
-        owner = seg[write]
-        accepted = np.bincount(owner, minlength=len(pending))
+        accepted = np.add.reduceat(accept, starts, dtype=np.intp)
         rejected += k - accepted
         over = rejected > cap
-        # A row's accepted replicates follow its filled ones, in draw order.
-        first_place = np.cumsum(accepted) - accepted  # the row's first place in ``write``
-        target = (pending * draws + filled - first_place)[owner] + np.arange(len(write))
-        ratios = more_num[write] / more_den[write]
         if over.any():
-            capped[rows[pending[over]]] = True
-            target, ratios = target[~over[owner]], ratios[~over[owner]]  # a capped row writes nothing
-        flat[target] = ratios
+            capped[owners[live[over]]] = True
+            accept &= np.repeat(~over, k)  # a capped row writes nothing
+            accepted[over] = 0
+        # A row's accepted replicates follow its filled ones, in draw order.
+        first_place = np.cumsum(accepted) - accepted  # the row's first place among the accepted
+        target = np.repeat(live * draws + filled - first_place, accepted)
+        target += np.arange(len(target))
+        flat[target] = np.divide(more_num, more_den, out=more_num)[accept]
         filled += accepted
         going = ~over & (filled < draws)
-        pending, filled, rejected = pending[going], filled[going], rejected[going]
+        live, filled, rejected = live[going], filled[going], rejected[going]
 
-    if scale is Scale.LOG:
-        np.log(replicates, out=replicates)
-    replicates -= point[rows, None]
-    extra[rows] = np.mean(np.square(replicates, out=replicates), axis=1)
+    # A capped row's replicates are incomplete; its refusal discards the result.
+    extra[owners] = _mean_square_deviation(held, point[owners], scale)
     return extra, redrawn, capped
 
 

@@ -16,6 +16,11 @@ draws.  Replications run in blocks, and each stage runs on arrays over the
 block: the datasets are drawn into (rows, n) matrices a chunk at a time and
 summed in one pass per chunk, and release and inference, including one
 Monte Carlo first pass shared by the scales, run on the block's sums.
+Much of a block's cost is paid once per block (a few hundred numpy calls
+per epsilon, most of them in the Monte Carlo redraw rounds), so blocks are
+as few as a memory cap allows: :func:`_block_cuts` gives each at most
+_BLOCK_VALUES values of Monte Carlo matrix, splits the replications evenly
+and, in a process pool, into a multiple of the worker count.
 """
 
 from __future__ import annotations
@@ -54,6 +59,12 @@ _PURPOSE_MC = 2
 
 #: Values per chunk of a block's datasets: a chunk holds max(1, _CHUNK_VALUES // n) of them.
 _CHUNK_VALUES = 2**12
+#: Values of Monte Carlo matrix per replication block: a block holds at most
+#: max(1, _BLOCK_VALUES // mc_draws) replications (see _block_cuts).  The
+#: Monte Carlo pass keeps 10 bytes a value, 18 in rows it redraws
+#: (inference._FirstPass), so a block of 2**16 values (327 replications at
+#: 200 draws) holds at most about 1.2 MB of them.
+_BLOCK_VALUES = 2**16
 
 
 def _check_true_ratio(true_ratio: float) -> None:
@@ -197,10 +208,22 @@ def interval_score(lower: float, upper: float, truth: float, alpha: float) -> fl
     return float(_interval_scores(np.array([lower]), np.array([upper]), truth, alpha)[0])
 
 
-def _block_size(mc_draws: int) -> int:
-    """Replications per block: keeps the (block, mc_draws) Monte Carlo
-    matrices near 2**14 values, so memory stays flat in the replication count."""
-    return max(1, 2**14 // mc_draws)
+def _block_cuts(replications: int, mc_draws: int, workers: int = 1) -> list[int]:
+    """Where replications are cut into blocks: block i runs ``cuts[i]`` to ``cuts[i + 1] - 1``.
+
+    A block holds at most max(1, _BLOCK_VALUES // mc_draws) replications,
+    so its (replications, mc_draws) Monte Carlo matrices stay within
+    _BLOCK_VALUES values and memory stays flat in the replication count.
+    The fewest blocks under that cap share the replications evenly (their
+    sizes differ by at most one).  When more than one block goes to a pool
+    of ``workers``, their count is rounded up to a multiple of ``workers``,
+    short of blocks with no replication, so each worker gets an equal share.
+    """
+    cap = max(1, _BLOCK_VALUES // mc_draws)
+    count = -(-replications // cap)
+    if count > 1 and workers > 1:
+        count = min(replications, -(-count // workers) * workers)
+    return [replications * i // count for i in range(count + 1)]
 
 
 class _BlockResult(NamedTuple):
@@ -308,9 +331,9 @@ def run_experiments(
     The scale is not part of any substream key, so such cells share their
     data, sums, releases and first Monte Carlo pass, which are drawn once
     per replication; each result equals :func:`run_experiment` of its config.  Replications are
-    split into fixed blocks whose results are concatenated in replication
-    order, so neither the blocks nor ``threads`` change the result.  With
-    ``threads > 1`` the blocks run in one process pool.
+    split into the blocks :func:`_block_cuts` gives, whose results are
+    concatenated in replication order, so neither the blocks nor ``threads``
+    change the result.  With ``threads > 1`` the blocks run in one process pool.
     """
     if not configs:
         raise InvalidConfigError("run_experiments needs at least one config")
@@ -318,10 +341,13 @@ def run_experiments(
     if any(replace(config, scale=base.scale) != base for config in configs):
         raise InvalidConfigError("configs run together must differ only in scale")
     reps = base.replications
-    size = _block_size(base.mc_draws)
-    starts = range(0, reps, size)
-    stops = [min(start + size, reps) for start in starts]
+    cuts = _block_cuts(reps, base.mc_draws, threads)
+    starts, stops = cuts[:-1], cuts[1:]
     run = partial(_run_block, base, tuple(config.scale for config in configs))
+    # A one-block run with threads > 1 still forks one worker.  Run in this
+    # process, a one-block call such as a small warm-up would load
+    # numpy.random here (see _run_block) before later pools fork: that took
+    # the pooled simulate_small_n benchmark's peak memory from 34.7 to 40.3 MB.
     if threads <= 1 or reps == 1:
         blocks = list(map(run, starts, stops))
     else:

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
-from dpratio import simulation
+from dpratio import inference, simulation
 from dpratio._seeding import _Seed, generators, state_words
 from dpratio.core import SUM_FIELDS
 from dpratio.simulation import (
@@ -21,7 +21,7 @@ from dpratio.simulation import (
     _PURPOSE_MC,
     _PURPOSE_RELEASE,
     WEIGHT_CLIP,
-    _block_size,
+    _block_cuts,
     _block_sums,
     _run_block,
 )
@@ -147,9 +147,11 @@ class TestRunExperiment:
                 assert row.mean_interval_score >= row.mean_width - 1e-12
 
     def test_threads_do_not_change_results(self):
-        # 20 replications in blocks of 16 send a full and a partial block to the pool.
-        assert _block_size(1000) == 16
-        for config in (small_config(replications=8), small_config(replications=20, mc_draws=1000)):
+        # 131 replications at 1,000 draws run serially in blocks of 43, 44 and
+        # 44, and go to a pool of two in blocks of 32, 33, 33 and 33.
+        assert _block_cuts(131, 1000) == [0, 43, 87, 131]
+        assert _block_cuts(131, 1000, 2) == [0, 32, 65, 98, 131]
+        for config in (small_config(replications=8), small_config(replications=131, mc_draws=1000)):
             assert d.run_experiment(config, threads=1) == d.run_experiment(config, threads=2)
 
     def test_refusals_counted_not_fatal(self):
@@ -217,15 +219,15 @@ class TestBatchedEngineEquivalence:
         "mechanism, delta", [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
     )
     def test_per_replication_results_match_scalar_api(self, mechanism, delta, scale):
-        # 40 replications in blocks of 16; epsilon 0.02 on 100 weighted records
-        # makes refusals and Monte Carlo redraws common.  The block runs both
-        # scales in one pass, as simulate --scale both does; ``scale`` picks
-        # the one checked here.
+        # Epsilon 0.02 on 100 weighted records makes refusals and Monte Carlo
+        # redraws common.  The block runs both scales in one pass, as simulate
+        # --scale both does; ``scale`` picks the one checked here.  The rows
+        # come from a pool of two, which gets blocks of 33 and 34 replications.
         config = d.SimulationConfig(
             n=100, epsilons=(0.02, 1.0), weighted=True, mechanism=mechanism, delta=delta,
-            scale=scale, replications=40, mc_draws=1000, master_seed=5,
+            scale=scale, replications=67, mc_draws=1000, master_seed=5,
         )
-        assert _block_size(config.mc_draws) == 16
+        assert _block_cuts(config.replications, config.mc_draws, 2) == [0, 33, 67]
         scales = (d.Scale.RATIO, d.Scale.LOG)
         engine = _run_block(config, scales, 0, config.replications)[scales.index(scale)]
         truth = math.log(config.true_ratio) if scale is d.Scale.LOG else config.true_ratio
@@ -249,7 +251,7 @@ class TestBatchedEngineEquivalence:
         assert sum(n for (_, cause), n in causes.items() if cause is not None) > 0
         assert sum(n for (_, flag), n in flags.items() if flag == "monte_carlo_redraw") > 0
 
-        rows = d.run_experiment(config)
+        rows = d.run_experiment(config, threads=2)
         for cell, row in enumerate(rows):
             assert row.refusals_by_cause == {c: causes[cell, c] for c in d.REFUSAL_CAUSES}
             assert row.flags == {f: flags[cell, f] for f in d.FLAGS}
@@ -262,8 +264,8 @@ class TestRunExperiments:
         "mechanism, delta", [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
     )
     def test_each_cell_equals_its_own_run(self, mechanism, delta, threads):
-        # Two blocks of 16 and 4 replications; epsilon 0.02 brings refusals
-        # and redraws, which differ between the scales.
+        # Epsilon 0.02 brings refusals and redraws, which differ between the
+        # scales.
         ratio = small_config(
             n=100, epsilons=(0.02, 1.0), weighted=True, mechanism=mechanism, delta=delta,
             replications=20, mc_draws=1000,
@@ -287,6 +289,66 @@ class TestRunExperiments:
         with pytest.raises(d.InvalidConfigError):
             d.run_experiments([])
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "mechanism, delta", [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
+    )
+    def test_rows_do_not_depend_on_block_layout(self, monkeypatch, mechanism, delta, threads):
+        # A redraw-heavy cell, both scales in one pass, in blocks of at most 1
+        # and 7 replications, at the default cap (blocks of 33 and 34) and in
+        # one block.  A cap of 50 rejected replicates (1,000 draws) makes some
+        # rows reach it, which no symmetric noise does at the default cap.
+        ratio = d.SimulationConfig(
+            n=100, epsilons=(0.02, 1.0), weighted=True, mechanism=mechanism, delta=delta,
+            replications=67, mc_draws=1000, master_seed=5,
+        )
+        configs = [ratio, replace(ratio, scale=d.Scale.LOG)]
+        monkeypatch.setattr(inference, "_REDRAW_CAP_PER_DRAW", 0.05)
+        runs = {}
+        for per_block in (1, 7, None, ratio.replications + 1):
+            with monkeypatch.context() as patch:
+                if per_block is not None:
+                    patch.setattr(simulation, "_BLOCK_VALUES", per_block * ratio.mc_draws)
+                cuts = _block_cuts(ratio.replications, ratio.mc_draws, threads)
+                runs[tuple(cuts)] = d.run_experiments(configs, threads)
+        assert len(runs) == 4 and len({repr(cells) for cells in runs.values()}) == 1
+        rows = [row for cell in runs.popitem()[1] for row in cell]
+        assert sum(row.refusals_by_cause["monte_carlo_redraw_cap"] for row in rows) > 0
+        assert sum(row.flags["monte_carlo_redraw"] for row in rows) > 0
+
+
+class TestBlockCuts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        replications=st.integers(1, 20_000),
+        mc_draws=st.integers(2, 2**18),
+        workers=st.integers(1, 8),
+    )
+    def test_even_blocks_under_the_cap(self, replications, mc_draws, workers):
+        cuts = _block_cuts(replications, mc_draws, workers)
+        sizes = np.diff(cuts)
+        # Every replication once, in order, in blocks whose sizes differ by at most one.
+        assert cuts[0] == 0 and cuts[-1] == replications and sizes.min() >= 1
+        assert sizes.max() - sizes.min() <= 1
+        # No block's Monte Carlo matrix passes the cap, unless it holds one replication.
+        assert sizes.max() * mc_draws <= simulation._BLOCK_VALUES or sizes.max() == 1
+        fewest = -(-replications // max(1, simulation._BLOCK_VALUES // mc_draws))  # blocks under the cap
+        if fewest == 1:
+            assert len(sizes) == 1  # a one-block run stays one block
+        elif workers == 1:
+            assert len(sizes) == fewest
+        else:
+            assert fewest <= len(sizes) < fewest + workers
+            assert len(sizes) % workers == 0 or len(sizes) == replications
+
+    def test_known_layouts(self):
+        # 1,000 replications at 200 draws: four blocks of 250, serial or on two
+        # workers, where a plain cap of 327 would share them 654/346.
+        assert _block_cuts(1000, 200) == _block_cuts(1000, 200, 2) == [0, 250, 500, 750, 1000]
+        assert _block_cuts(1000, 200, 3) == [0, 166, 333, 500, 666, 833, 1000]
+        assert _block_cuts(2, 200, 2) == [0, 2]
+        assert _block_cuts(3, 2**17, 2) == [0, 1, 2, 3]
+
 
 class TestBlockSums:
     """The chunked data path of a block against a per-replication loop of
@@ -299,19 +361,21 @@ class TestBlockSums:
         start=st.integers(0, 200),
         rows=st.integers(1, 90),
         master_seed=st.integers(0, 2**64 - 1),
-        mc_draws=st.sampled_from([200, 1000, 2**14]),
+        mc_draws=st.sampled_from([200, 1000, 2**14, 2**17]),
+        workers=st.sampled_from([1, 2]),
         chunk_values=st.sampled_from([None, 700, 1500]),
     )
     def test_matches_per_replication_loop(
-        self, n, weighted, start, rows, master_seed, mc_draws, chunk_values
+        self, n, weighted, start, rows, master_seed, mc_draws, workers, chunk_values
     ):
-        # The range is cut where run_experiments cuts its blocks (81, 16 or 1
-        # replications); chunks of max(1, chunk_values // n) rows cut each block.
+        # The range is cut where run_experiments cuts the blocks of a run of
+        # start + rows replications; chunks of max(1, chunk_values // n) rows
+        # cut each block.
         config = small_config(
             n=n, weighted=weighted, master_seed=master_seed, replications=start + rows, mc_draws=mc_draws
         )
-        size = _block_size(mc_draws)
-        cuts = [start] + [c for c in range(size * (start // size + 1), start + rows, size)] + [start + rows]
+        run_cuts = _block_cuts(config.replications, mc_draws, workers)
+        cuts = [start] + [c for c in run_cuts if start < c < start + rows] + [start + rows]
         with pytest.MonkeyPatch.context() as patch:
             if chunk_values is not None:
                 patch.setattr(simulation, "_CHUNK_VALUES", chunk_values)
