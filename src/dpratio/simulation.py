@@ -19,8 +19,8 @@ Monte Carlo first pass shared by the scales, run on the block's sums.
 Much of a block's cost is paid once per block (a few hundred numpy calls
 per epsilon, most of them in the Monte Carlo redraw rounds), so blocks are
 as few as a memory cap allows: :func:`_block_cuts` gives each at most
-_BLOCK_VALUES values of Monte Carlo matrix, splits the replications evenly
-and, in a process pool, into a multiple of the worker count.
+_BLOCK_VALUES values of Monte Carlo matrix and splits the replications
+evenly.
 """
 
 from __future__ import annotations
@@ -208,21 +208,17 @@ def interval_score(lower: float, upper: float, truth: float, alpha: float) -> fl
     return float(_interval_scores(np.array([lower]), np.array([upper]), truth, alpha)[0])
 
 
-def _block_cuts(replications: int, mc_draws: int, workers: int = 1) -> list[int]:
+def _block_cuts(replications: int, mc_draws: int) -> list[int]:
     """Where replications are cut into blocks: block i runs ``cuts[i]`` to ``cuts[i + 1] - 1``.
 
     A block holds at most max(1, _BLOCK_VALUES // mc_draws) replications,
     so its (replications, mc_draws) Monte Carlo matrices stay within
     _BLOCK_VALUES values and memory stays flat in the replication count.
     The fewest blocks under that cap share the replications evenly (their
-    sizes differ by at most one).  When more than one block goes to a pool
-    of ``workers``, their count is rounded up to a multiple of ``workers``,
-    short of blocks with no replication, so each worker gets an equal share.
+    sizes differ by at most one), whatever the thread count: rounding their
+    count up to a multiple of a pool's workers measured no gain.
     """
-    cap = max(1, _BLOCK_VALUES // mc_draws)
-    count = -(-replications // cap)
-    if count > 1 and workers > 1:
-        count = min(replications, -(-count // workers) * workers)
+    count = -(-replications // max(1, _BLOCK_VALUES // mc_draws))
     return [replications * i // count for i in range(count + 1)]
 
 
@@ -341,7 +337,7 @@ def run_experiments(
     if any(replace(config, scale=base.scale) != base for config in configs):
         raise InvalidConfigError("configs run together must differ only in scale")
     reps = base.replications
-    cuts = _block_cuts(reps, base.mc_draws, threads)
+    cuts = _block_cuts(reps, base.mc_draws)
     starts, stops = cuts[:-1], cuts[1:]
     run = partial(_run_block, base, tuple(config.scale for config in configs))
     # A one-block run with threads > 1 still forks one worker.  Run in this
