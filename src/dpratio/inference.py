@@ -238,44 +238,52 @@ def _pieces(count: int, draws: int) -> list[slice]:
     return [slice(a, a + step) for a in range(0, count, step)]
 
 
+def _noisy_halves(released: ReleasedBlock) -> tuple[int, int, np.ndarray]:
+    """The halves ``lo:hi`` of a (numerator, denominator) pair that carry
+    noise, and their variances as a column.  As in draw_noise, a sum without
+    noise, or a release without a mechanism, draws nothing, so the drawn
+    halves are a contiguous slice and the stream matches per-sum calls."""
+    var_s, var_y = released.variance("sum_ws"), released.variance("sum_wy")
+    lo = 0 if released.mechanism is not None and var_s > 0.0 else 1
+    hi = 2 if released.mechanism is not None and var_y > 0.0 else 1
+    return lo, hi, np.array([var_s, var_y])[lo:hi, None]
+
+
 class _FirstPass(NamedTuple):
     """The first Monte Carlo pass over the rows ``rows`` of a block.
 
     ``ratios`` holds each row's ``draws`` re-noised numerator over
     denominator, ``num_ok`` and ``den_ok`` whether those sums are positive:
-    10 bytes a draw, all a pass keeps.  Only the halves ``lo:hi``
-    (numerator 0, denominator 1) carry noise, at ``variances``.  ``states``
-    holds the generator state, just past the pass, of each row a scale has
-    redrawn, for the scales that redraw it later.
+    10 bytes a draw, all a pass keeps.  ``filled[scale]`` counts each row's
+    draws that ``scale`` accepts, for each scale the pass serves.  The
+    generators are left just past the pass; what one scale redraws after
+    it, a later scale reads from a :class:`_Record`.
     """
 
     rows: np.ndarray
     ratios: np.ndarray
     num_ok: np.ndarray
     den_ok: np.ndarray
-    lo: int
-    hi: int
-    variances: np.ndarray
-    states: dict[int, dict]
+    filled: dict[Scale, np.ndarray]
 
 
 def _first_pass(
-    released: ReleasedBlock, rows: np.ndarray, draws: int, rngs: Sequence[np.random.Generator]
+    released: ReleasedBlock,
+    rows: np.ndarray,
+    draws: int,
+    rngs: Sequence[np.random.Generator],
+    scales: Sequence[Scale],
 ) -> _FirstPass:
     """Each row fills its (numerator, denominator) draws with one call on its
     generator ``rngs[row]``, then one transform per piece of rows maps them to
-    noise.  As in draw_noise, a sum without noise draws nothing, so the drawn
-    halves are the contiguous slice lo:hi and the stream matches per-sum calls.
-    Every step is elementwise or per row, so the pieces give the values one
-    pass over all rows would."""
+    noise.  Every step is elementwise or per row, so the pieces give the
+    values one pass over all rows would."""
     mechanism = released.mechanism
-    var_s, var_y = released.variance("sum_ws"), released.variance("sum_wy")
-    lo = 0 if mechanism is not None and var_s > 0.0 else 1
-    hi = 2 if mechanism is not None and var_y > 0.0 else 1
-    variances = np.array([var_s, var_y])[lo:hi, None]
+    lo, hi, variances = _noisy_halves(released)
+    shape = (len(rows), draws)
     first = _FirstPass(
-        rows, np.empty((len(rows), draws)), np.empty((len(rows), draws), dtype=bool),
-        np.empty((len(rows), draws), dtype=bool), lo, hi, variances, {},
+        rows, np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool),
+        {scale: np.empty(len(rows), dtype=np.intp) for scale in scales},
     )
     for piece in _pieces(len(rows), draws):
         part = rows[piece]
@@ -288,8 +296,12 @@ def _first_pass(
         noisy_num, noisy_den = noisy[:, 0], noisy[:, 1]
         noisy_num += released.values[part, _SUM_WS, None]
         noisy_den += released.values[part, _SUM_WY, None]
-        np.greater(noisy_num, 0.0, out=first.num_ok[piece])
-        np.greater(noisy_den, 0.0, out=first.den_ok[piece])
+        num_ok = np.greater(noisy_num, 0.0, out=first.num_ok[piece])
+        den_ok = np.greater(noisy_den, 0.0, out=first.den_ok[piece])
+        for scale, filled in first.filled.items():
+            ok = den_ok if scale is Scale.RATIO else num_ok & den_ok
+            # A count over the whole piece is much faster than one per row.
+            filled[piece] = draws if np.count_nonzero(ok) == ok.size else np.count_nonzero(ok, axis=1)
         np.divide(noisy_num, noisy_den, out=first.ratios[piece])
     return first
 
@@ -304,67 +316,127 @@ def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Sca
     return np.mean(np.square(replicates, out=replicates), axis=1)
 
 
-def _redraw_rounds(
-    released: ReleasedBlock,
-    first: _FirstPass,
-    scale: Scale,
-    point: np.ndarray,
-    rows: np.ndarray,
-    draws: int,
-    rngs: Sequence[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The correction of one scale for ``rows``, a subset of the first pass's.
+def _first_pass_extras(
+    first: _FirstPass, scale: Scale, point: np.ndarray, rows: np.ndarray, draws: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What one scale takes from the first pass for ``rows``, a subset of its rows.
 
     A replicate with a non-positive denominator (or numerator, on the log
-    scale) is redrawn.  A row without such a replicate reads its first-pass
-    ratios a piece of rows at a time; only the rows with rejections copy
-    theirs, accepted ones first.  Redraws run in rounds over every row that
-    still lacks replicates: each row draws the k replicates it lacks with one
-    call on its own generator, k draws per noisy sum, numerator first (the
-    stream of a per-row loop, so the generators must be distinct); a boolean
-    mask splits the round's draws into numerator and denominator rows, in
-    order, one transform maps them to noise, and each row's accepted
-    replicates follow the ones it holds.  A row that rejects more than
-    ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped and writes nothing
-    in that round.  The first scale to redraw a row saves its generator's
-    state in ``first.states``; a later scale restores it, so each scale
-    redraws from where the first pass left the stream.
+    scale) is rejected.  The rows without a rejection get their correction
+    here, read a piece of rows at a time, in the returned block-length
+    ``extra``.  The others are returned as ``owners`` (their block rows),
+    ``held`` (their accepted replicates first, then room for those they
+    lack) and ``filled`` (how many they hold), for :func:`_redraw_rounds`.
     """
     extra = np.zeros(len(point))
-    redrawn = np.zeros(len(point), dtype=bool)
-    capped = np.zeros(len(point), dtype=bool)
-    mechanism, lo, hi, variances = released.mechanism, first.lo, first.hi, first.variances
-    m = hi - lo
     at = np.searchsorted(first.rows, rows)
-    ok = first.den_ok[at]
-    if scale is Scale.LOG:
-        ok &= first.num_ok[at]
-    filled = ok.sum(axis=1)
+    filled = first.filled[scale][at]
     full = filled == draws
     done = np.flatnonzero(full)  # positions in ``rows``
     for piece in _pieces(len(done), draws):
         part = done[piece]
         extra[rows[part]] = _mean_square_deviation(first.ratios[at[part]], point[rows[part]], scale)
-
     pending = np.flatnonzero(~full)
-    owners = rows[pending]  # the block row of each row of ``held``
-    redrawn[owners] = True
-    for row in owners.tolist():
-        if row in first.states:
-            rngs[row].bit_generator.state = first.states[row]
-        else:
-            first.states[row] = rngs[row].bit_generator.state
-    # Rows with rejections move their accepted replicates to the front.
     held = np.zeros((len(pending), draws))
     filled = filled[pending]
     for piece in _pieces(len(pending), draws):
-        part = pending[piece]
-        held[piece][np.arange(draws) < filled[piece, None]] = first.ratios[at[part]][ok[part]]
-    del ok
+        part = at[pending[piece]]
+        ok = first.den_ok[part]
+        if scale is Scale.LOG:
+            ok &= first.num_ok[part]
+        held[piece][np.arange(draws) < filled[piece, None]] = first.ratios[part][ok]
+    return extra, rows[pending], held, filled
+
+
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i]``, ..., ``starts[i] + lengths[i] - 1`` for each i in turn.
+
+    A running sum of steps of 1, with a jump at the head of each segment:
+    one array of the result's size, where a repeat and an arange take two.
+    """
+    some = lengths > 0
+    starts, lengths = starts[some], lengths[some]
+    ends = np.cumsum(lengths)
+    index = np.ones(ends[-1] if len(ends) else 0, dtype=np.intp)
+    if len(index):
+        index[0] = starts[0]
+        index[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    return np.cumsum(index, out=index)
+
+
+class _Record:
+    """The raw draws the redraw rounds took from each row's generator after the
+    first pass, in stream order.
+
+    Row r's are ``flat[offset[r]:offset[r] + length[r]]``, rows in block
+    order, and its generator sits just past them.  A scale that redraws
+    after another reads a row's draws here by stream position and takes
+    from the generator only what lies beyond.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.flat = np.empty(0)
+        self.offset = np.zeros(size, dtype=np.intp)
+        self.length = np.zeros(size, dtype=np.intp)
+
+    def extend(self, taken: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        """Append the draws ``taken`` holds, and empty it: per round, in stream
+        order, a (values, rows, lengths) triple in which row ``rows[i]`` drew
+        the next ``lengths[i]`` of ``values`` where its record ended."""
+        held = np.flatnonzero(self.length)
+        taken.insert(0, (self.flat, held, self.length[held]))
+        rows, lengths = (np.concatenate(column) for column in list(zip(*taken))[1:])
+        # Each segment goes to its row, after the row's earlier ones.
+        order = np.argsort(rows, kind="stable")
+        starts = np.empty_like(lengths)
+        starts[order] = np.cumsum(lengths[order]) - lengths[order]
+        self.flat = np.empty(int(lengths.sum()))
+        done = 0
+        while taken:  # one part at a time, each freed once copied
+            values, _, part_lengths = taken.pop(0)
+            self.flat[_segments(starts[done:done + len(part_lengths)], part_lengths)] = values
+            done += len(part_lengths)
+        self.length = np.bincount(rows, lengths, minlength=len(self.length)).astype(np.intp)
+        self.offset = np.cumsum(self.length) - self.length
+
+
+def _redraw_rounds(
+    released: ReleasedBlock,
+    scale: Scale,
+    owners: np.ndarray,
+    held: np.ndarray,
+    filled: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    record: _Record | None,
+    taken: list | None,
+) -> np.ndarray:
+    """Fill each row of ``held`` with the replicates it lacks, in place (``filled``
+    too); return which rows are capped.
+
+    Redraws run in rounds over every row that still lacks replicates: each
+    row takes the k replicates it lacks, k raw draws per noisy sum,
+    numerator first, from the next 2k (or k) positions of its stream past
+    the first pass (the stream of a per-row loop, so the generators must be
+    distinct).  It reads the part of them that ``record`` holds and draws
+    the rest with one call on its generator ``rngs[owners[i]]``; those draws
+    are appended to ``taken``, if given, in :meth:`_Record.extend`'s form.
+    A boolean mask splits the round's draws into numerator and denominator
+    rows, in order, one transform maps them to noise, and each row's
+    accepted replicates follow the ones it holds.  A row that rejects more
+    than ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped and writes
+    nothing in that round.
+    """
+    mechanism = released.mechanism
+    lo, hi, variances = _noisy_halves(released)
+    m = hi - lo
+    draws = held.shape[1]
+    capped = np.zeros(len(owners), dtype=bool)
     numerator = released.values[owners, _SUM_WS]
     denominator = released.values[owners, _SUM_WY]
-    live = np.arange(len(pending))  # rows of ``held`` that still lack replicates
+    live = np.arange(len(owners))  # rows of ``held`` that still lack replicates
     rejected = draws - filled
+    position = np.zeros(len(owners), dtype=np.intp)  # each live row's stream past the first pass
+    read = record is not None and len(record.flat) > 0
     cap = _REDRAW_CAP_PER_DRAW * draws
     flat = held.reshape(-1)  # replicate j of held row i is flat[i * draws + j]
     while len(live):
@@ -373,9 +445,24 @@ def _redraw_rounds(
         starts = ends - k
         noise = np.zeros((2, ends[-1]))
         if m:
+            # Row r's m * k[r] draws are raw[m * starts[r]:m * ends[r]]: the
+            # first ``have`` from the record, the rest from its generator.
             raw = np.empty(m * ends[-1])
-            for row, a, b in zip(owners[live].tolist(), (m * starts).tolist(), (m * ends).tolist()):
-                raw_draws(rngs[row], mechanism, out=raw[a:b])
+            need, starts_m, block_rows = m * k, m * starts, owners[live]
+            if read:
+                have = np.clip(record.length[block_rows] - position, 0, need)
+                recorded = _segments(record.offset[block_rows] + position, have)
+                raw[_segments(starts_m, have)] = record.flat[recorded]
+                del recorded
+                short = np.flatnonzero(have < need)
+                drawing, a, b = block_rows[short], (starts_m + have)[short], (starts_m + need)[short]
+            else:
+                drawing, a, b = block_rows, starts_m, starts_m + need
+            for row, a_row, b_row in zip(drawing.tolist(), a.tolist(), b.tolist()):
+                raw_draws(rngs[row], mechanism, out=raw[a_row:b_row])
+            if taken is not None:
+                taken.append((raw[_segments(a, b - a)] if read else raw, drawing, b - a))
+            position += need
             if m == 1:
                 noise[lo] = raw
             else:  # row r's draws are its k[r] numerator draws, then its k[r] denominator draws
@@ -394,7 +481,7 @@ def _redraw_rounds(
         rejected += k - accepted
         over = rejected > cap
         if over.any():
-            capped[owners[live[over]]] = True
+            capped[live[over]] = True
             accept &= np.repeat(~over, k)  # a capped row writes nothing
             accepted[over] = 0
         # A row's accepted replicates follow its filled ones, in draw order.
@@ -404,11 +491,8 @@ def _redraw_rounds(
         flat[target] = np.divide(more_num, more_den, out=more_num)[accept]
         filled += accepted
         going = ~over & (filled < draws)
-        live, filled, rejected = live[going], filled[going], rejected[going]
-
-    # A capped row's replicates are incomplete; its refusal discards the result.
-    extra[owners] = _mean_square_deviation(held, point[owners], scale)
-    return extra, redrawn, capped
+        live, filled, rejected, position = live[going], filled[going], rejected[going], position[going]
+    return capped
 
 
 def _monte_carlo_extras(
@@ -425,10 +509,14 @@ def _monte_carlo_extras(
     (numerator first) and added to the noisy sums.  That first pass is the
     same on every scale, so it is made once (:func:`_first_pass`), over the
     union of the cells' rows; each cell then runs its own redraws
-    (:func:`_redraw_rounds`) from where that pass left the row's generator
-    ``rngs[row]``, so each cell sees the stream it would see on its own.
-    Returns, per cell, the mean squared deviation from the point estimate
-    and the redraw and cap masks, all of block length.
+    (:func:`_redraw_rounds`) on the stream past that pass, so each cell sees
+    the stream it would see on its own.  The cells that reject the most
+    first-pass replicates redraw first, and each but the last records the
+    draws it takes from the generators (:class:`_Record`), so a later cell
+    reads most of its redraws instead of drawing them.  The last cell's
+    rounds run after the first pass is released.  Returns, per cell in the
+    given order, the mean squared deviation from the point estimate and the
+    redraw and cap masks, all of block length.
     """
     size = len(released.values)
     drawn = np.zeros(size, dtype=bool)
@@ -437,8 +525,29 @@ def _monte_carlo_extras(
     union = np.flatnonzero(drawn)
     if (released.variance("sum_ws") == 0.0 and released.variance("sum_wy") == 0.0) or len(union) == 0:
         return [(np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)) for _ in cells]
-    first = _first_pass(released, union, draws, rngs)
-    return [_redraw_rounds(released, first, scale, point, rows, draws, rngs) for scale, point, rows in cells]
+    first = _first_pass(released, union, draws, rngs, [scale for scale, _, _ in cells])
+    filled = [first.filled[scale][np.searchsorted(union, rows)].sum() for scale, _, rows in cells]
+    order = sorted(range(len(cells)), key=lambda i: filled[i] - draws * len(cells[i][2]))
+    record = _Record(size) if len(cells) > 1 else None
+    extras = [None] * len(cells)
+    for n, i in enumerate(order):
+        scale, point, rows = cells[i]
+        extra, owners, held, held_filled = _first_pass_extras(first, scale, point, rows, draws)
+        last = n == len(order) - 1
+        if last:
+            del first  # the last cell's rounds need only the rows it holds
+        taken = None if last else []
+        capped = _redraw_rounds(released, scale, owners, held, held_filled, rngs, record, taken)
+        # A capped row's replicates are incomplete; its refusal discards the result.
+        extra[owners] = _mean_square_deviation(held, point[owners], scale)
+        del held
+        if taken:
+            record.extend(taken)
+        redrawn, capped_rows = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+        redrawn[owners] = True
+        capped_rows[owners[capped]] = True
+        extras[i] = extra, redrawn, capped_rows
+    return extras
 
 
 def estimate_block(

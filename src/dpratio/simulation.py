@@ -63,7 +63,10 @@ _CHUNK_VALUES = 2**12
 #: max(1, _BLOCK_VALUES // mc_draws) replications (see _block_cuts).  The
 #: Monte Carlo pass keeps 10 bytes a value, 18 in rows it redraws
 #: (inference._FirstPass), so a block of 2**16 values (327 replications at
-#: 200 draws) holds at most about 1.2 MB of them.
+#: 200 draws) holds at most about 1.2 MB of them.  With both scales, the
+#: raw draws the first scale redraws are kept too (inference._Record, 8
+#: bytes each) until the other scale has read them: about 0.25 MB for a
+#: block of 250 replications at epsilon 0.2 in the simulate_small_n cell.
 _BLOCK_VALUES = 2**16
 
 
@@ -170,19 +173,31 @@ def generate_arrays(
         raise InvalidConfigError(f"n must be at least 1, got {n}")
     _check_true_ratio(true_ratio)
     y, s, w = np.empty(n), np.empty(n), np.empty(n)
-    _draw_dataset(rng, weighted, true_ratio, y, s, w)
+    _draw_dataset(rng, weighted, y, s, w)
+    _finish_datasets(weighted, true_ratio, y, s, w)
     return y, s, w
 
 
 def _draw_dataset(
-    rng: np.random.Generator, weighted: bool, true_ratio: float, y: np.ndarray, s: np.ndarray, w: np.ndarray
+    rng: np.random.Generator, weighted: bool, y: np.ndarray, s: np.ndarray, w: np.ndarray
 ) -> None:
-    """:func:`generate_arrays` into the caller's contiguous rows, settings unchecked."""
+    """The draws of one dataset, in stream order, into the caller's contiguous
+    rows: the scores into ``s``, the uniforms its labels compare into ``y``
+    and, if ``weighted``, the Exponential(1) draws into ``w``."""
     s[:] = rng.beta(2.0, 2.0, len(s))
     rng.random(out=y)
-    np.less(y, s / true_ratio, out=y)
     if weighted:
         rng.standard_exponential(out=w)
+
+
+def _finish_datasets(
+    weighted: bool, true_ratio: float, y: np.ndarray, s: np.ndarray, w: np.ndarray
+) -> None:
+    """Turn the draws of :func:`_draw_dataset` into labels and weights, in
+    place, settings unchecked.  Every step is elementwise, so a matrix of
+    datasets at once gets the values each row would get on its own."""
+    np.less(y, s / true_ratio, out=y)
+    if weighted:
         np.clip(w, WEIGHT_CLIP[0], WEIGHT_CLIP[1], out=w)
     else:
         w.fill(1.0)
@@ -243,14 +258,15 @@ def _block_sums(config: SimulationConfig, start: int, stop: int) -> tuple[np.nda
 
     The datasets are drawn a chunk of rows at a time into (rows, n)
     matrices, each row from its own stream as :func:`generate_arrays`
-    would draw it, and each chunk's records are checked and summed in one
-    pass; the block's sums are then checked once.  The results equal a
-    per-replication loop bit for bit.  ``config`` owns the settings
-    :func:`generate_arrays` checks, so they are not checked again.
+    would draw it, and each chunk is turned into labels and weights,
+    checked and summed in one pass; the block's sums are then checked once.
+    The results equal a per-replication loop bit for bit.  ``config`` owns
+    the settings :func:`generate_arrays` checks, so they are not checked
+    again.
     """
     from ._seeding import generators, state_words  # loads numpy.random, as in _run_block
 
-    data_words = state_words(config.master_seed, start, stop, _PURPOSE_DATA)
+    data_words = state_words(config.master_seed, start, stop, [(_PURPOSE_DATA, None)])[0]
     n, bounds = config.n, config.bounds
     exact = np.empty((stop - start, len(SUM_FIELDS)))
     chunk = max(1, _CHUNK_VALUES // n)
@@ -259,7 +275,8 @@ def _block_sums(config: SimulationConfig, start: int, stop: int) -> tuple[np.nda
         hi = min(lo + chunk, stop - start)
         y, s, w = data[:, : hi - lo]
         for rng, *row in zip(generators(data_words[lo:hi]), y, s, w):
-            _draw_dataset(rng, config.weighted, config.true_ratio, *row)
+            _draw_dataset(rng, config.weighted, *row)
+        _finish_datasets(config.weighted, config.true_ratio, y, s, w)
         _check_records(y, s, w, bounds, start + lo)
         # Looked up on the module, where perfbench's tracer wraps the kernel.
         exact[lo:hi] = core.weighted_sums(y, s, w)
@@ -274,24 +291,27 @@ def _run_block(
     """Replications ``start`` to ``stop - 1`` of ``config`` on each of ``scales``.
 
     The data, sums, releases and the first Monte Carlo pass are drawn once
-    and shared by every scale; a scale's redraws, which differ, run on
-    generators at the point of the stream where that pass left them.
+    and shared by every scale.  A scale's redraws, which differ, take the
+    stream past that pass: the first scale to redraw a row draws it, and a
+    later scale reads what that one recorded.
     """
     # Imported here: it loads numpy.random, which ``import dpratio`` must not.
     from ._seeding import generators, state_words
 
-    block_seeds = partial(state_words, config.master_seed, start, stop)
     bounds = config.bounds
     exact, effective_n = _block_sums(config, start, stop)
+    # Every epsilon's release and Monte Carlo seeds, in one pass.
+    keys = [(purpose, eps) for eps in config.epsilons for purpose in (_PURPOSE_RELEASE, _PURPOSE_MC)]
+    seeds = iter(state_words(config.master_seed, start, stop, keys))
 
     public = ReleasedBlock.exact(exact, bounds.profile)
     estimates = [[block] for block in _estimate_scales(public, Method.PUBLIC, scales, config.level)]
     for eps in config.epsilons:
         released = release_block(
             exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism,
-            generators(block_seeds(_PURPOSE_RELEASE, eps)),
+            generators(next(seeds)),
         )
-        mc_rngs = generators(block_seeds(_PURPOSE_MC, eps))
+        mc_rngs = generators(next(seeds))
         for method in _DP_METHODS:
             blocks = _estimate_scales(released, method, scales, config.level, config.mc_draws, mc_rngs)
             for scale_estimates, block in zip(estimates, blocks):

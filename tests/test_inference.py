@@ -621,6 +621,109 @@ class TestSharedFirstPass:
                     assert got.tobytes() == want.tobytes(), (scale, name)
 
 
+def _shared_pass(released, scales, draws):
+    """``_estimate_scales`` of ``scales`` on one first pass, watched: returns
+    the estimates and, per scale in the order it redrew, the record lengths
+    it found and the rows it drew from a generator."""
+    generators = [np.random.default_rng([13, row]) for row in range(len(released.values))]
+    row_of = {id(rng): row for row, rng in enumerate(generators)}
+    seen = []
+    rounds, draw = inference._redraw_rounds, inference.raw_draws
+
+    def watched_rounds(released, scale, owners, held, filled, rngs, record, taken):
+        size = len(released.values)
+        recorded = np.zeros(size, dtype=np.intp) if record is None else record.length.copy()
+        seen.append((scale, recorded, set()))
+        return rounds(released, scale, owners, held, filled, rngs, record, taken)
+
+    def watched_draw(rng, mechanism, size=None, out=None):
+        if seen:  # a redraw round, not the first pass
+            seen[-1][2].add(row_of[id(rng)])
+        return draw(rng, mechanism, size, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_redraw_rounds", watched_rounds)
+        patch.setattr(inference, "raw_draws", watched_draw)
+        shared = inference._estimate_scales(
+            released, d.Method.MONTE_CARLO, scales, draws=draws, rngs=generators
+        )
+    for scale, est in zip(scales, shared):
+        rngs = [np.random.default_rng([13, row]) for row in range(len(released.values))]
+        alone = d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws, rngs=rngs)
+        for name, got, want in zip(est._fields, est, alone):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (scale, name)
+    return shared, seen
+
+
+def _near_zero(released, numerator, denominator):
+    """``released`` with both noisy sums of every row this many noise deviations above zero."""
+    values = released.values.copy()
+    sd = math.sqrt(released.variance("sum_wy"))
+    values[:, SUM_FIELDS.index("sum_ws")] = numerator * sd
+    values[:, SUM_FIELDS.index("sum_wy")] = denominator * sd
+    return released._replace(values=values)
+
+
+class TestRedrawRecord:
+    """With both scales on one first pass, the scale that rejects more redraws
+    first and records its draws; the other reads them back by stream position
+    and draws only past the record's end.  Each scale must equal its own run,
+    bit for bit, in each case the record meets."""
+
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_row_the_log_scale_refuses(self, mechanism):
+        # Rows whose noisy score sum is negative are refused on the log scale,
+        # so nothing is recorded for them, yet the ratio scale redraws them.
+        released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=40), 0.3, 0.3)
+        values = released.values.copy()
+        values[::3, SUM_FIELDS.index("sum_ws")] *= -1.0
+        released = released._replace(values=values)
+        (ratio, log), seen = _shared_pass(released, (d.Scale.RATIO, d.Scale.LOG), 50)
+        assert [scale for scale, _, _ in seen] == [d.Scale.LOG, d.Scale.RATIO]
+        _, recorded, drawn = seen[1]
+        only_ratio = np.flatnonzero(
+            (log.refusal == d.Refusal.NONPOSITIVE_LOG_NUMERATOR)
+            & ratio.flags[:, d.FLAGS.index("monte_carlo_redraw")]
+        )
+        assert len(only_ratio) and set(only_ratio) <= drawn
+        assert (recorded[only_ratio] == 0).all()
+
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_second_scale_draws_past_the_record(self, mechanism):
+        # A round draws its numerators, then its denominators, so the scales
+        # pair up the same stream into replicates differently, and the scale
+        # that rejects less can still need more of it: here a few rows do.
+        released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=200), 3.0, 0.1)
+        _, seen = _shared_pass(released, (d.Scale.RATIO, d.Scale.LOG), 50)
+        _, recorded, drawn = seen[1]
+        assert any(recorded[row] > 0 for row in drawn)
+
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_capped_row(self, monkeypatch, mechanism):
+        # At a cap of one rejected replicate per draw the log scale caps rows
+        # whose record the ratio scale then reads and draws past.
+        monkeypatch.setattr(inference, "_REDRAW_CAP_PER_DRAW", 1)
+        released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=40), 0.3, 0.3)
+        (ratio, log), seen = _shared_pass(released, (d.Scale.RATIO, d.Scale.LOG), 50)
+        _, recorded, drawn = seen[1]
+        capped = np.flatnonzero(log.refusal == d.Refusal.MONTE_CARLO_REDRAW_CAP)
+        assert len(capped) and (recorded[capped] > 0).all()
+        assert any(row in drawn and ratio.refusal[row] == d.Refusal.NONE for row in capped)
+
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_middle_scale_reads_and_records(self, mechanism):
+        # Of three scales the second reads the record and adds its own draws
+        # past its end, which the third then reads.
+        released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=200), 3.0, 0.1)
+        _, seen = _shared_pass(released, (d.Scale.RATIO, d.Scale.LOG, d.Scale.RATIO), 50)
+        assert [scale for scale, _, _ in seen] == [d.Scale.LOG, d.Scale.RATIO, d.Scale.RATIO]
+        _, (_, middle_found, middle_drawn), (_, last_found, last_drawn) = seen
+        assert any(middle_found[row] > 0 for row in middle_drawn)
+        # The third scale repeats the second, so the record now holds all it needs.
+        assert (last_found >= middle_found).all() and (last_found > middle_found).any()
+        assert not last_drawn
+
+
 class TestMonteCarloGenerators:
     """Monte Carlo without a generator for every row is refused before any draw."""
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
@@ -400,18 +400,22 @@ class TestBlockSums:
         # out-of-bounds label at an earlier record, and labels are checked
         # first, yet the earlier replication is named.
         config = small_config(n=300, weighted=True, replications=100)
-        draw = simulation._draw_dataset
+        draw, finish = simulation._draw_dataset, simulation._finish_datasets
         drawn = []
 
-        def corrupt(rng, weighted, true_ratio, y, s, w):
-            draw(rng, weighted, true_ratio, y, s, w)
-            if len(drawn) == 37:
-                {"y": y, "s": s, "w": w}[column][211] = value
-            elif len(drawn) == 38:
-                y[5] = 2.0
+        def count(*args):
+            draw(*args)
             drawn.append(True)
 
-        monkeypatch.setattr(simulation, "_draw_dataset", corrupt)
+        def corrupt(weighted, true_ratio, y, s, w):
+            # The chunk of datasets 26-38 (replications 46-58) is finished last.
+            finish(weighted, true_ratio, y, s, w)
+            if len(drawn) == 39:
+                {"y": y, "s": s, "w": w}[column][11, 211] = value
+                y[12, 5] = 2.0
+
+        monkeypatch.setattr(simulation, "_draw_dataset", count)
+        monkeypatch.setattr(simulation, "_finish_datasets", corrupt)
         with pytest.raises(d.BoundsViolationError, match="^replication 57, record 211: " + message) as err:
             _block_sums(config, 20, 90)
         assert err.value.index == 211
@@ -422,6 +426,14 @@ def _float_from_bits(bits):
     return float(np.uint64(bits).view(np.float64))
 
 
+_EPSILONS = st.one_of(
+    st.none(),
+    st.floats(min_value=np.finfo(np.float64).tiny, max_value=1e300),
+    # Subnormals whose bit pattern is one 32-bit key word.
+    st.integers(1, 2**32 - 1).map(_float_from_bits),
+)
+
+
 class TestStreamSeeds:
     """The vectorised seeding against numpy's SeedSequence."""
 
@@ -430,24 +442,40 @@ class TestStreamSeeds:
         start=st.integers(0, 2**32 - 1),
         rows=st.integers(1, 20),
         purpose=st.integers(0, 2),
-        epsilon=st.one_of(
-            st.none(),
-            st.floats(min_value=np.finfo(np.float64).tiny, max_value=1e300),
-            # Subnormals whose bit pattern is one 32-bit key word.
-            st.integers(1, 2**32 - 1).map(_float_from_bits),
-        ),
+        epsilon=_EPSILONS,
     )
     @settings(max_examples=300, deadline=None)
     def test_every_row_matches_numpy(self, master_seed, start, rows, purpose, epsilon):
         stop = min(start + rows, 2**32)
-        engine = generators(state_words(master_seed, start, stop, purpose, epsilon))
+        engine = generators(state_words(master_seed, start, stop, [(purpose, epsilon)])[0])
         assert len(engine) == stop - start
         for r, rng in zip(range(start, stop), engine):
             oracle = np.random.default_rng(_substream(master_seed, r, purpose, epsilon))
             assert rng.bit_generator.state == oracle.bit_generator.state
 
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 8),
+        keys=st.lists(st.tuples(st.integers(0, 2), _EPSILONS), min_size=1, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    # Keys of one, two and three words after the replication index (no
+    # epsilon; a subnormal or zero one; a normal one), mixed in one call.
+    @example(master_seed=5, start=3, rows=4,
+             keys=[(1, 0.5), (0, None), (2, _float_from_bits(7)), (2, 0.5), (1, 0.0)])
+    def test_batched_keys_equal_single_keys(self, master_seed, start, rows, keys):
+        stop = min(start + rows, 2**32)
+        batched = state_words(master_seed, start, stop, keys)
+        assert batched.shape == (len(keys), stop - start, 4) and batched.dtype == np.uint64
+        for words, key in zip(batched, keys):
+            assert words.tobytes() == state_words(master_seed, start, stop, [key])[0].tobytes()
+            for r, row in zip(range(start, stop), words):
+                oracle = _substream(master_seed, r, *key).generate_state(4, np.uint64)
+                assert row.tobytes() == oracle.tobytes()
+
     def test_seed_answers_only_pcg64s_request(self):
-        words = state_words(7, 0, 1, _PURPOSE_DATA)[0]
+        words = state_words(7, 0, 1, [(_PURPOSE_DATA, None)])[0, 0]
         assert _Seed(words).generate_state(4, np.uint64) is words
         for request in ((4, np.uint32), (8, np.uint64), (2, np.uint64), (4,)):
             with pytest.raises(ValueError, match="generate_state"):
