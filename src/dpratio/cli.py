@@ -17,12 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .core import Bounds, _usable_cores, sum_dataset_csv
-# perfbench/tracer.py wraps these names; estimate no longer calls them.
+# perfbench/tracer.py wraps these names; estimate no longer calls them.  Without
+# them core.read_dataset_csv.* and core.compute_sums.self_s have no value, and
+# CI's "Every benchmark workload ends in a complete result line" step fails at
+# --trace 1.  They go with ROADMAP item 4's "delete what only the tracer keeps" step.
 from .core import compute_sums_from_arrays, read_dataset_csv  # noqa: F401
 from .errors import DPRatioError, InvalidConfigError
 from .inference import (
     DEFAULT_LEVEL,
     DEFAULT_MC_DRAWS,
+    DP_METHODS,
     Method,
     Scale,
     check_interval_settings,
@@ -150,6 +154,8 @@ def _run_estimate(args: argparse.Namespace) -> int:
 
     estimates = []
     public = []
+    # Each scale's estimates in DP_METHODS order.  The calls stay spelled out:
+    # perfbench/tracer.py times the inference layers through these names.
     for scale, mc_seq in zip(scales, mc_seqs):
         estimates.append(ci_no_correction(released, scale, args.level).to_json_dict())
         estimates.append(
@@ -208,12 +214,12 @@ def format_rows_table(config: SimulationConfig, rows: list[ExperimentRow]) -> st
         f"public method: width = {pub.mean_width:.3f}, coverage = {pub.coverage:.3f}, "
         f"score = {pub.mean_interval_score:.3f}",
         "",
-        f"{'':>8}  {'no_correction':^23}  {'monte_carlo':^23}  {'analytical':^23}",
-        f"{'epsilon':>8}  " + "  ".join([f"{'width':>7} {'cover':>7} {'score':>7}"] * 3),
+        f"{'':>8}  " + "  ".join(f"{method.value:^23}" for method in DP_METHODS),
+        f"{'epsilon':>8}  " + "  ".join(f"{'width':>7} {'cover':>7} {'score':>7}" for _ in DP_METHODS),
     ]
     for eps in config.epsilons:
         parts = [f"{eps:>8g}"]
-        for method in (Method.NO_CORRECTION, Method.MONTE_CARLO, Method.ANALYTICAL):
+        for method in DP_METHODS:
             row = by_key[(method, eps)]
             parts.append(f"{row.mean_width:>7.3f} {row.coverage:>7.3f} {row.mean_interval_score:>7.3f}")
         lines.append("  ".join(parts))

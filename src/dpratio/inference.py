@@ -31,7 +31,10 @@ from .errors import (
     ScaleMismatchError,
 )
 from .mechanisms import ReleasedBlock, ReleasedSums, exact_release, noise_from_raw, raw_draws
-# perfbench/tracer.py wraps this name; it goes with ROADMAP item 5.
+# perfbench/tracer.py wraps this name: without it inference.draw_noise.self_s
+# has no value, and CI's "Every benchmark workload ends in a complete result
+# line" step fails at --trace 1.  It goes with ROADMAP item 4's "delete what
+# only the tracer keeps" step.
 from .mechanisms import draw_noise  # noqa: F401
 
 _NORMAL = NormalDist()
@@ -54,6 +57,10 @@ class Method(str, Enum):
     NO_CORRECTION = "no_correction"
     MONTE_CARLO = "monte_carlo"
     ANALYTICAL = "analytical"
+
+
+#: The DP interval methods, in the order every report lists them: the paper's three.
+DP_METHODS = (Method.NO_CORRECTION, Method.MONTE_CARLO, Method.ANALYTICAL)
 
 
 #: Warning flags an estimate can carry, in the order they are reported.

@@ -57,13 +57,18 @@ def check_mechanism_budget(mechanism: MechanismKind, budget: PrivacyBudget) -> N
         raise MechanismMismatchError("the Laplace mechanism requires delta == 0")
 
 
+def _check_sensitivity(sensitivity: float) -> None:
+    """Both noise calibrations need a non-negative sensitivity."""
+    if sensitivity < 0.0:
+        raise ValueError("sensitivity must be non-negative")
+
+
 def gaussian_sigma(sensitivity: float, budget: PrivacyBudget) -> float:
     """Standard deviation of Gaussian noise for one release at ``budget``.
 
     sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon; requires delta > 0.
     """
-    if sensitivity < 0.0:
-        raise ValueError("sensitivity must be non-negative")
+    _check_sensitivity(sensitivity)
     check_mechanism_budget(MechanismKind.GAUSSIAN, budget)
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
 
@@ -73,8 +78,7 @@ def laplace_scale(sensitivity: float, epsilon: float) -> float:
 
     The associated noise variance is 2 * scale**2.
     """
-    if sensitivity < 0.0:
-        raise ValueError("sensitivity must be non-negative")
+    _check_sensitivity(sensitivity)
     PrivacyBudget(epsilon)  # owns the epsilon range
     return sensitivity / epsilon
 

@@ -2,8 +2,10 @@
 
 Generates calibration-style datasets (Beta scores, Bernoulli labels, and
 optionally clipped-Exponential weights), runs the public baseline and the
-three DP interval methods across a grid of privacy budgets, and aggregates
-width, coverage, and interval score over replications.
+DP interval methods of :data:`~dpratio.inference.DP_METHODS` across a grid
+of privacy budgets, and aggregates width, coverage, and interval score over
+replications.  :func:`_cells` names the report's (method, epsilon) cells in
+row order: the public baseline, then every method at each epsilon in turn.
 
 Every replication derives its own random substreams from
 (master_seed, replication index, purpose, epsilon), numpy SeedSequence keys
@@ -39,8 +41,8 @@ from . import core
 from .core import SUM_FIELDS, Bounds, _check_records, _check_sum_rows, kish_rows
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import (
-    DEFAULT_LEVEL, DEFAULT_MC_DRAWS, FLAGS, REFUSAL_CAUSES, EstimateBlock, Method, Refusal, Scale,
-    _estimate_scales, check_interval_settings,
+    DEFAULT_LEVEL, DEFAULT_MC_DRAWS, DP_METHODS, FLAGS, REFUSAL_CAUSES, EstimateBlock, Method,
+    Refusal, Scale, _estimate_scales, check_interval_settings,
 )
 from .mechanisms import (
     MechanismKind, PrivacyBudget, ReleasedBlock, calibrate, default_delta, release_block,
@@ -48,8 +50,6 @@ from .mechanisms import (
 
 #: Clipping range of the Exponential(1) weights in the weighted design.
 WEIGHT_CLIP = (1.0 / 3.0, 3.0)
-
-_DP_METHODS = (Method.NO_CORRECTION, Method.MONTE_CARLO, Method.ANALYTICAL)
 
 # Purpose tags for substream derivation.
 _PURPOSE_DATA = 0
@@ -237,14 +237,19 @@ def _block_cuts(replications: int, mc_draws: int) -> list[int]:
     return [replications * i // count for i in range(count + 1)]
 
 
+def _cells(epsilons: Sequence[float]) -> list[tuple[Method, float | None]]:
+    """The (method, epsilon) cells of a report, in row order: the public
+    baseline, then each epsilon's DP methods in :data:`DP_METHODS` order."""
+    return [(Method.PUBLIC, None), *((method, eps) for eps in epsilons for method in DP_METHODS)]
+
+
 class _BlockResult(NamedTuple):
     """Per-replication results of a block of replications.
 
     ``metrics`` has shape (B, cells, 3) with columns (width, covered,
-    score), one cell per row of the output (public first, then
-    epsilon-major by method); refused cells are NaN.  ``refusal`` holds the
-    (B, cells) :class:`Refusal` codes and ``flags`` the (B, cells, FLAGS)
-    warning flags.
+    score), one cell per row of the output in :func:`_cells` order; refused
+    cells are NaN.  ``refusal`` holds the (B, cells) :class:`Refusal` codes
+    and ``flags`` the (B, cells, FLAGS) warning flags.
     """
 
     effective_n: np.ndarray
@@ -305,20 +310,22 @@ def _run_block(
     seeds = iter(state_words(config.master_seed, start, stop, keys))
 
     public = ReleasedBlock.exact(exact, bounds.profile)
-    estimates = [[block] for block in _estimate_scales(public, Method.PUBLIC, scales, config.level)]
+    # Each cell's estimates, one block per scale.
+    columns = {(Method.PUBLIC, None): _estimate_scales(public, Method.PUBLIC, scales, config.level)}
     for eps in config.epsilons:
         released = release_block(
             exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism,
             generators(next(seeds)),
         )
         mc_rngs = generators(next(seeds))
-        for method in _DP_METHODS:
-            blocks = _estimate_scales(released, method, scales, config.level, config.mc_draws, mc_rngs)
-            for scale_estimates, block in zip(estimates, blocks):
-                scale_estimates.append(block)
+        for method in DP_METHODS:
+            columns[(method, eps)] = _estimate_scales(
+                released, method, scales, config.level, config.mc_draws, mc_rngs
+            )
+    cells = _cells(config.epsilons)
     return [
-        _block_result(scale_estimates, scale, config, effective_n)
-        for scale, scale_estimates in zip(scales, estimates)
+        _block_result([columns[cell][k] for cell in cells], scale, config, effective_n)
+        for k, scale in enumerate(scales)
     ]
 
 
@@ -417,11 +424,7 @@ def _cell_rows(config: SimulationConfig, blocks: Sequence[_BlockResult]) -> list
             refusals_by_cause=dict(zip(REFUSAL_CAUSES, causes[cell].tolist())),
         )
 
-    rows = [_aggregate(0, Method.PUBLIC, None)]
-    for i, eps in enumerate(config.epsilons):
-        for j, method in enumerate(_DP_METHODS):
-            rows.append(_aggregate(1 + 3 * i + j, method, eps))
-    return rows
+    return [_aggregate(k, *cell) for k, cell in enumerate(_cells(config.epsilons))]
 
 
 def write_rows_csv(rows: Sequence[ExperimentRow], path: str | Path) -> None:

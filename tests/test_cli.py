@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dpratio import FLAGS, REFUSAL_CAUSES, cli, core
+from dpratio import DP_METHODS, FLAGS, REFUSAL_CAUSES, cli, core
 from dpratio.cli import main
 
 
@@ -53,7 +53,10 @@ class TestEstimate:
         doc = json.loads(out)
         scales = {est["scale"] for est in doc["estimates"]}
         assert scales == {"ratio", "log"}
-        assert len(doc["estimates"]) == 6
+        assert len(doc["estimates"]) == 2 * len(DP_METHODS)
+        for scale in ("ratio", "log"):
+            methods = [est["method"] for est in doc["estimates"] if est["scale"] == scale]
+            assert methods == [method.value for method in DP_METHODS]
 
     def test_malformed_row_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -252,7 +255,7 @@ class TestSimulate:
     def test_smoke_run_writes_outputs(self, tmp_path, capsys):
         status, out = run_cli(
             capsys, "simulate", "--output-dir", str(tmp_path), "--n", "200",
-            "--epsilon", "0.5", "--replications", "2", "--mc-draws", "20",
+            "--epsilon", "0.5", "--epsilon", "1", "--replications", "2", "--mc-draws", "20",
             "--seed", "3", "--threads", "1",
         )
         assert status == 0
@@ -261,14 +264,24 @@ class TestSimulate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert len(report["cells"]) == 1
         rows = report["cells"][0]["rows"]
-        assert [r["method"] for r in rows[:4]] == [
-            "public", "no_correction", "monte_carlo", "analytical"
+        assert [(r["method"], r["epsilon"]) for r in rows] == [("public", None)] + [
+            (method.value, eps) for eps in (0.5, 1.0) for method in DP_METHODS
         ]
         for row in rows:
             assert list(row["flags"]) == list(FLAGS)
             assert list(row["refusals_by_cause"]) == list(REFUSAL_CAUSES)
             assert sum(row["refusals_by_cause"].values()) == row["refusals"]
-        assert "public method" in out
+        table = "\n".join([
+            "mechanism=gaussian  scale=ratio  n=200  weighted=no  replications=2  level=0.95  "
+            "effective n=200",
+            "public method: width = 0.312, coverage = 1.000, score = 0.312",
+            "",
+            "               no_correction             monte_carlo              analytical       ",
+            " epsilon    width   cover   score    width   cover   score    width   cover   score",
+            "     0.5    3.166   0.000  84.333   34.303   1.000  34.303   32.382   1.000  32.382",
+            "       1    0.405   1.000   0.405    3.001   1.000   3.001    1.978   1.000   1.978",
+        ])
+        assert out == f"{table}\n\nwrote {tmp_path / 'report.json'}\n"
 
     def test_single_replication_is_fast(self, tmp_path, capsys):
         start = time.perf_counter()
@@ -288,7 +301,7 @@ class TestSimulate:
         assert status == 0
         report = json.loads((tmp_path / "report.json").read_text())
         rows = report["cells"][0]["rows"]
-        assert len(rows) == 1 + 4 * 3  # public + default four-epsilon grid
+        assert len(rows) == 1 + 4 * len(DP_METHODS)  # public + default four-epsilon grid
         assert report["cells"][0]["config"]["epsilons"] == [0.2, 0.5, 1.0, 4.0]
 
     def test_gaussian_rejects_zero_delta(self, tmp_path, capsys):

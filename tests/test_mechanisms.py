@@ -70,6 +70,19 @@ class TestLaplaceScale:
         assert d.laplace_scale(sensitivity, eps * (1.0 + factor)) < base
 
 
+@pytest.mark.parametrize(
+    "calibration",
+    [
+        lambda sensitivity: d.gaussian_sigma(sensitivity, d.PrivacyBudget(1.0, 1e-6)),
+        lambda sensitivity: d.laplace_scale(sensitivity, 1.0),
+    ],
+    ids=["gaussian_sigma", "laplace_scale"],
+)
+def test_negative_sensitivity_rejected(calibration):
+    with pytest.raises(ValueError, match="^sensitivity must be non-negative$"):
+        calibration(-1.0)
+
+
 _PROFILE_BOUNDS = {
     d.Profile.FULL7: d.Bounds(0.0, 1.0, 0.0, 1.0, 0.5, 2.0),
     d.Profile.BINARY6: d.Bounds.binary(w_low=0.5, w_high=2.0),

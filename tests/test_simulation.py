@@ -120,13 +120,20 @@ class TestRunExperiment:
     def test_row_layout(self):
         config = small_config(epsilons=(0.5, 1.0))
         rows = d.run_experiment(config)
-        assert len(rows) == 1 + 3 * 2
-        assert rows[0].method is d.Method.PUBLIC and rows[0].epsilon is None
-        assert [r.method for r in rows[1:4]] == [
-            d.Method.NO_CORRECTION, d.Method.MONTE_CARLO, d.Method.ANALYTICAL
+        assert [(r.method, r.epsilon) for r in rows] == [(d.Method.PUBLIC, None)] + [
+            (method, eps) for eps in (0.5, 1.0) for method in d.DP_METHODS
         ]
-        assert all(r.epsilon == 0.5 for r in rows[1:4])
-        assert all(r.epsilon == 1.0 for r in rows[4:])
+
+    @pytest.mark.parametrize("method", [d.Method.ANALYTICAL, d.Method.MONTE_CARLO])
+    def test_cut_method_table_moves_no_row(self, monkeypatch, method):
+        # Streams are keyed by purpose and epsilon, not by method, so running
+        # one method alone gives exactly its rows of the full run.
+        config = small_config(epsilons=(0.5, 1.0))
+        full = d.run_experiment(config, threads=1)
+        monkeypatch.setattr(simulation, "DP_METHODS", (method,))
+        cut = d.run_experiment(config, threads=1)
+        kept = [row for row in full if row.method in (d.Method.PUBLIC, method)]
+        assert repr(cut) == repr(kept)  # float reprs round-trip: equal bit for bit
 
     def test_public_row_independent_of_epsilons(self):
         rows_a = d.run_experiment(small_config(epsilons=(0.2,)))
