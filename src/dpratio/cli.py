@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -41,38 +42,8 @@ from .mechanisms import (
 from .simulation import ExperimentRow, SimulationConfig, run_experiments, write_rows_csv
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-#: What each config-file field must hold, as (description, check).  A field's
-#: flag (``--epsilon`` stores to ``epsilons``) overrides the file's value.
-_SIM_FIELD_TYPES = {
-    "n": ("an integer", _is_int),
-    "epsilons": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    "delta": ("a number or null", lambda v: v is None or _is_number(v)),
-    "weighted": ("true or false", lambda v: isinstance(v, bool)),
-    "mechanism": ('"gaussian" or "laplace"', lambda v: v in ("gaussian", "laplace")),
-    "scale": ('"ratio", "log" or "both"', lambda v: v in ("ratio", "log", "both")),
-    "true_ratio": ("a number", _is_number),
-    "replications": ("an integer", _is_int),
-    "mc_draws": ("an integer", _is_int),
-    "level": ("a number", _is_number),
-    "seed": ("an integer", _is_int),
-}
-
-#: Conversions of config values to SimulationConfig arguments; JSON numbers
-#: may arrive as integers.
-_SIM_FIELD_CONVERSIONS = {
-    "epsilons": lambda v: tuple(float(e) for e in v),
-    "mechanism": MechanismKind,
-    "true_ratio": float,
-    "level": float,
-}
+#: The config-file fields, each overridden by its flag; ``seed`` is the config's ``master_seed``.
+_SIM_FIELDS = tuple("seed" if f.name == "master_seed" else f.name for f in fields(SimulationConfig))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,31 +97,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scales(flag: str) -> list[Scale]:
-    if flag == "both":
-        return [Scale.RATIO, Scale.LOG]
-    return [Scale(flag)]
+def _scales(value) -> list:
+    """``both`` is the two scales; any other value is left to its user to parse."""
+    return [Scale.RATIO, Scale.LOG] if value == "both" else [value]
 
 
 def _run_estimate(args: argparse.Namespace) -> int:
-    mechanism = MechanismKind(args.mechanism)
-    delta = default_delta(mechanism) if args.delta is None else args.delta
+    delta = default_delta(args.mechanism) if args.delta is None else args.delta
     budget = PrivacyBudget(args.epsilon, delta)
-    check_mechanism_budget(mechanism, budget)  # every setting is checked before the data is read
+    check_mechanism_budget(args.mechanism, budget)  # every setting is checked before the data is read
     check_interval_settings(args.level, args.mc_draws)
     if args.seed is not None and args.seed < 0:
         raise InvalidConfigError(f"seed must be non-negative, got {args.seed}")
     if args.include_public and not args.allow_non_dp:
         raise InvalidConfigError("--include-public requires --allow-non-dp")
     bounds = Bounds(*args.y_bounds, *args.s_bounds, *args.w_bounds, binary_y=args.binary)
-    calibrate(bounds, budget, mechanism)
+    calibrate(bounds, budget, args.mechanism)
 
     sums = sum_dataset_csv(args.input, bounds)
 
     scales = _scales(args.scale)
     root = np.random.SeedSequence(args.seed)
     release_seq, *mc_seqs = root.spawn(1 + len(scales))
-    released = release(sums, bounds, budget, mechanism, np.random.default_rng(release_seq))
+    released = release(sums, bounds, budget, args.mechanism, np.random.default_rng(release_seq))
 
     estimates = []
     public = []
@@ -186,18 +155,14 @@ def _sim_settings(args: argparse.Namespace) -> dict:
             settings = json.load(fh)
         if not isinstance(settings, dict):
             raise InvalidConfigError("config file must hold a JSON object")
-        unknown = set(settings) - set(_SIM_FIELD_TYPES)
+        unknown = set(settings) - set(_SIM_FIELDS)
         if unknown:
             raise InvalidConfigError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in settings.items():
-            expected, check = _SIM_FIELD_TYPES[name]
-            if not check(value):
-                raise InvalidConfigError(f"config field {name!r} must be {expected}, got {value!r}")
-    for name in _SIM_FIELD_TYPES:
+    for name in _SIM_FIELDS:
         if getattr(args, name) is not None:
             settings[name] = getattr(args, name)
     return {
-        "master_seed" if name == "seed" else name: _SIM_FIELD_CONVERSIONS.get(name, lambda v: v)(value)
+        "master_seed" if name == "seed" else name: value
         for name, value in settings.items()
         if value is not None
     }
@@ -236,7 +201,7 @@ def _cell_filename(config: SimulationConfig) -> str:
 
 def _run_simulate(args: argparse.Namespace) -> int:
     settings = _sim_settings(args)
-    scales = _scales(settings.pop("scale", SimulationConfig.scale.value))
+    scales = _scales(settings.pop("scale", SimulationConfig.scale))
     threads = args.threads if args.threads is not None else _usable_cores()
     if threads < 1:
         raise InvalidConfigError(f"threads must be at least 1, got {threads}")

@@ -38,6 +38,15 @@ SUM_FIELDS = ("sum_w", "sum_wy", "sum_ws", "sum_w2", "sum_wy2", "sum_ws2", "sum_
 _CS_SLACK = 1e-12
 
 
+def _parse_member(kind: type[Enum], value, name: str):
+    """The member of ``kind`` that ``value`` is or names, else an InvalidConfigError naming ``name``."""
+    try:
+        return kind(value)
+    except (ValueError, TypeError):
+        choices = ", ".join(repr(member.value) for member in kind)
+        raise InvalidConfigError(f"{name} must be one of {choices}, got {value!r}") from None
+
+
 class Profile(str, Enum):
     """Which of the seven sums are distinct (and hence released separately).
 

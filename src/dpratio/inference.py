@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SUM_FIELDS, Moments, SumVector
+from .core import SUM_FIELDS, Moments, SumVector, _parse_member
 from .errors import (
     DegenerateDenominatorError,
     DegenerateNumeratorError,
@@ -559,15 +559,16 @@ def _monte_carlo_extras(
 
 def estimate_block(
     released: ReleasedBlock,
-    method: Method,
-    scale: Scale = Scale.RATIO,
+    method: Method | str,
+    scale: Scale | str = Scale.RATIO,
     level: float = DEFAULT_LEVEL,
     draws: int = DEFAULT_MC_DRAWS,
     rngs: Sequence[np.random.Generator] | None = None,
 ) -> EstimateBlock:
     """Point estimates and Wald intervals of one method for every row.
 
-    ``Method.PUBLIC`` is the no-correction pipeline, meant for exact sums.
+    ``method`` and ``scale`` are members or their values.  ``Method.PUBLIC``
+    is the no-correction pipeline, meant for exact sums.
     ``Method.MONTE_CARLO`` needs ``rngs``, one distinct generator per row;
     a row draws from its generator only if it was not refused before.
     """
@@ -576,8 +577,8 @@ def estimate_block(
 
 def _estimate_scales(
     released: ReleasedBlock,
-    method: Method,
-    scales: Sequence[Scale],
+    method: Method | str,
+    scales: Sequence[Scale | str],
     level: float = DEFAULT_LEVEL,
     draws: int = DEFAULT_MC_DRAWS,
     rngs: Sequence[np.random.Generator] | None = None,
@@ -586,8 +587,10 @@ def _estimate_scales(
 
     ``rngs`` holds one generator per row, each at the start of its stream.
     Each scale's result equals :func:`estimate_block` of that scale on fresh
-    generators.
+    generators.  The method and scales are parsed here, for every entry point.
     """
+    method = _parse_member(Method, method, "method")
+    scales = [_parse_member(Scale, scale, "scale") for scale in scales]
     check_interval_settings(level, draws if method is Method.MONTE_CARLO else None)
     values = released.values
     if method is Method.MONTE_CARLO and (rngs is None or len(rngs) < len(values)):
@@ -643,13 +646,14 @@ def _estimate_scales(
 def _estimate_one(
     released: ReleasedSums,
     method: Method,
-    scale: Scale,
+    scale: Scale | str,
     level: float,
     draws: int = DEFAULT_MC_DRAWS,
     rng: np.random.Generator | None = None,
 ) -> RatioEstimate:
     """``method`` on the one-row block of ``released``; a refusal raises, and so
     does a variance or interval end that is not finite."""
+    scale = _parse_member(Scale, scale, "scale")
     if method is Method.MONTE_CARLO and rng is None:
         rng = np.random.default_rng()
     block = estimate_block(released.block, method, scale, level, draws, [rng])
@@ -697,7 +701,7 @@ def ratio_variance(m: Moments) -> float:
 
 
 def ci_no_correction(
-    released: ReleasedSums, scale: Scale = Scale.RATIO, level: float = DEFAULT_LEVEL
+    released: ReleasedSums, scale: Scale | str = Scale.RATIO, level: float = DEFAULT_LEVEL
 ) -> RatioEstimate:
     """Wald interval that ignores the noise injected by the release.
 
@@ -710,7 +714,7 @@ def ci_no_correction(
 
 def ci_monte_carlo(
     released: ReleasedSums,
-    scale: Scale = Scale.RATIO,
+    scale: Scale | str = Scale.RATIO,
     level: float = DEFAULT_LEVEL,
     draws: int = DEFAULT_MC_DRAWS,
     rng: np.random.Generator | None = None,
@@ -728,7 +732,7 @@ def ci_monte_carlo(
 
 
 def ci_analytical(
-    released: ReleasedSums, scale: Scale = Scale.RATIO, level: float = DEFAULT_LEVEL
+    released: ReleasedSums, scale: Scale | str = Scale.RATIO, level: float = DEFAULT_LEVEL
 ) -> RatioEstimate:
     """Wald interval with the injected variance added in closed form.
 
@@ -743,7 +747,7 @@ def ci_analytical(
 
 
 def public_estimate(
-    sums: SumVector, scale: Scale = Scale.RATIO, level: float = DEFAULT_LEVEL
+    sums: SumVector, scale: Scale | str = Scale.RATIO, level: float = DEFAULT_LEVEL
 ) -> RatioEstimate:
     """Non-private baseline: the no-correction pipeline on the exact sums."""
     return _estimate_one(exact_release(sums), Method.PUBLIC, scale, level)

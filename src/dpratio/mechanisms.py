@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SUM_FIELDS, Bounds, Profile, SumVector, sensitivity_per_sum
+from .core import SUM_FIELDS, Bounds, Profile, SumVector, _parse_member, sensitivity_per_sum
 from .errors import InvalidBudgetError, InvalidConfigError, MechanismMismatchError
 
 
@@ -44,13 +44,14 @@ class PrivacyBudget:
             raise InvalidBudgetError(f"delta must lie in [0, 1), got {self.delta}")
 
 
-def default_delta(mechanism: MechanismKind) -> float:
+def default_delta(mechanism: MechanismKind | str) -> float:
     """Total delta used when none is given: 1e-6 for Gaussian, 0 for Laplace."""
-    return 1e-6 if mechanism is MechanismKind.GAUSSIAN else 0.0
+    return 1e-6 if _parse_member(MechanismKind, mechanism, "mechanism") is MechanismKind.GAUSSIAN else 0.0
 
 
-def check_mechanism_budget(mechanism: MechanismKind, budget: PrivacyBudget) -> None:
+def check_mechanism_budget(mechanism: MechanismKind | str, budget: PrivacyBudget) -> None:
     """Gaussian noise needs delta > 0; Laplace noise gives pure DP, delta == 0."""
+    mechanism = _parse_member(MechanismKind, mechanism, "mechanism")
     if mechanism is MechanismKind.GAUSSIAN and budget.delta == 0.0:
         raise MechanismMismatchError("the Gaussian mechanism requires delta > 0")
     if mechanism is MechanismKind.LAPLACE and budget.delta != 0.0:
@@ -86,17 +87,18 @@ def laplace_scale(sensitivity: float, epsilon: float) -> float:
 class Calibration(NamedTuple):
     """The noise of one release, per released sum in profile order.
 
-    ``scales`` are the Gaussian standard deviations or the Laplace scales;
+    ``scales`` are the ``mechanism``'s standard deviations or Laplace scales;
     ``variances`` the noise variances they give.  Both arrays are read-only:
     :func:`calibrate` hands the same calibration to every caller.
     """
 
+    mechanism: MechanismKind
     per_sum_budget: PrivacyBudget
     scales: np.ndarray
     variances: np.ndarray
 
 
-def calibrate(bounds: Bounds, total_budget: PrivacyBudget, mechanism: MechanismKind) -> Calibration:
+def calibrate(bounds: Bounds, total_budget: PrivacyBudget, mechanism: MechanismKind | str) -> Calibration:
     """Per-sum noise of a release of the profile ``bounds`` declares at ``total_budget``.
 
     Owns every check a release makes of its budget: the mechanism's delta,
@@ -109,6 +111,9 @@ def calibrate(bounds: Bounds, total_budget: PrivacyBudget, mechanism: MechanismK
 
     Each calibration is built once and then returned from a cache.
     """
+    # Parsed before the cache: a str member equals and hashes like its value,
+    # so an unparsed value would fill or read the member's entry.
+    mechanism = _parse_member(MechanismKind, mechanism, "mechanism")
     # Equal keys can differ in the sign of a zero (delta = -0.0 == 0.0), and
     # that sign reaches the output, so it is part of the key.
     signs = tuple(math.copysign(1.0, v) for v in (*vars(bounds).values(), *vars(total_budget).values()))
@@ -147,7 +152,7 @@ def _calibrate(
             )
     scales, variances = np.array(scales), np.array(variances)
     scales.flags.writeable = variances.flags.writeable = False
-    return Calibration(per, scales, variances)
+    return Calibration(mechanism, per, scales, variances)
 
 
 #: Smallest positive double: a uniform draw of exactly 0.0 is clamped to it.
@@ -325,7 +330,7 @@ def release_block(
     sums: np.ndarray,
     bounds: Bounds,
     total_budget: PrivacyBudget,
-    mechanism: MechanismKind,
+    mechanism: MechanismKind | str,
     rngs: Sequence[np.random.Generator],
 ) -> ReleasedBlock:
     """Privatize each row of a (B, 7) matrix of exact sums, row i from ``rngs[i]``.
@@ -334,7 +339,8 @@ def release_block(
     distinct sum receives independent noise calibrated to its own
     sensitivity at budget (eps/k, delta/k), where k is the profile size;
     collapsed duplicates mirror the released column instead of consuming
-    budget.  Every row takes k draws from its own generator, in field order.
+    budget.  Every row takes k draws from its own generator, in field order,
+    from the mechanism :func:`calibrate` parsed.
     """
     calibration = calibrate(bounds, total_budget, mechanism)
     profile = bounds.profile
@@ -342,8 +348,8 @@ def release_block(
 
     noises = np.empty((len(rngs), len(fields)))
     for rng, row in zip(rngs, noises):
-        raw_draws(rng, mechanism, out=row)
-    if mechanism is MechanismKind.GAUSSIAN:
+        raw_draws(rng, calibration.mechanism, out=row)
+    if calibration.mechanism is MechanismKind.GAUSSIAN:
         noises *= calibration.scales
     else:
         _laplace_from_uniform(noises, calibration.scales)
@@ -354,14 +360,14 @@ def release_block(
     noise_variance = np.zeros(len(SUM_FIELDS))
     noise_variance[columns] = calibration.variances
     profile.mirror(values, noise_variance)
-    return ReleasedBlock(values, noise_variance, mechanism, calibration.per_sum_budget, profile)
+    return ReleasedBlock(values, noise_variance, calibration.mechanism, calibration.per_sum_budget, profile)
 
 
 def release(
     sums: SumVector,
     bounds: Bounds,
     total_budget: PrivacyBudget,
-    mechanism: MechanismKind,
+    mechanism: MechanismKind | str,
     rng: np.random.Generator,
 ) -> ReleasedSums:
     """Privatize the distinct sums under an even split of ``total_budget``.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -38,7 +39,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import core
-from .core import SUM_FIELDS, Bounds, _check_records, _check_sum_rows, kish_rows
+from .core import SUM_FIELDS, Bounds, _check_records, _check_sum_rows, _parse_member, kish_rows
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import (
     DEFAULT_LEVEL, DEFAULT_MC_DRAWS, DP_METHODS, FLAGS, REFUSAL_CAUSES, EstimateBlock, Method,
@@ -78,11 +79,20 @@ def _check_true_ratio(true_ratio: float) -> None:
         )
 
 
+def _number(name: str, value, kind: type = float):
+    """``value`` as a ``kind``: an integer, or for a float any real number (numpy's too), never a bool."""
+    if isinstance(value, numbers.Integral if kind is int else numbers.Real) and not isinstance(value, bool):
+        return kind(value)
+    raise InvalidConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """One experiment cell: a (weighted, n, mechanism, scale) setting.
 
-    A ``None`` delta takes the mechanism's default (:func:`default_delta`).
+    Parses every field, types before ranges; ``mechanism`` and ``scale`` may
+    be given as their values.  A ``None`` delta takes the mechanism's default
+    (:func:`default_delta`).
     """
 
     n: int = 5000
@@ -98,8 +108,20 @@ class SimulationConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        store = partial(object.__setattr__, self)
+        for name in ("n", "replications", "mc_draws", "master_seed"):
+            store(name, _number(name, getattr(self, name), int))
+        if not isinstance(self.weighted, bool):
+            raise InvalidConfigError(f"weighted must be true or false, got {self.weighted!r}")
+        if not isinstance(self.epsilons, (list, tuple)):
+            raise InvalidConfigError(f"epsilons must be a list of numbers, got {self.epsilons!r}")
+        store("epsilons", tuple(_number("each of epsilons", eps) for eps in self.epsilons))
+        store("mechanism", _parse_member(MechanismKind, self.mechanism, "mechanism"))
+        store("scale", _parse_member(Scale, self.scale, "scale"))
         if self.delta is None:
-            object.__setattr__(self, "delta", default_delta(self.mechanism))
+            store("delta", default_delta(self.mechanism))
+        for name in ("delta", "true_ratio", "level"):
+            store(name, _number(name, getattr(self, name)))
         if self.n < 2:
             raise InvalidConfigError(f"n must be at least 2, got {self.n}")
         # Each replication index must fit one 32-bit word of its stream key.
@@ -108,6 +130,8 @@ class SimulationConfig:
         check_interval_settings(self.level, self.mc_draws)
         if not self.epsilons:
             raise InvalidConfigError("epsilons must be non-empty")
+        if len(set(self.epsilons)) < len(self.epsilons):
+            raise InvalidConfigError(f"epsilons must not repeat a value, got {list(self.epsilons)}")
         bounds = self.bounds
         for epsilon in self.epsilons:
             calibrate(bounds, PrivacyBudget(epsilon, self.delta), self.mechanism)

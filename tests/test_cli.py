@@ -370,6 +370,30 @@ class TestSimulate:
         assert error["type"] == "InvalidConfigError"
         assert field in error["message"]
 
+    def test_config_integers_equal_flag_floats(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mechanism": "laplace", "delta": 0, "true_ratio": 2, "epsilons": [1]}))
+        common = ["--n", "100", "--replications", "3", "--mc-draws", "20", "--seed", "5",
+                  "--scale", "both", "--threads", "1"]
+        for sub, flags in (("file", ["--config", str(cfg)]),
+                           ("flags", ["--mechanism", "laplace", "--delta", "0", "--true-ratio", "2",
+                                      "--epsilon", "1"])):
+            status, _ = run_cli(capsys, "simulate", "--output-dir", str(tmp_path / sub), *common, *flags)
+            assert status == 0
+        for name in ("laplace_ratio_n100_unweighted.csv", "laplace_log_n100_unweighted.csv", "report.json"):
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+    def test_repeated_epsilon_exits_before_output(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        status, out = run_cli(
+            capsys, "simulate", "--output-dir", str(out_dir), "--n", "100", "--replications", "2",
+            "--epsilon", "0.5", "--epsilon", "0.5",
+        )
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidConfigError" and "epsilons" in error["message"]
+        assert not out_dir.exists()
+
     def test_config_must_hold_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([{"n": 100}]))

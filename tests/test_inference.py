@@ -740,3 +740,39 @@ class TestMonteCarloGenerators:
         with pytest.raises(d.InvalidConfigError, match=r"got 2 for 3 rows"):
             d.estimate_block(self._released(), d.Method.MONTE_CARLO, rngs=rngs)
         assert [rng.bit_generator.state for rng in rngs] == states
+
+
+class TestSettingValues:
+    """Every entry point takes a method and a scale as a member or its value."""
+
+    @pytest.mark.parametrize("scale", list(d.Scale))
+    @pytest.mark.parametrize("method", list(d.Method))
+    def test_block_values_equal_members(self, method, scale):
+        released = _simulated_release(d.MechanismKind.LAPLACE, _WEIGHTED, 0.2, rows=16)
+        by_member, by_value = (
+            d.estimate_block(released, m, s, 0.9, 50, [np.random.default_rng([3, row]) for row in range(16)])
+            for m, s in ((method, scale), (method.value, scale.value))
+        )
+        assert [a.tobytes() for a in by_value] == [a.tobytes() for a in by_member]
+
+    @pytest.mark.parametrize("scale", list(d.Scale))
+    def test_one_release_values_equal_members(self, scale):
+        sums, released, _ = seeded_release(4, epsilon=0.5, n=400)
+        for call in (
+            lambda s: d.ci_no_correction(released, s, 0.9),
+            lambda s: d.ci_monte_carlo(released, s, 0.9, 50, np.random.default_rng(7)),
+            lambda s: d.ci_analytical(released, s, 0.9),
+            lambda s: d.public_estimate(sums, s, 0.9),
+        ):
+            by_member, by_value = call(scale), call(scale.value)
+            assert repr(by_value) == repr(by_member)
+            assert by_value.scale is scale and by_value.to_json_dict()["scale"] == scale.value
+
+    def test_unknown_values_name_the_setting(self):
+        released = _simulated_release(d.MechanismKind.GAUSSIAN, _WEIGHTED, 0.5, rows=3)
+        with pytest.raises(d.InvalidConfigError, match="method must be one of 'public'"):
+            d.estimate_block(released, "fieller")
+        with pytest.raises(d.InvalidConfigError, match="scale must be one of 'ratio', 'log'"):
+            d.estimate_block(released, d.Method.ANALYTICAL, "both")
+        with pytest.raises(d.InvalidConfigError, match="scale must be one of"):
+            d.ci_analytical(seeded_release(1, n=200)[1], "both")

@@ -470,3 +470,40 @@ class TestCalibration:
             bounds = d.Bounds(0.0, zero, 0.0, 1.0, 1.0, 2.0)
             scales = d.calibrate(bounds, d.PrivacyBudget(0.35, 1e-6), gaussian).scales
             assert math.copysign(1.0, scales[d.Profile.FULL7.released_fields.index("sum_wy")]) == sign
+
+    def test_a_mechanism_value_calibrates_as_its_member(self):
+        # A str enum member equals and hashes like its value: a value that
+        # reached the cache unparsed would be served to its member as well.
+        d.mechanisms._calibrate.cache_clear()
+        bounds, budget = d.Bounds.binary(), d.PrivacyBudget(1.0, 1e-6)
+        k = bounds.profile.size
+        sens = d.sensitivity_per_sum(bounds)
+        per = d.PrivacyBudget(1.0 / k, 1e-6 / k)
+        expected = [d.gaussian_sigma(sens[f], per) ** 2 for f in bounds.profile.released_fields]
+        assert expected[0] == pytest.approx(782.4, abs=0.05)
+        for mechanism in ("gaussian", d.MechanismKind.GAUSSIAN):
+            calibration = d.calibrate(bounds, budget, mechanism)
+            assert calibration.variances.tolist() == expected
+            assert calibration.mechanism is d.MechanismKind.GAUSSIAN
+
+    def test_a_mechanism_value_releases_as_its_member(self):
+        sums = _binary6_sums()
+        bounds, budget = d.Bounds.binary(w_low=0.5, w_high=2.0), d.PrivacyBudget(1.0, 1e-6)
+        by_value = d.release(sums, bounds, budget, "gaussian", np.random.default_rng(5))
+        by_member = d.release(sums, bounds, budget, d.MechanismKind.GAUSSIAN, np.random.default_rng(5))
+        assert by_value.block.values.tobytes() == by_member.block.values.tobytes()
+        assert by_value == by_member and by_value.mechanism is d.MechanismKind.GAUSSIAN
+        assert by_value.to_json_dict()["mechanism"] == "gaussian"
+
+    def test_mechanism_settings_are_parsed(self):
+        assert d.default_delta("gaussian") == 1e-6
+        assert d.default_delta("laplace") == 0.0
+        with pytest.raises(d.MechanismMismatchError):
+            d.check_mechanism_budget("gaussian", d.PrivacyBudget(1.0, 0.0))
+        for call in (
+            lambda: d.default_delta("gausian"),
+            lambda: d.check_mechanism_budget("gausian", d.PrivacyBudget(1.0, 0.0)),
+            lambda: d.calibrate(d.Bounds(), d.PrivacyBudget(1.0, 0.0), "gausian"),
+        ):
+            with pytest.raises(d.InvalidConfigError, match="mechanism must be one of 'gaussian', 'laplace'"):
+                call()

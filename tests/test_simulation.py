@@ -522,18 +522,42 @@ class TestConfigValidation:
             ("n", 1), ("replications", 0), ("mc_draws", 1), ("true_ratio", 0.9),
             ("true_ratio", math.nan), ("true_ratio", math.inf), ("master_seed", 2**64),
             ("delta", 1.5), ("replications", 2**32 + 1), ("epsilons", (5e-324,)),
-            ("delta", 5e-324), ("epsilons", (1e-300,)),
+            ("delta", 5e-324), ("epsilons", (1e-300,)), ("epsilons", (0.5, 1.0, 0.5)),
             # A dict holds every override of an input that needs more than one.
             pytest.param(
                 "epsilons", {"epsilons": (1e-300,), "mechanism": d.MechanismKind.LAPLACE, "delta": 0.0},
                 id="epsilons-1e-300-laplace",
             ),
+            # Values of the wrong type, each named by the parser of its field.
+            ("n", "abc"), ("epsilons", 0.5), ("weighted", "no"), ("replications", 2.5),
+            ("level", True), ("delta", "0"), ("mechanism", "gausian"), ("scale", "both"),
+            ("n", True), ("epsilons", (0.5, "1")),
         ],
     )
     def test_out_of_range_setting_rejected(self, field, value):
         overrides = value if isinstance(value, dict) else {field: value}
         with pytest.raises(d.InvalidConfigError, match=field):
             small_config(**overrides)
+
+    def test_values_parse_to_the_member_config(self):
+        by_value = small_config(mechanism="gaussian", scale="log", epsilons=[0.5])
+        by_member = small_config(mechanism=d.MechanismKind.GAUSSIAN, scale=d.Scale.LOG)
+        assert by_value == by_member
+        assert (by_value.mechanism, by_value.scale) == (d.MechanismKind.GAUSSIAN, d.Scale.LOG)
+        assert repr(d.run_experiment(by_value)) == repr(d.run_experiment(by_member))
+
+    def test_numbers_are_stored_as_python_numbers(self):
+        config = d.SimulationConfig(
+            n=np.int64(200), epsilons=(np.float32(0.5), 1), true_ratio=2, level=np.float64(0.9),
+            mechanism="laplace", delta=0, master_seed=np.uint64(7),
+        )
+        text = json.dumps(config.to_json_dict())
+        assert type(config.n) is int and type(config.master_seed) is int
+        assert all(type(e) is float for e in config.epsilons)
+        assert [type(config.delta), type(config.true_ratio), type(config.level)] == [float] * 3
+        for item in ('"n": 200', '"epsilons": [0.5, 1.0]', '"delta": 0.0', '"true_ratio": 2.0',
+                     '"mechanism": "laplace"', '"master_seed": 7'):
+            assert item in text
 
     def test_delta_defaults_per_mechanism(self):
         laplace = d.SimulationConfig(n=100, mechanism=d.MechanismKind.LAPLACE)
