@@ -152,7 +152,12 @@ def _sim_settings(args: argparse.Namespace) -> dict:
     settings = {}
     if args.config is not None:
         with args.config.open(encoding="utf-8") as fh:
-            settings = json.load(fh)
+            try:
+                settings = json.load(fh)
+            except json.JSONDecodeError:
+                raise
+            except ValueError as exc:  # an integer of more digits than int() converts
+                raise InvalidConfigError(f"config file holds a number too long to read: {exc}") from None
         if not isinstance(settings, dict):
             raise InvalidConfigError("config file must hold a JSON object")
         unknown = set(settings) - set(_SIM_FIELDS)

@@ -30,7 +30,7 @@ from .errors import (
     MonteCarloRedrawCapError,
     ScaleMismatchError,
 )
-from .mechanisms import ReleasedBlock, ReleasedSums, exact_release, noise_from_raw, raw_draws
+from .mechanisms import MechanismKind, ReleasedBlock, ReleasedSums, exact_release, noise_from_raw, raw_draws
 # perfbench/tracer.py wraps this name: without it inference.draw_noise.self_s
 # has no value, and CI's "Every benchmark workload ends in a complete result
 # line" step fails at --trace 1.  It goes with ROADMAP item 4's "delete what
@@ -264,7 +264,7 @@ class _FirstPass(NamedTuple):
     10 bytes a draw, all a pass keeps.  ``filled[scale]`` counts each row's
     draws that ``scale`` accepts, for each scale the pass serves.  The
     generators are left just past the pass; what one scale redraws after
-    it, a later scale reads from a :class:`_Record`.
+    it, a later scale reads from :class:`_KeptStreams`.
     """
 
     rows: np.ndarray
@@ -355,56 +355,33 @@ def _first_pass_extras(
     return extra, rows[pending], held, filled
 
 
-def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices ``starts[i]``, ..., ``starts[i] + lengths[i] - 1`` for each i in turn.
-
-    A running sum of steps of 1, with a jump at the head of each segment:
-    one array of the result's size, where a repeat and an arange take two.
-    """
-    some = lengths > 0
-    starts, lengths = starts[some], lengths[some]
-    ends = np.cumsum(lengths)
-    index = np.ones(ends[-1] if len(ends) else 0, dtype=np.intp)
-    if len(index):
-        index[0] = starts[0]
-        index[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
-    return np.cumsum(index, out=index)
+_NOTHING = np.empty(0)
 
 
-class _Record:
-    """The raw draws the redraw rounds took from each row's generator after the
-    first pass, in stream order.
+class _KeptStreams:
+    """Each row's raw draws past the first pass, kept for the scales that follow.
 
-    Row r's are ``flat[offset[r]:offset[r] + length[r]]``, rows in block
-    order, and its generator sits just past them.  A scale that redraws
-    after another reads a row's draws here by stream position and takes
-    from the generator only what lies beyond.
+    Each scale reads a row's stream in order from position 0: :meth:`read`
+    copies what an earlier scale kept and draws the rest from the row's
+    generator, which sits where the stream read so far ends.  New draws are
+    kept while ``keep`` is set, that is, for every scale but the last.
     """
 
-    def __init__(self, size: int) -> None:
-        self.flat = np.empty(0)
-        self.offset = np.zeros(size, dtype=np.intp)
-        self.length = np.zeros(size, dtype=np.intp)
+    def __init__(self, rngs: Sequence[np.random.Generator], mechanism: MechanismKind) -> None:
+        self.rngs, self.mechanism = rngs, mechanism
+        self.kept: dict[int, np.ndarray] = {}
+        self.keep = False
 
-    def extend(self, taken: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-        """Append the draws ``taken`` holds, and empty it: per round, in stream
-        order, a (values, rows, lengths) triple in which row ``rows[i]`` drew
-        the next ``lengths[i]`` of ``values`` where its record ended."""
-        held = np.flatnonzero(self.length)
-        taken.insert(0, (self.flat, held, self.length[held]))
-        rows, lengths = (np.concatenate(column) for column in list(zip(*taken))[1:])
-        # Each segment goes to its row, after the row's earlier ones.
-        order = np.argsort(rows, kind="stable")
-        starts = np.empty_like(lengths)
-        starts[order] = np.cumsum(lengths[order]) - lengths[order]
-        self.flat = np.empty(int(lengths.sum()))
-        done = 0
-        while taken:  # one part at a time, each freed once copied
-            values, _, part_lengths = taken.pop(0)
-            self.flat[_segments(starts[done:done + len(part_lengths)], part_lengths)] = values
-            done += len(part_lengths)
-        self.length = np.bincount(rows, lengths, minlength=len(self.length)).astype(np.intp)
-        self.offset = np.cumsum(self.length) - self.length
+    def read(self, row: int, start: int, out: np.ndarray) -> None:
+        """Fill ``out`` with row ``row``'s draws from stream position ``start`` on."""
+        kept = self.kept.get(row, _NOTHING)
+        have = kept[start:start + len(out)]
+        out[:len(have)] = have
+        if len(have) < len(out):
+            rest = out[len(have):]
+            raw_draws(self.rngs[row], self.mechanism, out=rest)
+            if self.keep:
+                self.kept[row] = np.concatenate((kept, rest))
 
 
 def _redraw_rounds(
@@ -413,9 +390,7 @@ def _redraw_rounds(
     owners: np.ndarray,
     held: np.ndarray,
     filled: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    record: _Record | None,
-    taken: list | None,
+    streams: _KeptStreams,
 ) -> np.ndarray:
     """Fill each row of ``held`` with the replicates it lacks, in place (``filled``
     too); return which rows are capped.
@@ -424,14 +399,12 @@ def _redraw_rounds(
     row takes the k replicates it lacks, k raw draws per noisy sum,
     numerator first, from the next 2k (or k) positions of its stream past
     the first pass (the stream of a per-row loop, so the generators must be
-    distinct).  It reads the part of them that ``record`` holds and draws
-    the rest with one call on its generator ``rngs[owners[i]]``; those draws
-    are appended to ``taken``, if given, in :meth:`_Record.extend`'s form.
-    A boolean mask splits the round's draws into numerator and denominator
-    rows, in order, one transform maps them to noise, and each row's
-    accepted replicates follow the ones it holds.  A row that rejects more
-    than ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped and writes
-    nothing in that round.
+    distinct), with one :meth:`_KeptStreams.read`.  A boolean mask splits
+    the round's draws into numerator and denominator rows, in order, one
+    transform maps them to noise, and each row's accepted replicates follow
+    the ones it holds.  A row that rejects more than
+    ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped and writes nothing
+    in that round.
     """
     mechanism = released.mechanism
     lo, hi, variances = _noisy_halves(released)
@@ -443,7 +416,6 @@ def _redraw_rounds(
     live = np.arange(len(owners))  # rows of ``held`` that still lack replicates
     rejected = draws - filled
     position = np.zeros(len(owners), dtype=np.intp)  # each live row's stream past the first pass
-    read = record is not None and len(record.flat) > 0
     cap = _REDRAW_CAP_PER_DRAW * draws
     flat = held.reshape(-1)  # replicate j of held row i is flat[i * draws + j]
     while len(live):
@@ -452,24 +424,12 @@ def _redraw_rounds(
         starts = ends - k
         noise = np.zeros((2, ends[-1]))
         if m:
-            # Row r's m * k[r] draws are raw[m * starts[r]:m * ends[r]]: the
-            # first ``have`` from the record, the rest from its generator.
+            # Row r's m * k[r] draws are raw[m * starts[r]:m * ends[r]].
             raw = np.empty(m * ends[-1])
-            need, starts_m, block_rows = m * k, m * starts, owners[live]
-            if read:
-                have = np.clip(record.length[block_rows] - position, 0, need)
-                recorded = _segments(record.offset[block_rows] + position, have)
-                raw[_segments(starts_m, have)] = record.flat[recorded]
-                del recorded
-                short = np.flatnonzero(have < need)
-                drawing, a, b = block_rows[short], (starts_m + have)[short], (starts_m + need)[short]
-            else:
-                drawing, a, b = block_rows, starts_m, starts_m + need
-            for row, a_row, b_row in zip(drawing.tolist(), a.tolist(), b.tolist()):
-                raw_draws(rngs[row], mechanism, out=raw[a_row:b_row])
-            if taken is not None:
-                taken.append((raw[_segments(a, b - a)] if read else raw, drawing, b - a))
-            position += need
+            for row, at, a, b in zip(owners[live].tolist(), position.tolist(),
+                                     (m * starts).tolist(), (m * ends).tolist()):
+                streams.read(row, at, raw[a:b])
+            position += m * k
             if m == 1:
                 noise[lo] = raw
             else:  # row r's draws are its k[r] numerator draws, then its k[r] denominator draws
@@ -516,14 +476,12 @@ def _monte_carlo_extras(
     (numerator first) and added to the noisy sums.  That first pass is the
     same on every scale, so it is made once (:func:`_first_pass`), over the
     union of the cells' rows; each cell then runs its own redraws
-    (:func:`_redraw_rounds`) on the stream past that pass, so each cell sees
-    the stream it would see on its own.  The cells that reject the most
-    first-pass replicates redraw first, and each but the last records the
-    draws it takes from the generators (:class:`_Record`), so a later cell
-    reads most of its redraws instead of drawing them.  The last cell's
-    rounds run after the first pass is released.  Returns, per cell in the
-    given order, the mean squared deviation from the point estimate and the
-    redraw and cap masks, all of block length.
+    (:func:`_redraw_rounds`) on the stream past that pass, in the given
+    order.  Every cell but the last keeps the draws it takes from the
+    generators (:class:`_KeptStreams`), so each cell reads the stream it
+    would see on its own.  The last cell's rounds run after the first pass
+    is released.  Returns, per cell, the mean squared deviation from the
+    point estimate and the redraw and cap masks, all of block length.
     """
     size = len(released.values)
     drawn = np.zeros(size, dtype=bool)
@@ -533,27 +491,21 @@ def _monte_carlo_extras(
     if (released.variance("sum_ws") == 0.0 and released.variance("sum_wy") == 0.0) or len(union) == 0:
         return [(np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)) for _ in cells]
     first = _first_pass(released, union, draws, rngs, [scale for scale, _, _ in cells])
-    filled = [first.filled[scale][np.searchsorted(union, rows)].sum() for scale, _, rows in cells]
-    order = sorted(range(len(cells)), key=lambda i: filled[i] - draws * len(cells[i][2]))
-    record = _Record(size) if len(cells) > 1 else None
-    extras = [None] * len(cells)
-    for n, i in enumerate(order):
-        scale, point, rows = cells[i]
+    streams = _KeptStreams(rngs, released.mechanism)
+    extras = []
+    for n, (scale, point, rows) in enumerate(cells):
         extra, owners, held, held_filled = _first_pass_extras(first, scale, point, rows, draws)
-        last = n == len(order) - 1
-        if last:
+        streams.keep = n < len(cells) - 1
+        if not streams.keep:
             del first  # the last cell's rounds need only the rows it holds
-        taken = None if last else []
-        capped = _redraw_rounds(released, scale, owners, held, held_filled, rngs, record, taken)
+        capped = _redraw_rounds(released, scale, owners, held, held_filled, streams)
         # A capped row's replicates are incomplete; its refusal discards the result.
         extra[owners] = _mean_square_deviation(held, point[owners], scale)
         del held
-        if taken:
-            record.extend(taken)
         redrawn, capped_rows = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
         redrawn[owners] = True
         capped_rows[owners[capped]] = True
-        extras[i] = extra, redrawn, capped_rows
+        extras.append((extra, redrawn, capped_rows))
     return extras
 
 
@@ -587,10 +539,13 @@ def _estimate_scales(
 
     ``rngs`` holds one generator per row, each at the start of its stream.
     Each scale's result equals :func:`estimate_block` of that scale on fresh
-    generators.  The method and scales are parsed here, for every entry point.
+    generators.  The method, scales and the block's mechanism are parsed
+    here, for every entry point.
     """
     method = _parse_member(Method, method, "method")
     scales = [_parse_member(Scale, scale, "scale") for scale in scales]
+    if released.mechanism is not None:
+        released = released._replace(mechanism=_parse_member(MechanismKind, released.mechanism, "mechanism"))
     check_interval_settings(level, draws if method is Method.MONTE_CARLO else None)
     values = released.values
     if method is Method.MONTE_CARLO and (rngs is None or len(rngs) < len(values)):

@@ -212,15 +212,18 @@ def noise_from_raw(raw: np.ndarray, mechanism: MechanismKind, noise_variance) ->
 
 def draw_noise(
     rng: np.random.Generator,
-    mechanism: MechanismKind | None,
+    mechanism: MechanismKind | str | None,
     noise_variance: float,
     size: int | None = None,
 ) -> np.ndarray | float:
     """Centred noise with the given variance from the mechanism's distribution.
 
-    A ``None`` mechanism (the no-noise public pathway) or a zero variance
-    yields zeros and draws nothing from ``rng``.
+    ``mechanism`` is a member or its value.  A ``None`` mechanism (the
+    no-noise public pathway) or a zero variance yields zeros and draws
+    nothing from ``rng``.
     """
+    if mechanism is not None:
+        mechanism = _parse_member(MechanismKind, mechanism, "mechanism")
     if noise_variance < 0.0:
         raise ValueError("noise_variance must be non-negative")
     if mechanism is None or noise_variance == 0.0:

@@ -65,9 +65,9 @@ _CHUNK_VALUES = 2**12
 #: Monte Carlo pass keeps 10 bytes a value, 18 in rows it redraws
 #: (inference._FirstPass), so a block of 2**16 values (327 replications at
 #: 200 draws) holds at most about 1.2 MB of them.  With both scales, the
-#: raw draws the first scale redraws are kept too (inference._Record, 8
-#: bytes each) until the other scale has read them: about 0.25 MB for a
-#: block of 250 replications at epsilon 0.2 in the simulate_small_n cell.
+#: raw draws the first scale redraws are kept too (inference._KeptStreams,
+#: 8 bytes each) until the other scale has read them: at most about 0.15 MB
+#: for a block of 250 replications in the simulate_small_n cell.
 _BLOCK_VALUES = 2**16
 
 
@@ -82,7 +82,12 @@ def _check_true_ratio(true_ratio: float) -> None:
 def _number(name: str, value, kind: type = float):
     """``value`` as a ``kind``: an integer, or for a float any real number (numpy's too), never a bool."""
     if isinstance(value, numbers.Integral if kind is int else numbers.Real) and not isinstance(value, bool):
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:
+            raise InvalidConfigError(
+                f"{name} must fit a double, got an integer of {int(value).bit_length()} bits"
+            ) from None
     raise InvalidConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 

@@ -403,6 +403,26 @@ class TestSimulate:
         assert error["type"] == "InvalidConfigError"
         assert "JSON object" in error["message"]
 
+    def test_config_number_too_large_for_a_double(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"true_ratio": 1' + "0" * 400 + "}")
+        out_dir = tmp_path / "out"
+        status, out = run_cli(capsys, "simulate", "--output-dir", str(out_dir), "--config", str(cfg))
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidConfigError" and "true_ratio" in error["message"]
+        assert not out_dir.exists()
+
+    def test_config_number_too_long_to_read(self, tmp_path, capsys):
+        # More digits than Python converts to an int by default (4,300).
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epsilons": [1' + "0" * 5000 + "]}")
+        out_dir = tmp_path / "out"
+        status, out = run_cli(capsys, "simulate", "--output-dir", str(out_dir), "--config", str(cfg))
+        assert status == 2
+        assert json.loads(out)["error"]["type"] == "InvalidConfigError"
+        assert not out_dir.exists()
+
     def test_threads_must_be_positive(self, tmp_path, capsys):
         status, out = run_cli(
             capsys, "simulate", "--output-dir", str(tmp_path), "--n", "100",

@@ -621,38 +621,55 @@ class TestSharedFirstPass:
                     assert got.tobytes() == want.tobytes(), (scale, name)
 
 
-def _shared_pass(released, scales, draws):
-    """``_estimate_scales`` of ``scales`` on one first pass, watched: returns
-    the estimates and, per scale in the order it redrew, the record lengths
-    it found and the rows it drew from a generator."""
-    generators = [np.random.default_rng([13, row]) for row in range(len(released.values))]
+def _watched_streams(run, rows):
+    """``run`` on fresh generators, one per row, watching raw_draws: returns
+    its result and, per row, every value its generator yielded, in order."""
+    generators = [np.random.default_rng([13, row]) for row in range(rows)]
     row_of = {id(rng): row for row, rng in enumerate(generators)}
-    seen = []
-    rounds, draw = inference._redraw_rounds, inference.raw_draws
-
-    def watched_rounds(released, scale, owners, held, filled, rngs, record, taken):
-        size = len(released.values)
-        recorded = np.zeros(size, dtype=np.intp) if record is None else record.length.copy()
-        seen.append((scale, recorded, set()))
-        return rounds(released, scale, owners, held, filled, rngs, record, taken)
+    yielded = [[np.empty(0)] for _ in range(rows)]
+    draw = inference.raw_draws
 
     def watched_draw(rng, mechanism, size=None, out=None):
-        if seen:  # a redraw round, not the first pass
-            seen[-1][2].add(row_of[id(rng)])
-        return draw(rng, mechanism, size, out)
+        values = draw(rng, mechanism, size, out)
+        yielded[row_of[id(rng)]].append(np.array(values).reshape(-1))
+        return values
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inference, "_redraw_rounds", watched_rounds)
         patch.setattr(inference, "raw_draws", watched_draw)
-        shared = inference._estimate_scales(
-            released, d.Method.MONTE_CARLO, scales, draws=draws, rngs=generators
-        )
+        result = run(generators)
+    return result, [np.concatenate(values) for values in yielded]
+
+
+def _shared_pass(released, scales, draws):
+    """``_estimate_scales`` of ``scales`` on one first pass, against each
+    scale's own run on fresh generators.
+
+    Each scale must equal its own run bit for bit, and each row's generator
+    must yield each stream position once: what it yields in the shared pass
+    is the longest stream any scale's own run reads for that row.  Returns
+    the shared estimates and a (scales, rows) array of the length of each
+    scale's own stream, first pass included.
+    """
+    rows = len(released.values)
+    shared, streams = _watched_streams(
+        lambda rngs: inference._estimate_scales(
+            released, d.Method.MONTE_CARLO, scales, draws=draws, rngs=rngs
+        ),
+        rows,
+    )
+    own_streams = []
     for scale, est in zip(scales, shared):
-        rngs = [np.random.default_rng([13, row]) for row in range(len(released.values))]
-        alone = d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws, rngs=rngs)
+        alone, own = _watched_streams(
+            lambda rngs: d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws, rngs=rngs),
+            rows,
+        )
         for name, got, want in zip(est._fields, est, alone):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (scale, name)
-    return shared, seen
+        own_streams.append(own)
+    for row in range(rows):
+        longest = max((own[row] for own in own_streams), key=len)
+        assert streams[row].tobytes() == longest.tobytes(), row
+    return shared, np.array([[len(stream) for stream in own] for own in own_streams])
 
 
 def _near_zero(released, numerator, denominator):
@@ -664,64 +681,78 @@ def _near_zero(released, numerator, denominator):
     return released._replace(values=values)
 
 
-class TestRedrawRecord:
-    """With both scales on one first pass, the scale that rejects more redraws
-    first and records its draws; the other reads them back by stream position
-    and draws only past the record's end.  Each scale must equal its own run,
-    bit for bit, in each case the record meets."""
+_BOTH_ORDERS = [(d.Scale.RATIO, d.Scale.LOG), (d.Scale.LOG, d.Scale.RATIO)]
 
+
+def _order_id(order):
+    return "_".join(scale.value for scale in order)
+
+
+#: Raw draws of a first pass at 50 draws with both sums noisy.
+_FIRST_PASS = 2 * 50
+
+
+class TestKeptStreams:
+    """With several scales on one first pass, each scale but the last keeps
+    the raw draws it redraws, and a later scale reads them by stream position
+    and draws only past what is kept.  Each scale must equal its own run,
+    bit for bit, in each case the kept streams meet, in either order."""
+
+    @pytest.mark.parametrize("order", _BOTH_ORDERS, ids=_order_id)
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
-    def test_row_the_log_scale_refuses(self, mechanism):
+    def test_row_the_log_scale_refuses(self, mechanism, order):
         # Rows whose noisy score sum is negative are refused on the log scale,
-        # so nothing is recorded for them, yet the ratio scale redraws them.
+        # so it keeps nothing for them, yet the ratio scale redraws them.
         released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=40), 0.3, 0.3)
         values = released.values.copy()
         values[::3, SUM_FIELDS.index("sum_ws")] *= -1.0
         released = released._replace(values=values)
-        (ratio, log), seen = _shared_pass(released, (d.Scale.RATIO, d.Scale.LOG), 50)
-        assert [scale for scale, _, _ in seen] == [d.Scale.LOG, d.Scale.RATIO]
-        _, recorded, drawn = seen[1]
-        only_ratio = np.flatnonzero(
-            (log.refusal == d.Refusal.NONPOSITIVE_LOG_NUMERATOR)
-            & ratio.flags[:, d.FLAGS.index("monte_carlo_redraw")]
+        shared, _ = _shared_pass(released, order, 50)
+        est = dict(zip(order, shared))
+        only_ratio = (
+            (est[d.Scale.LOG].refusal == d.Refusal.NONPOSITIVE_LOG_NUMERATOR)
+            & est[d.Scale.RATIO].flags[:, d.FLAGS.index("monte_carlo_redraw")]
         )
-        assert len(only_ratio) and set(only_ratio) <= drawn
-        assert (recorded[only_ratio] == 0).all()
+        assert only_ratio.any()
 
+    @pytest.mark.parametrize("order", _BOTH_ORDERS, ids=_order_id)
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
-    def test_second_scale_draws_past_the_record(self, mechanism):
+    def test_second_scale_reads_past_the_kept_stream(self, mechanism, order):
         # A round draws its numerators, then its denominators, so the scales
         # pair up the same stream into replicates differently, and the scale
         # that rejects less can still need more of it: here a few rows do.
         released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=200), 3.0, 0.1)
-        _, seen = _shared_pass(released, (d.Scale.RATIO, d.Scale.LOG), 50)
-        _, recorded, drawn = seen[1]
-        assert any(recorded[row] > 0 for row in drawn)
+        _, (first, second) = _shared_pass(released, order, 50)
+        assert ((second > first) & (first > _FIRST_PASS)).any()
 
+    @pytest.mark.parametrize("order", _BOTH_ORDERS, ids=_order_id)
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
-    def test_capped_row(self, monkeypatch, mechanism):
+    def test_capped_row(self, monkeypatch, mechanism, order):
         # At a cap of one rejected replicate per draw the log scale caps rows
-        # whose record the ratio scale then reads and draws past.
+        # that the ratio scale fills from further along the same stream.
         monkeypatch.setattr(inference, "_REDRAW_CAP_PER_DRAW", 1)
         released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=40), 0.3, 0.3)
-        (ratio, log), seen = _shared_pass(released, (d.Scale.RATIO, d.Scale.LOG), 50)
-        _, recorded, drawn = seen[1]
-        capped = np.flatnonzero(log.refusal == d.Refusal.MONTE_CARLO_REDRAW_CAP)
-        assert len(capped) and (recorded[capped] > 0).all()
-        assert any(row in drawn and ratio.refusal[row] == d.Refusal.NONE for row in capped)
+        shared, lengths = _shared_pass(released, order, 50)
+        est, length = dict(zip(order, shared)), dict(zip(order, lengths))
+        capped = est[d.Scale.LOG].refusal == d.Refusal.MONTE_CARLO_REDRAW_CAP
+        assert (
+            capped
+            & (est[d.Scale.RATIO].refusal == d.Refusal.NONE)
+            & (length[d.Scale.RATIO] > length[d.Scale.LOG])
+        ).any()
 
+    @pytest.mark.parametrize(
+        "order",
+        [(d.Scale.RATIO, d.Scale.LOG, d.Scale.LOG), (d.Scale.LOG, d.Scale.RATIO, d.Scale.RATIO)],
+        ids=_order_id,
+    )
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
-    def test_middle_scale_reads_and_records(self, mechanism):
-        # Of three scales the second reads the record and adds its own draws
-        # past its end, which the third then reads.
+    def test_middle_scale_reads_and_keeps(self, mechanism, order):
+        # Of three scales the second reads what the first kept and keeps its
+        # own draws past it, which the third, repeating the second, reads.
         released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=200), 3.0, 0.1)
-        _, seen = _shared_pass(released, (d.Scale.RATIO, d.Scale.LOG, d.Scale.RATIO), 50)
-        assert [scale for scale, _, _ in seen] == [d.Scale.LOG, d.Scale.RATIO, d.Scale.RATIO]
-        _, (_, middle_found, middle_drawn), (_, last_found, last_drawn) = seen
-        assert any(middle_found[row] > 0 for row in middle_drawn)
-        # The third scale repeats the second, so the record now holds all it needs.
-        assert (last_found >= middle_found).all() and (last_found > middle_found).any()
-        assert not last_drawn
+        _, (first, middle, _) = _shared_pass(released, order, 50)
+        assert ((middle > first) & (first > _FIRST_PASS)).any()
 
 
 class TestMonteCarloGenerators:
@@ -768,6 +799,19 @@ class TestSettingValues:
             assert repr(by_value) == repr(by_member)
             assert by_value.scale is scale and by_value.to_json_dict()["scale"] == scale.value
 
+    @pytest.mark.parametrize("method", list(d.Method))
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_block_mechanism_value_equals_member(self, mechanism, method):
+        # Monte Carlo re-noises with the block's mechanism, so a hand-built
+        # block that names it draws as one that holds the member.
+        released = _simulated_release(mechanism, _WEIGHTED, 0.2, rows=16)
+        by_member, by_value = (
+            d.estimate_block(block, method, d.Scale.LOG, 0.9, 50,
+                             [np.random.default_rng([3, row]) for row in range(16)])
+            for block in (released, released._replace(mechanism=mechanism.value))
+        )
+        assert [a.tobytes() for a in by_value] == [a.tobytes() for a in by_member]
+
     def test_unknown_values_name_the_setting(self):
         released = _simulated_release(d.MechanismKind.GAUSSIAN, _WEIGHTED, 0.5, rows=3)
         with pytest.raises(d.InvalidConfigError, match="method must be one of 'public'"):
@@ -776,3 +820,6 @@ class TestSettingValues:
             d.estimate_block(released, d.Method.ANALYTICAL, "both")
         with pytest.raises(d.InvalidConfigError, match="scale must be one of"):
             d.ci_analytical(seeded_release(1, n=200)[1], "both")
+        with pytest.raises(d.InvalidConfigError, match="mechanism must be one of 'gaussian'"):
+            d.estimate_block(released._replace(mechanism="exponential"), d.Method.MONTE_CARLO,
+                             rngs=[np.random.default_rng(row) for row in range(3)])

@@ -350,6 +350,20 @@ class TestDrawNoise:
         assert sample.var() == pytest.approx(9.0, rel=0.03)
         assert abs(sample.mean()) < 0.05
 
+    @pytest.mark.parametrize("mechanism", [d.MechanismKind.GAUSSIAN, d.MechanismKind.LAPLACE])
+    def test_value_draws_as_member(self, mechanism):
+        by_member, by_value = (
+            d.draw_noise(np.random.default_rng(8), kind, 9.0, 100) for kind in (mechanism, mechanism.value)
+        )
+        assert by_value.tobytes() == by_member.tobytes()
+
+    def test_unknown_mechanism_names_the_setting(self):
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        with pytest.raises(d.InvalidConfigError, match="mechanism must be one of"):
+            d.draw_noise(rng, "exponential", 9.0, 5)
+        assert rng.bit_generator.state == state
+
 
 def _masked_laplace(u, scale):
     """The inverse Laplace CDF as masked ufuncs: below the median scale * log(2u),
