@@ -37,7 +37,7 @@ from .inference import (
     public_estimate,
 )
 from .mechanisms import (
-    MechanismKind, PrivacyBudget, calibrate, check_mechanism_budget, default_delta, release,
+    MechanismKind, PrivacyBudget, calibrate, default_delta, release,
 )
 from .simulation import ExperimentRow, SimulationConfig, run_experiments, write_rows_csv
 
@@ -105,14 +105,13 @@ def _scales(value) -> list:
 def _run_estimate(args: argparse.Namespace) -> int:
     delta = default_delta(args.mechanism) if args.delta is None else args.delta
     budget = PrivacyBudget(args.epsilon, delta)
-    check_mechanism_budget(args.mechanism, budget)  # every setting is checked before the data is read
     check_interval_settings(args.level, args.mc_draws)
     if args.seed is not None and args.seed < 0:
         raise InvalidConfigError(f"seed must be non-negative, got {args.seed}")
     if args.include_public and not args.allow_non_dp:
         raise InvalidConfigError("--include-public requires --allow-non-dp")
     bounds = Bounds(*args.y_bounds, *args.s_bounds, *args.w_bounds, binary_y=args.binary)
-    calibrate(bounds, budget, args.mechanism)
+    calibrate(bounds, budget, args.mechanism)  # every budget check, before the data is read
 
     sums = sum_dataset_csv(args.input, bounds)
 
@@ -237,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "estimate":
             return _run_estimate(args)
         return _run_simulate(args)
-    except (DPRatioError, OSError, json.JSONDecodeError) as exc:
+    except (DPRatioError, OSError, json.JSONDecodeError, MemoryError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         line = getattr(exc, "line", None)
         if line is not None:

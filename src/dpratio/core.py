@@ -47,6 +47,16 @@ def _parse_member(kind: type[Enum], value, name: str):
         raise InvalidConfigError(f"{name} must be one of {choices}, got {value!r}") from None
 
 
+def _check_count(name: str, value: int, low: int) -> None:
+    """``value`` lies between ``low`` and the largest count whose three float64
+    arrays numpy can size; past it, numpy refuses the shape with a ValueError."""
+    if value < low:
+        raise InvalidConfigError(f"{name} must be at least {low}, got {value}")
+    high = np.iinfo(np.intp).max // 24
+    if value > high:
+        raise InvalidConfigError(f"{name} must be at most {high}, the most numpy can size, got {value}")
+
+
 class Profile(str, Enum):
     """Which of the seven sums are distinct (and hence released separately).
 
@@ -205,44 +215,39 @@ def weighted_sums(y: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     number 1 and numpy's pairwise summation bounds its relative error by
     O(log n) units in the last place (Higham 1993).  That keeps any
     reordering of the records far inside the 1e-12 relative contract.
-    Columns are summed one at a time: stacking them first costs an extra
-    n-by-7 copy.
 
     This is the one deliberate second summation path: ``simulate`` and
     :func:`compute_sums_from_arrays` sum here, on records whose order is
-    fixed, while :func:`sum_dataset_csv` folds the same summands
-    (:func:`_summands`) into exactly rounded, order-free :class:`_BinnedSums`.
+    fixed, while :func:`sum_dataset_csv` folds the same :func:`_summands`
+    into exactly rounded, order-free :class:`_BinnedSums`.
     """
     totals = np.empty(y.shape[:-1] + (len(SUM_FIELDS),))
-    wy = w * y
-    ws = w * s
-    # Each product is summed as soon as it is made, so one at most is alive.
-    for i, product in enumerate((w, wy, ws)):
-        np.add.reduce(product, axis=-1, out=totals[..., i])
-    np.add.reduce(w * w, axis=-1, out=totals[..., 3])
-    np.add.reduce(wy * y, axis=-1, out=totals[..., 4])
-    np.add.reduce(ws * s, axis=-1, out=totals[..., 5])
-    np.add.reduce(wy * s, axis=-1, out=totals[..., 6])
+    summands = _summands(y, s, w)
+    # Each summand is reduced as soon as it is made, so one at most is alive:
+    # stacking them first costs an n-by-7 copy, and a loop variable would
+    # keep the last summand alive while the next is made.
+    for i in range(len(SUM_FIELDS)):
+        np.add.reduce(next(summands), axis=-1, out=totals[..., i])
     return totals
 
 
-def _summands(y: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The (7, n) summands of the seven sums of one dataset, in ``SUM_FIELDS`` order.
+def _summands(y, s, w):
+    """Yield the summands of the seven sums, w, wy, ws, w^2, wy^2, ws^2 and wys, in that order.
 
-    Formed as :func:`weighted_sums` forms them and as :func:`_summand_bounds`
-    bounds them.  Folded by :class:`_BinnedSums` into exactly rounded sums
-    that do not depend on record order, this is the one deliberate second
-    summation path beside :func:`weighted_sums`, for :func:`sum_dataset_csv`.
+    The one statement of what the sums add: :func:`weighted_sums` reduces
+    each summand of arrays of any leading shape as it is made,
+    :class:`_BinnedSums` folds a block's, and :func:`_summand_bounds` takes
+    them at the upper bounds, plain floats, as the sensitivities.
     """
-    x = np.empty((len(SUM_FIELDS), len(y)))
-    np.copyto(x[0], w)
-    np.multiply(w, y, out=x[1])
-    np.multiply(w, s, out=x[2])
-    np.multiply(w, w, out=x[3])
-    np.multiply(x[1], y, out=x[4])
-    np.multiply(x[2], s, out=x[5])
-    np.multiply(x[1], s, out=x[6])
-    return x
+    wy = w * y
+    ws = w * s
+    yield w
+    yield wy
+    yield ws
+    yield w * w
+    yield wy * y
+    yield ws * s
+    yield wy * s
 
 
 def _check_records(y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, first: int) -> None:
@@ -337,16 +342,11 @@ def compute_sums(records: Sequence[Record], bounds: Bounds) -> SumVector:
 def _summand_bounds(bounds: Bounds) -> dict[str, float]:
     """The largest summand of each of the seven sums, in ``SUM_FIELDS`` order.
 
-    Each is the summand at the upper bounds, formed by the same products in
-    the same order as :func:`_summands` forms it; rounding is monotone, so
-    no summand of records within ``bounds`` exceeds it.
+    Each is the summand :func:`_summands` makes at the upper bounds; bounds
+    keep every factor non-negative and rounding is monotone, so no summand
+    of records within ``bounds`` exceeds it.
     """
-    uw, uy, us = bounds.w_high, bounds.y_high, bounds.s_high
-    wy, ws = uw * uy, uw * us
-    return {
-        "sum_w": uw, "sum_wy": wy, "sum_ws": ws, "sum_w2": uw * uw,
-        "sum_wy2": wy * uy, "sum_ws2": ws * us, "sum_wys": wy * us,
-    }
+    return dict(zip(SUM_FIELDS, _summands(bounds.y_high, bounds.s_high, bounds.w_high)))
 
 
 def sensitivity_per_sum(bounds: Bounds) -> dict[str, float]:
@@ -382,7 +382,7 @@ def _usable_cores() -> int:
 
 
 class _BinnedSums:
-    """Running sums of the seven summands, exact whatever the order of the records.
+    """Running sums of the seven :func:`_summands`, exact whatever the order of the records.
 
     Pre-rounded ("binned") summation (Demmel & Nguyen, "Fast Reproducible
     Floating-Point Summation", ARITH 2013; Rump, Ogita & Oishi, "Accurate
@@ -422,8 +422,8 @@ class _BinnedSums:
         return self.folds[j]
 
     def add(self, y: np.ndarray, s: np.ndarray, w: np.ndarray) -> None:
-        """Fold the summands of one block of records."""
-        x = _summands(y, s, w)
+        """Fold the :func:`_summands` of one block of records, stacked (7, n)."""
+        x = np.array(list(_summands(y, s, w)))
         q = np.empty_like(x)
         j = 0
         while x.any():
@@ -499,6 +499,10 @@ _WEIGHTS_OF_BYTES_2_6 = np.uint64(1 + (10**4 << 32))
 _Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+class _NotPlain(Exception):
+    """The plain reader cannot vouch for a file, which the strict parser then reads whole."""
+
+
 def read_dataset_csv(path: str | Path) -> _Columns:
     """Read a ``y,s,w`` CSV (the ``w`` column is optional) into arrays.
 
@@ -508,20 +512,19 @@ def read_dataset_csv(path: str | Path) -> _Columns:
     UTF-8 and fields the csv module refuses.
 
     Files of plain numeric lines are parsed a block at a time by
-    :func:`_parse_plain_block`; any other file, valid or not, is read again
-    from the start by the strict csv parser, which alone decides what else
-    is accepted and how errors read.
-    Both yield the blocks that :func:`sum_dataset_csv` folds.
+    :func:`_parse_plain_block`; at any other file, valid or not, the plain
+    reader raises :class:`_NotPlain` and the strict csv parser reads the
+    file again from the start: it alone decides what else is accepted and
+    how errors read.  Both yield the blocks that :func:`sum_dataset_csv` folds.
     """
     path = Path(path)
-    with path.open("rb") as fh:
-        width = _plain_header_width(fh.readline())
-        body, size = fh.tell(), os.fstat(fh.fileno()).st_size
-    if width is not None:
-        blocks = list(_plain_blocks(path, width, body, size))
-        if None not in blocks:
-            return _join(blocks)
-    return _read_strict(path)
+    try:
+        with path.open("rb") as fh:
+            width = _plain_header_width(fh.readline())
+            body, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        return _join(list(_plain_blocks(path, width, body, size)))
+    except _NotPlain:
+        return _read_strict(path)
 
 
 def sum_dataset_csv(path: str | Path, bounds: Bounds) -> SumVector:
@@ -533,8 +536,8 @@ def sum_dataset_csv(path: str | Path, bounds: Bounds) -> SumVector:
     record order, block size or number of processes.  A plain file's body is
     cut at line starts into one byte range per usable core, at most one per
     ``_RANGE_BYTES``; the parent folds the first while a process pool folds
-    the rest.  Any range the plain reader cannot vouch for sends the whole
-    file to the strict parser, in this process.
+    the rest.  A :class:`_NotPlain` from the header or any range sends the
+    whole file to the strict parser, in this process.
 
     Errors are those of reading, then summing, the whole file: a format
     error anywhere wins over any bounds violation, the first out-of-bounds
@@ -543,16 +546,17 @@ def sum_dataset_csv(path: str | Path, bounds: Bounds) -> SumVector:
     """
     path = Path(path)
     with path.open("rb") as fh:
-        width = _plain_header_width(fh.readline())
+        header = fh.readline()
         body, size = fh.tell(), os.fstat(fh.fileno()).st_size
         # Every record takes at least 3 bytes ("y,s") plus a newline before the next.
         records = size // 3 + 1
         total = _BinnedSums(bounds, records)
         count = max(1, min(_usable_cores(), (size - body) // _RANGE_BYTES))
-        cuts = None if width is None else _range_cuts(fh, body, size, count)
-    parts = None if cuts is None else _fold_ranges(path, width, bounds, records, cuts)
-    if parts is None or None in parts:
-        parts = [_fold_blocks(_strict_blocks(path), bounds, records)]
+        try:
+            width = _plain_header_width(header)
+            parts = _fold_ranges(path, width, bounds, records, _range_cuts(fh, body, size, count))
+        except _NotPlain:
+            parts = [_fold_blocks(_strict_blocks(path), bounds, records)]
     rows = 0
     for part in parts:
         if part.violation is not None:
@@ -570,13 +574,13 @@ def sum_dataset_csv(path: str | Path, bounds: Bounds) -> SumVector:
     return SumVector(profile=bounds.profile, **dict(zip(SUM_FIELDS, sums.tolist())))
 
 
-def _range_cuts(fh, start: int, stop: int, count: int) -> list[int] | None:
+def _range_cuts(fh, start: int, stop: int, count: int) -> list[int]:
     """``count + 1`` offsets from ``start`` to ``stop`` that cut the lines
     between them into ``count`` ranges of about equal size.
 
     Each inner cut is the start of the line that holds the byte before its
     even share.  A line longer than the csv field size limit, which no
-    plain line is, gives None.
+    plain line is, raises :class:`_NotPlain`.
     """
     limit = csv.field_size_limit()
     cuts = [start]
@@ -584,14 +588,14 @@ def _range_cuts(fh, start: int, stop: int, count: int) -> list[int] | None:
         fh.seek(start + (stop - start) * i // count - 1)
         line = fh.readline(limit + 1)
         if len(line) > limit:
-            return None
+            raise _NotPlain
         cuts.append(min(fh.tell(), stop))
     return cuts + [stop]
 
 
 def _fold_ranges(
     path: Path, width: int, bounds: Bounds, records: int, cuts: list[int]
-) -> list[_RangeSums | None]:
+) -> list[_RangeSums]:
     """:func:`_fold_range` of each range between ``cuts``, in file order."""
     fold = partial(_fold_range, path, width, bounds, records)
     if len(cuts) == 2:
@@ -603,19 +607,17 @@ def _fold_ranges(
 
 def _fold_range(
     path: Path, width: int, bounds: Bounds, records: int, start: int, stop: int
-) -> _RangeSums | None:
-    """The folded plain lines in bytes ``start`` to ``stop``, or None for the strict parser."""
+) -> _RangeSums:
+    """The folded plain lines in bytes ``start`` to ``stop``."""
     return _fold_blocks(_plain_blocks(path, width, start, stop), bounds, records)
 
 
-def _fold_blocks(blocks: Iterable[_Columns | None], bounds: Bounds, records: int) -> _RangeSums | None:
+def _fold_blocks(blocks: Iterable[_Columns], bounds: Bounds, records: int) -> _RangeSums:
     """Check and fold each block until the first out-of-bounds record, then
-    only read on, since a later format error wins; None at a None block."""
+    only read on, since a later format error wins."""
     binned = _BinnedSums(bounds, records)
     rows, violation = 0, None
     for columns in blocks:
-        if columns is None:
-            return None
         if violation is None:
             try:
                 _check_records(*columns, bounds, 0)
@@ -635,13 +637,13 @@ def _join(blocks: list[_Columns]) -> _Columns:
     return y, s, w
 
 
-def _plain_blocks(path: Path, width: int, start: int, stop: int) -> Iterable[_Columns | None]:
+def _plain_blocks(path: Path, width: int, start: int, stop: int) -> Iterable[_Columns]:
     """The (y, s, w) columns of the lines in bytes ``start`` to ``stop``, a block at a time.
 
     ``start`` is a line start and ``stop`` a line start or the end of the
-    file.  Yields None, and stops, at the first block the plain reader cannot
-    vouch for: a quoted newline can straddle a block cut, so such a block
-    sends the whole file, not just that block, to the strict parser.
+    file.  Raises :class:`_NotPlain` at the first block the plain reader
+    cannot vouch for: a quoted newline can straddle a block cut, so such a
+    block sends the whole file, not just that block, to the strict parser.
     """
     limit = csv.field_size_limit()
     with path.open("rb") as fh:
@@ -654,40 +656,36 @@ def _plain_blocks(path: Path, width: int, start: int, stop: int) -> Iterable[_Co
             cut = data.rfind(b"\n") + 1 if chunk else len(data)
             block, tail = data[:cut], data[cut:]
             if len(tail) > limit:
-                yield None
-                return
+                raise _NotPlain
             if block:
                 values = _parse_plain_block(block, width, limit)
-                if values is None:
-                    yield None
-                    return
                 y, s, *rest = values.T
                 yield y, s, rest[0] if rest else np.ones(len(values))
             if not chunk:
                 return
 
 
-def _plain_header_width(line: bytes) -> int | None:
+def _plain_header_width(line: bytes) -> int:
     """:func:`_header_width` of a header line without quotes or carriage returns.
 
     Those two can make a csv record span physical lines; without them the
     csv module splits this one line as it would split the whole file's
-    first record.  Returns None where the strict parser must judge the line.
+    first record.  :class:`_NotPlain` where the strict parser must judge it.
     """
     if b'"' in line or b"\r" in line:
-        return None
+        raise _NotPlain
     try:
         return _header_width(next(csv.reader([line.decode("utf-8")])))
     except (UnicodeDecodeError, csv.Error, DatasetFormatError):
-        return None
+        raise _NotPlain from None
 
 
-def _parse_plain_block(block: bytes, width: int, limit: int) -> np.ndarray | None:
-    """The ``(lines, width)`` values of one block, or None for the strict parser.
+def _parse_plain_block(block: bytes, width: int, limit: int) -> np.ndarray:
+    """The ``(lines, width)`` values of one block.
 
     Every value has the bits ``float()`` gives its field: most fields are
-    read by :func:`_decimal_values`, the rest by ``float()`` itself.  None
-    stands for what the strict parser must judge: a byte outside
+    read by :func:`_decimal_values`, the rest by ``float()`` itself.  Raises
+    :class:`_NotPlain` at what the strict parser must judge: a byte outside
     ``0-9 . , + - e E`` and newline, a blank line, a line of another width
     or longer than the csv field size limit, and a field that ``float()``
     rejects or reads as inf.
@@ -696,7 +694,7 @@ def _parse_plain_block(block: bytes, width: int, limit: int) -> np.ndarray | Non
     odd = np.flatnonzero(codes - np.uint8(ord("0")) > 9)
     kinds = _BYTE_KINDS.take(codes[odd])
     if not kinds.all():
-        return None
+        raise _NotPlain
     if not block.endswith(b"\n"):
         odd = np.append(odd, len(block))
         kinds = np.append(kinds, np.uint8(_NEWLINE))
@@ -709,11 +707,11 @@ def _parse_plain_block(block: bytes, width: int, limit: int) -> np.ndarray | Non
     fields = at_sep.size
     line_ends = at_sep[width - 1 :: width]
     if not (kinds[line_ends] == _NEWLINE).all() or np.count_nonzero(kinds == _NEWLINE) != line_ends.size:
-        return None
+        raise _NotPlain
     seps = odd[at_sep]
     # No line is longer than its block.
     if len(block) > limit and np.diff(odd[line_ends], prepend=-1).max() > limit + 1:
-        return None
+        raise _NotPlain
 
     # Each field's dot, sign or exponent ("mark"), and the field it lies in.
     # Once the marks are deleted, the byte at block offset p lies at p less
@@ -778,9 +776,9 @@ def _parse_plain_block(block: bytes, width: int, limit: int) -> np.ndarray | Non
         try:
             value = float(block[start : seps[i]])
         except ValueError:
-            return None
+            raise _NotPlain from None
         if not math.isfinite(value):
-            return None
+            raise _NotPlain
         values[i] = value
     return values.reshape(-1, width)
 

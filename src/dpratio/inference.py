@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SUM_FIELDS, Moments, SumVector, _parse_member
+from .core import SUM_FIELDS, Moments, SumVector, _check_count, _parse_member
 from .errors import (
     DegenerateDenominatorError,
     DegenerateNumeratorError,
@@ -218,11 +218,12 @@ def _variance_arrays(
 
 
 def check_interval_settings(level: float, draws: int | None = None) -> None:
-    """The confidence level lies in (0, 1); Monte Carlo ``draws``, if given, are at least 2."""
+    """The confidence level lies in (0, 1); Monte Carlo ``draws``, if given,
+    are at least 2 and no more than numpy can size (:func:`core._check_count`)."""
     if not 0.0 < level < 1.0:
         raise InvalidConfigError(f"level must lie in (0, 1), got {level}")
-    if draws is not None and draws < 2:
-        raise InvalidConfigError(f"mc_draws must be at least 2, got {draws}")
+    if draws is not None:
+        _check_count("mc_draws", draws, 2)
 
 
 def _wald_arrays(

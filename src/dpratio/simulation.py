@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import core
-from .core import SUM_FIELDS, Bounds, _check_records, _check_sum_rows, _parse_member, kish_rows
+from .core import SUM_FIELDS, Bounds, _check_count, _check_records, _check_sum_rows, _parse_member, kish_rows
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import (
     DEFAULT_LEVEL, DEFAULT_MC_DRAWS, DP_METHODS, FLAGS, REFUSAL_CAUSES, EstimateBlock, Method,
@@ -127,8 +127,7 @@ class SimulationConfig:
             store("delta", default_delta(self.mechanism))
         for name in ("delta", "true_ratio", "level"):
             store(name, _number(name, getattr(self, name)))
-        if self.n < 2:
-            raise InvalidConfigError(f"n must be at least 2, got {self.n}")
+        _check_count("n", self.n, 2)
         # Each replication index must fit one 32-bit word of its stream key.
         if not 1 <= self.replications <= 2**32:
             raise InvalidConfigError(f"replications must lie in [1, 2**32], got {self.replications}")
@@ -198,8 +197,7 @@ def generate_arrays(
     either all ones or Exponential(1) clipped to ``WEIGHT_CLIP``.  Draw
     order is fixed (scores, labels, weights) so streams are stable.
     """
-    if n < 1:
-        raise InvalidConfigError(f"n must be at least 1, got {n}")
+    _check_count("n", n, 1)
     _check_true_ratio(true_ratio)
     y, s, w = np.empty(n), np.empty(n), np.empty(n)
     _draw_dataset(rng, weighted, y, s, w)

@@ -134,6 +134,16 @@ class TestEstimate:
             assert error["type"] == error_type
             assert field in error["message"]
 
+    def test_draw_count_numpy_cannot_size_rejected_before_data(self, tmp_path, capsys):
+        # The input is absent: reading it first would be a FileNotFoundError.
+        status, out = run_cli(
+            capsys, "estimate", "--input", str(tmp_path / "absent.csv"), "--binary", "--epsilon", "1",
+            "--mc-draws", "100000000000000000000",
+        )
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidConfigError" and "mc_draws must be at most" in error["message"]
+
     def test_binary_rejects_other_bounds(self, binary_csv, capsys):
         status, out = run_cli(
             capsys, "estimate", "--input", str(binary_csv), "--epsilon", "1.0",
@@ -393,6 +403,34 @@ class TestSimulate:
         error = json.loads(out)["error"]
         assert error["type"] == "InvalidConfigError" and "epsilons" in error["message"]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (("--n", "1000000000000000000000", "--mc-draws", "2"), "n"),
+            (("--n", "100", "--mc-draws", "100000000000000000000"), "mc_draws"),
+        ],
+    )
+    def test_count_numpy_cannot_size_exits_before_output(self, tmp_path, capsys, flags, field):
+        out_dir = tmp_path / "out"
+        status, out = run_cli(
+            capsys, "simulate", "--output-dir", str(out_dir), "--replications", "1", "--epsilon", "1",
+            "--threads", "1", *flags,
+        )
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidConfigError" and error["message"].startswith(f"{field} must be at most")
+        assert not out_dir.exists()
+
+    def test_memory_error_is_a_structured_error(self, tmp_path, capsys):
+        # 24 bytes a record at n = 10**15 is 21.3 PiB, more than any address
+        # space holds, so the first allocation fails at once.
+        status, out = run_cli(
+            capsys, "simulate", "--output-dir", str(tmp_path / "out"), "--n", "1000000000000000",
+            "--replications", "1", "--epsilon", "1", "--mc-draws", "2", "--threads", "1",
+        )
+        assert status == 2
+        assert json.loads(out)["error"]["type"] == "MemoryError"
 
     def test_config_must_hold_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

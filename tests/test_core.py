@@ -144,7 +144,42 @@ class TestSumVector:
             a + b
 
 
+@st.composite
+def _bounds_of_each_profile(draw):
+    """Bounds of a drawn profile, every bound at most 1e100 so no summand overflows."""
+    profile = draw(st.sampled_from(list(core.Profile)))
+    if profile is core.Profile.UNWEIGHTED5:
+        return d.Bounds.binary()
+    pair = st.lists(st.floats(0.0, 1e100), min_size=2, max_size=2).map(sorted)
+    w_low, w_high = draw(pair.filter(lambda w: w[0] > 0.0 and w != [1.0, 1.0]))
+    if profile is core.Profile.BINARY6:
+        return d.Bounds.binary(w_low, w_high)
+    return d.Bounds(*draw(pair), *draw(pair), w_low, w_high)
+
+
 class TestSensitivities:
+    @given(
+        bounds=_bounds_of_each_profile(),
+        fractions=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_is_the_largest_summand_the_kernel_adds(self, bounds, fractions):
+        # The kernel's sums of the one record at the upper bounds, bit for bit.
+        fields = [core.SUM_FIELDS.index(f) for f in bounds.profile.released_fields]
+        sens = np.array(list(d.sensitivity_per_sum(bounds).values()))
+        top = core.weighted_sums(*(np.array([v]) for v in (bounds.y_high, bounds.s_high, bounds.w_high)))
+        assert sens.tobytes() == top[fields].tobytes()
+        # Records within the bounds, one per row, so each row's sums are its summands.
+        lows, highs = (bounds.y_low, bounds.s_low, bounds.w_low), (bounds.y_high, bounds.s_high, bounds.w_high)
+        y, s, w = (
+            np.minimum(low + np.array(f) * (high - low), high)[:, None]
+            for f, low, high in zip(zip(*fractions), lows, highs)
+        )
+        if bounds.binary_y:
+            y = np.round(y)
+        core._check_records(y.ravel(), s.ravel(), w.ravel(), bounds, 0)
+        assert (core.weighted_sums(y, s, w)[:, fields] <= sens).all()
+
     def test_binary_unit_weight_all_ones(self):
         for bounds in (d.Bounds.binary_unweighted(), d.Bounds.binary()):
             sens = d.sensitivity_per_sum(bounds)
@@ -466,7 +501,7 @@ def _check_decimal_reader(fields, width, monkeypatch):
     for extended in (core._EXTENDED, False):
         monkeypatch.setattr(core, "_EXTENDED", extended)
         got = core._parse_plain_block(block + b"\n", width, csv.field_size_limit())
-        assert got is not None and got.tobytes() == want.tobytes(), (extended, block)
+        assert got.tobytes() == want.tobytes(), (extended, block)
 
 
 def _decimal_values_of(fields):
@@ -498,7 +533,8 @@ class TestDecimalReader:
         with pytest.raises(ValueError):
             float(field)
         for block in (f"{field},1\n".encode(), f"1,2\n3,{field}".encode()):
-            assert core._parse_plain_block(block, 2, csv.field_size_limit()) is None
+            with pytest.raises(core._NotPlain):
+                core._parse_plain_block(block, 2, csv.field_size_limit())
 
     def test_double_rounding_traps_are_left_to_float(self):
         # The extended quotient of each lies on a midpoint between two doubles
@@ -631,6 +667,26 @@ class TestSumDatasetCsv:
             core.sum_dataset_csv(path, _loose_bounds())
         assert err.value.line == 282
         assert len(three_ranges[-1]) == 4
+
+    def test_late_quoted_field_sends_the_file_to_the_strict_parser(self, tmp_path, three_ranges):
+        # The header and the first ranges are plain; the pool worker that
+        # reads the last range meets the quotes, and the strict parser then
+        # reads the whole file, with the same values.
+        rng = np.random.default_rng(9)
+        y, s, w = _random_arrays(rng, 300)
+        lines = _csv_bytes(y, s, w).split(b"\n")
+        label, score, weight = lines[300].split(b",")
+        lines[300] = b",".join([label, b'"' + score + b'"', weight])
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(lines))
+        sums = core.sum_dataset_csv(path, _loose_bounds())
+        cuts = three_ranges[-1]
+        assert len(cuts) == 4 and path.read_bytes().index(b'"') > cuts[2]
+        want = np.array([math.fsum(column) for column in core._summands(y, s, w)])
+        assert _sum_bytes(sums) == want.tobytes()
+        columns = core.read_dataset_csv(path)
+        strict = core._read_strict(path)
+        assert [c.tobytes() for c in columns] == [c.tobytes() for c in strict] == [c.tobytes() for c in (y, s, w)]
 
     def test_header_only_file_is_empty(self, tmp_path, three_ranges):
         path = tmp_path / "data.csv"

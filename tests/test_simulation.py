@@ -72,6 +72,16 @@ class TestGenerate:
         y, s, _ = d.generate_arrays(50_000, False, 1.0, rng)
         assert abs(s.mean() / y.mean() - 1.0) < 0.02
 
+    def test_sample_size_numpy_cannot_size_rejected(self):
+        # One below the least n, and one past the largest whose three float64
+        # columns numpy can size.
+        high = np.iinfo(np.intp).max // 24
+        for n, message in ((0, "n must be at least 1"), (high + 1, f"n must be at most {high}")):
+            with pytest.raises(d.InvalidConfigError, match=message):
+                d.generate_arrays(n, False, 1.1, np.random.default_rng(0))
+            with pytest.raises(d.InvalidConfigError, match="n must be at"):
+                small_config(n=n)
+
     def test_sub_unit_ratio_rejected(self):
         for ratio in (0.9, math.nan, math.inf):
             with pytest.raises(d.InvalidConfigError):
