@@ -210,12 +210,14 @@ def _run_simulate(args: argparse.Namespace) -> int:
     if threads < 1:
         raise InvalidConfigError(f"threads must be at least 1, got {threads}")
 
-    configs = [SimulationConfig(scale=scale, **settings) for scale in scales]  # before any output
+    configs = [SimulationConfig(scale=scale, **settings) for scale in scales]  # before any work
+    results = run_experiments(configs, threads=threads)
+    # Made only once the run succeeds, so a failed run leaves no directory behind.
     out_dir = args.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = []
-    for config, rows in zip(configs, run_experiments(configs, threads=threads)):
+    for config, rows in zip(configs, results):
         write_rows_csv(rows, out_dir / _cell_filename(config))
         cells.append({"config": config.to_json_dict(), "rows": [r.to_json_dict() for r in rows]})
         print(format_rows_table(config, rows))

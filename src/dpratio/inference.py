@@ -30,7 +30,10 @@ from .errors import (
     MonteCarloRedrawCapError,
     ScaleMismatchError,
 )
-from .mechanisms import MechanismKind, ReleasedBlock, ReleasedSums, exact_release, noise_from_raw, raw_draws
+from .mechanisms import (
+    MechanismKind, ReleasedBlock, ReleasedSums, exact_release, noise_from_raw, noise_scale,
+    nonpositive_chance, raw_draws, unit_noise,
+)
 # perfbench/tracer.py wraps this name: without it inference.draw_noise.self_s
 # has no value, and CI's "Every benchmark workload ends in a complete result
 # line" step fails at --trace 1.  It goes with ROADMAP item 4's "delete what
@@ -257,57 +260,184 @@ def _noisy_halves(released: ReleasedBlock) -> tuple[int, int, np.ndarray]:
     return lo, hi, np.array([var_s, var_y])[lo:hi, None]
 
 
+#: Standard deviations past its expected redraws that a row reads ahead.
+_READ_AHEAD_SDS = 2.0
+
+
+def _read_ahead(released: ReleasedBlock, rows: np.ndarray, draws: int) -> np.ndarray:
+    """How many raw draws each of ``rows`` takes past its first pass, before
+    its redraw rounds, from the release and ``draws`` alone.
+
+    A replicate is rejected with the chance p that its denominator, or on the
+    log scale its numerator, is not positive
+    (:func:`~dpratio.mechanisms.nonpositive_chance`).  The log scale rejects
+    more, so p is its chance wherever it draws the row (a positive released
+    numerator), and the ratio scale's elsewhere.  A row then redraws
+    T - draws replicates, T the trials to its ``draws``-th acceptance: mean
+    draws * p / (1 - p), standard deviation sqrt(draws * p) / (1 - p).  It
+    reads ahead that mean plus ``_READ_AHEAD_SDS`` deviations, one raw draw
+    per noisy sum and replicate, at most the redraws the cap allows, and
+    nothing where fewer than half a replicate is expected.  Scales do not
+    enter, so a row's stream is the same in a pass over any of them.
+    """
+    lo, hi, _ = _noisy_halves(released)
+    if lo == hi:
+        return np.zeros(len(rows), dtype=np.intp)
+    mechanism = released.mechanism
+    numerator, denominator = released.values[rows, _SUM_WS], released.values[rows, _SUM_WY]
+    accept = 1.0 - nonpositive_chance(denominator, mechanism, released.variance("sum_wy"))
+    log_rejects = nonpositive_chance(numerator, mechanism, released.variance("sum_ws"))
+    accept *= np.where(numerator > 0.0, 1.0 - log_rejects, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rejected = draws * (1.0 - accept)
+        mean = rejected / accept
+        ahead = np.minimum(np.ceil(mean + _READ_AHEAD_SDS * np.sqrt(rejected) / accept),
+                           _REDRAW_CAP_PER_DRAW * draws)
+    return (hi - lo) * np.where(mean >= 0.5, ahead, 0.0).astype(np.intp)
+
+
+def _schedule_point(length: np.ndarray, need: np.ndarray, noisy: int, draws: int) -> np.ndarray:
+    """The first point at or past ``need`` of each row's stream schedule from ``length`` on.
+
+    A row's stream past its first pass grows from its read-ahead L by
+    L -> 2 L + ``noisy`` (raw draws per replicate), up to ``noisy`` times
+    the larger of ``draws`` and the cap.  No round reads past that: a round
+    ends a row's read at ``noisy`` times the replicates it has rejected,
+    at most ``draws`` in the first round and the cap in a later one.
+    """
+    top = noisy * max(_REDRAW_CAP_PER_DRAW, 1) * draws
+    length = np.array(length, dtype=np.intp)
+    short = length < need
+    while short.any():
+        length[short] = np.minimum(2 * length[short] + noisy, top)
+        short = length < need
+    return length
+
+
+def _with_room(used: int) -> int:
+    """A stream buffer's size for ``used`` draws: an eighth more lets streams
+    grow in place.  Much more costs memory even unwritten: freeing a large
+    array raises malloc's mmap threshold, so later arrays come from the heap,
+    which keeps their pages resident."""
+    return used + used // 8
+
+
+class _Streams:
+    """Each row's draws past its first pass, read ahead into one flat buffer.
+
+    Row ``rows[i]``'s stream holds ``length[i]`` draws at ``values[start[i]:]``,
+    taken from its generator in stream order: :func:`_read_ahead` draws first,
+    drawn in the first pass, and then as far as :meth:`gather` extends it.
+    They are held as unit noise (:func:`~dpratio.mechanisms.unit_noise`), so a
+    round only scales what it reads.  Every scale reads the stream from
+    position 0, so a row's generator ends at the schedule point
+    (:func:`_schedule_point`) of the longest read.
+    """
+
+    def __init__(self, released: ReleasedBlock, rows: np.ndarray, draws: int,
+                 rngs: Sequence[np.random.Generator]) -> None:
+        lo, hi, _ = _noisy_halves(released)
+        self.rows, self.rngs, self.mechanism = rows, rngs, released.mechanism
+        self.noisy, self.draws = hi - lo, draws
+        self.length = _read_ahead(released, rows, draws)
+        self.start = np.cumsum(self.length) - self.length
+        self.used = int(self.length.sum())
+        self.values = np.empty(_with_room(self.used))
+
+    def draw(self, piece: slice, out: np.ndarray) -> None:
+        """Fill ``out``, one array per row of ``rows[piece]``, with each row's
+        first-pass raw draws, then draw its read-ahead right after them."""
+        starts = self.start[piece].tolist()
+        ends = (self.start[piece] + self.length[piece]).tolist()
+        for row, first, a, b in zip(self.rows[piece].tolist(), out, starts, ends):
+            raw_draws(self.rngs[row], self.mechanism, out=first)
+            if a < b:
+                raw_draws(self.rngs[row], self.mechanism, out=self.values[a:b])
+        if starts[0] < ends[-1]:  # the piece's rows are consecutive, and so are their streams
+            unit_noise(self.values[starts[0]:ends[-1]], self.mechanism)
+
+    def gather(self, at: np.ndarray, position: np.ndarray, k: np.ndarray, starts: np.ndarray,
+               out: np.ndarray) -> None:
+        """Fill ``out``, a round's (noisy sums, sum(k)) unit noise, with the
+        ``noisy * k[r]`` draws of stream ``at[r]`` from ``position[r]`` on: its
+        k[r] draws for the first noisy sum, then k[r] for the second, at
+        places ``starts[r]`` on.  A stream the read runs past is extended first."""
+        need = position + self.noisy * k
+        past = np.flatnonzero(need > self.length[at])
+        if len(past):
+            self._extend(at[past], need[past])
+        index = np.repeat(self.start[at] + position - starts, k)
+        index += np.arange(len(index))
+        for n, half in enumerate(out):
+            if n:
+                index += np.repeat(k, k)
+            np.take(self.values, index, out=half)
+
+    def _extend(self, at: np.ndarray, need: np.ndarray) -> None:
+        """Grow the streams ``rows[at]`` to their schedule points past ``need``,
+        one generator call each; they move past the last stream."""
+        length = _schedule_point(self.length[at], need, self.noisy, self.draws)
+        used, self.used = self.used, self.used + int(length.sum())
+        if self.used > len(self.values):
+            values = np.empty(_with_room(self.used))
+            values[:used] = self.values[:used]
+            self.values = values
+        values = self.values
+        moved = used + np.cumsum(length) - length
+        for i, old, new, have, grown in zip(at.tolist(), self.start[at].tolist(), moved.tolist(),
+                                            self.length[at].tolist(), length.tolist()):
+            values[new:new + have] = values[old:old + have]
+            fresh = values[new + have:new + grown]
+            unit_noise(raw_draws(self.rngs[self.rows[i]], self.mechanism, out=fresh), self.mechanism)
+        self.start[at], self.length[at] = moved, length
+
+
 class _FirstPass(NamedTuple):
     """The first Monte Carlo pass over the rows ``rows`` of a block.
 
     ``ratios`` holds each row's ``draws`` re-noised numerator over
-    denominator, ``num_ok`` and ``den_ok`` whether those sums are positive:
-    10 bytes a draw, all a pass keeps.  ``filled[scale]`` counts each row's
-    draws that ``scale`` accepts, for each scale the pass serves.  The
-    generators are left just past the pass; what one scale redraws after
-    it, a later scale reads from :class:`_KeptStreams`.
+    denominator, and ``level`` how many of its scales' conditions each
+    replicate meets: 0 where the denominator is not positive, 1 where only
+    it is, 2 where the numerator is too.  The ratio scale accepts level 1
+    and up, the log scale level 2: 9 bytes a draw, all a pass keeps.
+    ``filled[scale]`` counts each row's draws that ``scale`` accepts, for
+    each scale the pass serves.  What the scales redraw after it comes from
+    :class:`_Streams`, whose read-ahead the pass draws.
     """
 
     rows: np.ndarray
     ratios: np.ndarray
-    num_ok: np.ndarray
-    den_ok: np.ndarray
+    level: np.ndarray
     filled: dict[Scale, np.ndarray]
 
 
-def _first_pass(
-    released: ReleasedBlock,
-    rows: np.ndarray,
-    draws: int,
-    rngs: Sequence[np.random.Generator],
-    scales: Sequence[Scale],
-) -> _FirstPass:
-    """Each row fills its (numerator, denominator) draws with one call on its
-    generator ``rngs[row]``, then one transform per piece of rows maps them to
-    noise.  Every step is elementwise or per row, so the pieces give the
-    values one pass over all rows would."""
-    mechanism = released.mechanism
+def _first_pass(released: ReleasedBlock, scales: Sequence[Scale], streams: _Streams) -> _FirstPass:
+    """Each row ``streams.rows[i]`` fills its (numerator, denominator) draws
+    and its read-ahead (:meth:`_Streams.draw`), then one transform per piece
+    of rows maps the draws to noise.  Every step is elementwise or per row,
+    so the pieces give the values one pass over all rows would."""
+    rows, draws = streams.rows, streams.draws
     lo, hi, variances = _noisy_halves(released)
     shape = (len(rows), draws)
     first = _FirstPass(
-        rows, np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool),
+        rows, np.empty(shape), np.empty(shape, dtype=np.uint8),
         {scale: np.empty(len(rows), dtype=np.intp) for scale in scales},
     )
     for piece in _pieces(len(rows), draws):
         part = rows[piece]
-        noisy = np.zeros((len(part), 2, draws))
+        noisy = np.zeros((len(part), 2, draws)) if hi - lo < 2 else np.empty((len(part), 2, draws))
         if lo < hi:
             drawn = noisy[:, lo:hi]
-            for row, out in zip(part.tolist(), drawn):
-                raw_draws(rngs[row], mechanism, out=out)
-            noise_from_raw(drawn, mechanism, variances)
+            streams.draw(piece, drawn)
+            noise_from_raw(drawn, released.mechanism, variances)
         noisy_num, noisy_den = noisy[:, 0], noisy[:, 1]
         noisy_num += released.values[part, _SUM_WS, None]
         noisy_den += released.values[part, _SUM_WY, None]
-        num_ok = np.greater(noisy_num, 0.0, out=first.num_ok[piece])
-        den_ok = np.greater(noisy_den, 0.0, out=first.den_ok[piece])
+        den_ok = noisy_den > 0.0
+        both_ok = (noisy_num > 0.0) & den_ok
+        np.add(den_ok, both_ok, out=first.level[piece], dtype=np.uint8)
         for scale, filled in first.filled.items():
-            ok = den_ok if scale is Scale.RATIO else num_ok & den_ok
+            ok = den_ok if scale is Scale.RATIO else both_ok
             # A count over the whole piece is much faster than one per row.
             filled[piece] = draws if np.count_nonzero(ok) == ok.size else np.count_nonzero(ok, axis=1)
         np.divide(noisy_num, noisy_den, out=first.ratios[piece])
@@ -326,15 +456,15 @@ def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Sca
 
 def _first_pass_extras(
     first: _FirstPass, scale: Scale, point: np.ndarray, rows: np.ndarray, draws: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What one scale takes from the first pass for ``rows``, a subset of its rows.
 
     A replicate with a non-positive denominator (or numerator, on the log
     scale) is rejected.  The rows without a rejection get their correction
     here, read a piece of rows at a time, in the returned block-length
-    ``extra``.  The others are returned as ``owners`` (their block rows),
-    ``held`` (their accepted replicates first, then room for those they
-    lack) and ``filled`` (how many they hold), for :func:`_redraw_rounds`.
+    ``extra``.  The others are returned as ``owners`` (their block rows) and
+    ``filled`` (how many replicates the pass gave them), for
+    :func:`_redraw_rounds`.
     """
     extra = np.zeros(len(point))
     at = np.searchsorted(first.rows, rows)
@@ -345,103 +475,71 @@ def _first_pass_extras(
         part = done[piece]
         extra[rows[part]] = _mean_square_deviation(first.ratios[at[part]], point[rows[part]], scale)
     pending = np.flatnonzero(~full)
-    held = np.zeros((len(pending), draws))
-    filled = filled[pending]
-    for piece in _pieces(len(pending), draws):
-        part = at[pending[piece]]
-        ok = first.den_ok[part]
-        if scale is Scale.LOG:
-            ok &= first.num_ok[part]
-        held[piece][np.arange(draws) < filled[piece, None]] = first.ratios[part][ok]
-    return extra, rows[pending], held, filled
+    return extra, rows[pending], filled[pending]
 
 
-_NOTHING = np.empty(0)
-
-
-class _KeptStreams:
-    """Each row's raw draws past the first pass, kept for the scales that follow.
-
-    Each scale reads a row's stream in order from position 0: :meth:`read`
-    copies what an earlier scale kept and draws the rest from the row's
-    generator, which sits where the stream read so far ends.  New draws are
-    kept while ``keep`` is set, that is, for every scale but the last.
-    """
-
-    def __init__(self, rngs: Sequence[np.random.Generator], mechanism: MechanismKind) -> None:
-        self.rngs, self.mechanism = rngs, mechanism
-        self.kept: dict[int, np.ndarray] = {}
-        self.keep = False
-
-    def read(self, row: int, start: int, out: np.ndarray) -> None:
-        """Fill ``out`` with row ``row``'s draws from stream position ``start`` on."""
-        kept = self.kept.get(row, _NOTHING)
-        have = kept[start:start + len(out)]
-        out[:len(have)] = have
-        if len(have) < len(out):
-            rest = out[len(have):]
-            raw_draws(self.rngs[row], self.mechanism, out=rest)
-            if self.keep:
-                self.kept[row] = np.concatenate((kept, rest))
+def _redrawn_extras(
+    first: _FirstPass, scale: Scale, point: np.ndarray, owners: np.ndarray, filled: np.ndarray,
+    redraws: np.ndarray, extra: np.ndarray,
+) -> None:
+    """The correction of the rows ``owners`` that redraw, into ``extra``.  A
+    piece of rows at a time, each row's replicates are the ``filled[i]`` the
+    first pass gave it, then its redraws (:func:`_redraw_rounds`)."""
+    draws = first.ratios.shape[1]
+    at = np.searchsorted(first.rows, owners)
+    ends = np.cumsum(draws - filled)
+    for piece in _pieces(len(owners), draws):
+        part = at[piece]
+        replicates = np.empty((len(part), draws))
+        head = np.arange(draws) < filled[piece, None]
+        replicates[head] = first.ratios[part][first.level[part] > (scale is Scale.LOG)]
+        tail = redraws[ends[piece][0] - (draws - filled[piece][0]):ends[piece][-1]]
+        replicates[np.logical_not(head, out=head)] = tail
+        extra[owners[piece]] = _mean_square_deviation(replicates, point[owners[piece]], scale)
 
 
 def _redraw_rounds(
-    released: ReleasedBlock,
-    scale: Scale,
-    owners: np.ndarray,
-    held: np.ndarray,
-    filled: np.ndarray,
-    streams: _KeptStreams,
-) -> np.ndarray:
-    """Fill each row of ``held`` with the replicates it lacks, in place (``filled``
-    too); return which rows are capped.
+    released: ReleasedBlock, scale: Scale, owners: np.ndarray, filled: np.ndarray, streams: _Streams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Redraw the replicates the first pass left each row ``owners[i]`` short
+    of ``draws`` (it gave ``filled[i]``); return them, row after row in draw
+    order, and which rows are capped.
 
     Redraws run in rounds over every row that still lacks replicates: each
     row takes the k replicates it lacks, k raw draws per noisy sum,
     numerator first, from the next 2k (or k) positions of its stream past
     the first pass (the stream of a per-row loop, so the generators must be
-    distinct), with one :meth:`_KeptStreams.read`.  A boolean mask splits
-    the round's draws into numerator and denominator rows, in order, one
-    transform maps them to noise, and each row's accepted replicates follow
-    the ones it holds.  A row that rejects more than
+    distinct).  One :meth:`_Streams.gather` reads the round's unit noise
+    straight into its numerator and denominator rows, one product scales
+    them to the release variances, and each row's accepted replicates follow
+    the ones it has.  A row that rejects more than
     ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped and writes nothing
-    in that round.
+    in that round; its places past the last it filled stay 0.
     """
-    mechanism = released.mechanism
     lo, hi, variances = _noisy_halves(released)
-    m = hi - lo
-    draws = held.shape[1]
+    factor = noise_scale(released.mechanism, variances)  # unit noise to each half's noise
+    draws = streams.draws
+    lack = draws - filled
+    redraws = np.zeros(int(lack.sum()))
+    slot = np.cumsum(lack) - draws  # replicate j >= filled[i] of row i is redraws[slot[i] + j]
     capped = np.zeros(len(owners), dtype=bool)
-    numerator = released.values[owners, _SUM_WS]
-    denominator = released.values[owners, _SUM_WY]
-    live = np.arange(len(owners))  # rows of ``held`` that still lack replicates
+    sums = released.values[owners][:, [_SUM_WS, _SUM_WY]].T  # (numerator, denominator) per row
+    at = np.searchsorted(streams.rows, owners)  # their streams
+    live = np.arange(len(owners))  # the rows that still lack replicates
     rejected = draws - filled
     position = np.zeros(len(owners), dtype=np.intp)  # each live row's stream past the first pass
     cap = _REDRAW_CAP_PER_DRAW * draws
-    flat = held.reshape(-1)  # replicate j of held row i is flat[i * draws + j]
     while len(live):
         k = draws - filled
         ends = np.cumsum(k)
         starts = ends - k
-        noise = np.zeros((2, ends[-1]))
-        if m:
-            # Row r's m * k[r] draws are raw[m * starts[r]:m * ends[r]].
-            raw = np.empty(m * ends[-1])
-            for row, at, a, b in zip(owners[live].tolist(), position.tolist(),
-                                     (m * starts).tolist(), (m * ends).tolist()):
-                streams.read(row, at, raw[a:b])
-            position += m * k
-            if m == 1:
-                noise[lo] = raw
-            else:  # row r's draws are its k[r] numerator draws, then its k[r] denominator draws
-                numerator_draw = np.repeat(np.tile([True, False], len(k)), np.repeat(k, 2))
-                np.compress(numerator_draw, raw, out=noise[0])
-                np.compress(~numerator_draw, raw, out=noise[1])
-            del raw
-            noise_from_raw(noise[lo:hi], mechanism, variances)
+        noise = np.zeros((2, ends[-1])) if hi - lo < 2 else np.empty((2, ends[-1]))
+        if lo < hi:
+            streams.gather(at[live], position, k, starts, noise[lo:hi])
+            position += (hi - lo) * k
+            noise[lo:hi] *= factor
+        noise += np.repeat(sums[:, live], k, axis=1)
         more_num, more_den = noise
-        more_num += np.repeat(numerator[live], k)
-        more_den += np.repeat(denominator[live], k)
         accept = more_den > 0.0
         if scale is Scale.LOG:
             accept &= more_num > 0.0
@@ -454,13 +552,13 @@ def _redraw_rounds(
             accepted[over] = 0
         # A row's accepted replicates follow its filled ones, in draw order.
         first_place = np.cumsum(accepted) - accepted  # the row's first place among the accepted
-        target = np.repeat(live * draws + filled - first_place, accepted)
+        target = np.repeat(slot[live] + filled - first_place, accepted)
         target += np.arange(len(target))
-        flat[target] = np.divide(more_num, more_den, out=more_num)[accept]
-        filled += accepted
+        redraws[target] = np.divide(more_num, more_den, out=more_num)[accept]
+        filled = filled + accepted
         going = ~over & (filled < draws)
         live, filled, rejected, position = live[going], filled[going], rejected[going], position[going]
-    return capped
+    return redraws, capped
 
 
 def _monte_carlo_extras(
@@ -476,13 +574,18 @@ def _monte_carlo_extras(
     are drawn from the row's own generator at the release variances
     (numerator first) and added to the noisy sums.  That first pass is the
     same on every scale, so it is made once (:func:`_first_pass`), over the
-    union of the cells' rows; each cell then runs its own redraws
-    (:func:`_redraw_rounds`) on the stream past that pass, in the given
-    order.  Every cell but the last keeps the draws it takes from the
-    generators (:class:`_KeptStreams`), so each cell reads the stream it
-    would see on its own.  The last cell's rounds run after the first pass
-    is released.  Returns, per cell, the mean squared deviation from the
-    point estimate and the redraw and cap masks, all of block length.
+    union of the cells' rows, and right after its draws each row reads its
+    stream ahead (:func:`_read_ahead`, sized from the release and ``draws``
+    alone) into one buffer (:class:`_Streams`).  Each cell then runs its
+    own redraws (:func:`_redraw_rounds`), in the given order, reading each
+    row's stream from position 0 out of that buffer; a read past it extends
+    the row's stream to the next point of a fixed schedule.  So each cell
+    reads the stream it would see on its own, and a generator stops at the
+    schedule point of the longest cell's read.  A cell keeps only its
+    redraws; its replicates are put together from them and the first pass a
+    piece of rows at a time (:func:`_redrawn_extras`).  Returns, per cell,
+    the mean squared deviation from the point estimate and the redraw and
+    cap masks, all of block length.
     """
     size = len(released.values)
     drawn = np.zeros(size, dtype=bool)
@@ -491,18 +594,14 @@ def _monte_carlo_extras(
     union = np.flatnonzero(drawn)
     if (released.variance("sum_ws") == 0.0 and released.variance("sum_wy") == 0.0) or len(union) == 0:
         return [(np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)) for _ in cells]
-    first = _first_pass(released, union, draws, rngs, [scale for scale, _, _ in cells])
-    streams = _KeptStreams(rngs, released.mechanism)
+    streams = _Streams(released, union, draws, rngs)
+    first = _first_pass(released, [scale for scale, _, _ in cells], streams)
     extras = []
-    for n, (scale, point, rows) in enumerate(cells):
-        extra, owners, held, held_filled = _first_pass_extras(first, scale, point, rows, draws)
-        streams.keep = n < len(cells) - 1
-        if not streams.keep:
-            del first  # the last cell's rounds need only the rows it holds
-        capped = _redraw_rounds(released, scale, owners, held, held_filled, streams)
+    for scale, point, rows in cells:
+        extra, owners, filled = _first_pass_extras(first, scale, point, rows, draws)
+        redraws, capped = _redraw_rounds(released, scale, owners, filled, streams)
         # A capped row's replicates are incomplete; its refusal discards the result.
-        extra[owners] = _mean_square_deviation(held, point[owners], scale)
-        del held
+        _redrawn_extras(first, scale, point, owners, filled, redraws, extra)
         redrawn, capped_rows = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
         redrawn[owners] = True
         capped_rows[owners[capped]] = True
@@ -523,7 +622,10 @@ def estimate_block(
     ``method`` and ``scale`` are members or their values.  ``Method.PUBLIC``
     is the no-correction pipeline, meant for exact sums.
     ``Method.MONTE_CARLO`` needs ``rngs``, one distinct generator per row;
-    a row draws from its generator only if it was not refused before.
+    a row draws from its generator only if it was not refused before.  Its
+    redraws are read ahead, so a generator stops at the row's schedule point
+    (:func:`_schedule_point`), past where a per-row redraw loop would stop;
+    the estimates do not depend on how far.
     """
     return _estimate_scales(released, method, (scale,), level, draws, rngs)[0]
 
@@ -682,7 +784,9 @@ def ci_monte_carlo(
     squared deviation of the re-noised ratios from the point estimate is
     added to the no-correction variance.  Replicates with a non-positive
     denominator (or non-positive ratio on the log scale) are redrawn, up to
-    ten times ``draws`` rejections.
+    ten times ``draws`` rejections.  Redraws are read ahead, so ``rng`` is
+    left at a schedule point past where a one-at-a-time redraw loop would
+    leave it (see :func:`estimate_block`).
     """
     return _estimate_one(released, Method.MONTE_CARLO, scale, level, draws, rng)
 

@@ -62,12 +62,13 @@ _PURPOSE_MC = 2
 _CHUNK_VALUES = 2**12
 #: Values of Monte Carlo matrix per replication block: a block holds at most
 #: max(1, _BLOCK_VALUES // mc_draws) replications (see _block_cuts).  The
-#: Monte Carlo pass keeps 10 bytes a value, 18 in rows it redraws
-#: (inference._FirstPass), so a block of 2**16 values (327 replications at
-#: 200 draws) holds at most about 1.2 MB of them.  With both scales, the
-#: raw draws the first scale redraws are kept too (inference._KeptStreams,
-#: 8 bytes each) until the other scale has read them: at most about 0.15 MB
-#: for a block of 250 replications in the simulate_small_n cell.
+#: Monte Carlo pass keeps 9 bytes a value (inference._FirstPass), and a
+#: scale 8 bytes for each replicate it redraws, so a block of 2**16 values
+#: (327 replications at 200 draws) holds 0.6 MB of the first and at most
+#: 0.5 MB of the second.  The redraws are read ahead into one buffer
+#: (inference._Streams, 8 bytes a draw) that every scale reads: about 1.25
+#: times what the rounds read, 0.35 MB at epsilon 0.2 for a block of 250
+#: replications in the simulate_small_n cell.
 _BLOCK_VALUES = 2**16
 
 
@@ -324,8 +325,8 @@ def _run_block(
 
     The data, sums, releases and the first Monte Carlo pass are drawn once
     and shared by every scale.  A scale's redraws, which differ, take the
-    stream past that pass: the first scale to redraw a row draws it, and a
-    later scale reads what that one recorded.
+    stream past that pass, which each row reads ahead into a buffer every
+    scale reads from.
     """
     # Imported here: it loads numpy.random, which ``import dpratio`` must not.
     from ._seeding import generators, state_words

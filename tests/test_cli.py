@@ -431,6 +431,7 @@ class TestSimulate:
         )
         assert status == 2
         assert json.loads(out)["error"]["type"] == "MemoryError"
+        assert not (tmp_path / "out").exists()
 
     def test_config_must_hold_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import dpratio as d
 from dpratio import inference
 from dpratio.core import SUM_FIELDS
+from dpratio.mechanisms import raw_draws
 
 
 def make_released(values, noise=None, mechanism=d.MechanismKind.GAUSSIAN,
@@ -311,7 +312,11 @@ class TestMonteCarloCI:
 
 def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
     """The Monte Carlo correction row by row, with one draw_noise call per sum
-    and batch (numerator first): the algorithm the batched first pass replaced."""
+    and batch (numerator first): the algorithm the batched first pass replaced.
+
+    The batched pass reads ahead, so each row's generator is then advanced
+    to the schedule point past what the loop drew (inference._read_ahead,
+    inference._schedule_point)."""
     extra = np.zeros(len(point))
     redrawn = np.zeros(len(point), dtype=bool)
     capped = np.zeros(len(point), dtype=bool)
@@ -319,6 +324,7 @@ def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
     if var_s == 0.0 and var_y == 0.0:
         return extra, redrawn, capped
     num_col, den_col = SUM_FIELDS.index("sum_ws"), SUM_FIELDS.index("sum_wy")
+    noisy = sum(released.mechanism is not None and v > 0.0 for v in (var_s, var_y))
 
     def accepted(row, k):
         num = released.values[row, num_col] + d.draw_noise(rngs[row], released.mechanism, var_s, k)
@@ -333,14 +339,20 @@ def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
         filled = len(kept[0])
         rejected = draws - filled
         redrawn[row] = rejected > 0
+        read = 0  # raw draws past the first pass
         while filled < draws:
             more = accepted(row, draws - filled)
+            read += noisy * (draws - filled)
             rejected += draws - filled - len(more)
             if rejected > inference._REDRAW_CAP_PER_DRAW * draws:
                 capped[row] = True
                 break
             kept.append(more)
             filled += len(more)
+        ahead = inference._read_ahead(released, np.array([row]), draws)
+        end = inference._schedule_point(ahead, read, noisy, draws)[0]
+        if end > read:
+            raw_draws(rngs[row], released.mechanism, end - read)
         if capped[row]:
             continue
         replicates = np.concatenate(kept)
@@ -692,11 +704,30 @@ def _order_id(order):
 _FIRST_PASS = 2 * 50
 
 
+def _no_read_ahead(released, rows, draws):
+    return np.zeros(len(rows), dtype=np.intp)
+
+
+def _exact_schedule(length, need, noisy, draws):
+    return np.maximum(length, need)
+
+
 class TestKeptStreams:
-    """With several scales on one first pass, each scale but the last keeps
-    the raw draws it redraws, and a later scale reads them by stream position
-    and draws only past what is kept.  Each scale must equal its own run,
-    bit for bit, in each case the kept streams meet, in either order."""
+    """With several scales on one first pass, every scale reads each row's
+    stream from one buffer: a scale that reads past it extends it, and a
+    later scale reads it by stream position and extends it only past what
+    is there.  Each scale must equal its own run, bit for bit, in each case
+    the shared streams meet, in either order.
+
+    With no read-ahead and a schedule that stops each stream where the
+    longest read ends, every round that reads past a stream extends it, and
+    a generator yields just what the scales read, so each case is met.
+    """
+
+    @pytest.fixture(autouse=True)
+    def streams_end_at_reads(self, monkeypatch):
+        monkeypatch.setattr(inference, "_read_ahead", _no_read_ahead)
+        monkeypatch.setattr(inference, "_schedule_point", _exact_schedule)
 
     @pytest.mark.parametrize("order", _BOTH_ORDERS, ids=_order_id)
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
@@ -753,6 +784,84 @@ class TestKeptStreams:
         released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=200), 3.0, 0.1)
         _, (first, middle, _) = _shared_pass(released, order, 50)
         assert ((middle > first) & (first > _FIRST_PASS)).any()
+
+
+class TestReadAhead:
+    """How far each row reads ahead changes how far its generator is drawn,
+    never an estimate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mechanism=st.sampled_from(_MECHANISMS),
+        order=st.sampled_from(_BOTH_ORDERS),
+        epsilon=st.floats(0.01, 0.2),
+        draws=st.integers(2, 500),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        offsets=st.one_of(st.none(), st.tuples(st.floats(-1.0, 3.0), st.floats(0.01, 3.0))),
+        cap=st.sampled_from([0.05, 1, inference._REDRAW_CAP_PER_DRAW]),
+    )
+    # One rejected replicate per draw caps rows whose sums sit near zero.  A
+    # cap below one per draw is reached in the first round already.
+    @example(
+        mechanism=d.MechanismKind.LAPLACE, order=_BOTH_ORDERS[1], epsilon=0.05, draws=20, rows=12,
+        seed=3, offsets=(0.3, 0.3), cap=1,
+    )
+    def test_sizing_changes_no_estimate(self, mechanism, order, epsilon, draws, rows, seed, offsets, cap):
+        released = _simulated_release(mechanism, _WEIGHTED, epsilon, rows=rows, seed=seed)
+        if offsets is not None:
+            # Both noisy sums a few noise deviations from zero, the numerator
+            # possibly below it, which only the ratio scale draws.
+            released = _near_zero(released, *offsets)
+        default = inference._read_ahead
+        sizings = (_no_read_ahead, default, lambda *args: 8 * default(*args))
+        results = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_REDRAW_CAP_PER_DRAW", cap)
+            for sizing in sizings:
+                patch.setattr(inference, "_read_ahead", sizing)
+                # Each scale equals its own run, and each generator yields
+                # just the longest stream one of those runs reads.
+                shared, _ = _shared_pass(released, order, draws)
+                results.append([a.tobytes() for est in shared for a in est])
+        assert results[0] == results[1] == results[2]
+
+
+class TestRedrawGeneratorCalls:
+    """The redraw rounds call a row's generator only to extend its stream."""
+
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_calls_at_most_rows_past_read_ahead(self, monkeypatch, mechanism):
+        rows, draws = 40, 50
+        released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=rows), 0.3, 0.3)
+        generators = [np.random.default_rng([13, row]) for row in range(rows)]
+        row_of = {id(rng): row for row, rng in enumerate(generators)}
+        yielded = np.zeros(rows, dtype=np.intp)
+        calls, in_rounds = [0], [False]
+        draw, rounds = inference.raw_draws, inference._redraw_rounds
+
+        def watched_draw(rng, mechanism, size=None, out=None):
+            values = draw(rng, mechanism, size, out)
+            yielded[row_of[id(rng)]] += np.size(values)
+            calls[0] += in_rounds[0]
+            return values
+
+        def watched_rounds(*args):
+            in_rounds[0] = True
+            try:
+                return rounds(*args)
+            finally:
+                in_rounds[0] = False
+
+        monkeypatch.setattr(inference, "raw_draws", watched_draw)
+        monkeypatch.setattr(inference, "_redraw_rounds", watched_rounds)
+        shared = inference._estimate_scales(
+            released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=draws, rngs=generators
+        )
+        redraws = sum(int(est.flags[:, d.FLAGS.index("monte_carlo_redraw")].sum()) for est in shared)
+        past = yielded > _FIRST_PASS + inference._read_ahead(released, np.arange(rows), draws)
+        assert redraws > rows  # most rows redraw on both scales, in several rounds
+        assert calls[0] <= past.sum()
 
 
 class TestMonteCarloGenerators:
