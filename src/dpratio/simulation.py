@@ -1,11 +1,12 @@
 """Replicated synthetic-data experiments.
 
-Generates calibration-style datasets (Beta scores, Bernoulli labels, and
-optionally clipped-Exponential weights), runs the public baseline and the
-DP interval methods of :data:`~dpratio.inference.DP_METHODS` across a grid
-of privacy budgets, and aggregates width, coverage, and interval score over
-replications.  :func:`_cells` names the report's (method, epsilon) cells in
-row order: the public baseline, then every method at each epsilon in turn.
+Generates calibration-style datasets (Beta(2, 2) scores, each the median
+of three uniforms, Bernoulli labels, and optionally clipped-Exponential
+weights), runs the public baseline and the DP interval methods of
+:data:`~dpratio.inference.DP_METHODS` across a grid of privacy budgets, and
+aggregates width, coverage, and interval score over replications.
+:func:`_cells` names the report's (method, epsilon) cells in row order: the
+public baseline, then every method at each epsilon in turn.
 
 Every replication derives its own random substreams from
 (master_seed, replication index, purpose, epsilon), numpy SeedSequence keys
@@ -194,9 +195,11 @@ def generate_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw one synthetic dataset as (y, s, w) arrays.
 
-    Scores are Beta(2, 2), labels Bernoulli(s / true_ratio), and weights
-    either all ones or Exponential(1) clipped to ``WEIGHT_CLIP``.  Draw
-    order is fixed (scores, labels, weights) so streams are stable.
+    Scores are Beta(2, 2), drawn as the median of three uniforms, labels
+    Bernoulli(s / true_ratio), and weights either all ones or Exponential(1)
+    clipped to ``WEIGHT_CLIP``.  Draw order is fixed so streams are stable:
+    3n score uniforms (three blocks of n), n label uniforms, then n
+    Exponential(1) draws if weighted.
     """
     _check_count("n", n, 1)
     _check_true_ratio(true_ratio)
@@ -210,9 +213,19 @@ def _draw_dataset(
     rng: np.random.Generator, weighted: bool, y: np.ndarray, s: np.ndarray, w: np.ndarray
 ) -> None:
     """The draws of one dataset, in stream order, into the caller's contiguous
-    rows: the scores into ``s``, the uniforms its labels compare into ``y``
-    and, if ``weighted``, the Exponential(1) draws into ``w``."""
-    s[:] = rng.beta(2.0, 2.0, len(s))
+    rows: three blocks of uniforms a, b, c whose median, the second order
+    statistic of three uniforms and so Beta(2, 2), goes into ``s``; the
+    uniforms its labels compare into ``y``; and, if ``weighted``, the
+    Exponential(1) draws into ``w``.  ``w`` is free until those draws, or
+    until :func:`_finish_datasets` fills it with ones, so it holds max(a, b)
+    and no temporary is made."""
+    rng.random(out=s)
+    rng.random(out=w)
+    np.minimum(s, w, out=y)
+    np.maximum(s, w, out=w)
+    rng.random(out=s)
+    np.minimum(w, s, out=s)
+    np.maximum(y, s, out=s)  # max(min(a, b), min(max(a, b), c))
     rng.random(out=y)
     if weighted:
         rng.standard_exponential(out=w)

@@ -284,12 +284,12 @@ class TestSimulate:
         table = "\n".join([
             "mechanism=gaussian  scale=ratio  n=200  weighted=no  replications=2  level=0.95  "
             "effective n=200",
-            "public method: width = 0.312, coverage = 1.000, score = 0.312",
+            "public method: width = 0.347, coverage = 1.000, score = 0.347",
             "",
             "               no_correction             monte_carlo              analytical       ",
             " epsilon    width   cover   score    width   cover   score    width   cover   score",
-            "     0.5    3.166   0.000  84.333   34.303   1.000  34.303   32.382   1.000  32.382",
-            "       1    0.405   1.000   0.405    3.001   1.000   3.001    1.978   1.000   1.978",
+            "     0.5    4.528   0.000 102.249  162.847   1.000 162.847   51.928   1.000  51.928",
+            "       1    0.455   1.000   0.455    4.442   1.000   4.442    2.227   1.000   2.227",
         ])
         assert out == f"{table}\n\nwrote {tmp_path / 'report.json'}\n"
 

@@ -67,6 +67,30 @@ class TestGenerate:
         kish_ratio = w.sum() ** 2 / (w @ w) / w.size
         assert abs(kish_ratio - 0.6) < 0.05
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_stream_layout(self, weighted):
+        # Three n-blocks of score uniforms, n label uniforms, then n
+        # Exponential(1) draws if weighted, all from the one stream.
+        n, ratio = 257, 1.3
+        y, s, w = d.generate_arrays(n, weighted, ratio, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        a, b, c, labels = rng.random(4 * n).reshape(4, n)
+        np.testing.assert_array_equal(s, np.median([a, b, c], axis=0))
+        np.testing.assert_array_equal(y, (labels < s / ratio).astype(float))
+        expected_w = np.clip(rng.standard_exponential(n), *WEIGHT_CLIP) if weighted else np.ones(n)
+        np.testing.assert_array_equal(w, expected_w)
+
+    def test_scores_are_beta_2_2(self):
+        count = 200_000
+        _, s, _ = d.generate_arrays(count, False, 1.1, np.random.default_rng(12))
+        x = np.sort(s)
+        cdf = 3.0 * x**2 - 2.0 * x**3
+        steps = np.arange(1, count + 1) / count
+        distance = max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / count)))
+        assert distance < 1.95 / math.sqrt(count)  # Kolmogorov-Smirnov at the 0.1% level
+        assert abs(s.mean() - 0.5) < 0.003
+        assert abs(s.var() - 0.05) < 0.003
+
     def test_unit_ratio_supported(self):
         rng = np.random.default_rng(3)
         y, s, _ = d.generate_arrays(50_000, False, 1.0, rng)
