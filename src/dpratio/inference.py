@@ -31,8 +31,8 @@ from .errors import (
     ScaleMismatchError,
 )
 from .mechanisms import (
-    MechanismKind, ReleasedBlock, ReleasedSums, exact_release, noise_from_raw, noise_scale,
-    nonpositive_chance, raw_draws, unit_noise,
+    MechanismKind, ReleasedBlock, ReleasedSums, exact_release, noise_from_raw,
+    nonpositive_chance, raw_draws,
 )
 # perfbench/tracer.py wraps this name: without it inference.draw_noise.self_s
 # has no value, and CI's "Every benchmark workload ends in a complete result
@@ -260,29 +260,30 @@ def _noisy_halves(released: ReleasedBlock) -> tuple[int, int, np.ndarray]:
     return lo, hi, np.array([var_s, var_y])[lo:hi, None]
 
 
+def _redraw_cap(draws: int) -> int:
+    """The redraw pairs a row may read: a row that needs more is capped."""
+    return int(_REDRAW_CAP_PER_DRAW * draws)
+
+
 #: Standard deviations past its expected redraws that a row reads ahead.
 _READ_AHEAD_SDS = 2.0
 
 
 def _read_ahead(released: ReleasedBlock, rows: np.ndarray, draws: int) -> np.ndarray:
-    """How many raw draws each of ``rows`` takes past its first pass, before
-    its redraw rounds, from the release and ``draws`` alone.
+    """How many redraw pairs each of ``rows`` draws right after its first
+    pass, from the release and ``draws`` alone.
 
     A replicate is rejected with the chance p that its denominator, or on the
     log scale its numerator, is not positive
     (:func:`~dpratio.mechanisms.nonpositive_chance`).  The log scale rejects
     more, so p is its chance wherever it draws the row (a positive released
     numerator), and the ratio scale's elsewhere.  A row then redraws
-    T - draws replicates, T the trials to its ``draws``-th acceptance: mean
+    T - draws pairs, T the trials to its ``draws``-th acceptance: mean
     draws * p / (1 - p), standard deviation sqrt(draws * p) / (1 - p).  It
-    reads ahead that mean plus ``_READ_AHEAD_SDS`` deviations, one raw draw
-    per noisy sum and replicate, at most the redraws the cap allows, and
-    nothing where fewer than half a replicate is expected.  Scales do not
-    enter, so a row's stream is the same in a pass over any of them.
+    reads ahead that mean plus ``_READ_AHEAD_SDS`` deviations, at most the
+    cap, and nothing where fewer than half a pair is expected.  Scales do
+    not enter, so a row's stream is the same in a pass over any of them.
     """
-    lo, hi, _ = _noisy_halves(released)
-    if lo == hi:
-        return np.zeros(len(rows), dtype=np.intp)
     mechanism = released.mechanism
     numerator, denominator = released.values[rows, _SUM_WS], released.values[rows, _SUM_WY]
     accept = 1.0 - nonpositive_chance(denominator, mechanism, released.variance("sum_wy"))
@@ -292,156 +293,116 @@ def _read_ahead(released: ReleasedBlock, rows: np.ndarray, draws: int) -> np.nda
         rejected = draws * (1.0 - accept)
         mean = rejected / accept
         ahead = np.minimum(np.ceil(mean + _READ_AHEAD_SDS * np.sqrt(rejected) / accept),
-                           _REDRAW_CAP_PER_DRAW * draws)
-    return (hi - lo) * np.where(mean >= 0.5, ahead, 0.0).astype(np.intp)
+                           _redraw_cap(draws))
+    return np.where(mean >= 0.5, ahead, 0.0).astype(np.intp)
 
 
-def _schedule_point(length: np.ndarray, need: np.ndarray, noisy: int, draws: int) -> np.ndarray:
-    """The first point at or past ``need`` of each row's stream schedule from ``length`` on.
-
-    A row's stream past its first pass grows from its read-ahead L by
-    L -> 2 L + ``noisy`` (raw draws per replicate), up to ``noisy`` times
-    the larger of ``draws`` and the cap.  No round reads past that: a round
-    ends a row's read at ``noisy`` times the replicates it has rejected,
-    at most ``draws`` in the first round and the cap in a later one.
-    """
-    top = noisy * max(_REDRAW_CAP_PER_DRAW, 1) * draws
-    length = np.array(length, dtype=np.intp)
-    short = length < need
-    while short.any():
-        length[short] = np.minimum(2 * length[short] + noisy, top)
-        short = length < need
-    return length
+def _schedule_step(length: np.ndarray, draws: int) -> np.ndarray:
+    """The next point of each row's schedule past ``length`` redraw pairs:
+    they grow from the read-ahead L by L -> 2 L + 1, up to the cap."""
+    return np.minimum(2 * length + 1, _redraw_cap(draws))
 
 
-def _with_room(used: int) -> int:
-    """A stream buffer's size for ``used`` draws: an eighth more lets streams
-    grow in place.  Much more costs memory even unwritten: freeing a large
-    array raises malloc's mmap threshold, so later arrays come from the heap,
-    which keeps their pages resident."""
-    return used + used // 8
+def _ratio_level(numerator: np.ndarray, denominator: np.ndarray, ratios: np.ndarray,
+                 level: np.ndarray) -> None:
+    """Each pair's ratio and level: 0 where the denominator is not positive,
+    1 where only it is, 2 where the numerator is too.  The ratio scale
+    accepts level 1 and up, the log scale level 2."""
+    den_ok = denominator > 0.0
+    np.add(den_ok, (numerator > 0.0) & den_ok, out=level, dtype=np.uint8)
+    np.divide(numerator, denominator, out=ratios)
 
 
-class _Streams:
-    """Each row's draws past its first pass, read ahead into one flat buffer.
-
-    Row ``rows[i]``'s stream holds ``length[i]`` draws at ``values[start[i]:]``,
-    taken from its generator in stream order: :func:`_read_ahead` draws first,
-    drawn in the first pass, and then as far as :meth:`gather` extends it.
-    They are held as unit noise (:func:`~dpratio.mechanisms.unit_noise`), so a
-    round only scales what it reads.  Every scale reads the stream from
-    position 0, so a row's generator ends at the schedule point
-    (:func:`_schedule_point`) of the longest read.
-    """
-
-    def __init__(self, released: ReleasedBlock, rows: np.ndarray, draws: int,
-                 rngs: Sequence[np.random.Generator]) -> None:
-        lo, hi, _ = _noisy_halves(released)
-        self.rows, self.rngs, self.mechanism = rows, rngs, released.mechanism
-        self.noisy, self.draws = hi - lo, draws
-        self.length = _read_ahead(released, rows, draws)
-        self.start = np.cumsum(self.length) - self.length
-        self.used = int(self.length.sum())
-        self.values = np.empty(_with_room(self.used))
-
-    def draw(self, piece: slice, out: np.ndarray) -> None:
-        """Fill ``out``, one array per row of ``rows[piece]``, with each row's
-        first-pass raw draws, then draw its read-ahead right after them."""
-        starts = self.start[piece].tolist()
-        ends = (self.start[piece] + self.length[piece]).tolist()
-        for row, first, a, b in zip(self.rows[piece].tolist(), out, starts, ends):
-            raw_draws(self.rngs[row], self.mechanism, out=first)
-            if a < b:
-                raw_draws(self.rngs[row], self.mechanism, out=self.values[a:b])
-        if starts[0] < ends[-1]:  # the piece's rows are consecutive, and so are their streams
-            unit_noise(self.values[starts[0]:ends[-1]], self.mechanism)
-
-    def gather(self, at: np.ndarray, position: np.ndarray, k: np.ndarray, starts: np.ndarray,
-               out: np.ndarray) -> None:
-        """Fill ``out``, a round's (noisy sums, sum(k)) unit noise, with the
-        ``noisy * k[r]`` draws of stream ``at[r]`` from ``position[r]`` on: its
-        k[r] draws for the first noisy sum, then k[r] for the second, at
-        places ``starts[r]`` on.  A stream the read runs past is extended first."""
-        need = position + self.noisy * k
-        past = np.flatnonzero(need > self.length[at])
-        if len(past):
-            self._extend(at[past], need[past])
-        index = np.repeat(self.start[at] + position - starts, k)
-        index += np.arange(len(index))
-        for n, half in enumerate(out):
-            if n:
-                index += np.repeat(k, k)
-            np.take(self.values, index, out=half)
-
-    def _extend(self, at: np.ndarray, need: np.ndarray) -> None:
-        """Grow the streams ``rows[at]`` to their schedule points past ``need``,
-        one generator call each; they move past the last stream."""
-        length = _schedule_point(self.length[at], need, self.noisy, self.draws)
-        used, self.used = self.used, self.used + int(length.sum())
-        if self.used > len(self.values):
-            values = np.empty(_with_room(self.used))
-            values[:used] = self.values[:used]
-            self.values = values
-        values = self.values
-        moved = used + np.cumsum(length) - length
-        for i, old, new, have, grown in zip(at.tolist(), self.start[at].tolist(), moved.tolist(),
-                                            self.length[at].tolist(), length.tolist()):
-            values[new:new + have] = values[old:old + have]
-            fresh = values[new + have:new + grown]
-            unit_noise(raw_draws(self.rngs[self.rows[i]], self.mechanism, out=fresh), self.mechanism)
-        self.start[at], self.length[at] = moved, length
-
-
-class _FirstPass(NamedTuple):
-    """The first Monte Carlo pass over the rows ``rows`` of a block.
-
-    ``ratios`` holds each row's ``draws`` re-noised numerator over
-    denominator, and ``level`` how many of its scales' conditions each
-    replicate meets: 0 where the denominator is not positive, 1 where only
-    it is, 2 where the numerator is too.  The ratio scale accepts level 1
-    and up, the log scale level 2: 9 bytes a draw, all a pass keeps.
-    ``filled[scale]`` counts each row's draws that ``scale`` accepts, for
-    each scale the pass serves.  What the scales redraw after it comes from
-    :class:`_Streams`, whose read-ahead the pass draws.
-    """
-
-    rows: np.ndarray
-    ratios: np.ndarray
-    level: np.ndarray
-    filled: dict[Scale, np.ndarray]
-
-
-def _first_pass(released: ReleasedBlock, scales: Sequence[Scale], streams: _Streams) -> _FirstPass:
-    """Each row ``streams.rows[i]`` fills its (numerator, denominator) draws
-    and its read-ahead (:meth:`_Streams.draw`), then one transform per piece
-    of rows maps the draws to noise.  Every step is elementwise or per row,
-    so the pieces give the values one pass over all rows would."""
-    rows, draws = streams.rows, streams.draws
+def _redraw_ratios(
+    released: ReleasedBlock, rows: np.ndarray, counts: np.ndarray, raw: np.ndarray,
+    ratios: np.ndarray, level: np.ndarray,
+) -> None:
+    """Ratios and levels of ``counts[i]`` redraw pairs of each row ``rows[i]``,
+    from their raw draws, pair after pair, one draw per noisy sum, numerator first."""
     lo, hi, variances = _noisy_halves(released)
-    shape = (len(rows), draws)
-    first = _FirstPass(
-        rows, np.empty(shape), np.empty(shape, dtype=np.uint8),
-        {scale: np.empty(len(rows), dtype=np.intp) for scale in scales},
-    )
+    pairs = np.repeat(released.values[rows][:, [_SUM_WS, _SUM_WY]], counts, axis=0)
+    pairs[:, lo:hi] += noise_from_raw(raw.reshape(-1, hi - lo), released.mechanism, variances.T)
+    _ratio_level(pairs[:, 0], pairs[:, 1], ratios, level)
+
+
+def _segment_counts(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """How many of ``flags`` are set in each of the consecutive segments of ``lengths``."""
+    counts = np.zeros(len(lengths), dtype=np.intp)
+    full = lengths > 0  # reduceat reads an empty segment as the next flag
+    if full.any():
+        counts[full] = np.add.reduceat(flags, (np.cumsum(lengths) - lengths)[full], dtype=np.intp)
+    return counts
+
+
+class _Pairs(NamedTuple):
+    """A block's replicate pairs as ratios and levels, 9 bytes a pair: the
+    first passes as (rows, draws) arrays, then row i's ``redraws[i]`` redraw
+    pairs, row after row, in flat ones."""
+
+    first_ratios: np.ndarray
+    first_level: np.ndarray
+    redraw_ratios: np.ndarray
+    redraw_level: np.ndarray
+    redraws: np.ndarray
+
+
+def _draw_pairs(
+    released: ReleasedBlock, rows: np.ndarray, strict: np.ndarray, draws: int,
+    rngs: Sequence[np.random.Generator],
+) -> _Pairs:
+    """The replicate pairs of the block rows ``rows``.
+
+    A piece of rows at a time, each row fills its first pass (``draws``
+    numerators, then ``draws`` denominators) with one generator call and its
+    read-ahead (:func:`_read_ahead`) with another; every later step is
+    elementwise or per row, so pieces change no value.  Then each row whose
+    pairs hold fewer than ``draws`` that its strictest scale accepts (level
+    above ``strict[i]``) grows them a schedule step (:func:`_schedule_step`)
+    at a time, one generator call each, until they do or reach the cap.
+    """
+    lo, hi, variances = _noisy_halves(released)
+    mechanism, noisy = released.mechanism, hi - lo
+    redraws = np.minimum(_read_ahead(released, rows, draws), _redraw_cap(draws))
+    ends = np.cumsum(redraws)
+    pairs = _Pairs(np.empty((len(rows), draws)), np.empty((len(rows), draws), dtype=np.uint8),
+                   np.empty(ends[-1]), np.empty(ends[-1], dtype=np.uint8), redraws)
+    generators = [rngs[row] for row in rows.tolist()]
     for piece in _pieces(len(rows), draws):
-        part = rows[piece]
-        noisy = np.zeros((len(part), 2, draws)) if hi - lo < 2 else np.empty((len(part), 2, draws))
-        if lo < hi:
-            drawn = noisy[:, lo:hi]
-            streams.draw(piece, drawn)
-            noise_from_raw(drawn, released.mechanism, variances)
-        noisy_num, noisy_den = noisy[:, 0], noisy[:, 1]
-        noisy_num += released.values[part, _SUM_WS, None]
-        noisy_den += released.values[part, _SUM_WY, None]
-        den_ok = noisy_den > 0.0
-        both_ok = (noisy_num > 0.0) & den_ok
-        np.add(den_ok, both_ok, out=first.level[piece], dtype=np.uint8)
-        for scale, filled in first.filled.items():
-            ok = den_ok if scale is Scale.RATIO else both_ok
-            # A count over the whole piece is much faster than one per row.
-            filled[piece] = draws if np.count_nonzero(ok) == ok.size else np.count_nonzero(ok, axis=1)
-        np.divide(noisy_num, noisy_den, out=first.ratios[piece])
-    return first
+        shape = (len(rows[piece]), 2, draws)
+        first = np.zeros(shape) if noisy < 2 else np.empty(shape)
+        a, b = ends[piece][0] - redraws[piece][0], ends[piece][-1]
+        raw = np.empty(noisy * (b - a))
+        if noisy:
+            stops = np.cumsum(noisy * redraws[piece]).tolist()
+            for rng, out, c, e in zip(generators[piece], first, [0, *stops], stops):
+                raw_draws(rng, mechanism, out=out[lo:hi])
+                if c < e:
+                    raw_draws(rng, mechanism, out=raw[c:e])
+            noise_from_raw(first[:, lo:hi], mechanism, variances)
+        first += released.values[rows[piece]][:, [_SUM_WS, _SUM_WY], None]
+        _ratio_level(first[:, 0], first[:, 1], pairs.first_ratios[piece], pairs.first_level[piece])
+        if a < b:
+            _redraw_ratios(released, rows[piece], redraws[piece], raw,
+                           pairs.redraw_ratios[a:b], pairs.redraw_level[a:b])
+    accepted = _segment_counts(pairs.redraw_level > np.repeat(strict, redraws), redraws)
+    accepted += np.count_nonzero(pairs.first_level > strict[:, None], axis=1)
+    short = np.flatnonzero((accepted < draws) & (redraws < _redraw_cap(draws)))
+    while len(short):
+        more = _schedule_step(redraws[short], draws) - redraws[short]
+        raw = np.empty(noisy * int(more.sum()))
+        stops = np.cumsum(noisy * more).tolist()
+        for i, c, e in zip(short.tolist(), [0, *stops], stops):
+            raw_draws(generators[i], mechanism, out=raw[c:e])
+        ratios, level = np.empty(int(more.sum())), np.empty(int(more.sum()), dtype=np.uint8)
+        _redraw_ratios(released, rows[short], more, raw, ratios, level)
+        accepted[short] += _segment_counts(level > np.repeat(strict[short], more), more)
+        # After each row's pairs: np.insert keeps the order of the values it puts at one place.
+        at = np.repeat(np.cumsum(redraws)[short], more)
+        pairs = pairs._replace(redraw_ratios=np.insert(pairs.redraw_ratios, at, ratios),
+                               redraw_level=np.insert(pairs.redraw_level, at, level))
+        redraws[short] += more
+        short = np.flatnonzero((accepted < draws) & (redraws < _redraw_cap(draws)))
+    return pairs
 
 
 def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Scale) -> np.ndarray:
@@ -454,111 +415,40 @@ def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Sca
     return np.mean(np.square(replicates, out=replicates), axis=1)
 
 
-def _first_pass_extras(
-    first: _FirstPass, scale: Scale, point: np.ndarray, rows: np.ndarray, draws: int
+def _scale_extras(
+    pairs: _Pairs, scale: Scale, point: np.ndarray, union: np.ndarray, rows: np.ndarray, draws: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What one scale takes from the first pass for ``rows``, a subset of its rows.
+    """One scale's correction of ``rows``, and which of them redraw and are
+    capped, from the pairs of the block rows ``union``.
 
-    A replicate with a non-positive denominator (or numerator, on the log
-    scale) is rejected.  The rows without a rejection get their correction
-    here, read a piece of rows at a time, in the returned block-length
-    ``extra``.  The others are returned as ``owners`` (their block rows) and
-    ``filled`` (how many replicates the pass gave them), for
-    :func:`_redraw_rounds`.
+    A row's replicates are its first pass with each pair the scale rejects
+    replaced by the next redraw pair it accepts, so they are the first
+    ``draws`` pairs it accepts, put together a piece of rows at a time.  A
+    row whose pairs hold fewer is capped and keeps its first pass; its
+    refusal discards the result.
     """
-    extra = np.zeros(len(point))
-    at = np.searchsorted(first.rows, rows)
-    filled = first.filled[scale][at]
-    full = filled == draws
-    done = np.flatnonzero(full)  # positions in ``rows``
-    for piece in _pieces(len(done), draws):
-        part = done[piece]
-        extra[rows[part]] = _mean_square_deviation(first.ratios[at[part]], point[rows[part]], scale)
-    pending = np.flatnonzero(~full)
-    return extra, rows[pending], filled[pending]
-
-
-def _redrawn_extras(
-    first: _FirstPass, scale: Scale, point: np.ndarray, owners: np.ndarray, filled: np.ndarray,
-    redraws: np.ndarray, extra: np.ndarray,
-) -> None:
-    """The correction of the rows ``owners`` that redraw, into ``extra``.  A
-    piece of rows at a time, each row's replicates are the ``filled[i]`` the
-    first pass gave it, then its redraws (:func:`_redraw_rounds`)."""
-    draws = first.ratios.shape[1]
-    at = np.searchsorted(first.rows, owners)
-    ends = np.cumsum(draws - filled)
-    for piece in _pieces(len(owners), draws):
-        part = at[piece]
-        replicates = np.empty((len(part), draws))
-        head = np.arange(draws) < filled[piece, None]
-        replicates[head] = first.ratios[part][first.level[part] > (scale is Scale.LOG)]
-        tail = redraws[ends[piece][0] - (draws - filled[piece][0]):ends[piece][-1]]
-        replicates[np.logical_not(head, out=head)] = tail
-        extra[owners[piece]] = _mean_square_deviation(replicates, point[owners[piece]], scale)
-
-
-def _redraw_rounds(
-    released: ReleasedBlock, scale: Scale, owners: np.ndarray, filled: np.ndarray, streams: _Streams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Redraw the replicates the first pass left each row ``owners[i]`` short
-    of ``draws`` (it gave ``filled[i]``); return them, row after row in draw
-    order, and which rows are capped.
-
-    Redraws run in rounds over every row that still lacks replicates: each
-    row takes the k replicates it lacks, k raw draws per noisy sum,
-    numerator first, from the next 2k (or k) positions of its stream past
-    the first pass (the stream of a per-row loop, so the generators must be
-    distinct).  One :meth:`_Streams.gather` reads the round's unit noise
-    straight into its numerator and denominator rows, one product scales
-    them to the release variances, and each row's accepted replicates follow
-    the ones it has.  A row that rejects more than
-    ``_REDRAW_CAP_PER_DRAW * draws`` replicates is capped and writes nothing
-    in that round; its places past the last it filled stay 0.
-    """
-    lo, hi, variances = _noisy_halves(released)
-    factor = noise_scale(released.mechanism, variances)  # unit noise to each half's noise
-    draws = streams.draws
-    lack = draws - filled
-    redraws = np.zeros(int(lack.sum()))
-    slot = np.cumsum(lack) - draws  # replicate j >= filled[i] of row i is redraws[slot[i] + j]
-    capped = np.zeros(len(owners), dtype=bool)
-    sums = released.values[owners][:, [_SUM_WS, _SUM_WY]].T  # (numerator, denominator) per row
-    at = np.searchsorted(streams.rows, owners)  # their streams
-    live = np.arange(len(owners))  # the rows that still lack replicates
-    rejected = draws - filled
-    position = np.zeros(len(owners), dtype=np.intp)  # each live row's stream past the first pass
-    cap = _REDRAW_CAP_PER_DRAW * draws
-    while len(live):
-        k = draws - filled
-        ends = np.cumsum(k)
-        starts = ends - k
-        noise = np.zeros((2, ends[-1])) if hi - lo < 2 else np.empty((2, ends[-1]))
-        if lo < hi:
-            streams.gather(at[live], position, k, starts, noise[lo:hi])
-            position += (hi - lo) * k
-            noise[lo:hi] *= factor
-        noise += np.repeat(sums[:, live], k, axis=1)
-        more_num, more_den = noise
-        accept = more_den > 0.0
-        if scale is Scale.LOG:
-            accept &= more_num > 0.0
-        accepted = np.add.reduceat(accept, starts, dtype=np.intp)
-        rejected += k - accepted
-        over = rejected > cap
-        if over.any():
-            capped[live[over]] = True
-            accept &= np.repeat(~over, k)  # a capped row writes nothing
-            accepted[over] = 0
-        # A row's accepted replicates follow its filled ones, in draw order.
-        first_place = np.cumsum(accepted) - accepted  # the row's first place among the accepted
-        target = np.repeat(slot[live] + filled - first_place, accepted)
-        target += np.arange(len(target))
-        redraws[target] = np.divide(more_num, more_den, out=more_num)[accept]
-        filled = filled + accepted
-        going = ~over & (filled < draws)
-        live, filled, rejected, position = live[going], filled[going], rejected[going], position[going]
-    return redraws, capped
+    strict = scale is Scale.LOG
+    first_ok = pairs.first_level > strict
+    lack = draws - np.count_nonzero(first_ok, axis=1)
+    accepted = _segment_counts(pairs.redraw_level > strict, pairs.redraws)
+    fill = np.where(accepted < lack, 0, lack)
+    ends = np.cumsum(pairs.redraws)
+    extra = np.empty(len(union))
+    for piece in _pieces(len(union), draws):
+        replicates = pairs.first_ratios[piece].copy()
+        if fill[piece].any():
+            # Each redraw pair's rank among its row's accepted ones.
+            redraws = pairs.redraws[piece]
+            a, b = ends[piece][0] - redraws[0], ends[piece][-1]
+            ok = pairs.redraw_level[a:b] > strict
+            rank = np.cumsum(ok) - np.repeat(np.cumsum(accepted[piece]) - accepted[piece], redraws)
+            taken = ok & (rank <= np.repeat(fill[piece], redraws))
+            replicates[~first_ok[piece] & (fill[piece, None] > 0)] = pairs.redraw_ratios[a:b][taken]
+        extra[piece] = _mean_square_deviation(replicates, point[union[piece]], scale)
+    results = np.zeros(len(point)), np.zeros(len(point), dtype=bool), np.zeros(len(point), dtype=bool)
+    for result, values in zip(results, (extra, lack > 0, accepted < lack)):
+        result[rows] = values[np.searchsorted(union, rows)]
+    return results
 
 
 def _monte_carlo_extras(
@@ -569,44 +459,29 @@ def _monte_carlo_extras(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Injected variance of the point estimates, estimated by re-noising.
 
-    Each cell is a (scale, point estimates, rows to correct) triple.  For
-    each such row, ``draws`` fresh noise pairs for the score and label sums
-    are drawn from the row's own generator at the release variances
-    (numerator first) and added to the noisy sums.  That first pass is the
-    same on every scale, so it is made once (:func:`_first_pass`), over the
-    union of the cells' rows, and right after its draws each row reads its
-    stream ahead (:func:`_read_ahead`, sized from the release and ``draws``
-    alone) into one buffer (:class:`_Streams`).  Each cell then runs its
-    own redraws (:func:`_redraw_rounds`), in the given order, reading each
-    row's stream from position 0 out of that buffer; a read past it extends
-    the row's stream to the next point of a fixed schedule.  So each cell
-    reads the stream it would see on its own, and a generator stops at the
-    schedule point of the longest cell's read.  A cell keeps only its
-    redraws; its replicates are put together from them and the first pass a
-    piece of rows at a time (:func:`_redrawn_extras`).  Returns, per cell,
+    Each cell is a (scale, point estimates, rows to correct) triple.  Each
+    such row has one sequence of (numerator, denominator) noise pairs from
+    its own generator, at the release variances, added to the noisy sums:
+    pair j < ``draws`` is numerator j and denominator j of its first pass,
+    ``draws`` numerators then ``draws`` denominators, and each later pair,
+    a redraw, takes the next draw of each noisy sum, numerator first.  A
+    scale's replicates are the first ``draws`` pairs it accepts, so the
+    cells share one draw of the pairs (:func:`_draw_pairs`), as far as the
+    strictest scale drawing each row needs.  How far a row reads ahead moves
+    only where its generator stops, never an estimate.  Returns, per cell,
     the mean squared deviation from the point estimate and the redraw and
     cap masks, all of block length.
     """
     size = len(released.values)
-    drawn = np.zeros(size, dtype=bool)
-    for _, _, rows in cells:
+    drawn, strict = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    for scale, _, rows in cells:
         drawn[rows] = True
+        strict[rows] |= scale is Scale.LOG
     union = np.flatnonzero(drawn)
     if (released.variance("sum_ws") == 0.0 and released.variance("sum_wy") == 0.0) or len(union) == 0:
         return [(np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)) for _ in cells]
-    streams = _Streams(released, union, draws, rngs)
-    first = _first_pass(released, [scale for scale, _, _ in cells], streams)
-    extras = []
-    for scale, point, rows in cells:
-        extra, owners, filled = _first_pass_extras(first, scale, point, rows, draws)
-        redraws, capped = _redraw_rounds(released, scale, owners, filled, streams)
-        # A capped row's replicates are incomplete; its refusal discards the result.
-        _redrawn_extras(first, scale, point, owners, filled, redraws, extra)
-        redrawn, capped_rows = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
-        redrawn[owners] = True
-        capped_rows[owners[capped]] = True
-        extras.append((extra, redrawn, capped_rows))
-    return extras
+    pairs = _draw_pairs(released, union, strict[union], draws, rngs)
+    return [_scale_extras(pairs, scale, point, union, rows, draws) for scale, point, rows in cells]
 
 
 def estimate_block(
@@ -623,9 +498,9 @@ def estimate_block(
     is the no-correction pipeline, meant for exact sums.
     ``Method.MONTE_CARLO`` needs ``rngs``, one distinct generator per row;
     a row draws from its generator only if it was not refused before.  Its
-    redraws are read ahead, so a generator stops at the row's schedule point
-    (:func:`_schedule_point`), past where a per-row redraw loop would stop;
-    the estimates do not depend on how far.
+    redraw pairs are read ahead, so a generator stops at a point of the
+    row's schedule (:func:`_schedule_step`), past the last pair the row
+    takes; the estimates do not depend on how far.
     """
     return _estimate_scales(released, method, (scale,), level, draws, rngs)[0]
 
@@ -783,10 +658,10 @@ def ci_monte_carlo(
     release variances and stacked on top of the already-noisy sums; the mean
     squared deviation of the re-noised ratios from the point estimate is
     added to the no-correction variance.  Replicates with a non-positive
-    denominator (or non-positive ratio on the log scale) are redrawn, up to
-    ten times ``draws`` rejections.  Redraws are read ahead, so ``rng`` is
-    left at a schedule point past where a one-at-a-time redraw loop would
-    leave it (see :func:`estimate_block`).
+    denominator (or non-positive ratio on the log scale) are redrawn, one
+    fresh pair at a time, numerator first, up to ten times ``draws``
+    rejections.  Redraws are read ahead, so ``rng`` is left past the last
+    pair taken (see :func:`estimate_block`).
     """
     return _estimate_one(released, Method.MONTE_CARLO, scale, level, draws, rng)
 

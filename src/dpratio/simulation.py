@@ -18,12 +18,12 @@ releases: :func:`run_experiments` runs them in one pass, sharing those
 draws.  Replications run in blocks, and each stage runs on arrays over the
 block: the datasets are drawn into (rows, n) matrices a chunk at a time and
 summed in one pass per chunk, and release and inference, including one
-Monte Carlo first pass shared by the scales, run on the block's sums.
-Much of a block's cost is paid once per block (a few hundred numpy calls
-per epsilon, most of them in the Monte Carlo redraw rounds), so blocks are
-as few as a memory cap allows: :func:`_block_cuts` gives each at most
-_BLOCK_VALUES values of Monte Carlo matrix and splits the replications
-evenly.
+draw of the Monte Carlo replicate pairs shared by the scales, run on the
+block's sums.  Much of a block's cost is paid once per block (a few
+hundred numpy calls per epsilon, many of them in the Monte Carlo pass and
+its extension steps), so blocks are as few as a memory cap allows:
+:func:`_block_cuts` gives each at most _BLOCK_VALUES values of Monte Carlo
+matrix and splits the replications evenly.
 """
 
 from __future__ import annotations
@@ -63,13 +63,11 @@ _PURPOSE_MC = 2
 _CHUNK_VALUES = 2**12
 #: Values of Monte Carlo matrix per replication block: a block holds at most
 #: max(1, _BLOCK_VALUES // mc_draws) replications (see _block_cuts).  The
-#: Monte Carlo pass keeps 9 bytes a value (inference._FirstPass), and a
-#: scale 8 bytes for each replicate it redraws, so a block of 2**16 values
-#: (327 replications at 200 draws) holds 0.6 MB of the first and at most
-#: 0.5 MB of the second.  The redraws are read ahead into one buffer
-#: (inference._Streams, 8 bytes a draw) that every scale reads: about 1.25
-#: times what the rounds read, 0.35 MB at epsilon 0.2 for a block of 250
-#: replications in the simulate_small_n cell.
+#: Monte Carlo pass keeps 9 bytes a replicate pair (inference._Pairs), so a
+#: block of 2**16 values (327 replications at 200 draws) holds 0.6 MB of
+#: first passes.  Its redraw pairs, read ahead about 1.3 times as far as the
+#: strictest scale takes them, add about 0.19 MB at epsilon 0.2 for a block
+#: of 250 replications in the simulate_small_n cell.
 _BLOCK_VALUES = 2**16
 
 
@@ -336,10 +334,9 @@ def _run_block(
 ) -> list[_BlockResult]:
     """Replications ``start`` to ``stop - 1`` of ``config`` on each of ``scales``.
 
-    The data, sums, releases and the first Monte Carlo pass are drawn once
-    and shared by every scale.  A scale's redraws, which differ, take the
-    stream past that pass, which each row reads ahead into a buffer every
-    scale reads from.
+    The data, sums, releases and Monte Carlo replicate pairs are drawn once
+    and shared by every scale: each scale takes its replicates from the
+    same pairs.
     """
     # Imported here: it loads numpy.random, which ``import dpratio`` must not.
     from ._seeding import generators, state_words

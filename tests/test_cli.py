@@ -288,7 +288,7 @@ class TestSimulate:
             "",
             "               no_correction             monte_carlo              analytical       ",
             " epsilon    width   cover   score    width   cover   score    width   cover   score",
-            "     0.5    4.528   0.000 102.249  162.847   1.000 162.847   51.928   1.000  51.928",
+            "     0.5    4.528   0.000 102.249  149.990   1.000 149.990   51.928   1.000  51.928",
             "       1    0.455   1.000   0.455    4.442   1.000   4.442    2.227   1.000   2.227",
         ])
         assert out == f"{table}\n\nwrote {tmp_path / 'report.json'}\n"

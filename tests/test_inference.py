@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import dpratio as d
 from dpratio import inference
 from dpratio.core import SUM_FIELDS
-from dpratio.mechanisms import raw_draws
+from dpratio.mechanisms import noise_from_raw, raw_draws
 
 
 def make_released(values, noise=None, mechanism=d.MechanismKind.GAUSSIAN,
@@ -278,12 +279,12 @@ class TestMonteCarloCI:
 
     def test_block_refuses_exactly_where_scalar_api_raises(self):
         # Both noisy sums near zero on the log scale: a replicate survives with
-        # probability about 1/4, so with 2 draws an occasional row rejects more
-        # than the cap of 20 replicates.
+        # probability about 1/4, so with 2 draws about 1.5% of rows reject more
+        # than the cap of 20 replicates, and some of 512 do but with chance 2e-4.
         released = make_released(
             {"sum_ws": 1e-3, "sum_wy": 1e-3}, noise={"sum_ws": 1.0, "sum_wy": 1.0}
         )
-        seeds = range(32)
+        seeds = range(512)
         one = released.block
         block = d.estimate_block(
             one._replace(values=np.repeat(one.values, len(seeds), axis=0)),
@@ -311,51 +312,59 @@ class TestMonteCarloCI:
 
 
 def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
-    """The Monte Carlo correction row by row, with one draw_noise call per sum
-    and batch (numerator first): the algorithm the batched first pass replaced.
+    """The Monte Carlo correction row by row: the reference for the pair layout.
 
-    The batched pass reads ahead, so each row's generator is then advanced
-    to the schedule point past what the loop drew (inference._read_ahead,
-    inference._schedule_point)."""
+    A row's first pass is one draw_noise call per sum, ``draws`` numerators
+    then ``draws`` denominators, and pair j is numerator j over denominator
+    j.  Each redraw pair after it takes the next raw draw of each noisy sum,
+    numerator first.  The row's replicates are its first pass with each
+    pair the scale rejects replaced, in turn, by the next redraw pair it
+    accepts, and it is capped when it rejects more than
+    ``_REDRAW_CAP_PER_DRAW * draws`` pairs before its ``draws``-th accepted
+    one.  Its
+    generator ends at the first point of its schedule, which grows its
+    read-ahead L (inference._read_ahead) by L -> 2 L + 1 up to the cap, at
+    or past the redraw pairs that takes, or at the cap.
+    """
     extra = np.zeros(len(point))
     redrawn = np.zeros(len(point), dtype=bool)
     capped = np.zeros(len(point), dtype=bool)
     var_s, var_y = released.variance("sum_ws"), released.variance("sum_wy")
     if var_s == 0.0 and var_y == 0.0:
         return extra, redrawn, capped
-    num_col, den_col = SUM_FIELDS.index("sum_ws"), SUM_FIELDS.index("sum_wy")
-    noisy = sum(released.mechanism is not None and v > 0.0 for v in (var_s, var_y))
+    mechanism, cap = released.mechanism, inference._REDRAW_CAP_PER_DRAW * draws
+    sums = [(SUM_FIELDS.index(name), variance) for name, variance in (("sum_ws", var_s), ("sum_wy", var_y))]
+    noisy = sum(mechanism is not None and variance > 0.0 for _, variance in sums)
+    top = inference._redraw_cap(draws)
 
-    def accepted(row, k):
-        num = released.values[row, num_col] + d.draw_noise(rngs[row], released.mechanism, var_s, k)
-        den = released.values[row, den_col] + d.draw_noise(rngs[row], released.mechanism, var_y, k)
+    def redraw_pairs(rng, row):
+        """Every redraw pair the cap allows, one raw draw per noisy sum, numerator first."""
+        raw = iter(raw_draws(rng, mechanism, (top, noisy)).T if noisy else ())
+        return [released.values[row, col] + (noise_from_raw(next(raw).copy(), mechanism, v)
+                                             if mechanism is not None and v > 0.0 else np.zeros(top))
+                for col, v in sums]
+
+    for row in rows:
+        rng = rngs[row]
+        first = [released.values[row, col] + d.draw_noise(rng, mechanism, v, draws) for col, v in sums]
+        num, den = (np.concatenate(pair) for pair in zip(first, redraw_pairs(copy.deepcopy(rng), row)))
         ok = den > 0.0
         if scale is d.Scale.LOG:
             ok &= num > 0.0
-        return num[ok] / den[ok]
-
-    for row in rows:
-        kept = [accepted(row, draws)]
-        filled = len(kept[0])
-        rejected = draws - filled
-        redrawn[row] = rejected > 0
-        read = 0  # raw draws past the first pass
-        while filled < draws:
-            more = accepted(row, draws - filled)
-            read += noisy * (draws - filled)
-            rejected += draws - filled - len(more)
-            if rejected > inference._REDRAW_CAP_PER_DRAW * draws:
-                capped[row] = True
-                break
-            kept.append(more)
-            filled += len(more)
-        ahead = inference._read_ahead(released, np.array([row]), draws)
-        end = inference._schedule_point(ahead, read, noisy, draws)[0]
-        if end > read:
-            raw_draws(rngs[row], released.mechanism, end - read)
+        accepted = np.flatnonzero(ok)[:draws]
+        redrawn[row] = not ok[:draws].all()
+        rejected = accepted[-1] + 1 - draws if len(accepted) == draws else math.inf
+        capped[row] = rejected > cap
+        ahead = min(inference._read_ahead(released, np.array([row]), draws)[0], top)
+        end = ahead
+        while end < (top if capped[row] else rejected):
+            end = min(2 * end + 1, top)
+        raw_draws(rng, mechanism, noisy * end)
         if capped[row]:
             continue
-        replicates = np.concatenate(kept)
+        replicates = num[:draws] / den[:draws]
+        redraws = accepted[accepted >= draws]
+        replicates[~ok[:draws]] = num[redraws] / den[redraws]
         if scale is d.Scale.LOG:
             replicates = np.log(replicates)
         extra[row] = np.mean(np.square(replicates - point[row]))
@@ -412,7 +421,9 @@ class TestBatchedMonteCarloPass:
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     def test_redraw_heavy_block(self, monkeypatch, mechanism, scale):
         # Epsilon 0.02 on 100 weighted records: refusals and redraws are common.
-        released = _simulated_release(mechanism, _WEIGHTED, 0.02)
+        # At least 12% of rows redraw on every mechanism and scale, so some of
+        # 64 do but with chance 4e-4.
+        released = _simulated_release(mechanism, _WEIGHTED, 0.02, rows=64)
         est = self._check(monkeypatch, released, scale, 1000)
         assert est.flags[:, d.FLAGS.index("monte_carlo_redraw")].any()
         assert (est.refusal == d.Refusal.NONE).any()
@@ -423,8 +434,9 @@ class TestBatchedMonteCarloPass:
         # Score bounds (0, 0) give sum_ws no noise, so only the denominator
         # draws.  A positive numerator in its place makes the replicates, not
         # just the redraws, depend on which draws the denominator reads; the
-        # mirror case gives sum_wy no noise instead.
-        released = _simulated_release(mechanism, d.Bounds(0, 1, 0, 0), 0.02, weighted=False)
+        # mirror case gives sum_wy no noise instead.  About a quarter of the
+        # rows redraw, so some of 32 do but with chance 7e-5.
+        released = _simulated_release(mechanism, d.Bounds(0, 1, 0, 0), 0.02, rows=32, weighted=False)
         assert released.variance("sum_ws") == 0.0 < released.variance("sum_wy")
         self._check(monkeypatch, released, scale, 1000)
         positive = released.values.copy()
@@ -441,17 +453,18 @@ class TestBatchedMonteCarloPass:
 
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     def test_capped_rows(self, monkeypatch, mechanism):
-        # Both noisy sums near zero on the log scale with 2 draws: some rows
-        # reject more than the cap of 20 replicates.
-        released = _simulated_release(mechanism, _WEIGHTED, 0.05, rows=200, n=20)
+        # Both noisy sums near zero on the log scale with 2 draws: about 1.5% of
+        # rows reject more than the cap of 20 replicates, so some of 1,000 do
+        # but with chance 3e-7.
+        released = _simulated_release(mechanism, _WEIGHTED, 0.05, rows=1000, n=20)
         values = np.full_like(released.values, 20.0)
         values[:, [SUM_FIELDS.index("sum_ws"), SUM_FIELDS.index("sum_wy")]] = 1e-3
         est = self._check(monkeypatch, released._replace(values=values), d.Scale.LOG, 2)
         assert (est.refusal == d.Refusal.MONTE_CARLO_REDRAW_CAP).any()
 
 
-class TestBatchedRedrawRounds:
-    """The batched redraw rounds against the per-row loop, on drawn settings."""
+class TestBatchedRedraws:
+    """The batched Monte Carlo pass against the per-row loop, on drawn settings."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -464,9 +477,10 @@ class TestBatchedRedrawRounds:
         offset=st.one_of(st.none(), st.floats(0.01, 3.0)),
         quiet=st.sampled_from([None, "sum_ws", "sum_wy", "mechanism"]),
     )
-    # Gaussian, log scale, 2 draws, sums 0.01 deviations above zero: a row is capped.
+    # Gaussian, log scale, 2 draws, sums 0.01 deviations above zero: about
+    # 0.6% of the rows are capped, so some of 1,500 are but with chance 2e-4.
     @example(
-        mechanism=d.MechanismKind.GAUSSIAN, scale=d.Scale.LOG, epsilon=0.05, draws=2, rows=40,
+        mechanism=d.MechanismKind.GAUSSIAN, scale=d.Scale.LOG, epsilon=0.05, draws=2, rows=1500,
         seed=0, offset=0.01, quiet=None,
     )
     def test_matches_per_row_loop(self, mechanism, scale, epsilon, draws, rows, seed, offset, quiet):
@@ -487,6 +501,38 @@ class TestBatchedRedrawRounds:
             released = released._replace(noise_variance=variance)
         # _check compares every output array bit for bit and the generators' end states.
         TestBatchedMonteCarloPass()._check(pytest.MonkeyPatch(), released, scale, draws)
+
+
+class TestRowsWithoutRedraws:
+    """A row whose first pass rejects nothing is corrected from that pass
+    alone: ``draws`` numerators, then ``draws`` denominators, one draw_noise
+    call per sum on the row's fresh generator."""
+
+    @pytest.mark.parametrize("scale", [d.Scale.RATIO, d.Scale.LOG])
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_extra_is_the_first_pass_deviation(self, mechanism, scale):
+        # At epsilon 1 on 1,000 weighted records over 80% of rows reject nothing.
+        rows, draws = 40, 200
+        released = _simulated_release(mechanism, _WEIGHTED, 1.0, rows=rows, n=1000)
+        mc = d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws,
+                              rngs=[np.random.default_rng([17, row]) for row in range(rows)])
+        no_correction = d.estimate_block(released, d.Method.NO_CORRECTION, scale)
+        quiet = np.flatnonzero(
+            (mc.refusal == d.Refusal.NONE) & ~mc.flags[:, d.FLAGS.index("monte_carlo_redraw")]
+        )
+        assert len(quiet) > rows // 2
+        for row in quiet:
+            rng = np.random.default_rng([17, row])
+            num, den = (
+                released.values[row, SUM_FIELDS.index(name)]
+                + d.draw_noise(rng, released.mechanism, released.variance(name), draws)
+                for name in ("sum_ws", "sum_wy")
+            )
+            replicates = num / den
+            if scale is d.Scale.LOG:
+                replicates = np.log(replicates)
+            extra = np.mean(np.square(replicates - mc.point[row]))
+            assert mc.variance[row] == no_correction.variance[row] + extra, row
 
 
 class TestAnalyticalCI:
@@ -708,32 +754,30 @@ def _no_read_ahead(released, rows, draws):
     return np.zeros(len(rows), dtype=np.intp)
 
 
-def _exact_schedule(length, need, noisy, draws):
-    return np.maximum(length, need)
+def _one_pair_more(length, draws):
+    return length + 1
 
 
-class TestKeptStreams:
-    """With several scales on one first pass, every scale reads each row's
-    stream from one buffer: a scale that reads past it extends it, and a
-    later scale reads it by stream position and extends it only past what
-    is there.  Each scale must equal its own run, bit for bit, in each case
-    the shared streams meet, in either order.
+class TestSharedPairs:
+    """With several scales on one pass, every scale takes its replicates from
+    the same pairs, drawn as far as the strictest scale that draws each row
+    needs.  Each scale must equal its own run, bit for bit, in either order.
 
-    With no read-ahead and a schedule that stops each stream where the
-    longest read ends, every round that reads past a stream extends it, and
-    a generator yields just what the scales read, so each case is met.
+    With no read-ahead and a schedule that grows a row's pairs one at a
+    time, a generator yields just the pairs the strictest scale reads, so
+    each scale's own stream is as long as it needs.
     """
 
     @pytest.fixture(autouse=True)
     def streams_end_at_reads(self, monkeypatch):
         monkeypatch.setattr(inference, "_read_ahead", _no_read_ahead)
-        monkeypatch.setattr(inference, "_schedule_point", _exact_schedule)
+        monkeypatch.setattr(inference, "_schedule_step", _one_pair_more)
 
     @pytest.mark.parametrize("order", _BOTH_ORDERS, ids=_order_id)
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     def test_row_the_log_scale_refuses(self, mechanism, order):
         # Rows whose noisy score sum is negative are refused on the log scale,
-        # so it keeps nothing for them, yet the ratio scale redraws them.
+        # so only the ratio scale draws them, and they redraw.
         released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=40), 0.3, 0.3)
         values = released.values.copy()
         values[::3, SUM_FIELDS.index("sum_ws")] *= -1.0
@@ -748,42 +792,28 @@ class TestKeptStreams:
 
     @pytest.mark.parametrize("order", _BOTH_ORDERS, ids=_order_id)
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
-    def test_second_scale_reads_past_the_kept_stream(self, mechanism, order):
-        # A round draws its numerators, then its denominators, so the scales
-        # pair up the same stream into replicates differently, and the scale
-        # that rejects less can still need more of it: here a few rows do.
+    def test_log_scale_reads_at_least_as_far(self, mechanism, order):
+        # The log scale accepts a subset of the pairs the ratio scale accepts,
+        # so it never reads less of a row's stream.  With the numerators well
+        # above zero and the denominators near it, 4% (Gaussian) to 18%
+        # (Laplace) of rows read more, so some of 200 do but with chance 2e-4.
         released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=200), 3.0, 0.1)
-        _, (first, second) = _shared_pass(released, order, 50)
-        assert ((second > first) & (first > _FIRST_PASS)).any()
+        _, lengths = _shared_pass(released, order, 50)
+        length = dict(zip(order, lengths))
+        assert (length[d.Scale.LOG] >= length[d.Scale.RATIO]).all()
+        assert ((length[d.Scale.LOG] > length[d.Scale.RATIO]) & (length[d.Scale.RATIO] > _FIRST_PASS)).any()
 
     @pytest.mark.parametrize("order", _BOTH_ORDERS, ids=_order_id)
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     def test_capped_row(self, monkeypatch, mechanism, order):
-        # At a cap of one rejected replicate per draw the log scale caps rows
-        # that the ratio scale fills from further along the same stream.
+        # At a cap of one rejected pair per draw the log scale caps rows whose
+        # replicates the ratio scale finds among the same pairs.
         monkeypatch.setattr(inference, "_REDRAW_CAP_PER_DRAW", 1)
         released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=40), 0.3, 0.3)
-        shared, lengths = _shared_pass(released, order, 50)
-        est, length = dict(zip(order, shared)), dict(zip(order, lengths))
+        shared, _ = _shared_pass(released, order, 50)
+        est = dict(zip(order, shared))
         capped = est[d.Scale.LOG].refusal == d.Refusal.MONTE_CARLO_REDRAW_CAP
-        assert (
-            capped
-            & (est[d.Scale.RATIO].refusal == d.Refusal.NONE)
-            & (length[d.Scale.RATIO] > length[d.Scale.LOG])
-        ).any()
-
-    @pytest.mark.parametrize(
-        "order",
-        [(d.Scale.RATIO, d.Scale.LOG, d.Scale.LOG), (d.Scale.LOG, d.Scale.RATIO, d.Scale.RATIO)],
-        ids=_order_id,
-    )
-    @pytest.mark.parametrize("mechanism", _MECHANISMS)
-    def test_middle_scale_reads_and_keeps(self, mechanism, order):
-        # Of three scales the second reads what the first kept and keeps its
-        # own draws past it, which the third, repeating the second, reads.
-        released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=200), 3.0, 0.1)
-        _, (first, middle, _) = _shared_pass(released, order, 50)
-        assert ((middle > first) & (first > _FIRST_PASS)).any()
+        assert (capped & (est[d.Scale.RATIO].refusal == d.Refusal.NONE)).any()
 
 
 class TestReadAhead:
@@ -802,7 +832,7 @@ class TestReadAhead:
         cap=st.sampled_from([0.05, 1, inference._REDRAW_CAP_PER_DRAW]),
     )
     # One rejected replicate per draw caps rows whose sums sit near zero.  A
-    # cap below one per draw is reached in the first round already.
+    # cap below one per draw allows fewer redraw pairs than draws.
     @example(
         mechanism=d.MechanismKind.LAPLACE, order=_BOTH_ORDERS[1], epsilon=0.05, draws=20, rows=12,
         seed=3, offsets=(0.3, 0.3), cap=1,
@@ -828,40 +858,47 @@ class TestReadAhead:
 
 
 class TestRedrawGeneratorCalls:
-    """The redraw rounds call a row's generator only to extend its stream."""
+    """Past its first pass and read-ahead a row's generator is called once per
+    schedule step.  TestBatchedMonteCarloPass pins where a generator stops,
+    the first schedule point that holds the pairs the row needs, so a row
+    is extended only when its read-ahead ran out."""
 
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
-    def test_calls_at_most_rows_past_read_ahead(self, monkeypatch, mechanism):
-        rows, draws = 40, 50
+    def test_one_call_per_schedule_step(self, monkeypatch, mechanism):
+        # Both sums near zero: 2-3% of the rows extend their read-ahead (3-6%
+        # of those that draw), so some of 600 do but with chance 1e-5.
+        rows, draws = 600, 50
         released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=rows), 0.3, 0.3)
         generators = [np.random.default_rng([13, row]) for row in range(rows)]
         row_of = {id(rng): row for row, rng in enumerate(generators)}
-        yielded = np.zeros(rows, dtype=np.intp)
-        calls, in_rounds = [0], [False]
-        draw, rounds = inference.raw_draws, inference._redraw_rounds
+        calls = [[] for _ in range(rows)]
+        draw = inference.raw_draws
 
         def watched_draw(rng, mechanism, size=None, out=None):
             values = draw(rng, mechanism, size, out)
-            yielded[row_of[id(rng)]] += np.size(values)
-            calls[0] += in_rounds[0]
+            calls[row_of[id(rng)]].append(np.size(values))
             return values
 
-        def watched_rounds(*args):
-            in_rounds[0] = True
-            try:
-                return rounds(*args)
-            finally:
-                in_rounds[0] = False
-
         monkeypatch.setattr(inference, "raw_draws", watched_draw)
-        monkeypatch.setattr(inference, "_redraw_rounds", watched_rounds)
-        shared = inference._estimate_scales(
+        inference._estimate_scales(
             released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=draws, rngs=generators
         )
-        redraws = sum(int(est.flags[:, d.FLAGS.index("monte_carlo_redraw")].sum()) for est in shared)
-        past = yielded > _FIRST_PASS + inference._read_ahead(released, np.arange(rows), draws)
-        assert redraws > rows  # most rows redraw on both scales, in several rounds
-        assert calls[0] <= past.sum()
+        ahead = np.minimum(inference._read_ahead(released, np.arange(rows), draws), inference._redraw_cap(draws))
+        extended = 0
+        for row, sizes in enumerate(calls):
+            if not sizes:  # refused before it drew
+                continue
+            pairs = [size // 2 for size in sizes]  # both sums carry noise
+            assert pairs[0] == draws
+            if ahead[row]:
+                assert pairs[1] == ahead[row]
+            length, steps = ahead[row], pairs[1 + (ahead[row] > 0):]
+            for more in steps:
+                point = min(2 * length + 1, inference._redraw_cap(draws))
+                assert more == point - length
+                length = point
+            extended += len(steps) > 0
+        assert extended > 0
 
 
 class TestMonteCarloGenerators:
