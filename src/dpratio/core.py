@@ -253,13 +253,11 @@ def _summands(y, s, w):
 def _check_records(y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, first: int) -> None:
     """Every value within ``bounds`` and, for binary labels, every label 0 or 1.
 
-    The arrays hold one dataset, (n,), whose records are numbered from
-    ``first``, or one per row, (rows, n), whose rows are the replications
-    ``first`` onwards.  The error names the first offending record of the
-    first offending dataset, and of that record the first failing check:
-    its label, score and weight against their bounds, then its label for
-    binariness.  A matrix's error names the replication too.  NaN compares
-    false, so it is always out of bounds.
+    The arrays hold one dataset, whose records are numbered from ``first``.
+    The error names the first offending record, and of that record the
+    first failing check: its label, score and weight against their bounds,
+    then its label for binariness.  NaN compares false, so it is always out
+    of bounds.
     """
     columns = (("y", y, bounds.y_low, bounds.y_high), ("s", s, bounds.s_low, bounds.s_high),
                ("w", w, bounds.w_low, bounds.w_high))
@@ -272,21 +270,14 @@ def _check_records(y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, 
     ok = [(values >= low) & (values <= high) for _, values, low, high in columns]
     if bounds.binary_y:
         ok.append((y == 0.0) | (y == 1.0))
-    record_ok = np.logical_and.reduce(ok)
-    if y.ndim == 1:
-        row, where, offset = (), "", first
-    else:
-        row = int(np.argmin(record_ok.all(axis=-1)))
-        where, offset = f"replication {first + row}, ", 0
-        row = (row,)
-    at = row + (int(np.argmin(record_ok[row])),)
-    idx = offset + at[-1]
+    at = int(np.argmin(np.logical_and.reduce(ok)))
+    idx = first + at
     for (name, values, low, high), mask in zip(columns, ok):
         if not mask[at]:
             raise BoundsViolationError(
-                f"{where}record {idx}: {name}={float(values[at])} outside [{low}, {high}]", index=idx
+                f"record {idx}: {name}={float(values[at])} outside [{low}, {high}]", index=idx
             )
-    raise BoundsViolationError(f"{where}record {idx}: y={float(y[at])} not in {{0, 1}}", index=idx)
+    raise BoundsViolationError(f"record {idx}: y={float(y[at])} not in {{0, 1}}", index=idx)
 
 
 def _check_sum_rows(totals: np.ndarray, profile: Profile) -> None:

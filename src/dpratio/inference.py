@@ -31,8 +31,7 @@ from .errors import (
     ScaleMismatchError,
 )
 from .mechanisms import (
-    MechanismKind, ReleasedBlock, ReleasedSums, exact_release, noise_from_raw,
-    nonpositive_chance, raw_draws,
+    MechanismKind, ReleasedBlock, ReleasedSums, exact_release, noise_from_raw, raw_draws,
 )
 # perfbench/tracer.py wraps this name: without it inference.draw_noise.self_s
 # has no value, and CI's "Every benchmark workload ends in a complete result
@@ -265,42 +264,26 @@ def _redraw_cap(draws: int) -> int:
     return int(_REDRAW_CAP_PER_DRAW * draws)
 
 
-#: Standard deviations past its expected redraws that a row reads ahead.
-_READ_AHEAD_SDS = 2.0
+#: Standard deviations past its expected trials that a short row draws.
+_EXTENSION_SDS = 2.0
 
 
-def _read_ahead(released: ReleasedBlock, rows: np.ndarray, draws: int) -> np.ndarray:
-    """How many redraw pairs each of ``rows`` draws right after its first
-    pass, from the release and ``draws`` alone.
+def _extension(accepted: np.ndarray, drawn: np.ndarray, draws: int) -> np.ndarray:
+    """How many more redraw pairs each short row draws, from its own counts:
+    its strictest scale accepts ``accepted`` of its ``drawn`` pairs, fewer
+    than ``draws``, and ``drawn - draws`` is short of the cap.
 
-    A replicate is rejected with the chance p that its denominator, or on the
-    log scale its numerator, is not positive
-    (:func:`~dpratio.mechanisms.nonpositive_chance`).  The log scale rejects
-    more, so p is its chance wherever it draws the row (a positive released
-    numerator), and the ratio scale's elsewhere.  A row then redraws
-    T - draws pairs, T the trials to its ``draws``-th acceptance: mean
-    draws * p / (1 - p), standard deviation sqrt(draws * p) / (1 - p).  It
-    reads ahead that mean plus ``_READ_AHEAD_SDS`` deviations, at most the
-    cap, and nothing where fewer than half a pair is expected.  Scales do
-    not enter, so a row's stream is the same in a pass over any of them.
+    At the acceptance rate q = accepted / drawn the r = draws - accepted
+    pairs it lacks take r / q trials on average, with standard deviation
+    sqrt(r (1 - q)) / q; the row draws that mean plus ``_EXTENSION_SDS``
+    deviations, rounded up.  That is at least one pair, and never past the
+    cap: a row that has accepted nothing (q = 0) takes all the room left.
     """
-    mechanism = released.mechanism
-    numerator, denominator = released.values[rows, _SUM_WS], released.values[rows, _SUM_WY]
-    accept = 1.0 - nonpositive_chance(denominator, mechanism, released.variance("sum_wy"))
-    log_rejects = nonpositive_chance(numerator, mechanism, released.variance("sum_ws"))
-    accept *= np.where(numerator > 0.0, 1.0 - log_rejects, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rejected = draws * (1.0 - accept)
-        mean = rejected / accept
-        ahead = np.minimum(np.ceil(mean + _READ_AHEAD_SDS * np.sqrt(rejected) / accept),
-                           _redraw_cap(draws))
-    return np.where(mean >= 0.5, ahead, 0.0).astype(np.intp)
-
-
-def _schedule_step(length: np.ndarray, draws: int) -> np.ndarray:
-    """The next point of each row's schedule past ``length`` redraw pairs:
-    they grow from the read-ahead L by L -> 2 L + 1, up to the cap."""
-    return np.minimum(2 * length + 1, _redraw_cap(draws))
+    lack = draws - accepted
+    rate = accepted / drawn
+    with np.errstate(divide="ignore"):
+        trials = np.ceil((lack + _EXTENSION_SDS * np.sqrt(lack * (1.0 - rate))) / rate)
+    return np.minimum(trials, draws + _redraw_cap(draws) - drawn).astype(np.intp)
 
 
 def _ratio_level(numerator: np.ndarray, denominator: np.ndarray, ratios: np.ndarray,
@@ -313,16 +296,23 @@ def _ratio_level(numerator: np.ndarray, denominator: np.ndarray, ratios: np.ndar
     np.divide(numerator, denominator, out=ratios)
 
 
-def _redraw_ratios(
-    released: ReleasedBlock, rows: np.ndarray, counts: np.ndarray, raw: np.ndarray,
-    ratios: np.ndarray, level: np.ndarray,
-) -> None:
-    """Ratios and levels of ``counts[i]`` redraw pairs of each row ``rows[i]``,
-    from their raw draws, pair after pair, one draw per noisy sum, numerator first."""
+def _redraw_pairs(
+    released: ReleasedBlock, rows: np.ndarray, counts: np.ndarray,
+    generators: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ratios and levels of ``counts[i]`` fresh redraw pairs of each row
+    ``rows[i]``, row after row, drawn with one call of ``generators[i]``:
+    pair after pair, one draw per noisy sum, numerator first."""
     lo, hi, variances = _noisy_halves(released)
+    raw = np.empty((int(counts.sum()), hi - lo))
+    stops = np.cumsum(counts).tolist()
+    for rng, a, b in zip(generators, [0, *stops], stops):
+        raw_draws(rng, released.mechanism, out=raw[a:b])
     pairs = np.repeat(released.values[rows][:, [_SUM_WS, _SUM_WY]], counts, axis=0)
-    pairs[:, lo:hi] += noise_from_raw(raw.reshape(-1, hi - lo), released.mechanism, variances.T)
+    pairs[:, lo:hi] += noise_from_raw(raw, released.mechanism, variances.T)
+    ratios, level = np.empty(len(pairs)), np.empty(len(pairs), dtype=np.uint8)
     _ratio_level(pairs[:, 0], pairs[:, 1], ratios, level)
+    return ratios, level
 
 
 def _segment_counts(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -353,56 +343,60 @@ def _draw_pairs(
     """The replicate pairs of the block rows ``rows``.
 
     A piece of rows at a time, each row fills its first pass (``draws``
-    numerators, then ``draws`` denominators) with one generator call and its
-    read-ahead (:func:`_read_ahead`) with another; every later step is
-    elementwise or per row, so pieces change no value.  Then each row whose
-    pairs hold fewer than ``draws`` that its strictest scale accepts (level
-    above ``strict[i]``) grows them a schedule step (:func:`_schedule_step`)
-    at a time, one generator call each, until they do or reach the cap.
+    numerators, then ``draws`` denominators) with one generator call; every
+    later step is elementwise or per row, so pieces change no value.  While
+    a row's pairs hold fewer than ``draws`` that its strictest scale accepts
+    (level above ``strict[i]``), and fewer redraw pairs than the cap, it
+    draws the redraw pairs :func:`_extension` gives for its counts so far,
+    with one generator call: the first time right after its piece's first
+    pass, then in rounds over the block's short rows.
     """
     lo, hi, variances = _noisy_halves(released)
     mechanism, noisy = released.mechanism, hi - lo
-    redraws = np.minimum(_read_ahead(released, rows, draws), _redraw_cap(draws))
-    ends = np.cumsum(redraws)
-    pairs = _Pairs(np.empty((len(rows), draws)), np.empty((len(rows), draws), dtype=np.uint8),
-                   np.empty(ends[-1]), np.empty(ends[-1], dtype=np.uint8), redraws)
     generators = [rngs[row] for row in rows.tolist()]
+    first_ratios, first_level = np.empty((len(rows), draws)), np.empty((len(rows), draws), dtype=np.uint8)
+    accepted, redraws = np.empty(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
+
+    def extend(short: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next redraw pairs of the ``short`` rows, counted in: how many
+        each draws, and their ratios and levels."""
+        more = _extension(accepted[short], draws + redraws[short], draws)
+        ratios, level = _redraw_pairs(released, rows[short], more, [generators[i] for i in short.tolist()])
+        accepted[short] += _segment_counts(level > np.repeat(strict[short], more), more)
+        redraws[short] += more
+        return more, ratios, level
+
+    def shortfall(span: slice) -> np.ndarray:
+        """The rows of ``span`` that lack accepted pairs and have room for more."""
+        return span.start + np.flatnonzero((accepted[span] < draws) & (redraws[span] < _redraw_cap(draws)))
+
+    ratio_parts, level_parts = [np.empty(0)], [np.empty(0, dtype=np.uint8)]
     for piece in _pieces(len(rows), draws):
         shape = (len(rows[piece]), 2, draws)
         first = np.zeros(shape) if noisy < 2 else np.empty(shape)
-        a, b = ends[piece][0] - redraws[piece][0], ends[piece][-1]
-        raw = np.empty(noisy * (b - a))
         if noisy:
-            stops = np.cumsum(noisy * redraws[piece]).tolist()
-            for rng, out, c, e in zip(generators[piece], first, [0, *stops], stops):
+            for rng, out in zip(generators[piece], first):
                 raw_draws(rng, mechanism, out=out[lo:hi])
-                if c < e:
-                    raw_draws(rng, mechanism, out=raw[c:e])
             noise_from_raw(first[:, lo:hi], mechanism, variances)
         first += released.values[rows[piece]][:, [_SUM_WS, _SUM_WY], None]
-        _ratio_level(first[:, 0], first[:, 1], pairs.first_ratios[piece], pairs.first_level[piece])
-        if a < b:
-            _redraw_ratios(released, rows[piece], redraws[piece], raw,
-                           pairs.redraw_ratios[a:b], pairs.redraw_level[a:b])
-    accepted = _segment_counts(pairs.redraw_level > np.repeat(strict, redraws), redraws)
-    accepted += np.count_nonzero(pairs.first_level > strict[:, None], axis=1)
-    short = np.flatnonzero((accepted < draws) & (redraws < _redraw_cap(draws)))
+        _ratio_level(first[:, 0], first[:, 1], first_ratios[piece], first_level[piece])
+        accepted[piece] = np.count_nonzero(first_level[piece] > strict[piece, None], axis=1)
+        short = shortfall(piece)
+        if len(short):
+            _, ratios, level = extend(short)
+            ratio_parts.append(ratios)
+            level_parts.append(level)
+    ratios, level = np.concatenate(ratio_parts), np.concatenate(level_parts)
+    everything = slice(0, len(rows))
+    short = shortfall(everything)
     while len(short):
-        more = _schedule_step(redraws[short], draws) - redraws[short]
-        raw = np.empty(noisy * int(more.sum()))
-        stops = np.cumsum(noisy * more).tolist()
-        for i, c, e in zip(short.tolist(), [0, *stops], stops):
-            raw_draws(generators[i], mechanism, out=raw[c:e])
-        ratios, level = np.empty(int(more.sum())), np.empty(int(more.sum()), dtype=np.uint8)
-        _redraw_ratios(released, rows[short], more, raw, ratios, level)
-        accepted[short] += _segment_counts(level > np.repeat(strict[short], more), more)
         # After each row's pairs: np.insert keeps the order of the values it puts at one place.
-        at = np.repeat(np.cumsum(redraws)[short], more)
-        pairs = pairs._replace(redraw_ratios=np.insert(pairs.redraw_ratios, at, ratios),
-                               redraw_level=np.insert(pairs.redraw_level, at, level))
-        redraws[short] += more
-        short = np.flatnonzero((accepted < draws) & (redraws < _redraw_cap(draws)))
-    return pairs
+        ends = np.cumsum(redraws)[short]
+        more, new_ratios, new_level = extend(short)
+        at = np.repeat(ends, more)
+        ratios, level = np.insert(ratios, at, new_ratios), np.insert(level, at, new_level)
+        short = shortfall(everything)
+    return _Pairs(first_ratios, first_level, ratios, level, redraws)
 
 
 def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Scale) -> np.ndarray:
@@ -467,8 +461,8 @@ def _monte_carlo_extras(
     a redraw, takes the next draw of each noisy sum, numerator first.  A
     scale's replicates are the first ``draws`` pairs it accepts, so the
     cells share one draw of the pairs (:func:`_draw_pairs`), as far as the
-    strictest scale drawing each row needs.  How far a row reads ahead moves
-    only where its generator stops, never an estimate.  Returns, per cell,
+    strictest scale drawing each row needs.  How far past them a row draws
+    moves only where its generator stops, never an estimate.  Returns, per cell,
     the mean squared deviation from the point estimate and the redraw and
     cap masks, all of block length.
     """
@@ -498,9 +492,9 @@ def estimate_block(
     is the no-correction pipeline, meant for exact sums.
     ``Method.MONTE_CARLO`` needs ``rngs``, one distinct generator per row;
     a row draws from its generator only if it was not refused before.  Its
-    redraw pairs are read ahead, so a generator stops at a point of the
-    row's schedule (:func:`_schedule_step`), past the last pair the row
-    takes; the estimates do not depend on how far.
+    redraw pairs come in batches sized from its own counts
+    (:func:`_extension`), so a generator can stop past the last pair the
+    row takes; the estimates do not depend on how far.
     """
     return _estimate_scales(released, method, (scale,), level, draws, rngs)[0]
 
@@ -660,8 +654,8 @@ def ci_monte_carlo(
     added to the no-correction variance.  Replicates with a non-positive
     denominator (or non-positive ratio on the log scale) are redrawn, one
     fresh pair at a time, numerator first, up to ten times ``draws``
-    rejections.  Redraws are read ahead, so ``rng`` is left past the last
-    pair taken (see :func:`estimate_block`).
+    rejections.  Redraws come in batches, so ``rng`` can be left past the
+    last pair taken (see :func:`estimate_block`).
     """
     return _estimate_one(released, Method.MONTE_CARLO, scale, level, draws, rng)
 

@@ -166,11 +166,9 @@ def _laplace_from_uniform(u: np.ndarray, scale) -> np.ndarray:
     One log x of 2 * min(u, 1 - u) serves both halves, and the sign comes
     from the same temporary t = 1 - u: the draw is copysign(x, t - 0.5)
     times -scale, so u == 0.5 gives -0.0 and no ufunc runs under a mask.
-    Products are exact in sign, so the draw at scale 1 times ``scale`` is
-    this draw bit for bit, and unit draws can be kept and scaled later
-    (:func:`unit_noise`).  u == 0.0 (possible: rng.random() covers [0, 1))
-    is clamped to the smallest positive double, which maps to a finite
-    deep-tail draw of the correct sign.
+    u == 0.0 (possible: rng.random() covers [0, 1)) is clamped to the
+    smallest positive double, which maps to a finite deep-tail draw of the
+    correct sign.
     """
     np.maximum(u, _TINY, out=u)
     t = 1.0 - u
@@ -199,38 +197,6 @@ def raw_draws(
     return rng.random(size, out=out)
 
 
-def unit_noise(raw: np.ndarray, mechanism: MechanismKind) -> np.ndarray:
-    """Map :func:`raw_draws` to centred noise of scale 1, in place: times
-    :func:`noise_scale` it is :func:`noise_from_raw` of the same draws, bit for bit."""
-    if mechanism is MechanismKind.GAUSSIAN:
-        return raw
-    return _laplace_from_uniform(raw, 1.0)
-
-
-def noise_scale(mechanism: MechanismKind, noise_variance):
-    """The factor that takes unit noise to ``noise_variance``: sigma for the
-    Gaussian, the scale b = sqrt(variance / 2) for the Laplace."""
-    return np.sqrt(noise_variance if mechanism is MechanismKind.GAUSSIAN else noise_variance / 2.0)
-
-
-def nonpositive_chance(sums: np.ndarray, mechanism: MechanismKind | None, noise_variance) -> np.ndarray:
-    """The chance that each of ``sums`` plus fresh noise of ``noise_variance``
-    is not positive.
-
-    Noise is symmetric, so it is the noise's upper tail at each sum x:
-    erfc(x / sqrt(2 variance)) / 2 for the Gaussian, exp(-x / b) / 2 for the
-    Laplace at scale b and x >= 0 (one minus that below zero).  Without
-    noise it is 1 where a sum is not positive and 0 elsewhere.
-    """
-    if mechanism is None or noise_variance == 0.0:
-        return np.where(sums > 0.0, 0.0, 1.0)
-    if mechanism is MechanismKind.GAUSSIAN:
-        root = math.sqrt(2.0 * noise_variance)
-        return np.array([0.5 * math.erfc(x / root) for x in sums.tolist()])
-    tail = 0.5 * np.exp(-np.abs(sums) / noise_scale(mechanism, noise_variance))
-    return np.where(sums >= 0.0, tail, 1.0 - tail)
-
-
 def noise_from_raw(raw: np.ndarray, mechanism: MechanismKind, noise_variance) -> np.ndarray:
     """Map :func:`raw_draws` to centred noise with ``noise_variance``, in place.
 
@@ -238,9 +204,9 @@ def noise_from_raw(raw: np.ndarray, mechanism: MechanismKind, noise_variance) ->
     ``raw``, so one call can transform draws of several variances.
     """
     if mechanism is MechanismKind.GAUSSIAN:
-        raw *= noise_scale(mechanism, noise_variance)
+        raw *= np.sqrt(noise_variance)
         return raw
-    return _laplace_from_uniform(raw, noise_scale(mechanism, noise_variance))
+    return _laplace_from_uniform(raw, np.sqrt(noise_variance / 2.0))
 
 
 def draw_noise(

@@ -21,7 +21,7 @@ summed in one pass per chunk, and release and inference, including one
 draw of the Monte Carlo replicate pairs shared by the scales, run on the
 block's sums.  Much of a block's cost is paid once per block (a few
 hundred numpy calls per epsilon, many of them in the Monte Carlo pass and
-its extension steps), so blocks are as few as a memory cap allows:
+its extension rounds), so blocks are as few as a memory cap allows:
 :func:`_block_cuts` gives each at most _BLOCK_VALUES values of Monte Carlo
 matrix and splits the replications evenly.
 """
@@ -40,7 +40,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import core
-from .core import SUM_FIELDS, Bounds, _check_count, _check_records, _check_sum_rows, _parse_member, kish_rows
+from .core import SUM_FIELDS, Bounds, _check_count, _check_sum_rows, _parse_member, kish_rows
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import (
     DEFAULT_LEVEL, DEFAULT_MC_DRAWS, DP_METHODS, FLAGS, REFUSAL_CAUSES, EstimateBlock, Method,
@@ -65,8 +65,8 @@ _CHUNK_VALUES = 2**12
 #: max(1, _BLOCK_VALUES // mc_draws) replications (see _block_cuts).  The
 #: Monte Carlo pass keeps 9 bytes a replicate pair (inference._Pairs), so a
 #: block of 2**16 values (327 replications at 200 draws) holds 0.6 MB of
-#: first passes.  Its redraw pairs, read ahead about 1.3 times as far as the
-#: strictest scale takes them, add about 0.19 MB at epsilon 0.2 for a block
+#: first passes.  Its redraw pairs, drawn about 1.16 times as far as the
+#: strictest scale takes them, add about 0.18 MB at epsilon 0.2 for a block
 #: of 250 replications in the simulate_small_n cell.
 _BLOCK_VALUES = 2**16
 
@@ -302,16 +302,18 @@ def _block_sums(config: SimulationConfig, start: int, stop: int) -> tuple[np.nda
 
     The datasets are drawn a chunk of rows at a time into (rows, n)
     matrices, each row from its own stream as :func:`generate_arrays`
-    would draw it, and each chunk is turned into labels and weights,
-    checked and summed in one pass; the block's sums are then checked once.
-    The results equal a per-replication loop bit for bit.  ``config`` owns
-    the settings :func:`generate_arrays` checks, so they are not checked
-    again.
+    would draw it, and each chunk is turned into labels and weights and
+    summed in one pass; the block's sums are then checked once.  The
+    records are not checked: they lie within ``config.bounds`` by
+    construction (scores are medians of uniforms in [0, 1), labels 0 or 1,
+    weights clipped to WEIGHT_CLIP or all ones).  The results equal a
+    per-replication loop bit for bit.  ``config`` owns the settings
+    :func:`generate_arrays` checks, so they are not checked again.
     """
     from ._seeding import generators, state_words  # loads numpy.random, as in _run_block
 
     data_words = state_words(config.master_seed, start, stop, [(_PURPOSE_DATA, None)])[0]
-    n, bounds = config.n, config.bounds
+    n, profile = config.n, config.bounds.profile
     exact = np.empty((stop - start, len(SUM_FIELDS)))
     chunk = max(1, _CHUNK_VALUES // n)
     data = np.empty((3, min(chunk, stop - start), n))
@@ -321,11 +323,10 @@ def _block_sums(config: SimulationConfig, start: int, stop: int) -> tuple[np.nda
         for rng, *row in zip(generators(data_words[lo:hi]), y, s, w):
             _draw_dataset(rng, config.weighted, *row)
         _finish_datasets(config.weighted, config.true_ratio, y, s, w)
-        _check_records(y, s, w, bounds, start + lo)
         # Looked up on the module, where perfbench's tracer wraps the kernel.
         exact[lo:hi] = core.weighted_sums(y, s, w)
-    bounds.profile.mirror(exact)
-    _check_sum_rows(exact, bounds.profile)
+    profile.mirror(exact)
+    _check_sum_rows(exact, profile)
     return exact, kish_rows(exact)
 
 

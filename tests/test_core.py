@@ -127,6 +127,28 @@ class TestComputeSums:
         with pytest.raises(d.BoundsViolationError):
             d.compute_sums([d.Record(1, 0.5, 2.0)], d.Bounds.binary_unweighted())
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("y", 1.5, r"y=1.5 outside \[0.0, 1.0\]"),
+            ("s", math.nan, r"s=nan outside \[0.0, 1.0\]"),
+            ("w", 5.0, r"w=5.0 outside \[0.3333333333333333, 3.0\]"),
+            ("s", -0.25, r"s=-0.25 outside"),
+            ("y", 0.5, r"y=0.5 not in \{0, 1\}"),
+        ],
+    )
+    def test_bad_value_names_record(self, column, value, message):
+        # The value lands at record 211 of 300.  Record 212 holds an
+        # out-of-bounds label, and labels are checked first, yet the earlier
+        # record is named.
+        rng = np.random.default_rng(8)
+        y, s, w = rng.integers(0, 2, 300).astype(float), rng.random(300), rng.uniform(0.5, 2.0, 300)
+        {"y": y, "s": s, "w": w}[column][211] = value
+        y[212] = 2.0
+        with pytest.raises(d.BoundsViolationError, match="^record 211: " + message) as err:
+            d.compute_sums_from_arrays(y, s, w, d.Bounds.binary(w_low=1 / 3, w_high=3.0))
+        assert err.value.index == 211
+
 
 class TestSumVector:
     def test_cauchy_schwarz_guard(self):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
@@ -321,10 +321,10 @@ def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
     pair the scale rejects replaced, in turn, by the next redraw pair it
     accepts, and it is capped when it rejects more than
     ``_REDRAW_CAP_PER_DRAW * draws`` pairs before its ``draws``-th accepted
-    one.  Its
-    generator ends at the first point of its schedule, which grows its
-    read-ahead L (inference._read_ahead) by L -> 2 L + 1 up to the cap, at
-    or past the redraw pairs that takes, or at the cap.
+    one.  While the pairs it has drawn hold fewer than ``draws`` it accepts,
+    and fewer redraw pairs than the cap, it draws as many more as
+    inference._extension gives for its counts so far; its generator ends
+    there.
     """
     extra = np.zeros(len(point))
     redrawn = np.zeros(len(point), dtype=bool)
@@ -355,10 +355,9 @@ def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
         redrawn[row] = not ok[:draws].all()
         rejected = accepted[-1] + 1 - draws if len(accepted) == draws else math.inf
         capped[row] = rejected > cap
-        ahead = min(inference._read_ahead(released, np.array([row]), draws)[0], top)
-        end = ahead
-        while end < (top if capped[row] else rejected):
-            end = min(2 * end + 1, top)
+        end = 0
+        while end < top and (taken := np.count_nonzero(ok[:draws + end])) < draws:
+            end += inference._extension(np.array([taken]), np.array([draws + end]), draws)[0]
         raw_draws(rng, mechanism, noisy * end)
         if capped[row]:
             continue
@@ -750,12 +749,9 @@ def _order_id(order):
 _FIRST_PASS = 2 * 50
 
 
-def _no_read_ahead(released, rows, draws):
-    return np.zeros(len(rows), dtype=np.intp)
-
-
-def _one_pair_more(length, draws):
-    return length + 1
+def _one_pair(accepted, drawn, draws):
+    """A sizing that extends each short row by one redraw pair per round."""
+    return np.ones(len(accepted), dtype=np.intp)
 
 
 class TestSharedPairs:
@@ -763,15 +759,13 @@ class TestSharedPairs:
     the same pairs, drawn as far as the strictest scale that draws each row
     needs.  Each scale must equal its own run, bit for bit, in either order.
 
-    With no read-ahead and a schedule that grows a row's pairs one at a
-    time, a generator yields just the pairs the strictest scale reads, so
-    each scale's own stream is as long as it needs.
+    With one redraw pair per round a generator yields just the pairs the
+    strictest scale reads, so each scale's own stream is as long as it needs.
     """
 
     @pytest.fixture(autouse=True)
     def streams_end_at_reads(self, monkeypatch):
-        monkeypatch.setattr(inference, "_read_ahead", _no_read_ahead)
-        monkeypatch.setattr(inference, "_schedule_step", _one_pair_more)
+        monkeypatch.setattr(inference, "_extension", _one_pair)
 
     @pytest.mark.parametrize("order", _BOTH_ORDERS, ids=_order_id)
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
@@ -817,8 +811,8 @@ class TestSharedPairs:
 
 
 class TestReadAhead:
-    """How far each row reads ahead changes how far its generator is drawn,
-    never an estimate."""
+    """How many redraw pairs a short row draws at a time changes how far its
+    generator is drawn, never an estimate."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -843,13 +837,17 @@ class TestReadAhead:
             # Both noisy sums a few noise deviations from zero, the numerator
             # possibly below it, which only the ratio scale draws.
             released = _near_zero(released, *offsets)
-        default = inference._read_ahead
-        sizings = (_no_read_ahead, default, lambda *args: 8 * default(*args))
+        default = inference._extension
+
+        def eight_times(accepted, drawn, draws):
+            room = draws + inference._redraw_cap(draws) - drawn
+            return np.minimum(8 * default(accepted, drawn, draws), room)
+
         results = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(inference, "_REDRAW_CAP_PER_DRAW", cap)
-            for sizing in sizings:
-                patch.setattr(inference, "_read_ahead", sizing)
+            for sizing in (_one_pair, default, eight_times):
+                patch.setattr(inference, "_extension", sizing)
                 # Each scale equals its own run, and each generator yields
                 # just the longest stream one of those runs reads.
                 shared, _ = _shared_pass(released, order, draws)
@@ -857,16 +855,48 @@ class TestReadAhead:
         assert results[0] == results[1] == results[2]
 
 
+class TestExtension:
+    """How many more redraw pairs a short row draws, from its own counts."""
+
+    def test_mean_trials_plus_two_deviations(self):
+        # q = 40 / 50 and r = 10: (10 + 2 sqrt(10 * 0.2)) / 0.8 = 16.04 pairs.
+        # A row that accepted nothing takes the 500 pairs the cap leaves.
+        more = inference._extension(np.array([40, 0]), np.array([50, 50]), 50)
+        assert more.tolist() == [17, 500]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        draws=st.integers(2, 1000),
+        cap=st.sampled_from([0.05, 1, inference._REDRAW_CAP_PER_DRAW]),
+        data=st.data(),
+    )
+    def test_at_least_one_pair_within_the_room_left(self, draws, cap, data):
+        # At least one pair and no more than the cap leaves, so the extension
+        # loop always ends.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_REDRAW_CAP_PER_DRAW", cap)
+            top = inference._redraw_cap(draws)
+            assume(top > 0)
+            accepted = data.draw(st.integers(0, draws - 1), label="accepted")
+            drawn = data.draw(st.integers(draws, draws + top - 1), label="drawn")
+            more = inference._extension(np.array([accepted]), np.array([drawn]), draws)
+        room = draws + top - drawn
+        assert more.dtype == np.intp and 1 <= more[0] <= room
+        if accepted == 0:
+            assert more[0] == room
+
+
 class TestRedrawGeneratorCalls:
-    """Past its first pass and read-ahead a row's generator is called once per
-    schedule step.  TestBatchedMonteCarloPass pins where a generator stops,
-    the first schedule point that holds the pairs the row needs, so a row
-    is extended only when its read-ahead ran out."""
+    """A row's generator is called once for its first pass, then once per
+    extension while its pairs hold fewer than ``draws`` that its strictest
+    scale accepts and fewer redraw pairs than the cap, each call of the
+    size _extension gives for the row's counts so far."""
 
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
-    def test_one_call_per_schedule_step(self, monkeypatch, mechanism):
-        # Both sums near zero: 2-3% of the rows extend their read-ahead (3-6%
-        # of those that draw), so some of 600 do but with chance 1e-5.
+    def test_one_call_per_extension(self, monkeypatch, mechanism):
+        # Both sums 0.3 noise deviations above zero: about half the rows draw,
+        # each short after its first pass, and 7-11% of those extend again,
+        # so some of about 300 do but with chance 1e-9.
         rows, draws = 600, 50
         released = _near_zero(_simulated_release(mechanism, _WEIGHTED, 0.05, rows=rows), 0.3, 0.3)
         generators = [np.random.default_rng([13, row]) for row in range(rows)]
@@ -876,29 +906,41 @@ class TestRedrawGeneratorCalls:
 
         def watched_draw(rng, mechanism, size=None, out=None):
             values = draw(rng, mechanism, size, out)
-            calls[row_of[id(rng)]].append(np.size(values))
+            calls[row_of[id(rng)]].append(np.array(values).reshape(-1))
             return values
 
         monkeypatch.setattr(inference, "raw_draws", watched_draw)
         inference._estimate_scales(
             released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=draws, rngs=generators
         )
-        ahead = np.minimum(inference._read_ahead(released, np.arange(rows), draws), inference._redraw_cap(draws))
-        extended = 0
-        for row, sizes in enumerate(calls):
-            if not sizes:  # refused before it drew
+        # A row's strictest scale is the log scale wherever that scale draws it.
+        strict = d.estimate_block(released, d.Method.NO_CORRECTION, d.Scale.LOG).refusal == d.Refusal.NONE
+        top = inference._redraw_cap(draws)
+
+        def accepted(row, numerators, denominators):
+            """How many of a row's pairs, from their raw draws, its strictest scale accepts."""
+            num, den = (
+                released.values[row, SUM_FIELDS.index(name)]
+                + noise_from_raw(raw.copy(), mechanism, released.variance(name))
+                for name, raw in (("sum_ws", numerators), ("sum_wy", denominators))
+            )
+            return np.count_nonzero((den > 0.0) & ((num > 0.0) | ~strict[row]))
+
+        calls_per_row = []
+        for row, values in enumerate(calls):
+            if not values:  # refused before it drew
                 continue
-            pairs = [size // 2 for size in sizes]  # both sums carry noise
-            assert pairs[0] == draws
-            if ahead[row]:
-                assert pairs[1] == ahead[row]
-            length, steps = ahead[row], pairs[1 + (ahead[row] > 0):]
-            for more in steps:
-                point = min(2 * length + 1, inference._redraw_cap(draws))
-                assert more == point - length
-                length = point
-            extended += len(steps) > 0
-        assert extended > 0
+            first, *extensions = values  # both sums carry noise
+            assert len(first) == 2 * draws
+            ok, drawn = accepted(row, first[:draws], first[draws:]), draws
+            for raw in extensions:
+                assert ok < draws and drawn < draws + top
+                more = inference._extension(np.array([ok]), np.array([drawn]), draws)[0]
+                assert len(raw) == 2 * more
+                ok, drawn = ok + accepted(row, raw[0::2], raw[1::2]), drawn + more
+            assert ok >= draws or drawn == draws + top
+            calls_per_row.append(len(values))
+        assert 2 in calls_per_row and max(calls_per_row) > 2
 
 
 class TestMonteCarloGenerators:

@@ -425,42 +425,27 @@ class TestBlockSums:
             assert exact[i].tobytes() == np.array([getattr(sums, f) for f in SUM_FIELDS]).tobytes()
             assert kish[i].tobytes() == np.float64(d.kish_effective_n(sums)).tobytes()
 
-    @pytest.mark.parametrize(
-        "column, value, message",
-        [
-            ("y", 1.5, r"y=1.5 outside \[0.0, 1.0\]"),
-            ("s", math.nan, r"s=nan outside \[0.0, 1.0\]"),
-            ("w", 5.0, r"w=5.0 outside \[0.3333333333333333, 3.0\]"),
-            ("s", -0.25, r"s=-0.25 outside"),
-            ("y", 0.5, r"y=0.5 not in \{0, 1\}"),
-        ],
+    @pytest.mark.parametrize("weighted", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 500),
+        rows=st.integers(1, 12),
+        true_ratio=st.floats(1.0, 1e6),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_bad_value_names_replication_and_record(self, monkeypatch, column, value, message):
-        # Replications 20-89 in chunks of 13 rows (n=300): the value lands in
-        # replication 57, record 211, mid-chunk.  Replication 58 holds an
-        # out-of-bounds label at an earlier record, and labels are checked
-        # first, yet the earlier replication is named.
-        config = small_config(n=300, weighted=True, replications=100)
-        draw, finish = simulation._draw_dataset, simulation._finish_datasets
-        drawn = []
-
-        def count(*args):
-            draw(*args)
-            drawn.append(True)
-
-        def corrupt(weighted, true_ratio, y, s, w):
-            # The chunk of datasets 26-38 (replications 46-58) is finished last.
-            finish(weighted, true_ratio, y, s, w)
-            if len(drawn) == 39:
-                {"y": y, "s": s, "w": w}[column][11, 211] = value
-                y[12, 5] = 2.0
-
-        monkeypatch.setattr(simulation, "_draw_dataset", count)
-        monkeypatch.setattr(simulation, "_finish_datasets", corrupt)
-        with pytest.raises(d.BoundsViolationError, match="^replication 57, record 211: " + message) as err:
-            _block_sums(config, 20, 90)
-        assert err.value.index == 211
-        assert len(drawn) == 39  # the chunk of replications 46-58 was drawn, no later one
+    def test_drawn_datasets_lie_within_bounds(self, weighted, n, rows, true_ratio, seed):
+        # _block_sums sums the datasets it draws without checking their
+        # records, so they must lie within the config's bounds by construction.
+        bounds = small_config(n=n, weighted=weighted, true_ratio=true_ratio).bounds
+        y, s, w = np.empty((3, rows, n))
+        for i, row in enumerate(zip(y, s, w)):
+            simulation._draw_dataset(np.random.default_rng([seed, i]), weighted, *row)
+        simulation._finish_datasets(weighted, true_ratio, y, s, w)
+        for values, low, high in ((y, bounds.y_low, bounds.y_high), (s, bounds.s_low, bounds.s_high),
+                                  (w, bounds.w_low, bounds.w_high)):
+            assert ((values >= low) & (values <= high)).all()
+        assert ((y == 0.0) | (y == 1.0)).all()
+        assert weighted or (w == 1.0).all()
 
 
 def _float_from_bits(bits):
