@@ -236,9 +236,9 @@ def _wald_arrays(
     return point - half, point + half
 
 
-#: Monte Carlo values per piece: passes over a block's (rows, draws) replicates
-#: take max(1, _PIECE_VALUES // draws) rows at a time, so their temporaries
-#: stay this small however many rows the block has.
+#: Monte Carlo values per piece: the Monte Carlo pass draws and scores
+#: max(1, _PIECE_VALUES // draws) rows at a time, so its arrays stay this
+#: small however many rows the block has.
 _PIECE_VALUES = 2**13
 
 
@@ -324,81 +324,6 @@ def _segment_counts(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return counts
 
 
-class _Pairs(NamedTuple):
-    """A block's replicate pairs as ratios and levels, 9 bytes a pair: the
-    first passes as (rows, draws) arrays, then row i's ``redraws[i]`` redraw
-    pairs, row after row, in flat ones."""
-
-    first_ratios: np.ndarray
-    first_level: np.ndarray
-    redraw_ratios: np.ndarray
-    redraw_level: np.ndarray
-    redraws: np.ndarray
-
-
-def _draw_pairs(
-    released: ReleasedBlock, rows: np.ndarray, strict: np.ndarray, draws: int,
-    rngs: Sequence[np.random.Generator],
-) -> _Pairs:
-    """The replicate pairs of the block rows ``rows``.
-
-    A piece of rows at a time, each row fills its first pass (``draws``
-    numerators, then ``draws`` denominators) with one generator call; every
-    later step is elementwise or per row, so pieces change no value.  While
-    a row's pairs hold fewer than ``draws`` that its strictest scale accepts
-    (level above ``strict[i]``), and fewer redraw pairs than the cap, it
-    draws the redraw pairs :func:`_extension` gives for its counts so far,
-    with one generator call: the first time right after its piece's first
-    pass, then in rounds over the block's short rows.
-    """
-    lo, hi, variances = _noisy_halves(released)
-    mechanism, noisy = released.mechanism, hi - lo
-    generators = [rngs[row] for row in rows.tolist()]
-    first_ratios, first_level = np.empty((len(rows), draws)), np.empty((len(rows), draws), dtype=np.uint8)
-    accepted, redraws = np.empty(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
-
-    def extend(short: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next redraw pairs of the ``short`` rows, counted in: how many
-        each draws, and their ratios and levels."""
-        more = _extension(accepted[short], draws + redraws[short], draws)
-        ratios, level = _redraw_pairs(released, rows[short], more, [generators[i] for i in short.tolist()])
-        accepted[short] += _segment_counts(level > np.repeat(strict[short], more), more)
-        redraws[short] += more
-        return more, ratios, level
-
-    def shortfall(span: slice) -> np.ndarray:
-        """The rows of ``span`` that lack accepted pairs and have room for more."""
-        return span.start + np.flatnonzero((accepted[span] < draws) & (redraws[span] < _redraw_cap(draws)))
-
-    ratio_parts, level_parts = [np.empty(0)], [np.empty(0, dtype=np.uint8)]
-    for piece in _pieces(len(rows), draws):
-        shape = (len(rows[piece]), 2, draws)
-        first = np.zeros(shape) if noisy < 2 else np.empty(shape)
-        if noisy:
-            for rng, out in zip(generators[piece], first):
-                raw_draws(rng, mechanism, out=out[lo:hi])
-            noise_from_raw(first[:, lo:hi], mechanism, variances)
-        first += released.values[rows[piece]][:, [_SUM_WS, _SUM_WY], None]
-        _ratio_level(first[:, 0], first[:, 1], first_ratios[piece], first_level[piece])
-        accepted[piece] = np.count_nonzero(first_level[piece] > strict[piece, None], axis=1)
-        short = shortfall(piece)
-        if len(short):
-            _, ratios, level = extend(short)
-            ratio_parts.append(ratios)
-            level_parts.append(level)
-    ratios, level = np.concatenate(ratio_parts), np.concatenate(level_parts)
-    everything = slice(0, len(rows))
-    short = shortfall(everything)
-    while len(short):
-        # After each row's pairs: np.insert keeps the order of the values it puts at one place.
-        ends = np.cumsum(redraws)[short]
-        more, new_ratios, new_level = extend(short)
-        at = np.repeat(ends, more)
-        ratios, level = np.insert(ratios, at, new_ratios), np.insert(level, at, new_level)
-        short = shortfall(everything)
-    return _Pairs(first_ratios, first_level, ratios, level, redraws)
-
-
 def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Scale) -> np.ndarray:
     """Each row's mean squared deviation of its ``replicates`` from its ``point``,
     on ``scale``; overwrites ``replicates``.  Each row is reduced on its own,
@@ -407,42 +332,6 @@ def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Sca
         np.log(replicates, out=replicates)
     replicates -= point[:, None]
     return np.mean(np.square(replicates, out=replicates), axis=1)
-
-
-def _scale_extras(
-    pairs: _Pairs, scale: Scale, point: np.ndarray, union: np.ndarray, rows: np.ndarray, draws: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One scale's correction of ``rows``, and which of them redraw and are
-    capped, from the pairs of the block rows ``union``.
-
-    A row's replicates are its first pass with each pair the scale rejects
-    replaced by the next redraw pair it accepts, so they are the first
-    ``draws`` pairs it accepts, put together a piece of rows at a time.  A
-    row whose pairs hold fewer is capped and keeps its first pass; its
-    refusal discards the result.
-    """
-    strict = scale is Scale.LOG
-    first_ok = pairs.first_level > strict
-    lack = draws - np.count_nonzero(first_ok, axis=1)
-    accepted = _segment_counts(pairs.redraw_level > strict, pairs.redraws)
-    fill = np.where(accepted < lack, 0, lack)
-    ends = np.cumsum(pairs.redraws)
-    extra = np.empty(len(union))
-    for piece in _pieces(len(union), draws):
-        replicates = pairs.first_ratios[piece].copy()
-        if fill[piece].any():
-            # Each redraw pair's rank among its row's accepted ones.
-            redraws = pairs.redraws[piece]
-            a, b = ends[piece][0] - redraws[0], ends[piece][-1]
-            ok = pairs.redraw_level[a:b] > strict
-            rank = np.cumsum(ok) - np.repeat(np.cumsum(accepted[piece]) - accepted[piece], redraws)
-            taken = ok & (rank <= np.repeat(fill[piece], redraws))
-            replicates[~first_ok[piece] & (fill[piece, None] > 0)] = pairs.redraw_ratios[a:b][taken]
-        extra[piece] = _mean_square_deviation(replicates, point[union[piece]], scale)
-    results = np.zeros(len(point)), np.zeros(len(point), dtype=bool), np.zeros(len(point), dtype=bool)
-    for result, values in zip(results, (extra, lack > 0, accepted < lack)):
-        result[rows] = values[np.searchsorted(union, rows)]
-    return results
 
 
 def _monte_carlo_extras(
@@ -457,25 +346,87 @@ def _monte_carlo_extras(
     such row has one sequence of (numerator, denominator) noise pairs from
     its own generator, at the release variances, added to the noisy sums:
     pair j < ``draws`` is numerator j and denominator j of its first pass,
-    ``draws`` numerators then ``draws`` denominators, and each later pair,
-    a redraw, takes the next draw of each noisy sum, numerator first.  A
-    scale's replicates are the first ``draws`` pairs it accepts, so the
-    cells share one draw of the pairs (:func:`_draw_pairs`), as far as the
-    strictest scale drawing each row needs.  How far past them a row draws
-    moves only where its generator stops, never an estimate.  Returns, per cell,
-    the mean squared deviation from the point estimate and the redraw and
-    cap masks, all of block length.
+    ``draws`` numerators then ``draws`` denominators drawn with one
+    generator call, and each later pair, a redraw, takes the next draw of
+    each noisy sum, numerator first.  A scale's replicates are its first
+    pass with each pair it rejects replaced, in turn, by the next redraw
+    pair it accepts: the first ``draws`` pairs it accepts.  A row whose
+    pairs hold fewer is capped and keeps its first pass; its refusal
+    discards the result.
+
+    The cells share the pairs, drawn as far as the strictest scale drawing
+    each row needs: while a row's pairs hold fewer than ``draws`` that it
+    accepts, and fewer redraw pairs than the cap, the row draws the redraw
+    pairs :func:`_extension` gives for its counts so far, with one
+    generator call.  How far past them a row draws moves only where its
+    generator stops, never an estimate.  The rows are drawn and scored a
+    piece at a time (:func:`_pieces`), and nothing of a piece is kept: a
+    row's draws depend only on its own counts and each row is reduced on
+    its own, so pieces change no value.  Returns, per cell, the mean
+    squared deviation from the point estimate and the redraw and cap
+    masks, all of block length.
     """
     size = len(released.values)
-    drawn, strict = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    members, strict = [], np.zeros(size, dtype=bool)
     for scale, _, rows in cells:
-        drawn[rows] = True
-        strict[rows] |= scale is Scale.LOG
-    union = np.flatnonzero(drawn)
+        member = np.zeros(size, dtype=bool)
+        member[rows] = True
+        strict |= member & (scale is Scale.LOG)
+        members.append(member)
+    results = [(np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)) for _ in cells]
+    union = np.flatnonzero(np.logical_or.reduce(members))
     if (released.variance("sum_ws") == 0.0 and released.variance("sum_wy") == 0.0) or len(union) == 0:
-        return [(np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)) for _ in cells]
-    pairs = _draw_pairs(released, union, strict[union], draws, rngs)
-    return [_scale_extras(pairs, scale, point, union, rows, draws) for scale, point, rows in cells]
+        return results
+    lo, hi, variances = _noisy_halves(released)
+    mechanism, noisy, cap = released.mechanism, hi - lo, _redraw_cap(draws)
+    for piece in _pieces(len(union), draws):
+        rows = union[piece]
+        generators = [rngs[row] for row in rows.tolist()]
+        first = np.zeros((len(rows), 2, draws)) if noisy < 2 else np.empty((len(rows), 2, draws))
+        if noisy:
+            for rng, out in zip(generators, first):
+                raw_draws(rng, mechanism, out=out[lo:hi])
+            noise_from_raw(first[:, lo:hi], mechanism, variances)
+        first += released.values[rows][:, [_SUM_WS, _SUM_WY], None]
+        ratios, level = np.empty((len(rows), draws)), np.empty((len(rows), draws), dtype=np.uint8)
+        _ratio_level(first[:, 0], first[:, 1], ratios, level)
+        # Extend the rows short of accepted pairs until each is done or capped.
+        piece_strict = strict[rows]
+        accepted = np.count_nonzero(level > piece_strict[:, None], axis=1)
+        redraws = np.zeros(len(rows), dtype=np.intp)
+        rounds = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.uint8))]
+        short = np.arange(len(rows))
+        while len(short := short[(accepted[short] < draws) & (redraws[short] < cap)]):
+            more = _extension(accepted[short], draws + redraws[short], draws)
+            new_ratios, new_level = _redraw_pairs(
+                released, rows[short], more, [generators[i] for i in short.tolist()]
+            )
+            accepted[short] += _segment_counts(new_level > np.repeat(piece_strict[short], more), more)
+            redraws[short] += more
+            rounds.append((np.repeat(short, more), new_ratios, new_level))
+        # Each round's pairs are row after row; a stable sort puts each row's rounds together.
+        owners, redraw_ratios, redraw_level = map(np.concatenate, zip(*rounds))
+        if len(rounds) > 2:
+            order = np.argsort(owners, kind="stable")
+            redraw_ratios, redraw_level = redraw_ratios[order], redraw_level[order]
+        for (scale, point, _), (extra, redrawn, capped) in zip(cells, results):
+            log = scale is Scale.LOG
+            first_ok = level > log
+            lack = draws - np.count_nonzero(first_ok, axis=1)
+            replicates = ratios.copy()
+            if lack.any():
+                ok = redraw_level > log
+                found = _segment_counts(ok, redraws)
+                fill = np.where(found < lack, 0, lack)
+                # Each redraw pair's rank among its row's accepted ones.
+                rank = np.cumsum(ok) - np.repeat(np.cumsum(found) - found, redraws)
+                taken = ok & (rank <= np.repeat(fill, redraws))
+                replicates[~first_ok & (fill[:, None] > 0)] = redraw_ratios[taken]
+                redrawn[rows], capped[rows] = lack > 0, found < lack
+            extra[rows] = _mean_square_deviation(replicates, point[rows], scale)
+    for member, (extra, redrawn, capped) in zip(members, results):
+        extra[~member], redrawn[~member], capped[~member] = 0.0, False, False
+    return results
 
 
 def estimate_block(
@@ -494,7 +445,9 @@ def estimate_block(
     a row draws from its generator only if it was not refused before.  Its
     redraw pairs come in batches sized from its own counts
     (:func:`_extension`), so a generator can stop past the last pair the
-    row takes; the estimates do not depend on how far.
+    row takes; the estimates do not depend on how far.  The rows are drawn
+    and scored a piece at a time, so the pass's memory does not grow with
+    the block.
     """
     return _estimate_scales(released, method, (scale,), level, draws, rngs)[0]
 

@@ -305,10 +305,11 @@ class ReleasedSums:
     def from_json_dict(cls, payload: Mapping) -> "ReleasedSums":
         """A release read back from :meth:`to_json_dict`'s payload.
 
-        It must meet what :func:`release_block` guarantees: every released
-        value finite, every noise variance finite and at least 0.
+        It must meet what :func:`release_block` guarantees: a known profile
+        and mechanism, every released value finite, every noise variance
+        finite and at least 0.
         """
-        profile = Profile(payload["profile"])
+        profile = _parse_member(Profile, payload["profile"], "profile")
         released = profile.released_fields
         columns = [SUM_FIELDS.index(f) for f in released]
         values, variance = np.zeros((1, len(SUM_FIELDS))), np.zeros(len(SUM_FIELDS))
@@ -323,7 +324,7 @@ class ReleasedSums:
                     raise InvalidConfigError(f"released {key}.{field} must be {need}, got {x}")
         profile.mirror(values, variance)
         mechanism, budget = payload.get("mechanism"), payload.get("per_sum_budget")
-        mechanism = MechanismKind(mechanism) if mechanism is not None else None
+        mechanism = _parse_member(MechanismKind, mechanism, "mechanism") if mechanism is not None else None
         budget = PrivacyBudget(**budget) if budget is not None else None
         return cls(ReleasedBlock(values, variance, mechanism, budget, profile))
 

@@ -19,11 +19,12 @@ draws.  Replications run in blocks, and each stage runs on arrays over the
 block: the datasets are drawn into (rows, n) matrices a chunk at a time and
 summed in one pass per chunk, and release and inference, including one
 draw of the Monte Carlo replicate pairs shared by the scales, run on the
-block's sums.  Much of a block's cost is paid once per block (a few
-hundred numpy calls per epsilon, many of them in the Monte Carlo pass and
-its extension rounds), so blocks are as few as a memory cap allows:
-:func:`_block_cuts` gives each at most _BLOCK_VALUES values of Monte Carlo
-matrix and splits the replications evenly.
+block's sums; the Monte Carlo pass draws and scores a piece of rows at a
+time and keeps nothing of a piece.  Much of a block's cost is paid once
+per block (a few hundred numpy calls per epsilon), so blocks are as few as
+a cap allows: :func:`_block_cuts` gives each at most
+max(1, _BLOCK_VALUES // mc_draws) replications and splits the
+replications evenly.
 """
 
 from __future__ import annotations
@@ -61,13 +62,11 @@ _PURPOSE_MC = 2
 
 #: Values per chunk of a block's datasets: a chunk holds max(1, _CHUNK_VALUES // n) of them.
 _CHUNK_VALUES = 2**12
-#: Values of Monte Carlo matrix per replication block: a block holds at most
-#: max(1, _BLOCK_VALUES // mc_draws) replications (see _block_cuts).  The
-#: Monte Carlo pass keeps 9 bytes a replicate pair (inference._Pairs), so a
-#: block of 2**16 values (327 replications at 200 draws) holds 0.6 MB of
-#: first passes.  Its redraw pairs, drawn about 1.16 times as far as the
-#: strictest scale takes them, add about 0.18 MB at epsilon 0.2 for a block
-#: of 250 replications in the simulate_small_n cell.
+#: Cap on replications per block times Monte Carlo draws: a block holds at most
+#: max(1, _BLOCK_VALUES // mc_draws) replications (see _block_cuts), 327 at
+#: 200 draws.  It bounds the block's per-replication arrays (sums, releases,
+#: estimates); the Monte Carlo pass runs a piece of rows at a time
+#: (inference._pieces), so its memory does not grow with the block.
 _BLOCK_VALUES = 2**16
 
 
@@ -266,11 +265,10 @@ def _block_cuts(replications: int, mc_draws: int) -> list[int]:
     """Where replications are cut into blocks: block i runs ``cuts[i]`` to ``cuts[i + 1] - 1``.
 
     A block holds at most max(1, _BLOCK_VALUES // mc_draws) replications,
-    so its (replications, mc_draws) Monte Carlo matrices stay within
-    _BLOCK_VALUES values and memory stays flat in the replication count.
-    The fewest blocks under that cap share the replications evenly (their
-    sizes differ by at most one), whatever the thread count: rounding their
-    count up to a multiple of a pool's workers measured no gain.
+    so its arrays, and memory, do not grow with the replication count.  The
+    fewest blocks under that cap share the replications evenly (their sizes
+    differ by at most one), whatever the thread count: rounding their count
+    up to a multiple of a pool's workers measured no gain.
     """
     count = -(-replications // max(1, _BLOCK_VALUES // mc_draws))
     return [replications * i // count for i in range(count + 1)]
@@ -335,9 +333,9 @@ def _run_block(
 ) -> list[_BlockResult]:
     """Replications ``start`` to ``stop - 1`` of ``config`` on each of ``scales``.
 
-    The data, sums, releases and Monte Carlo replicate pairs are drawn once
-    and shared by every scale: each scale takes its replicates from the
-    same pairs.
+    The data, sums and releases are drawn once and shared by every scale,
+    and so is each piece of Monte Carlo replicate pairs: every scale takes
+    its replicates from a piece's pairs before the next piece is drawn.
     """
     # Imported here: it loads numpy.random, which ``import dpratio`` must not.
     from ._seeding import generators, state_words

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -941,6 +942,48 @@ class TestRedrawGeneratorCalls:
             assert ok >= draws or drawn == draws + top
             calls_per_row.append(len(values))
         assert 2 in calls_per_row and max(calls_per_row) > 2
+
+
+class TestPieces:
+    """The Monte Carlo pass draws and scores a piece of rows at a time, and
+    keeps nothing of a piece once it is scored."""
+
+    @pytest.mark.parametrize("mechanism", _MECHANISMS)
+    def test_pieces_change_no_value(self, mechanism):
+        # Epsilon 0.02 on 100 weighted records at 1,000 draws: 15-18 of 64
+        # rows redraw on the ratio scale, and under Laplace noise some
+        # extend more than once.  One row a piece and one piece for all
+        # rows must give the default's outputs and generator end states.
+        released = _simulated_release(mechanism, _WEIGHTED, 0.02, rows=64)
+
+        def run():
+            rngs = [np.random.default_rng([19, row]) for row in range(64)]
+            shared = inference._estimate_scales(
+                released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=1000, rngs=rngs
+            )
+            return [a.tobytes() for est in shared for a in est], [rng.bit_generator.state for rng in rngs]
+
+        default = run()
+        for values in (1, 2**40):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(inference, "_PIECE_VALUES", values)
+                assert run() == default, values
+
+    def test_pass_keeps_no_block_wide_pairs(self):
+        # 2,000 rows at 200 draws: a block-wide store of the pairs at 9 bytes
+        # a pair holds 3.6 MB of first passes alone; the pass, pieces of 40
+        # rows, peaks near 1 MB.
+        released = _simulated_release(d.MechanismKind.LAPLACE, _WEIGHTED, 0.2, rows=2000, n=200)
+        rngs = [np.random.default_rng([19, row]) for row in range(2000)]
+        tracemalloc.start()
+        try:
+            inference._estimate_scales(
+                released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=200, rngs=rngs
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestMonteCarloGenerators:

@@ -311,6 +311,15 @@ class TestReleasedSumsView:
                     with pytest.raises(d.InvalidConfigError, match=rf"{key}\.{field}\b"):
                         d.ReleasedSums.from_json_dict(json.loads(json.dumps(payload)))
 
+    @pytest.mark.parametrize("key, name", [("profile", "bogus"), ("mechanism", "gausian")])
+    def test_json_rejects_unknown_names(self, profile, mechanism, delta, key, name):
+        # An unknown profile or mechanism is a structured error naming the
+        # field and its choices, not the enum constructor's bare ValueError.
+        _, _, _, released = _profile_release(profile, mechanism, delta)
+        payload = dict(released.to_json_dict(), **{key: name})
+        with pytest.raises(d.InvalidConfigError, match=rf"^{key} must be one of .*, got '{name}'$"):
+            d.ReleasedSums.from_json_dict(payload)
+
     def test_json_accepts_negative_values_and_zero_variances(self, profile, mechanism, delta):
         _, _, _, released = _profile_release(profile, mechanism, delta)
         payload = released.to_json_dict()

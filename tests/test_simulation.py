@@ -372,7 +372,7 @@ class TestBlockCuts:
         # Every replication once, in order, in blocks whose sizes differ by at most one.
         assert cuts[0] == 0 and cuts[-1] == replications and sizes.min() >= 1
         assert sizes.max() - sizes.min() <= 1
-        # No block's Monte Carlo matrix passes the cap, unless it holds one replication.
+        # No block holds more than _BLOCK_VALUES // mc_draws replications, unless it holds one.
         assert sizes.max() * mc_draws <= simulation._BLOCK_VALUES or sizes.max() == 1
         # The fewest blocks under the cap, so a one-block run stays one block.
         assert len(sizes) == -(-replications // max(1, simulation._BLOCK_VALUES // mc_draws))
