@@ -59,7 +59,3 @@ class DegenerateVarianceError(DPRatioError):
 
 class InvalidIntervalError(DPRatioError):
     """Interval endpoints are inverted."""
-
-
-class MonteCarloRedrawCapError(DegenerateDenominatorError):
-    """Monte Carlo resampling rejected more replicates than its cap allows."""

@@ -27,11 +27,10 @@ from .errors import (
     DegenerateNumeratorError,
     DegenerateVarianceError,
     InvalidConfigError,
-    MonteCarloRedrawCapError,
     ScaleMismatchError,
 )
 from .mechanisms import (
-    MechanismKind, ReleasedBlock, ReleasedSums, exact_release, noise_from_raw, raw_draws,
+    MechanismKind, ReleasedBlock, ReleasedSums, exact_release, lower_tail_mass, truncated_noise,
 )
 # perfbench/tracer.py wraps this name: without it inference.draw_noise.self_s
 # has no value, and CI's "Every benchmark workload ends in a complete result
@@ -45,8 +44,6 @@ _SUM_W, _SUM_WY, _SUM_WS, _SUM_W2, _SUM_WY2, _SUM_WS2, _SUM_WYS = range(len(SUM_
 #: Default confidence level and Monte Carlo draw count of every interval entry point.
 DEFAULT_LEVEL = 0.95
 DEFAULT_MC_DRAWS = 200
-#: A Monte Carlo row is refused once it rejects more than this many replicates per draw.
-_REDRAW_CAP_PER_DRAW = 10
 
 
 class Scale(str, Enum):
@@ -71,7 +68,7 @@ FLAGS = (
     "var_y_bar_floored",
     "cov_outside_cauchy_schwarz",
     "variance_floored",
-    "monte_carlo_redraw",
+    "monte_carlo_truncated",
 )
 _MOMENT_FLAGS = 3  # the first three come from the plug-in moments
 
@@ -80,13 +77,12 @@ class Refusal(IntEnum):
     """Why a row of a block has no estimate.
 
     The first failing check names the cause, in the order: noisy label sum,
-    log-scale numerator, noisy weight sum, zero mean, Monte Carlo redraws.
+    log-scale numerator, noisy weight sum, zero mean.
     """
 
     NONE = 0
     NONPOSITIVE_DENOMINATOR = 1  # noisy sum_wy or sum_w not positive, or a zero mean
     NONPOSITIVE_LOG_NUMERATOR = 2  # noisy sum_ws not positive on the log scale
-    MONTE_CARLO_REDRAW_CAP = 3  # more than _REDRAW_CAP_PER_DRAW * draws replicates rejected
 
 
 #: Refusal causes as reported, in code order.
@@ -248,80 +244,33 @@ def _pieces(count: int, draws: int) -> list[slice]:
     return [slice(a, a + step) for a in range(0, count, step)]
 
 
-def _noisy_halves(released: ReleasedBlock) -> tuple[int, int, np.ndarray]:
+def _noisy_halves(released: ReleasedBlock) -> tuple[int, int]:
     """The halves ``lo:hi`` of a (numerator, denominator) pair that carry
-    noise, and their variances as a column.  As in draw_noise, a sum without
-    noise, or a release without a mechanism, draws nothing, so the drawn
-    halves are a contiguous slice and the stream matches per-sum calls."""
-    var_s, var_y = released.variance("sum_ws"), released.variance("sum_wy")
-    lo = 0 if released.mechanism is not None and var_s > 0.0 else 1
-    hi = 2 if released.mechanism is not None and var_y > 0.0 else 1
-    return lo, hi, np.array([var_s, var_y])[lo:hi, None]
+    noise.  As in draw_noise, a sum without noise, or a release without a
+    mechanism, draws nothing, so the drawn halves are a contiguous slice."""
+    lo = 0 if released.mechanism is not None and released.variance("sum_ws") > 0.0 else 1
+    hi = 2 if released.mechanism is not None and released.variance("sum_wy") > 0.0 else 1
+    return lo, hi
 
 
-def _redraw_cap(draws: int) -> int:
-    """The redraw pairs a row may read: a row that needs more is capped."""
-    return int(_REDRAW_CAP_PER_DRAW * draws)
-
-
-#: Standard deviations past its expected trials that a short row draws.
-_EXTENSION_SDS = 2.0
-
-
-def _extension(accepted: np.ndarray, drawn: np.ndarray, draws: int) -> np.ndarray:
-    """How many more redraw pairs each short row draws, from its own counts:
-    its strictest scale accepts ``accepted`` of its ``drawn`` pairs, fewer
-    than ``draws``, and ``drawn - draws`` is short of the cap.
-
-    At the acceptance rate q = accepted / drawn the r = draws - accepted
-    pairs it lacks take r / q trials on average, with standard deviation
-    sqrt(r (1 - q)) / q; the row draws that mean plus ``_EXTENSION_SDS``
-    deviations, rounded up.  That is at least one pair, and never past the
-    cap: a row that has accepted nothing (q = 0) takes all the room left.
-    """
-    lack = draws - accepted
-    rate = accepted / drawn
-    with np.errstate(divide="ignore"):
-        trials = np.ceil((lack + _EXTENSION_SDS * np.sqrt(lack * (1.0 - rate))) / rate)
-    return np.minimum(trials, draws + _redraw_cap(draws) - drawn).astype(np.intp)
-
-
-def _ratio_level(numerator: np.ndarray, denominator: np.ndarray, ratios: np.ndarray,
-                 level: np.ndarray) -> None:
-    """Each pair's ratio and level: 0 where the denominator is not positive,
-    1 where only it is, 2 where the numerator is too.  The ratio scale
-    accepts level 1 and up, the log scale level 2."""
-    den_ok = denominator > 0.0
-    np.add(den_ok, (numerator > 0.0) & den_ok, out=level, dtype=np.uint8)
-    np.divide(numerator, denominator, out=ratios)
-
-
-def _redraw_pairs(
-    released: ReleasedBlock, rows: np.ndarray, counts: np.ndarray,
-    generators: Sequence[np.random.Generator],
+def _replicates(
+    sums: np.ndarray, uniforms: np.ndarray | None, released: ReleasedBlock, field: str, truncated: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ratios and levels of ``counts[i]`` fresh redraw pairs of each row
-    ``rows[i]``, row after row, drawn with one call of ``generators[i]``:
-    pair after pair, one draw per noisy sum, numerator first."""
-    lo, hi, variances = _noisy_halves(released)
-    raw = np.empty((int(counts.sum()), hi - lo))
-    stops = np.cumsum(counts).tolist()
-    for rng, a, b in zip(generators, [0, *stops], stops):
-        raw_draws(rng, released.mechanism, out=raw[a:b])
-    pairs = np.repeat(released.values[rows][:, [_SUM_WS, _SUM_WY]], counts, axis=0)
-    pairs[:, lo:hi] += noise_from_raw(raw, released.mechanism, variances.T)
-    ratios, level = np.empty(len(pairs)), np.empty(len(pairs), dtype=np.uint8)
-    _ratio_level(pairs[:, 0], pairs[:, 1], ratios, level)
-    return ratios, level
-
-
-def _segment_counts(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """How many of ``flags`` are set in each of the consecutive segments of ``lengths``."""
-    counts = np.zeros(len(lengths), dtype=np.intp)
-    full = lengths > 0  # reduceat reads an empty segment as the next flag
-    if full.any():
-        counts[full] = np.add.reduceat(flags, (np.cumsum(lengths) - lengths)[full], dtype=np.intp)
-    return counts
+    """Each row's noisy sum plus fresh noise at ``field``'s release variance,
+    one replicate per uniform, conditioned to be positive if ``truncated``,
+    and the noise mass each row's condition cuts off.  A sum without noise
+    (``uniforms`` None) is its own replicate.  Rounding at the cut can leave
+    a truncated replicate at or below 0, so it is raised to the spacing of
+    the doubles at its sum, the finest step a sum plus noise resolves."""
+    if uniforms is None:
+        return sums[:, None], np.zeros(len(sums))
+    mechanism, variance = released.mechanism, released.variance(field)
+    mass = lower_tail_mass(mechanism, variance, sums) if truncated else np.zeros(len(sums))
+    replicates = truncated_noise(uniforms, mechanism, variance, mass[:, None])
+    replicates += sums[:, None]
+    if truncated:
+        np.maximum(replicates, np.spacing(sums)[:, None], out=replicates)
+    return replicates, mass
 
 
 def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Scale) -> np.ndarray:
@@ -334,98 +283,61 @@ def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Sca
     return np.mean(np.square(replicates, out=replicates), axis=1)
 
 
+def _score_piece(
+    released: ReleasedBlock, cells: Sequence[tuple[Scale, np.ndarray, np.ndarray]], rows: np.ndarray,
+    draws: int, rngs: Sequence[np.random.Generator], results: list[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """:func:`_monte_carlo_extras` on one piece of ``rows``, into ``results``;
+    nothing of the piece outlives the call."""
+    lo, hi = _noisy_halves(released)
+    uniforms = np.empty((len(rows), hi - lo, draws))
+    for row, out in zip(rows.tolist(), uniforms):
+        rngs[row].random(out=out)
+    sums = released.values[rows]
+    denominators, cut = _replicates(sums[:, _SUM_WY], uniforms[:, -1] if hi == 2 else None,
+                                    released, "sum_wy", True)
+    for (scale, point, member), (extra, truncated) in zip(cells, results):
+        inside = member[rows]
+        at = rows[inside]
+        numerators, numerator_cut = _replicates(sums[inside, _SUM_WS], uniforms[inside, 0] if lo == 0 else None,
+                                                released, "sum_ws", scale is Scale.LOG)
+        replicates = np.divide(numerators, denominators[inside])
+        extra[at] = _mean_square_deviation(replicates, point[at], scale)
+        truncated[at] = 1.0 - (1.0 - cut[inside]) * (1.0 - numerator_cut) >= 1.0 / draws
+
+
 def _monte_carlo_extras(
     released: ReleasedBlock,
     cells: Sequence[tuple[Scale, np.ndarray, np.ndarray]],
     draws: int,
     rngs: Sequence[np.random.Generator],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Injected variance of the point estimates, estimated by re-noising.
 
-    Each cell is a (scale, point estimates, rows to correct) triple.  Each
-    such row has one sequence of (numerator, denominator) noise pairs from
-    its own generator, at the release variances, added to the noisy sums:
-    pair j < ``draws`` is numerator j and denominator j of its first pass,
-    ``draws`` numerators then ``draws`` denominators drawn with one
-    generator call, and each later pair, a redraw, takes the next draw of
-    each noisy sum, numerator first.  A scale's replicates are its first
-    pass with each pair it rejects replaced, in turn, by the next redraw
-    pair it accepts: the first ``draws`` pairs it accepts.  A row whose
-    pairs hold fewer is capped and keeps its first pass; its refusal
-    discards the result.
+    Each cell is a (scale, point estimates, mask of the rows to correct)
+    triple.  Each such row reads ``draws`` uniforms per noisy sum from its
+    own generator, numerators first, in one call; every scale maps the same
+    uniforms.  Uniform j of a sum gives its replicate j by inverse CDF
+    (:func:`~dpratio.mechanisms.truncated_noise`): the noisy sum plus fresh
+    noise at its release variance, conditioned to be positive for the
+    denominator, and for the numerator on the log scale.  The two sums'
+    noise is independent, so that is the law of the replicates positive
+    sums accept.  The rows are drawn and scored a piece at a time
+    (:func:`_pieces`), each reduced on its own, so pieces change no value.
 
-    The cells share the pairs, drawn as far as the strictest scale drawing
-    each row needs: while a row's pairs hold fewer than ``draws`` that it
-    accepts, and fewer redraw pairs than the cap, the row draws the redraw
-    pairs :func:`_extension` gives for its counts so far, with one
-    generator call.  How far past them a row draws moves only where its
-    generator stops, never an estimate.  The rows are drawn and scored a
-    piece at a time (:func:`_pieces`), and nothing of a piece is kept: a
-    row's draws depend only on its own counts and each row is reduced on
-    its own, so pieces change no value.  Returns, per cell, the mean
-    squared deviation from the point estimate and the redraw and cap
-    masks, all of block length.
+    Returns, per cell, the mean squared deviation from the point estimate
+    and the truncation flag, of block length: set where the mass the scale
+    cuts off, 1 - (1 - F(-y)) (1 - F(-s) on the log scale), is at least
+    1 / ``draws``.
     """
     size = len(released.values)
-    members, strict = [], np.zeros(size, dtype=bool)
-    for scale, _, rows in cells:
-        member = np.zeros(size, dtype=bool)
-        member[rows] = True
-        strict |= member & (scale is Scale.LOG)
-        members.append(member)
-    results = [(np.zeros(size), np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)) for _ in cells]
-    union = np.flatnonzero(np.logical_or.reduce(members))
-    if (released.variance("sum_ws") == 0.0 and released.variance("sum_wy") == 0.0) or len(union) == 0:
+    results = [(np.zeros(size), np.zeros(size, dtype=bool)) for _ in cells]
+    union = np.flatnonzero(np.logical_or.reduce([member for _, _, member in cells]))
+    lo, hi = _noisy_halves(released)
+    if lo == hi:
         return results
-    lo, hi, variances = _noisy_halves(released)
-    mechanism, noisy, cap = released.mechanism, hi - lo, _redraw_cap(draws)
     for piece in _pieces(len(union), draws):
-        rows = union[piece]
-        generators = [rngs[row] for row in rows.tolist()]
-        first = np.zeros((len(rows), 2, draws)) if noisy < 2 else np.empty((len(rows), 2, draws))
-        if noisy:
-            for rng, out in zip(generators, first):
-                raw_draws(rng, mechanism, out=out[lo:hi])
-            noise_from_raw(first[:, lo:hi], mechanism, variances)
-        first += released.values[rows][:, [_SUM_WS, _SUM_WY], None]
-        ratios, level = np.empty((len(rows), draws)), np.empty((len(rows), draws), dtype=np.uint8)
-        _ratio_level(first[:, 0], first[:, 1], ratios, level)
-        # Extend the rows short of accepted pairs until each is done or capped.
-        piece_strict = strict[rows]
-        accepted = np.count_nonzero(level > piece_strict[:, None], axis=1)
-        redraws = np.zeros(len(rows), dtype=np.intp)
-        rounds = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.uint8))]
-        short = np.arange(len(rows))
-        while len(short := short[(accepted[short] < draws) & (redraws[short] < cap)]):
-            more = _extension(accepted[short], draws + redraws[short], draws)
-            new_ratios, new_level = _redraw_pairs(
-                released, rows[short], more, [generators[i] for i in short.tolist()]
-            )
-            accepted[short] += _segment_counts(new_level > np.repeat(piece_strict[short], more), more)
-            redraws[short] += more
-            rounds.append((np.repeat(short, more), new_ratios, new_level))
-        # Each round's pairs are row after row; a stable sort puts each row's rounds together.
-        owners, redraw_ratios, redraw_level = map(np.concatenate, zip(*rounds))
-        if len(rounds) > 2:
-            order = np.argsort(owners, kind="stable")
-            redraw_ratios, redraw_level = redraw_ratios[order], redraw_level[order]
-        for (scale, point, _), (extra, redrawn, capped) in zip(cells, results):
-            log = scale is Scale.LOG
-            first_ok = level > log
-            lack = draws - np.count_nonzero(first_ok, axis=1)
-            replicates = ratios.copy()
-            if lack.any():
-                ok = redraw_level > log
-                found = _segment_counts(ok, redraws)
-                fill = np.where(found < lack, 0, lack)
-                # Each redraw pair's rank among its row's accepted ones.
-                rank = np.cumsum(ok) - np.repeat(np.cumsum(found) - found, redraws)
-                taken = ok & (rank <= np.repeat(fill, redraws))
-                replicates[~first_ok & (fill[:, None] > 0)] = redraw_ratios[taken]
-                redrawn[rows], capped[rows] = lack > 0, found < lack
-            extra[rows] = _mean_square_deviation(replicates, point[rows], scale)
-    for member, (extra, redrawn, capped) in zip(members, results):
-        extra[~member], redrawn[~member], capped[~member] = 0.0, False, False
+        _score_piece(released, cells, union[piece], draws, rngs, results)
     return results
 
 
@@ -442,10 +354,8 @@ def estimate_block(
     ``method`` and ``scale`` are members or their values.  ``Method.PUBLIC``
     is the no-correction pipeline, meant for exact sums.
     ``Method.MONTE_CARLO`` needs ``rngs``, one distinct generator per row;
-    a row draws from its generator only if it was not refused before.  Its
-    redraw pairs come in batches sized from its own counts
-    (:func:`_extension`), so a generator can stop past the last pair the
-    row takes; the estimates do not depend on how far.  The rows are drawn
+    a row draws from its generator only if it was not refused before, and
+    then ``draws`` uniforms per noisy sum in one call.  The rows are drawn
     and scored a piece at a time, so the pass's memory does not grow with
     the block.
     """
@@ -460,7 +370,7 @@ def _estimate_scales(
     draws: int = DEFAULT_MC_DRAWS,
     rngs: Sequence[np.random.Generator] | None = None,
 ) -> list[EstimateBlock]:
-    """:func:`estimate_block` on each of ``scales``, one Monte Carlo first pass for all.
+    """:func:`estimate_block` on each of ``scales``, one Monte Carlo draw for all.
 
     ``rngs`` holds one generator per row, each at the start of its stream.
     Each scale's result equals :func:`estimate_block` of that scale on fresh
@@ -500,12 +410,10 @@ def _estimate_scales(
             refusals.append(refusal)
             flags.append(flag)
         if method is Method.MONTE_CARLO:
-            cells = [(scale, point, np.flatnonzero(refusal == 0))
-                     for scale, point, refusal in zip(scales, points, refusals)]
+            cells = [(scale, point, refusal == 0) for scale, point, refusal in zip(scales, points, refusals)]
             extras = _monte_carlo_extras(released, cells, draws, rngs)
-            for i, (extra, redrawn, capped) in enumerate(extras):
-                flags[i][:, _MOMENT_FLAGS + 1] = redrawn
-                _refuse(refusals[i], capped, Refusal.MONTE_CARLO_REDRAW_CAP)
+            for i, (extra, truncated) in enumerate(extras):
+                flags[i][:, _MOMENT_FLAGS + 1] = truncated
                 variances[i] = variances[i] + extra
     blocks = []
     for point, variance, refusal, flag in zip(points, variances, refusals, flags):
@@ -544,10 +452,6 @@ def _estimate_one(
         )
     if code == Refusal.NONPOSITIVE_LOG_NUMERATOR:
         raise DegenerateNumeratorError(f"noisy sum_ws = {v['sum_ws']} is not positive")
-    if code == Refusal.MONTE_CARLO_REDRAW_CAP:
-        raise MonteCarloRedrawCapError(
-            f"monte carlo resampling exceeded {_REDRAW_CAP_PER_DRAW * draws} rejected replicates"
-        )
     variance, lower, upper = (float(a[0]) for a in (block.variance, block.ci_lower, block.ci_upper))
     if not all(math.isfinite(x) for x in (variance, lower, upper)):
         raise DegenerateVarianceError(
@@ -601,14 +505,13 @@ def ci_monte_carlo(
 ) -> RatioEstimate:
     """Wald interval with the injected variance estimated by simulation.
 
-    Fresh noise pairs for the score and label sums are drawn at the original
+    Fresh noise for the score and label sums is drawn at the original
     release variances and stacked on top of the already-noisy sums; the mean
     squared deviation of the re-noised ratios from the point estimate is
-    added to the no-correction variance.  Replicates with a non-positive
-    denominator (or non-positive ratio on the log scale) are redrawn, one
-    fresh pair at a time, numerator first, up to ten times ``draws``
-    rejections.  Redraws come in batches, so ``rng`` can be left past the
-    last pair taken (see :func:`estimate_block`).
+    added to the no-correction variance.  Each re-noised denominator (and,
+    on the log scale, numerator) is drawn conditioned to be positive, by
+    inverse CDF from one uniform, so ``rng`` yields exactly ``draws``
+    uniforms per noisy sum, numerators first.
     """
     return _estimate_one(released, Method.MONTE_CARLO, scale, level, draws, rng)
 

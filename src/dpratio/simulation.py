@@ -18,9 +18,9 @@ releases: :func:`run_experiments` runs them in one pass, sharing those
 draws.  Replications run in blocks, and each stage runs on arrays over the
 block: the datasets are drawn into (rows, n) matrices a chunk at a time and
 summed in one pass per chunk, and release and inference, including one
-draw of the Monte Carlo replicate pairs shared by the scales, run on the
-block's sums; the Monte Carlo pass draws and scores a piece of rows at a
-time and keeps nothing of a piece.  Much of a block's cost is paid once
+draw of the Monte Carlo uniforms shared by the scales, run on the block's
+sums; the Monte Carlo pass draws and scores a piece of rows at a time and
+keeps nothing of a piece.  Much of a block's cost is paid once
 per block (a few hundred numpy calls per epsilon), so blocks are as few as
 a cap allows: :func:`_block_cuts` gives each at most
 max(1, _BLOCK_VALUES // mc_draws) replications and splits the
@@ -334,8 +334,8 @@ def _run_block(
     """Replications ``start`` to ``stop - 1`` of ``config`` on each of ``scales``.
 
     The data, sums and releases are drawn once and shared by every scale,
-    and so is each piece of Monte Carlo replicate pairs: every scale takes
-    its replicates from a piece's pairs before the next piece is drawn.
+    and so are each row's Monte Carlo uniforms: every scale maps a piece's
+    uniforms to its replicates before the next piece is drawn.
     """
     # Imported here: it loads numpy.random, which ``import dpratio`` must not.
     from ._seeding import generators, state_words
@@ -389,7 +389,7 @@ def run_experiments(
     """Run cells that differ only in ``scale`` in one pass; one row list per config.
 
     The scale is not part of any substream key, so such cells share their
-    data, sums, releases and first Monte Carlo pass, which are drawn once
+    data, sums, releases and Monte Carlo uniforms, which are drawn once
     per replication; each result equals :func:`run_experiment` of its config.  Replications are
     split into the blocks :func:`_block_cuts` gives, whose results are
     concatenated in replication order, so neither the blocks nor ``threads``

@@ -288,8 +288,8 @@ class TestSimulate:
             "",
             "               no_correction             monte_carlo              analytical       ",
             " epsilon    width   cover   score    width   cover   score    width   cover   score",
-            "     0.5    4.528   0.000 102.249  149.990   1.000 149.990   51.928   1.000  51.928",
-            "       1    0.455   1.000   0.455    4.442   1.000   4.442    2.227   1.000   2.227",
+            "     0.5    4.528   0.000 102.249   36.848   1.000  36.848   51.928   1.000  51.928",
+            "       1    0.455   1.000   0.455    3.310   1.000   3.310    2.227   1.000   2.227",
         ])
         assert out == f"{table}\n\nwrote {tmp_path / 'report.json'}\n"
 

@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
-from dpratio import inference, simulation
+from dpratio import simulation
 from dpratio._seeding import _Seed, generators, state_words
 from dpratio.core import SUM_FIELDS
 from dpratio.simulation import (
@@ -220,8 +219,6 @@ def _scalar_outcome(estimate, *args):
         est = estimate(*args)
     except d.DegenerateNumeratorError:
         return None, "nonpositive_log_numerator", ()
-    except d.MonteCarloRedrawCapError:
-        return None, "monte_carlo_redraw_cap", ()
     except d.DegenerateDenominatorError:
         return None, "nonpositive_denominator", ()
     return est, None, est.flags
@@ -259,8 +256,8 @@ class TestBatchedEngineEquivalence:
         "mechanism, delta", [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
     )
     def test_per_replication_results_match_scalar_api(self, mechanism, delta, scale):
-        # Epsilon 0.02 on 100 weighted records makes refusals and Monte Carlo
-        # redraws common.  The block runs both scales in one pass, as simulate
+        # Epsilon 0.02 on 100 weighted records makes refusals and truncated
+        # Monte Carlo replicates common.  The block runs both scales in one pass, as simulate
         # --scale both does; ``scale`` picks the one checked here.  The rows
         # come from a pool of two, which gets blocks of 33 and 34 replications.
         config = d.SimulationConfig(
@@ -289,7 +286,7 @@ class TestBatchedEngineEquivalence:
                     )
         np.testing.assert_allclose(engine.metrics, expected, rtol=1e-12, atol=0.0, equal_nan=True)
         assert sum(n for (_, cause), n in causes.items() if cause is not None) > 0
-        assert sum(n for (_, flag), n in flags.items() if flag == "monte_carlo_redraw") > 0
+        assert sum(n for (_, flag), n in flags.items() if flag == "monte_carlo_truncated") > 0
 
         rows = d.run_experiment(config, threads=2)
         for cell, row in enumerate(rows):
@@ -305,7 +302,7 @@ class TestRunExperiments:
     )
     def test_each_cell_equals_its_own_run(self, mechanism, delta, threads):
         # Two blocks of 33 and 34 replications; epsilon 0.02 brings refusals
-        # and redraws, which differ between the scales.
+        # and truncated replicates, which differ between the scales.
         ratio = small_config(
             n=100, epsilons=(0.02, 1.0), weighted=True, mechanism=mechanism, delta=delta,
             replications=67, mc_draws=1000,
@@ -335,17 +332,14 @@ class TestRunExperiments:
         "mechanism, delta", [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
     )
     def test_rows_do_not_depend_on_block_layout(self, monkeypatch, mechanism, delta, threads):
-        # A redraw-heavy cell, both scales in one pass, in blocks of at most 1
-        # and 7 replications, at the default cap (blocks of 33 and 34) and in
-        # one block.  A cap of 50 rejected replicates (1,000 draws) makes some
-        # rows reach it, which no symmetric noise does at the default cap.  The
-        # patched cap reaches pool workers only when they fork.
+        # A cell with many truncated replicates, both scales in one pass, in
+        # blocks of at most 1 and 7 replications, at the default cap (blocks
+        # of 33 and 34) and in one block.
         ratio = d.SimulationConfig(
             n=100, epsilons=(0.02, 1.0), weighted=True, mechanism=mechanism, delta=delta,
             replications=67, mc_draws=1000, master_seed=5,
         )
         configs = [ratio, replace(ratio, scale=d.Scale.LOG)]
-        monkeypatch.setattr(inference, "_REDRAW_CAP_PER_DRAW", 0.05)
         runs = {}
         for per_block in (1, 7, None, ratio.replications + 1):
             with monkeypatch.context() as patch:
@@ -355,9 +349,7 @@ class TestRunExperiments:
                 runs[tuple(cuts)] = d.run_experiments(configs, threads)
         assert len(runs) == 4 and len({repr(cells) for cells in runs.values()}) == 1
         rows = [row for cell in runs.popitem()[1] for row in cell]
-        if threads == 1 or multiprocessing.get_start_method() == "fork":
-            assert sum(row.refusals_by_cause["monte_carlo_redraw_cap"] for row in rows) > 0
-        assert sum(row.flags["monte_carlo_redraw"] for row in rows) > 0
+        assert sum(row.flags["monte_carlo_truncated"] for row in rows) > 0
 
 
 class TestBlockCuts:
