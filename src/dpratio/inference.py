@@ -283,16 +283,34 @@ def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Sca
     return np.mean(np.square(replicates, out=replicates), axis=1)
 
 
+def _row_uniforms(released: ReleasedBlock, draws: int) -> int:
+    """The uniforms one Monte Carlo row reads: ``draws`` per noisy sum."""
+    lo, hi = _noisy_halves(released)
+    return (hi - lo) * draws
+
+
+def _read_rows(rng: np.random.Generator, rows: list[int], first: int, out: np.ndarray) -> None:
+    """Fill ``out[i]`` with row ``rows[i]``'s uniforms, at offset row
+    times out[i].size, ``rng`` standing at row ``first`` <= rows[0]: one
+    call per run of consecutive rows, the rows between passed over."""
+    width = out[0].size
+    runs = [i for i in range(1, len(rows)) if rows[i] != rows[i - 1] + 1]
+    for a, b in zip([0, *runs], [*runs, len(rows)]):
+        if rows[a] > first:
+            rng.bit_generator.advance((rows[a] - first) * width)
+        rng.random(out=out[a:b])
+        first = rows[b - 1] + 1
+
+
 def _score_piece(
     released: ReleasedBlock, cells: Sequence[tuple[Scale, np.ndarray, np.ndarray]], rows: np.ndarray,
-    draws: int, rngs: Sequence[np.random.Generator], results: list[tuple[np.ndarray, np.ndarray]],
+    draws: int, rng: np.random.Generator, first: int, results: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
-    """:func:`_monte_carlo_extras` on one piece of ``rows``, into ``results``;
-    nothing of the piece outlives the call."""
+    """:func:`_monte_carlo_extras` on one piece of ``rows``, with ``rng`` at
+    row ``first``, into ``results``; nothing of the piece outlives the call."""
     lo, hi = _noisy_halves(released)
     uniforms = np.empty((len(rows), hi - lo, draws))
-    for row, out in zip(rows.tolist(), uniforms):
-        rngs[row].random(out=out)
+    _read_rows(rng, rows.tolist(), first, uniforms)
     sums = released.values[rows]
     denominators, cut = _replicates(sums[:, _SUM_WY], uniforms[:, -1] if hi == 2 else None,
                                     released, "sum_wy", True)
@@ -310,13 +328,14 @@ def _monte_carlo_extras(
     released: ReleasedBlock,
     cells: Sequence[tuple[Scale, np.ndarray, np.ndarray]],
     draws: int,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Injected variance of the point estimates, estimated by re-noising.
 
     Each cell is a (scale, point estimates, mask of the rows to correct)
-    triple.  Each such row reads ``draws`` uniforms per noisy sum from its
-    own generator, numerators first, in one call; every scale maps the same
+    triple.  Row i reads its :func:`_row_uniforms` at offset i times their
+    count, numerators first; a row no cell corrects is passed over, and
+    ``rng`` ends just past the last row read.  Every scale maps the same
     uniforms.  Uniform j of a sum gives its replicate j by inverse CDF
     (:func:`~dpratio.mechanisms.truncated_noise`): the noisy sum plus fresh
     noise at its release variance, conditioned to be positive for the
@@ -336,8 +355,11 @@ def _monte_carlo_extras(
     lo, hi = _noisy_halves(released)
     if lo == hi:
         return results
+    first = 0
     for piece in _pieces(len(union), draws):
-        _score_piece(released, cells, union[piece], draws, rngs, results)
+        rows = union[piece]
+        _score_piece(released, cells, rows, draws, rng, first, results)
+        first = int(rows[-1]) + 1
     return results
 
 
@@ -347,19 +369,18 @@ def estimate_block(
     scale: Scale | str = Scale.RATIO,
     level: float = DEFAULT_LEVEL,
     draws: int = DEFAULT_MC_DRAWS,
-    rngs: Sequence[np.random.Generator] | None = None,
+    rng: np.random.Generator | None = None,
 ) -> EstimateBlock:
     """Point estimates and Wald intervals of one method for every row.
 
     ``method`` and ``scale`` are members or their values.  ``Method.PUBLIC``
     is the no-correction pipeline, meant for exact sums.
-    ``Method.MONTE_CARLO`` needs ``rngs``, one distinct generator per row;
-    a row draws from its generator only if it was not refused before, and
-    then ``draws`` uniforms per noisy sum in one call.  The rows are drawn
-    and scored a piece at a time, so the pass's memory does not grow with
-    the block.
+    ``Method.MONTE_CARLO`` needs ``rng``: row i reads ``draws`` uniforms
+    per noisy sum at offset i times that count, unless refused before.
+    The rows are drawn and scored a piece at a time, so the pass's memory
+    does not grow with the block.
     """
-    return _estimate_scales(released, method, (scale,), level, draws, rngs)[0]
+    return _estimate_scales(released, method, (scale,), level, draws, rng)[0]
 
 
 def _estimate_scales(
@@ -368,14 +389,14 @@ def _estimate_scales(
     scales: Sequence[Scale | str],
     level: float = DEFAULT_LEVEL,
     draws: int = DEFAULT_MC_DRAWS,
-    rngs: Sequence[np.random.Generator] | None = None,
+    rng: np.random.Generator | None = None,
 ) -> list[EstimateBlock]:
     """:func:`estimate_block` on each of ``scales``, one Monte Carlo draw for all.
 
-    ``rngs`` holds one generator per row, each at the start of its stream.
-    Each scale's result equals :func:`estimate_block` of that scale on fresh
-    generators.  The method, scales and the block's mechanism are parsed
-    here, for every entry point.
+    ``rng`` stands at the start of row 0's uniforms.  Each scale's result
+    equals :func:`estimate_block` of that scale on a generator in the same
+    state.  The method, scales and the block's mechanism are parsed here,
+    for every entry point.
     """
     method = _parse_member(Method, method, "method")
     scales = [_parse_member(Scale, scale, "scale") for scale in scales]
@@ -383,11 +404,8 @@ def _estimate_scales(
         released = released._replace(mechanism=_parse_member(MechanismKind, released.mechanism, "mechanism"))
     check_interval_settings(level, draws if method is Method.MONTE_CARLO else None)
     values = released.values
-    if method is Method.MONTE_CARLO and (rngs is None or len(rngs) < len(values)):
-        raise InvalidConfigError(
-            f"monte carlo needs one generator per row: got {0 if rngs is None else len(rngs)} "
-            f"for {len(values)} rows"
-        )
+    if method is Method.MONTE_CARLO and rng is None:
+        raise InvalidConfigError(f"monte carlo needs a generator for its {len(values)} rows, got None")
     points, variances, refusals, flags = [], [], [], []
     with np.errstate(all="ignore"):
         for scale in scales:
@@ -411,7 +429,7 @@ def _estimate_scales(
             flags.append(flag)
         if method is Method.MONTE_CARLO:
             cells = [(scale, point, refusal == 0) for scale, point, refusal in zip(scales, points, refusals)]
-            extras = _monte_carlo_extras(released, cells, draws, rngs)
+            extras = _monte_carlo_extras(released, cells, draws, rng)
             for i, (extra, truncated) in enumerate(extras):
                 flags[i][:, _MOMENT_FLAGS + 1] = truncated
                 variances[i] = variances[i] + extra
@@ -444,7 +462,7 @@ def _estimate_one(
     scale = _parse_member(Scale, scale, "scale")
     if method is Method.MONTE_CARLO and rng is None:
         rng = np.random.default_rng()
-    block = estimate_block(released.block, method, scale, level, draws, [rng])
+    block = estimate_block(released.block, method, scale, level, draws, rng)
     code, v = block.refusal[0], released.values
     if code == Refusal.NONPOSITIVE_DENOMINATOR:
         raise DegenerateDenominatorError(

@@ -4,10 +4,11 @@ The Gaussian mechanism provides (epsilon, delta)-DP, the Laplace mechanism
 pure epsilon-DP.  A release splits the total budget evenly across the
 distinct sums of the profile (basic composition); collapsed duplicates are
 released once and mirrored, which is what makes the smaller profiles cheaper.
-All randomness comes from caller-supplied numpy Generators, one per release,
-so a release is fully determined by one seed.  :func:`release_block`
-releases many sum vectors at once; :func:`release` is its block of one,
-read through the one-row view :class:`ReleasedSums`.
+All randomness comes from a caller-supplied numpy Generator, read as
+uniforms, so a release is fully determined by one seed.  :func:`release_block`
+releases many sum vectors at once, row i from the k uniforms at offset i k;
+:func:`release` is its block of one, read through the one-row view
+:class:`ReleasedSums`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -248,35 +249,6 @@ def _normal_inv_cdf(p: np.ndarray) -> np.ndarray:
     return p.reshape(shape)
 
 
-def raw_draws(
-    rng: np.random.Generator,
-    mechanism: MechanismKind,
-    size: int | None = None,
-    out: np.ndarray | None = None,
-):
-    """The draws :func:`noise_from_raw` maps to noise: standard normals for the
-    Gaussian mechanism, uniforms on [0, 1) for Laplace, in stream order.
-
-    With ``out``, fills it in C order; filling a (2, k) array draws the
-    same stream as two calls of size k.
-    """
-    if mechanism is MechanismKind.GAUSSIAN:
-        return rng.standard_normal(size, out=out)
-    return rng.random(size, out=out)
-
-
-def noise_from_raw(raw: np.ndarray, mechanism: MechanismKind, noise_variance) -> np.ndarray:
-    """Map :func:`raw_draws` to centred noise with ``noise_variance``, in place.
-
-    ``noise_variance`` is a scalar or an array that broadcasts against
-    ``raw``, so one call can transform draws of several variances.
-    """
-    if mechanism is MechanismKind.GAUSSIAN:
-        raw *= np.sqrt(noise_variance)
-        return raw
-    return _laplace_from_uniform(raw, np.sqrt(noise_variance / 2.0))
-
-
 def lower_tail_mass(mechanism: MechanismKind, noise_variance: float, sums: np.ndarray) -> np.ndarray:
     """F(-x) for each x of ``sums``: the chance that x plus fresh noise with
     ``noise_variance`` is not positive, 0.5 erfc(x / sqrt(2 variance)) for
@@ -305,9 +277,16 @@ def truncated_noise(
     p = np.multiply(u, 1.0 - mass)
     p += mass
     np.clip(p, _TINY, _BELOW_ONE, out=p)
+    gaussian = mechanism is MechanismKind.GAUSSIAN
+    return _inverse_cdf(p, mechanism, math.sqrt(noise_variance if gaussian else noise_variance / 2.0))
+
+
+def _inverse_cdf(p: np.ndarray, mechanism: MechanismKind, scale) -> np.ndarray:
+    """The quantile of centred noise at each ``p`` in (0, 1), in place, at
+    ``scale`` (the standard deviation or the Laplace scale), which broadcasts."""
     if mechanism is MechanismKind.GAUSSIAN:
-        return np.multiply(_normal_inv_cdf(p), math.sqrt(noise_variance), out=p)
-    return _laplace_from_uniform(p, math.sqrt(noise_variance / 2.0))
+        return np.multiply(_normal_inv_cdf(p), scale, out=p)
+    return _laplace_from_uniform(p, scale)
 
 
 def draw_noise(
@@ -316,7 +295,8 @@ def draw_noise(
     noise_variance: float,
     size: int | None = None,
 ) -> np.ndarray | float:
-    """Centred noise with the given variance from the mechanism's distribution.
+    """Centred noise with the given variance from the mechanism's distribution:
+    one uniform from ``rng`` per value, mapped by :func:`truncated_noise` at mass 0.
 
     ``mechanism`` is a member or its value.  A ``None`` mechanism (the
     no-noise public pathway) or a zero variance yields zeros and draws
@@ -328,8 +308,8 @@ def draw_noise(
         raise ValueError("noise_variance must be non-negative")
     if mechanism is None or noise_variance == 0.0:
         return 0.0 if size is None else np.zeros(size)
-    noise = noise_from_raw(np.asarray(raw_draws(rng, mechanism, size)), mechanism, noise_variance)
-    return float(noise) if size is None else noise
+    noise = truncated_noise(rng.random(1 if size is None else size), mechanism, noise_variance, 0.0)
+    return float(noise[0]) if size is None else noise
 
 
 class ReleasedBlock(NamedTuple):
@@ -435,28 +415,24 @@ def release_block(
     bounds: Bounds,
     total_budget: PrivacyBudget,
     mechanism: MechanismKind | str,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
 ) -> ReleasedBlock:
-    """Privatize each row of a (B, 7) matrix of exact sums, row i from ``rngs[i]``.
+    """Privatize each row of a (B, 7) matrix of exact sums, all from ``rng``.
 
     The rows must be sums of the profile ``bounds`` declares.  Each
     distinct sum receives independent noise calibrated to its own
     sensitivity at budget (eps/k, delta/k), where k is the profile size;
     collapsed duplicates mirror the released column instead of consuming
-    budget.  Every row takes k draws from its own generator, in field order,
-    from the mechanism :func:`calibrate` parsed.
+    budget.  Row i's noise is the k uniforms at offset i k of ``rng``, in
+    field order, mapped as :func:`truncated_noise` maps them at mass 0 but
+    at the calibrated scales of the mechanism :func:`calibrate` parsed.
     """
     calibration = calibrate(bounds, total_budget, mechanism)
     profile = bounds.profile
     fields = profile.released_fields
 
-    noises = np.empty((len(rngs), len(fields)))
-    for rng, row in zip(rngs, noises):
-        raw_draws(rng, calibration.mechanism, out=row)
-    if calibration.mechanism is MechanismKind.GAUSSIAN:
-        noises *= calibration.scales
-    else:
-        _laplace_from_uniform(noises, calibration.scales)
+    noises = rng.random((len(sums), len(fields)))
+    _inverse_cdf(np.maximum(noises, _TINY, out=noises), calibration.mechanism, calibration.scales)
 
     columns = [SUM_FIELDS.index(f) for f in fields]
     values = np.array(sums, dtype=np.float64)
@@ -483,7 +459,7 @@ def release(
             f"bounds declare profile {bounds.profile.value} but sums carry {sums.profile.value}"
         )
     row = np.array([[getattr(sums, f) for f in SUM_FIELDS]])
-    return ReleasedSums(release_block(row, bounds, total_budget, mechanism, [rng]))
+    return ReleasedSums(release_block(row, bounds, total_budget, mechanism, rng))
 
 
 def exact_release(sums: SumVector) -> ReleasedSums:

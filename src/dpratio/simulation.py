@@ -8,21 +8,21 @@ aggregates width, coverage, and interval score over replications.
 :func:`_cells` names the report's (method, epsilon) cells in row order: the
 public baseline, then every method at each epsilon in turn.
 
-Every replication derives its own random substreams from
-(master_seed, replication index, purpose, epsilon), numpy SeedSequence keys
-whose seeds :mod:`dpratio._seeding` computes a block at a time, so results
-are bit-reproducible regardless of worker count or execution order, and
-adding epsilon values never perturbs existing streams.  The scale is not part of
-that key, so cells that differ only in scale draw the same data and
-releases: :func:`run_experiments` runs them in one pass, sharing those
-draws.  Replications run in blocks, and each stage runs on arrays over the
+Each key (master_seed, purpose[, epsilon]) has one PCG64 stream
+(:func:`_stream`), and replication r reads its row, of fixed length L, at
+offset r L: 4n data uniforms (5n if weighted), k release uniforms, or
+``mc_draws`` per noisy sum for Monte Carlo.  A block jumps each stream to
+its first row, so results are bit-reproducible regardless of block cuts,
+worker count or execution order, and adding epsilon values never perturbs
+existing streams.  The scale is not part of the key, so cells that differ
+only in scale draw the same data and releases: :func:`run_experiments` runs
+them in one pass, sharing those draws.  Each stage runs on arrays over the
 block: the datasets are drawn into (rows, n) matrices a chunk at a time and
 summed in one pass per chunk, and release and inference, including one
 draw of the Monte Carlo uniforms shared by the scales, run on the block's
-sums; the Monte Carlo pass draws and scores a piece of rows at a time and
-keeps nothing of a piece.  Much of a block's cost is paid once
-per block (a few hundred numpy calls per epsilon), so blocks are as few as
-a cap allows: :func:`_block_cuts` gives each at most
+sums; the Monte Carlo pass draws and scores a piece of rows at a time.
+Much of a block's cost is paid once per block, so blocks are as few as a
+cap allows: :func:`_block_cuts` gives each at most
 max(1, _BLOCK_VALUES // mc_draws) replications and splits the
 replications evenly.
 """
@@ -45,7 +45,7 @@ from .core import SUM_FIELDS, Bounds, _check_count, _check_sum_rows, _parse_memb
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import (
     DEFAULT_LEVEL, DEFAULT_MC_DRAWS, DP_METHODS, FLAGS, REFUSAL_CAUSES, EstimateBlock, Method,
-    Refusal, Scale, _estimate_scales, check_interval_settings,
+    Refusal, Scale, _estimate_scales, _row_uniforms, check_interval_settings,
 )
 from .mechanisms import (
     MechanismKind, PrivacyBudget, ReleasedBlock, calibrate, default_delta, release_block,
@@ -54,7 +54,7 @@ from .mechanisms import (
 #: Clipping range of the Exponential(1) weights in the weighted design.
 WEIGHT_CLIP = (1.0 / 3.0, 3.0)
 
-# Purpose tags for substream derivation.
+# Purpose tags of the stream keys.
 _PURPOSE_DATA = 0
 _PURPOSE_RELEASE = 1
 _PURPOSE_MC = 2
@@ -127,7 +127,8 @@ class SimulationConfig:
         for name in ("delta", "true_ratio", "level"):
             store(name, _number(name, getattr(self, name)))
         _check_count("n", self.n, 2)
-        # Each replication index must fit one 32-bit word of its stream key.
+        # The range earlier versions accepted, so that no valid config changes;
+        # every row's stream offset then stays far inside PCG64's 2**128 period.
         if not 1 <= self.replications <= 2**32:
             raise InvalidConfigError(f"replications must lie in [1, 2**32], got {self.replications}")
         check_interval_settings(self.level, self.mc_draws)
@@ -195,47 +196,36 @@ def generate_arrays(
     Scores are Beta(2, 2), drawn as the median of three uniforms, labels
     Bernoulli(s / true_ratio), and weights either all ones or Exponential(1)
     clipped to ``WEIGHT_CLIP``.  Draw order is fixed so streams are stable:
-    3n score uniforms (three blocks of n), n label uniforms, then n
-    Exponential(1) draws if weighted.
+    one call of 4n uniforms, 5n if weighted, laid out as :func:`_datasets`
+    reads them.
     """
     _check_count("n", n, 1)
     _check_true_ratio(true_ratio)
     y, s, w = np.empty(n), np.empty(n), np.empty(n)
-    _draw_dataset(rng, weighted, y, s, w)
-    _finish_datasets(weighted, true_ratio, y, s, w)
+    _datasets(rng.random((4 + weighted, n)), weighted, true_ratio, y, s, w)
     return y, s, w
 
 
-def _draw_dataset(
-    rng: np.random.Generator, weighted: bool, y: np.ndarray, s: np.ndarray, w: np.ndarray
+def _datasets(
+    u: np.ndarray, weighted: bool, true_ratio: float, y: np.ndarray, s: np.ndarray, w: np.ndarray
 ) -> None:
-    """The draws of one dataset, in stream order, into the caller's contiguous
-    rows: three blocks of uniforms a, b, c whose median, the second order
-    statistic of three uniforms and so Beta(2, 2), goes into ``s``; the
-    uniforms its labels compare into ``y``; and, if ``weighted``, the
-    Exponential(1) draws into ``w``.  ``w`` is free until those draws, or
-    until :func:`_finish_datasets` fills it with ones, so it holds max(a, b)
-    and no temporary is made."""
-    rng.random(out=s)
-    rng.random(out=w)
-    np.minimum(s, w, out=y)
-    np.maximum(s, w, out=w)
-    rng.random(out=s)
-    np.minimum(w, s, out=s)
-    np.maximum(y, s, out=s)  # max(min(a, b), min(max(a, b), c))
-    rng.random(out=y)
+    """Turn uniforms ``u`` of shape (..., 4 or 5, n) into datasets in the
+    caller's (..., n) arrays, settings unchecked; overwrites ``u``.  Per
+    dataset, blocks of n: three whose median, the second order statistic of
+    three uniforms and so Beta(2, 2), is ``s``; the labels' uniforms; and,
+    if ``weighted``, the weights', mapped to Exponential(1) by -log1p(-u).
+    Every step is elementwise, so a matrix of datasets gets the values each
+    dataset would get on its own."""
+    a, b, c, labels = (u[..., i, :] for i in range(4))
+    np.minimum(a, b, out=y)
+    np.maximum(a, b, out=a)
+    np.minimum(a, c, out=a)
+    np.maximum(y, a, out=s)  # max(min(a, b), min(max(a, b), c))
+    np.less(labels, np.divide(s, true_ratio, out=a), out=y)
     if weighted:
-        rng.standard_exponential(out=w)
-
-
-def _finish_datasets(
-    weighted: bool, true_ratio: float, y: np.ndarray, s: np.ndarray, w: np.ndarray
-) -> None:
-    """Turn the draws of :func:`_draw_dataset` into labels and weights, in
-    place, settings unchecked.  Every step is elementwise, so a matrix of
-    datasets at once gets the values each row would get on its own."""
-    np.less(y, s / true_ratio, out=y)
-    if weighted:
+        weights = u[..., 4, :]
+        np.log1p(np.negative(weights, out=weights), out=w)
+        np.negative(w, out=w)
         np.clip(w, WEIGHT_CLIP[0], WEIGHT_CLIP[1], out=w)
     else:
         w.fill(1.0)
@@ -295,34 +285,44 @@ class _BlockResult(NamedTuple):
     flags: np.ndarray
 
 
+def _stream(master_seed: int, purpose: int, epsilon: float | None, offset: int) -> np.random.Generator:
+    """The PCG64 stream of key (``master_seed``, ``purpose``[, bits of
+    ``epsilon``]), advanced ``offset`` values.  Keying on the bit pattern
+    means editing an epsilon grid never shifts the other epsilons' streams.
+    """
+    # Imported here: it loads numpy.random, which ``import dpratio`` must not.
+    from numpy.random import PCG64, Generator, SeedSequence
+
+    key = (purpose,) if epsilon is None else (purpose, int(np.float64(epsilon).view(np.uint64)))
+    rng = Generator(PCG64(SeedSequence(master_seed, spawn_key=key)))
+    rng.bit_generator.advance(offset)
+    return rng
+
+
 def _block_sums(config: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact (B, 7) sums and the Kish sizes of replications ``start`` to ``stop - 1``.
 
-    The datasets are drawn a chunk of rows at a time into (rows, n)
-    matrices, each row from its own stream as :func:`generate_arrays`
-    would draw it, and each chunk is turned into labels and weights and
-    summed in one pass; the block's sums are then checked once.  The
-    records are not checked: they lie within ``config.bounds`` by
-    construction (scores are medians of uniforms in [0, 1), labels 0 or 1,
-    weights clipped to WEIGHT_CLIP or all ones).  The results equal a
-    per-replication loop bit for bit.  ``config`` owns the settings
-    :func:`generate_arrays` checks, so they are not checked again.
+    Each chunk of rows is one call of the data stream, row r at offset r
+    times 4n (5n if weighted), as :func:`generate_arrays` reads it.  Each
+    chunk is turned into (rows, n) datasets and summed in one pass; the
+    block's sums are then checked once.  The records are not: they lie
+    within ``config.bounds`` by construction (scores in [0, 1), labels 0 or
+    1, weights clipped or ones).  The results equal a per-replication loop
+    bit for bit.
     """
-    from ._seeding import generators, state_words  # loads numpy.random, as in _run_block
-
-    data_words = state_words(config.master_seed, start, stop, [(_PURPOSE_DATA, None)])[0]
-    n, profile = config.n, config.bounds.profile
+    n, weighted = config.n, config.weighted
+    rng = _stream(config.master_seed, _PURPOSE_DATA, None, start * (4 + weighted) * n)
     exact = np.empty((stop - start, len(SUM_FIELDS)))
-    chunk = max(1, _CHUNK_VALUES // n)
-    data = np.empty((3, min(chunk, stop - start), n))
+    chunk = min(max(1, _CHUNK_VALUES // n), stop - start)
+    data, uniforms = np.empty((3, chunk, n)), np.empty((chunk, 4 + weighted, n))
     for lo in range(0, stop - start, chunk):
         hi = min(lo + chunk, stop - start)
         y, s, w = data[:, : hi - lo]
-        for rng, *row in zip(generators(data_words[lo:hi]), y, s, w):
-            _draw_dataset(rng, config.weighted, *row)
-        _finish_datasets(config.weighted, config.true_ratio, y, s, w)
+        u = rng.random(out=uniforms[: hi - lo])
+        _datasets(u, weighted, config.true_ratio, y, s, w)
         # Looked up on the module, where perfbench's tracer wraps the kernel.
         exact[lo:hi] = core.weighted_sums(y, s, w)
+    profile = config.bounds.profile
     profile.mirror(exact)
     _check_sum_rows(exact, profile)
     return exact, kish_rows(exact)
@@ -337,14 +337,8 @@ def _run_block(
     and so are each row's Monte Carlo uniforms: every scale maps a piece's
     uniforms to its replicates before the next piece is drawn.
     """
-    # Imported here: it loads numpy.random, which ``import dpratio`` must not.
-    from ._seeding import generators, state_words
-
     bounds = config.bounds
     exact, effective_n = _block_sums(config, start, stop)
-    # Every epsilon's release and Monte Carlo seeds, in one pass.
-    keys = [(purpose, eps) for eps in config.epsilons for purpose in (_PURPOSE_RELEASE, _PURPOSE_MC)]
-    seeds = iter(state_words(config.master_seed, start, stop, keys))
 
     public = ReleasedBlock.exact(exact, bounds.profile)
     # Each cell's estimates, one block per scale.
@@ -352,12 +346,13 @@ def _run_block(
     for eps in config.epsilons:
         released = release_block(
             exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism,
-            generators(next(seeds)),
+            _stream(config.master_seed, _PURPOSE_RELEASE, eps, start * len(bounds.profile.released_fields)),
         )
-        mc_rngs = generators(next(seeds))
+        width = _row_uniforms(released, config.mc_draws)
+        mc_rng = _stream(config.master_seed, _PURPOSE_MC, eps, start * width)
         for method in DP_METHODS:
             columns[(method, eps)] = _estimate_scales(
-                released, method, scales, config.level, config.mc_draws, mc_rngs
+                released, method, scales, config.level, config.mc_draws, mc_rng
             )
     cells = _cells(config.epsilons)
     return [

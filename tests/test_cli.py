@@ -284,12 +284,12 @@ class TestSimulate:
         table = "\n".join([
             "mechanism=gaussian  scale=ratio  n=200  weighted=no  replications=2  level=0.95  "
             "effective n=200",
-            "public method: width = 0.347, coverage = 1.000, score = 0.347",
+            "public method: width = 0.317, coverage = 1.000, score = 0.317",
             "",
             "               no_correction             monte_carlo              analytical       ",
             " epsilon    width   cover   score    width   cover   score    width   cover   score",
-            "     0.5    4.528   0.000 102.249   36.848   1.000  36.848   51.928   1.000  51.928",
-            "       1    0.455   1.000   0.455    3.310   1.000   3.310    2.227   1.000   2.227",
+            "     0.5    0.836   0.500  14.342  103.249   1.000 103.249    6.173   1.000   6.173",
+            "       1    0.355   0.000  35.789   44.329   1.000  44.329    4.557   1.000   4.557",
         ])
         assert out == f"{table}\n\nwrote {tmp_path / 'report.json'}\n"
 

@@ -289,19 +289,39 @@ class TestMonteCarloCI:
         released = make_released(
             {"sum_ws": 1e-3, "sum_wy": 1e-3}, noise={"sum_ws": 1.0, "sum_wy": 1.0}
         )
-        seeds = range(64)
+        rows = 64
         one = released.block
         block = d.estimate_block(
-            one._replace(values=np.repeat(one.values, len(seeds), axis=0)),
-            d.Method.MONTE_CARLO, d.Scale.LOG, draws=2,
-            rngs=[np.random.default_rng(seed) for seed in seeds],
+            one._replace(values=np.repeat(one.values, rows, axis=0)),
+            d.Method.MONTE_CARLO, d.Scale.LOG, draws=2, rng=np.random.default_rng(5),
         )
-        for i, seed in enumerate(seeds):
-            est = d.ci_monte_carlo(released, d.Scale.LOG, draws=2, rng=np.random.default_rng(seed))
+        for i in range(rows):
+            # Row i reads the 2 x 2 uniforms at offset 4i of the block's stream.
+            est = d.ci_monte_carlo(released, d.Scale.LOG, draws=2, rng=_advanced(5, 4 * i))
             assert block.refusal[i] == d.Refusal.NONE
             assert block.variance[i] == est.variance
             assert tuple(f for f, on in zip(d.FLAGS, block.flags[i]) if on) == est.flags
             assert "monte_carlo_truncated" in est.flags
+
+    @pytest.mark.parametrize("scale, variance", [
+        (d.Scale.RATIO, {d.MechanismKind.GAUSSIAN: 0.07065658615791673, d.MechanismKind.LAPLACE: 0.07410598053512556}),
+        (d.Scale.LOG, {d.MechanismKind.GAUSSIAN: 0.304428239182963, d.MechanismKind.LAPLACE: 0.3481087410469151}),
+    ])
+    @pytest.mark.parametrize("mechanism", list(d.MechanismKind))
+    def test_one_release_variance_is_pinned(self, mechanism, scale, variance):
+        # One release reads 2 x draws uniforms in one call, numerators first,
+        # and leaves its generator just past them.  The variances are pinned
+        # to a relative 1e-12: they take numpy's log, which can differ in the
+        # last place across numpy builds.
+        released = make_released(
+            {"sum_w": 200.0, "sum_wy": 100.0, "sum_ws": 60.0, "sum_w2": 200.0,
+             "sum_wy2": 100.0, "sum_ws2": 30.0, "sum_wys": 35.0},
+            noise={"sum_ws": 400.0, "sum_wy": 400.0}, mechanism=mechanism,
+        )
+        rng = np.random.default_rng(7)
+        est = d.ci_monte_carlo(released, scale, draws=50, rng=rng)
+        assert est.variance == pytest.approx(variance[mechanism], rel=1e-12)
+        assert rng.bit_generator.state == _advanced(7, 100).bit_generator.state
 
     def test_requires_at_least_two_draws(self):
         _, released, rng = seeded_release(1)
@@ -344,16 +364,33 @@ def _reference_replicates(mechanism, variance, x, uniforms, truncated):
     return np.array(values), p0
 
 
-def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
+def _advanced(seed, values):
+    """A fresh generator of ``seed`` advanced ``values`` values: where a row
+    at that offset of the stream starts reading."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(values)
+    return rng
+
+
+def _at(rng, values):
+    """A copy of ``rng`` advanced ``values`` values; ``rng`` does not move."""
+    copy = np.random.Generator(np.random.PCG64())
+    copy.bit_generator.state = rng.bit_generator.state
+    copy.bit_generator.advance(values)
+    return copy
+
+
+def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rng):
     """The Monte Carlo correction of the ``rows`` a mask selects, row by row:
     the reference for the sampler.
 
-    Each row reads ``draws`` uniforms per noisy sum from its generator,
-    numerators first, in one call.  A sum without noise, or any sum of a
-    release without a mechanism, reads none and is its own replicate.  The
-    denominator is truncated to positive replicates, and so is the
-    numerator on the log scale.  A row is flagged where the mass cut off,
-    1 - (1 - p0 of sum_wy) (1 - p0 of sum_ws), is at least 1 / ``draws``.
+    Row ``row`` reads ``draws`` uniforms per noisy sum, numerators first, in
+    one call of a copy of ``rng`` advanced to the row's offset, ``row``
+    times that count.  A sum without noise, or any sum of a release without
+    a mechanism, reads none and is its own replicate.  The denominator is
+    truncated to positive replicates, and so is the numerator on the log
+    scale.  A row is flagged where the mass cut off, 1 - (1 - p0 of sum_wy)
+    (1 - p0 of sum_ws), is at least 1 / ``draws``.
     """
     extra = np.zeros(len(point))
     truncated = np.zeros(len(point), dtype=bool)
@@ -364,7 +401,7 @@ def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
     if not any(noisy):
         return extra, truncated
     for row in np.flatnonzero(rows):
-        uniforms = iter(rngs[row].random((sum(noisy), draws)))
+        uniforms = iter(_at(rng, int(row) * sum(noisy) * draws).random((sum(noisy), draws)))
         (numerators, p0_s), (denominators, p0_y) = (
             _reference_replicates(mechanism, variance, float(released.values[row, col]), next(uniforms), cut)
             if drawn else (np.full(draws, released.values[row, col]), 0.0)
@@ -378,13 +415,16 @@ def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs):
     return extra, truncated
 
 
-def _per_row_monte_carlo_extras(released, cells, draws, rngs):
-    """The per-row loop on each (scale, point, row mask) cell, on the generators
-    ``rngs[row]``: what the batched pass of one cell must equal."""
-    return [
-        _per_row_monte_carlo_extra(released, scale, point, rows, draws, rngs)
-        for scale, point, rows in cells
-    ]
+def _per_row_monte_carlo_extras(released, cells, draws, rng):
+    """The per-row loop on each (scale, point, row mask) cell, each row from
+    its offset of ``rng``'s stream: what the batched pass of one cell must
+    equal.  Then ``rng`` is moved just past the last row any cell reads."""
+    extras = [_per_row_monte_carlo_extra(released, scale, point, rows, draws, rng)
+              for scale, point, rows in cells]
+    union = np.flatnonzero(np.logical_or.reduce([rows for _, _, rows in cells]))
+    if len(union):
+        rng.bit_generator.advance((int(union[-1]) + 1) * inference._row_uniforms(released, draws))
+    return extras
 
 
 def _simulated_release(mechanism, bounds, epsilon, rows=16, n=100, weighted=True, seed=5):
@@ -397,8 +437,8 @@ def _simulated_release(mechanism, bounds, epsilon, rows=16, n=100, weighted=True
         sums = d.compute_sums_from_arrays(y, s, w, bounds).as_dict()
         exact.append([sums[f] for f in SUM_FIELDS])
     delta = 1e-6 if mechanism is d.MechanismKind.GAUSSIAN else 0.0
-    rngs = [np.random.default_rng([seed + 1, row]) for row in range(rows)]
-    return d.release_block(np.array(exact), bounds, d.PrivacyBudget(epsilon, delta), mechanism, rngs)
+    rng = np.random.default_rng(seed + 1)
+    return d.release_block(np.array(exact), bounds, d.PrivacyBudget(epsilon, delta), mechanism, rng)
 
 
 _MECHANISMS = [d.MechanismKind.GAUSSIAN, d.MechanismKind.LAPLACE]
@@ -416,7 +456,8 @@ def _near_zero(released, numerator, denominator):
 
 class TestBatchedMonteCarloPass:
     """estimate_block's Monte Carlo method against a per-row, per-value
-    reference on the same generators, which must end in the same state.
+    reference that reads each row from its offset of the same stream; the
+    generator must end in the same state.
 
     Laplace results must match bit for bit.  The reference takes Gaussian
     quantiles from the standard library, whose AS241 calls the C library's
@@ -428,9 +469,9 @@ class TestBatchedMonteCarloPass:
 
     def _check(self, monkeypatch, released, scale, draws):
         def run():
-            rngs = [np.random.default_rng([7, row]) for row in range(len(released.values))]
-            est = d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws, rngs=rngs)
-            return est, [rng.bit_generator.state for rng in rngs]
+            rng = np.random.default_rng(7)
+            est = d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws, rng=rng)
+            return est, rng.bit_generator.state
 
         batched, batched_states = run()
         with monkeypatch.context() as patch:
@@ -516,27 +557,31 @@ class TestBatchedMonteCarloPass:
 
 
 class _Counted:
-    """A generator that counts its calls and, given a ``value``, yields only it."""
+    """A generator that counts its calls and the values they read and, given
+    a ``value``, yields only it."""
 
     def __init__(self, rng, value=None):
-        self.rng, self.value, self.calls = rng, value, 0
+        self.rng, self.value, self.calls, self.values = rng, value, 0, 0
+        self.bit_generator = rng.bit_generator
 
     def random(self, size=None, out=None):
         self.calls += 1
         values = self.rng.random(size, out=out)
+        self.values += np.size(values)
         if self.value is not None:
             values[...] = self.value
         return values
 
 
 class TestGeneratorReads:
-    """Each Monte Carlo row that a scale corrects reads ``draws`` uniforms
-    per noisy sum with one call of its generator, and nothing else: it ends
-    where a fresh generator ends after random(k * draws)."""
+    """The Monte Carlo pass reads ``draws`` uniforms per noisy sum for each
+    row that a scale corrects, one call per run of consecutive such rows;
+    the rows between runs are passed over, not drawn, and the generator ends
+    just past the last row read."""
 
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     @pytest.mark.parametrize("quiet", [None, "sum_ws", "sum_wy", "mechanism"])
-    def test_one_call_of_fixed_length(self, mechanism, quiet):
+    def test_one_call_per_run_of_rows(self, mechanism, quiet):
         # Epsilon 0.02 on 100 weighted records: some rows are refused on
         # both scales, some only on the log scale.
         rows, draws = 64, 50
@@ -548,18 +593,18 @@ class TestGeneratorReads:
             variance = released.noise_variance.copy()
             variance[SUM_FIELDS.index(quiet)] = 0.0
             released, noisy = released._replace(noise_variance=variance), 1
-        generators = [_Counted(np.random.default_rng([23, row])) for row in range(rows)]
+        generator = _Counted(np.random.default_rng(23))
         ratio, log = inference._estimate_scales(
-            released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=draws, rngs=generators
+            released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=draws, rng=generator
         )
-        corrected = (ratio.refusal == d.Refusal.NONE) | (log.refusal == d.Refusal.NONE)
-        assert corrected.any() and not corrected.all()
-        for row, generator in enumerate(generators):
-            reads = noisy if corrected[row] else 0
-            assert generator.calls == (reads > 0), row
-            fresh = np.random.default_rng([23, row])
-            fresh.random(reads * draws)
-            assert generator.rng.bit_generator.state == fresh.bit_generator.state, row
+        corrected = np.flatnonzero((ratio.refusal == d.Refusal.NONE) | (log.refusal == d.Refusal.NONE))
+        assert 0 < len(corrected) < rows - 1
+        runs = 1 + np.count_nonzero(np.diff(corrected) != 1)
+        assert runs > 1
+        assert generator.calls == (runs if noisy else 0)
+        assert generator.values == len(corrected) * noisy * draws
+        end = (corrected[-1] + 1) * noisy * draws
+        assert generator.bit_generator.state == _advanced(23, int(end)).bit_generator.state
 
 
 class TestReplicatesFromUniforms:
@@ -578,7 +623,7 @@ class TestReplicatesFromUniforms:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(inference, "_mean_square_deviation", watched)
             d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws,
-                             rngs=[np.random.default_rng(29)])
+                             rng=np.random.default_rng(29))
         return seen[0][0], np.random.default_rng(29).random((2, draws))
 
     @pytest.mark.parametrize("scale", [d.Scale.RATIO, d.Scale.LOG])
@@ -626,14 +671,13 @@ class TestTruncationEdges:
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     @pytest.mark.parametrize("value", [0.0, 1.0 - 2.0**-53])
     def test_every_uniform_at_an_end(self, mechanism, scale, value):
-        # Generators that yield only 0.0, or only the largest double below 1.
+        # A generator that yields only 0.0, or only the largest double below 1.
         rows = len(self.DEVIATIONS)
         released = make_released({}, {"sum_ws": 400.0, "sum_wy": 400.0}, mechanism).block
         values = np.repeat(released.values, rows, axis=0)
         values[:, [SUM_FIELDS.index("sum_ws"), SUM_FIELDS.index("sum_wy")]] = 20.0 * self.DEVIATIONS[:, None]
-        generators = [_Counted(np.random.default_rng(row), value) for row in range(rows)]
         est = d.estimate_block(released._replace(values=values), d.Method.MONTE_CARLO, scale,
-                               draws=20, rngs=generators)
+                               draws=20, rng=_Counted(np.random.default_rng(0), value))
         assert (est.refusal == d.Refusal.NONE).all()
         assert np.isfinite(est.variance).all()
 
@@ -743,7 +787,7 @@ class TestTwoRatioTest:
 
 
 class TestSharedFirstPass:
-    """Both scales on one draw of the uniforms against each scale on fresh generators."""
+    """Both scales on one draw of the uniforms against each scale on a fresh generator."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -762,16 +806,14 @@ class TestSharedFirstPass:
         if offset is not None:
             released = _near_zero(released, offset, offset)
 
-        def rngs():
-            return [np.random.default_rng([11, row]) for row in range(rows)]
-
         alone = {
-            scale: d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws, rngs=rngs())
+            scale: d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws,
+                                    rng=np.random.default_rng(11))
             for scale in (d.Scale.RATIO, d.Scale.LOG)
         }
         for order in ((d.Scale.RATIO, d.Scale.LOG), (d.Scale.LOG, d.Scale.RATIO)):
             shared = inference._estimate_scales(
-                released, d.Method.MONTE_CARLO, order, draws=draws, rngs=rngs()
+                released, d.Method.MONTE_CARLO, order, draws=draws, rng=np.random.default_rng(11)
             )
             for scale, est in zip(order, shared):
                 for name, got, want in zip(est._fields, est, alone[scale]):
@@ -787,15 +829,15 @@ class TestPieces:
         # Epsilon 0.02 on 100 weighted records at 1,000 draws, so some rows
         # are refused on one scale or both.  One row a piece and one piece
         # for all rows must give the default's outputs and generator end
-        # states.
+        # state.
         released = _simulated_release(mechanism, _WEIGHTED, 0.02, rows=64)
 
         def run():
-            rngs = [np.random.default_rng([19, row]) for row in range(64)]
+            rng = np.random.default_rng(19)
             shared = inference._estimate_scales(
-                released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=1000, rngs=rngs
+                released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=1000, rng=rng
             )
-            return [a.tobytes() for est in shared for a in est], [rng.bit_generator.state for rng in rngs]
+            return [a.tobytes() for est in shared for a in est], rng.bit_generator.state
 
         default = run()
         for values in (1, 2**40):
@@ -807,11 +849,11 @@ class TestPieces:
         # 2,000 rows at 200 draws: a block-wide store of the uniforms holds
         # 6.4 MB; the pass, pieces of 40 rows, peaks near 0.75 MB.
         released = _simulated_release(d.MechanismKind.LAPLACE, _WEIGHTED, 0.2, rows=2000, n=200)
-        rngs = [np.random.default_rng([19, row]) for row in range(2000)]
+        rng = np.random.default_rng(19)
         tracemalloc.start()
         try:
             inference._estimate_scales(
-                released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=200, rngs=rngs
+                released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=200, rng=rng
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -819,22 +861,13 @@ class TestPieces:
         assert peak < 2_000_000
 
 
-class TestMonteCarloGenerators:
-    """Monte Carlo without a generator for every row is refused before any draw."""
+class TestMonteCarloGenerator:
+    """Monte Carlo without a generator is refused before any work."""
 
-    def _released(self):
-        return _simulated_release(d.MechanismKind.GAUSSIAN, _WEIGHTED, 0.5, rows=3)
-
-    def test_missing_generators(self):
-        with pytest.raises(d.InvalidConfigError, match=r"got 0 for 3 rows"):
-            d.estimate_block(self._released(), d.Method.MONTE_CARLO)
-
-    def test_fewer_generators_than_rows(self):
-        rngs = [np.random.default_rng(row) for row in range(2)]
-        states = [rng.bit_generator.state for rng in rngs]
-        with pytest.raises(d.InvalidConfigError, match=r"got 2 for 3 rows"):
-            d.estimate_block(self._released(), d.Method.MONTE_CARLO, rngs=rngs)
-        assert [rng.bit_generator.state for rng in rngs] == states
+    def test_missing_generator(self):
+        released = _simulated_release(d.MechanismKind.GAUSSIAN, _WEIGHTED, 0.5, rows=3)
+        with pytest.raises(d.InvalidConfigError, match=r"needs a generator for its 3 rows, got None"):
+            d.estimate_block(released, d.Method.MONTE_CARLO)
 
 
 class TestSettingValues:
@@ -845,7 +878,7 @@ class TestSettingValues:
     def test_block_values_equal_members(self, method, scale):
         released = _simulated_release(d.MechanismKind.LAPLACE, _WEIGHTED, 0.2, rows=16)
         by_member, by_value = (
-            d.estimate_block(released, m, s, 0.9, 50, [np.random.default_rng([3, row]) for row in range(16)])
+            d.estimate_block(released, m, s, 0.9, 50, np.random.default_rng(3))
             for m, s in ((method, scale), (method.value, scale.value))
         )
         assert [a.tobytes() for a in by_value] == [a.tobytes() for a in by_member]
@@ -870,8 +903,7 @@ class TestSettingValues:
         # block that names it draws as one that holds the member.
         released = _simulated_release(mechanism, _WEIGHTED, 0.2, rows=16)
         by_member, by_value = (
-            d.estimate_block(block, method, d.Scale.LOG, 0.9, 50,
-                             [np.random.default_rng([3, row]) for row in range(16)])
+            d.estimate_block(block, method, d.Scale.LOG, 0.9, 50, np.random.default_rng(3))
             for block in (released, released._replace(mechanism=mechanism.value))
         )
         assert [a.tobytes() for a in by_value] == [a.tobytes() for a in by_member]
@@ -886,4 +918,4 @@ class TestSettingValues:
             d.ci_analytical(seeded_release(1, n=200)[1], "both")
         with pytest.raises(d.InvalidConfigError, match="mechanism must be one of 'gaussian'"):
             d.estimate_block(released._replace(mechanism="exponential"), d.Method.MONTE_CARLO,
-                             rngs=[np.random.default_rng(row) for row in range(3)])
+                             rng=np.random.default_rng(0))

@@ -81,7 +81,7 @@ def _squared_deviations(released, scale, draws, seeds):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "_mean_square_deviation", watched)
         d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws,
-                         rngs=[np.random.default_rng(seed) for seed in seeds])
+                         rng=np.random.default_rng(list(seeds)))
     return np.array(rows)
 
 

@@ -9,12 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dpratio as d
-from dpratio import simulation
-from dpratio._seeding import _Seed, generators, state_words
+from dpratio import inference, simulation
 from dpratio.core import SUM_FIELDS
 from dpratio.simulation import (
     _PURPOSE_DATA,
@@ -29,13 +28,21 @@ from dpratio.simulation import (
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _substream(master_seed, replication, purpose, epsilon=None):
-    """numpy's own seed of one stream, the oracle of ``_seeding.state_words``:
-    ``np.random.default_rng`` of it draws what the engine's generator draws."""
-    key = [replication, purpose]
+def _keyed(master_seed, purpose, epsilon, offset):
+    """The stream of key (master_seed, purpose[, epsilon bits]) from numpy's
+    own SeedSequence, advanced ``offset`` values: what a replication whose
+    row starts at that offset reads, drawn alone."""
+    key = [purpose]
     if epsilon is not None:
         key.append(int(np.float64(epsilon).view(np.uint64)))
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key)))
+    rng.bit_generator.advance(offset)
+    return rng
+
+
+def _data_stream(config, r):
+    """Replication ``r``'s data, drawn alone: 4n uniforms a row, 5n if weighted."""
+    return _keyed(config.master_seed, _PURPOSE_DATA, None, r * (4 + config.weighted) * config.n)
 
 
 def small_config(**overrides):
@@ -68,16 +75,18 @@ class TestGenerate:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_stream_layout(self, weighted):
-        # Three n-blocks of score uniforms, n label uniforms, then n
-        # Exponential(1) draws if weighted, all from the one stream.
+        # Three n-blocks of score uniforms, n label uniforms, then n weight
+        # uniforms mapped to Exponential(1) if weighted, all from one call.
         n, ratio = 257, 1.3
-        y, s, w = d.generate_arrays(n, weighted, ratio, np.random.default_rng(11))
         rng = np.random.default_rng(11)
-        a, b, c, labels = rng.random(4 * n).reshape(4, n)
+        y, s, w = d.generate_arrays(n, weighted, ratio, rng)
+        fresh = np.random.default_rng(11)
+        a, b, c, labels = fresh.random(4 * n).reshape(4, n)
         np.testing.assert_array_equal(s, np.median([a, b, c], axis=0))
         np.testing.assert_array_equal(y, (labels < s / ratio).astype(float))
-        expected_w = np.clip(rng.standard_exponential(n), *WEIGHT_CLIP) if weighted else np.ones(n)
+        expected_w = np.clip(-np.log1p(-fresh.random(n)), *WEIGHT_CLIP) if weighted else np.ones(n)
         np.testing.assert_array_equal(w, expected_w)
+        assert rng.bit_generator.state == fresh.bit_generator.state
 
     def test_scores_are_beta_2_2(self):
         count = 200_000
@@ -226,18 +235,20 @@ def _scalar_outcome(estimate, *args):
 
 def _scalar_replication(config, r):
     """Per-cell outcomes of replication ``r`` from the public scalar API,
-    on the engine's substreams and in its cell order."""
-    rng = np.random.default_rng(_substream(config.master_seed, r, _PURPOSE_DATA))
+    each stream read alone from ``r``'s offset, in the engine's cell order."""
+    rng = _data_stream(config, r)
     sums = d.compute_sums_from_arrays(
         *d.generate_arrays(config.n, config.weighted, config.true_ratio, rng), config.bounds
     )
     outcomes = [_scalar_outcome(d.public_estimate, sums, config.scale, config.level)]
+    k = len(config.bounds.profile.released_fields)
     for eps in config.epsilons:
         released = d.release(
             sums, config.bounds, d.PrivacyBudget(eps, config.delta), config.mechanism,
-            np.random.default_rng(_substream(config.master_seed, r, _PURPOSE_RELEASE, eps)),
+            _keyed(config.master_seed, _PURPOSE_RELEASE, eps, r * k),
         )
-        mc_rng = np.random.default_rng(_substream(config.master_seed, r, _PURPOSE_MC, eps))
+        # Both noisy sums read mc_draws uniforms a row.
+        mc_rng = _keyed(config.master_seed, _PURPOSE_MC, eps, r * 2 * config.mc_draws)
         outcomes += [
             _scalar_outcome(d.ci_no_correction, released, config.scale, config.level),
             _scalar_outcome(
@@ -411,8 +422,7 @@ class TestBlockSums:
         kish = np.concatenate([p[1] for p in parts])
         assert exact.shape == (rows, len(SUM_FIELDS)) and kish.shape == (rows,)
         for i, r in enumerate(range(start, start + rows)):
-            rng = np.random.default_rng(_substream(master_seed, r, _PURPOSE_DATA))
-            y, s, w = d.generate_arrays(n, weighted, config.true_ratio, rng)
+            y, s, w = d.generate_arrays(n, weighted, config.true_ratio, _data_stream(config, r))
             sums = d.compute_sums_from_arrays(y, s, w, config.bounds)
             assert exact[i].tobytes() == np.array([getattr(sums, f) for f in SUM_FIELDS]).tobytes()
             assert kish[i].tobytes() == np.float64(d.kish_effective_n(sums)).tobytes()
@@ -430,9 +440,8 @@ class TestBlockSums:
         # records, so they must lie within the config's bounds by construction.
         bounds = small_config(n=n, weighted=weighted, true_ratio=true_ratio).bounds
         y, s, w = np.empty((3, rows, n))
-        for i, row in enumerate(zip(y, s, w)):
-            simulation._draw_dataset(np.random.default_rng([seed, i]), weighted, *row)
-        simulation._finish_datasets(weighted, true_ratio, y, s, w)
+        u = np.random.default_rng(seed).random((rows, 4 + weighted, n))
+        simulation._datasets(u, weighted, true_ratio, y, s, w)
         for values, low, high in ((y, bounds.y_low, bounds.y_high), (s, bounds.s_low, bounds.s_high),
                                   (w, bounds.w_low, bounds.w_high)):
             assert ((values >= low) & (values <= high)).all()
@@ -440,64 +449,97 @@ class TestBlockSums:
         assert weighted or (w == 1.0).all()
 
 
-def _float_from_bits(bits):
-    return float(np.uint64(bits).view(np.float64))
+class _Reads:
+    """What a block run reads: each block's exact sums and releases, and the
+    Monte Carlo uniforms of each (block, epsilon), per block-relative row."""
+
+    def __init__(self, patch):
+        self.sums, self.releases, self.uniforms = {}, {}, {}
+        self.block = self.key = None
+        block_sums, release_block, read_rows = (
+            simulation._block_sums, simulation.release_block, inference._read_rows
+        )
+
+        def watched_sums(config, start, stop):
+            self.block = start
+            self.sums[start] = result = block_sums(config, start, stop)
+            return result
+
+        def watched_release(sums, bounds, budget, mechanism, rng):
+            self.key = (self.block, budget.epsilon)
+            self.releases[self.key] = released = release_block(sums, bounds, budget, mechanism, rng)
+            return released
+
+        def watched_read(rng, rows, first, out):
+            read_rows(rng, rows, first, out)
+            self.uniforms.setdefault(self.key, {}).update(zip(rows, out.copy()))
+
+        patch.setattr(simulation, "_block_sums", watched_sums)
+        patch.setattr(simulation, "release_block", watched_release)
+        patch.setattr(inference, "_read_rows", watched_read)
 
 
-_EPSILONS = st.one_of(
-    st.none(),
-    st.floats(min_value=np.finfo(np.float64).tiny, max_value=1e300),
-    # Subnormals whose bit pattern is one 32-bit key word.
-    st.integers(1, 2**32 - 1).map(_float_from_bits),
-)
+class TestKeyedStreams:
+    """Each replication's rows of the keyed streams, bit for bit."""
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize(
+        "mechanism, delta", [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
+    )
+    def test_rows_of_a_block_run_equal_rows_drawn_alone(self, monkeypatch, mechanism, delta, weighted):
+        # Blocks of 9 or 10 replications from a pool of two, pieces of 2 or 3
+        # rows, and epsilon 0.02, which refuses some rows: the Monte Carlo pass
+        # then passes over them.  Row r of each stream must be what a
+        # generator advanced to r times the row's length draws: the data as
+        # generate_arrays reads it, the release as release() reads it, and
+        # Monte Carlo uniforms as one (2, draws) call reads them.
+        config = d.SimulationConfig(
+            n=60, epsilons=(0.02, 1.0), weighted=weighted, mechanism=mechanism, delta=delta,
+            replications=47, mc_draws=1000, master_seed=12,
+        )
+        monkeypatch.setattr(simulation, "_BLOCK_VALUES", 10 * config.mc_draws)
+        monkeypatch.setattr(inference, "_PIECE_VALUES", 3 * config.mc_draws)
+        reads = _Reads(monkeypatch)
+        d.run_experiments([config, replace(config, scale=d.Scale.LOG)])
+        cuts = _block_cuts(config.replications, config.mc_draws)
+        assert len(cuts) == 6 and sorted(reads.sums) == cuts[:-1]
 
-class TestStreamSeeds:
-    """The vectorised seeding against numpy's SeedSequence."""
+        k, skipped = len(config.bounds.profile.released_fields), 0
+        for a, b in zip(cuts, cuts[1:]):
+            for i, r in enumerate(range(a, b)):
+                y, s, w = d.generate_arrays(config.n, weighted, config.true_ratio, _data_stream(config, r))
+                sums = d.compute_sums_from_arrays(y, s, w, config.bounds)
+                assert reads.sums[a][0][i].tobytes() == np.array([getattr(sums, f) for f in SUM_FIELDS]).tobytes(), r
+                for eps in config.epsilons:
+                    budget = d.PrivacyBudget(eps, config.delta)
+                    alone = d.release(sums, config.bounds, budget, mechanism,
+                                      _keyed(config.master_seed, _PURPOSE_RELEASE, eps, r * k))
+                    assert reads.releases[a, eps].values[i].tobytes() == alone.block.values[0].tobytes(), r
+                    uniforms = reads.uniforms[a, eps].get(i)
+                    if uniforms is None:  # refused on both scales: passed over
+                        skipped += 1
+                        continue
+                    mc = _keyed(config.master_seed, _PURPOSE_MC, eps, r * 2 * config.mc_draws)
+                    assert uniforms.tobytes() == mc.random((2, config.mc_draws)).tobytes(), r
+        assert skipped > 0
 
     @given(
         master_seed=st.integers(0, 2**64 - 1),
-        start=st.integers(0, 2**32 - 1),
-        rows=st.integers(1, 20),
         purpose=st.integers(0, 2),
-        epsilon=_EPSILONS,
+        epsilon=st.one_of(st.none(), st.floats(min_value=np.finfo(np.float64).tiny, max_value=1e300)),
+        offset=st.integers(0, 2**70),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_every_row_matches_numpy(self, master_seed, start, rows, purpose, epsilon):
-        stop = min(start + rows, 2**32)
-        engine = generators(state_words(master_seed, start, stop, [(purpose, epsilon)])[0])
-        assert len(engine) == stop - start
-        for r, rng in zip(range(start, stop), engine):
-            oracle = np.random.default_rng(_substream(master_seed, r, purpose, epsilon))
-            assert rng.bit_generator.state == oracle.bit_generator.state
+    @settings(max_examples=100, deadline=None)
+    def test_stream_is_numpys_keyed_seed_sequence(self, master_seed, purpose, epsilon, offset):
+        rng = simulation._stream(master_seed, purpose, epsilon, offset)
+        assert rng.bit_generator.state == _keyed(master_seed, purpose, epsilon, offset).bit_generator.state
 
-    @given(
-        master_seed=st.integers(0, 2**64 - 1),
-        start=st.integers(0, 2**32 - 1),
-        rows=st.integers(1, 8),
-        keys=st.lists(st.tuples(st.integers(0, 2), _EPSILONS), min_size=1, max_size=6),
-    )
-    @settings(max_examples=150, deadline=None)
-    # Keys of one, two and three words after the replication index (no
-    # epsilon; a subnormal or zero one; a normal one), mixed in one call.
-    @example(master_seed=5, start=3, rows=4,
-             keys=[(1, 0.5), (0, None), (2, _float_from_bits(7)), (2, 0.5), (1, 0.0)])
-    def test_batched_keys_equal_single_keys(self, master_seed, start, rows, keys):
-        stop = min(start + rows, 2**32)
-        batched = state_words(master_seed, start, stop, keys)
-        assert batched.shape == (len(keys), stop - start, 4) and batched.dtype == np.uint64
-        for words, key in zip(batched, keys):
-            assert words.tobytes() == state_words(master_seed, start, stop, [key])[0].tobytes()
-            for r, row in zip(range(start, stop), words):
-                oracle = _substream(master_seed, r, *key).generate_state(4, np.uint64)
-                assert row.tobytes() == oracle.tobytes()
-
-    def test_seed_answers_only_pcg64s_request(self):
-        words = state_words(7, 0, 1, [(_PURPOSE_DATA, None)])[0, 0]
-        assert _Seed(words).generate_state(4, np.uint64) is words
-        for request in ((4, np.uint32), (8, np.uint64), (2, np.uint64), (4,)):
-            with pytest.raises(ValueError, match="generate_state"):
-                _Seed(words).generate_state(*request)
+    def test_epsilon_grid_edits_leave_other_streams(self):
+        # The key holds an epsilon's bit pattern, not its place in the grid.
+        one = small_config(epsilons=(0.5,), mc_draws=50)
+        two = replace(one, epsilons=(0.2, 0.5))
+        rows, more = d.run_experiment(one), d.run_experiment(two)
+        assert rows[1:] == more[4:]
 
     def test_package_import_leaves_numpy_random_unloaded(self):
         # Only the block runner loads numpy.random, so a pooled simulate's
