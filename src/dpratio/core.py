@@ -205,8 +205,12 @@ class SumVector:
         return SumVector(profile=self.profile, **merged)
 
 
-def weighted_sums(y: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+def weighted_sums(y: np.ndarray, s: np.ndarray, w: np.ndarray | None, profile: Profile) -> np.ndarray:
     """The seven sums (w, wy, ws, w^2, wy^2, ws^2, wys), in ``SUM_FIELDS`` order.
+
+    Reduces only the :func:`_summands` ``profile`` releases and mirrors the
+    rest, so unit weights are never read nor multiplied by; as 1.0 * x == x
+    and pairwise sums of ones are exact, no sum changes by a bit.
 
     Sums over the last axis, so (n,) arrays give (7,) sums and (rows, n)
     arrays, one dataset per row, give (rows, 7); on C-contiguous rows each
@@ -222,32 +226,35 @@ def weighted_sums(y: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     into exactly rounded, order-free :class:`_BinnedSums`.
     """
     totals = np.empty(y.shape[:-1] + (len(SUM_FIELDS),))
-    summands = _summands(y, s, w)
-    # Each summand is reduced as soon as it is made, so one at most is alive:
-    # stacking them first costs an n-by-7 copy, and a loop variable would
-    # keep the last summand alive while the next is made.
-    for i in range(len(SUM_FIELDS)):
-        np.add.reduce(next(summands), axis=-1, out=totals[..., i])
+    # Each summand is reduced and let go as soon as it is made, so one at most
+    # is alive.  A unit weight's summand is the float 1.0: its sum is the count.
+    for column, summand in _summands(y, s, w, profile):
+        totals[..., column] = np.add.reduce(summand, axis=-1) if np.ndim(summand) else y.shape[-1]
+        del summand
+    profile.mirror(totals)
     return totals
 
 
-def _summands(y, s, w):
-    """Yield the summands of the seven sums, w, wy, ws, w^2, wy^2, ws^2 and wys, in that order.
+def _summands(y, s, w, profile: Profile):
+    """Yield (column, summand) of w, wy, ws, w^2, wy^2, ws^2 and wys, the sums ``profile`` releases.
 
-    The one statement of what the sums add: :func:`weighted_sums` reduces
-    each summand of arrays of any leading shape as it is made,
-    :class:`_BinnedSums` folds a block's, and :func:`_summand_bounds` takes
-    them at the upper bounds, plain floats, as the sensitivities.
+    The one statement of what the sums add.  Under ``UNWEIGHTED5`` the bounds
+    make every weight 1, so ``w`` is not read: the ``sum_w`` summand is 1.0
+    and wy, ws are y, s.  :func:`weighted_sums` reduces each summand as it is
+    made, :class:`_BinnedSums` folds a block's, and :func:`sensitivity_per_sum`
+    takes them at the upper bounds, plain floats.
     """
-    wy = w * y
-    ws = w * s
-    yield w
-    yield wy
-    yield ws
-    yield w * w
-    yield wy * y
-    yield ws * s
-    yield wy * s
+    unit = profile is Profile.UNWEIGHTED5
+    wy, ws = (y, s) if unit else (w * y, w * s)
+    yield 0, 1.0 if unit else w
+    yield 1, wy
+    yield 2, ws
+    if not unit:
+        yield 3, w * w
+    if profile is Profile.FULL7:
+        yield 4, wy * y
+    yield 5, ws * s
+    yield 6, wy * s
 
 
 def _check_records(y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, first: int) -> None:
@@ -314,8 +321,7 @@ def compute_sums_from_arrays(
     if y.size == 0:
         raise EmptyDatasetError("dataset has no records")
     _check_records(y, s, w, bounds, 0)
-    totals = weighted_sums(y, s, w)
-    bounds.profile.mirror(totals)
+    totals = weighted_sums(y, s, w, bounds.profile)
     return SumVector(profile=bounds.profile, **dict(zip(SUM_FIELDS, totals.tolist())))
 
 
@@ -330,25 +336,15 @@ def compute_sums(records: Sequence[Record], bounds: Bounds) -> SumVector:
     return compute_sums_from_arrays(y, s, w, bounds)
 
 
-def _summand_bounds(bounds: Bounds) -> dict[str, float]:
-    """The largest summand of each of the seven sums, in ``SUM_FIELDS`` order.
-
-    Each is the summand :func:`_summands` makes at the upper bounds; bounds
-    keep every factor non-negative and rounding is monotone, so no summand
-    of records within ``bounds`` exceeds it.
-    """
-    return dict(zip(SUM_FIELDS, _summands(bounds.y_high, bounds.s_high, bounds.w_high)))
-
-
 def sensitivity_per_sum(bounds: Bounds) -> dict[str, float]:
-    """Add/remove-one sensitivity of each released sum.
+    """Add/remove-one sensitivity of each released sum, in ``SUM_FIELDS`` order.
 
-    Adding or removing one record changes each sum by at most its summand
-    evaluated at the upper bounds (:func:`_summand_bounds`).  Returns one
-    entry per released sum of the bounds' profile, in canonical field order.
+    Adding or removing one record changes each sum by at most its summand at
+    the upper bounds (:func:`_summands`), as bounds keep every factor
+    non-negative and rounding is monotone.
     """
-    full = _summand_bounds(bounds)
-    return {name: full[name] for name in bounds.profile.released_fields}
+    top = _summands(bounds.y_high, bounds.s_high, bounds.w_high, bounds.profile)
+    return {SUM_FIELDS[column]: summand for column, summand in top}
 
 
 def kish_effective_n(sums: SumVector) -> float:
@@ -373,13 +369,13 @@ def _usable_cores() -> int:
 
 
 class _BinnedSums:
-    """Running sums of the seven :func:`_summands`, exact whatever the order of the records.
+    """Running sums of the released :func:`_summands`, exact whatever the order of the records.
 
     Pre-rounded ("binned") summation (Demmel & Nguyen, "Fast Reproducible
     Floating-Point Summation", ARITH 2013; Rump, Ogita & Oishi, "Accurate
     Floating-Point Summation, Part I", SIAM J. Sci. Comput. 2008).  At most
     ``records`` summands are added to each sum, each at most that sum's
-    bound M (:func:`_summand_bounds`; the records are checked first).
+    bound M (:func:`sensitivity_per_sum`; the records are checked first).
     Fold j of a sum rounds what is left of each summand x to
     q = (x + σ) − σ, where σ is a power of two at least 2·records times the
     largest value left: 2·records·M for the first fold, the largest
@@ -387,13 +383,16 @@ class _BinnedSums:
     are exact, and every partial sum of the q is too, so a fold's total is
     the same in any order, under any block cuts and across processes.  A
     block folds until its remainders are all 0; each sum is then the
-    ``math.fsum`` of its fold totals, the correctly rounded exact sum.
+    ``math.fsum`` of its fold totals, the correctly rounded exact sum.  As in
+    :func:`weighted_sums`, only the profile's released sums are folded and
+    the collapsed ones are mirrored.
     """
 
     def __init__(self, bounds: Bounds, records: int) -> None:
         reach = records.bit_length() + 1  # 2**reach >= 2 * records
         exponents = []
-        for field, bound in _summand_bounds(bounds).items():
+        released = sensitivity_per_sum(bounds)
+        for field, bound in released.items():
             # bound < 2**exponent, so the first sigma, 2**(exponent + reach), exceeds 2 * records * bound.
             exponent = math.frexp(bound)[1] + reach
             if not math.isfinite(bound) or exponent > 1023:
@@ -402,19 +401,22 @@ class _BinnedSums:
                     "can overflow a double"
                 )
             exponents.append(exponent)
+        self._profile, self._columns = bounds.profile, [SUM_FIELDS.index(f) for f in released]
         self._first = np.array(exponents)
         self._step = 53 - reach  # fold j + 1 starts where the remainders of fold j can reach
         self.folds: list[np.ndarray] = []
 
     def _fold(self, j: int) -> np.ndarray:
-        """The (7,) running totals of fold ``j``, added as the folds are reached."""
+        """The (k,) running totals of fold ``j``, added as the folds are reached."""
         while len(self.folds) <= j:
-            self.folds.append(np.zeros(len(SUM_FIELDS)))
+            self.folds.append(np.zeros(len(self._columns)))
         return self.folds[j]
 
     def add(self, y: np.ndarray, s: np.ndarray, w: np.ndarray) -> None:
-        """Fold the :func:`_summands` of one block of records, stacked (7, n)."""
-        x = np.array(list(_summands(y, s, w)))
+        """Fold the released :func:`_summands` of one block of records, stacked (k, n)."""
+        x = np.empty((len(self._columns), len(y)))
+        for row, (_, summand) in zip(x, _summands(y, s, w, self._profile)):
+            row[:] = summand
         q = np.empty_like(x)
         j = 0
         while x.any():
@@ -422,19 +424,20 @@ class _BinnedSums:
             np.add(x, sigma, out=q)
             q -= sigma
             x -= q
-            totals = self._fold(j)
-            totals += np.add.reduce(q, axis=1)
+            self._fold(j)[:] += np.add.reduce(q, axis=1)
             j += 1
 
     def merge(self, other: "_BinnedSums") -> None:
         """Add the fold totals of records summed elsewhere, exactly."""
         for j, totals in enumerate(other.folds):
-            mine = self._fold(j)
-            mine += totals
+            self._fold(j)[:] += totals
 
     def sums(self) -> np.ndarray:
         """The seven sums, each correctly rounded, in ``SUM_FIELDS`` order."""
-        return np.array([math.fsum(totals[i] for totals in self.folds) for i in range(len(SUM_FIELDS))])
+        sums = np.empty(len(SUM_FIELDS))
+        sums[self._columns] = [math.fsum(totals[i] for totals in self.folds) for i in range(len(self._columns))]
+        self._profile.mirror(sums)
+        return sums
 
 
 class _RangeSums(NamedTuple):
@@ -560,9 +563,7 @@ def sum_dataset_csv(path: str | Path, bounds: Bounds) -> SumVector:
         raise EmptyDatasetError("dataset has no records")
     if rows > records:
         raise DatasetFormatError(f"{path} grew while it was read")
-    sums = total.sums()
-    bounds.profile.mirror(sums)
-    return SumVector(profile=bounds.profile, **dict(zip(SUM_FIELDS, sums.tolist())))
+    return SumVector(profile=bounds.profile, **dict(zip(SUM_FIELDS, total.sums().tolist())))
 
 
 def _range_cuts(fh, start: int, stop: int, count: int) -> list[int]:

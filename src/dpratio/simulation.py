@@ -61,7 +61,7 @@ _PURPOSE_MC = 2
 
 
 #: Values per chunk of a block's datasets: a chunk holds max(1, _CHUNK_VALUES // n) of them.
-_CHUNK_VALUES = 2**12
+_CHUNK_VALUES = 2**14
 #: Cap on replications per block times Monte Carlo draws: a block holds at most
 #: max(1, _BLOCK_VALUES // mc_draws) replications (see _block_cuts), 327 at
 #: 200 draws.  It bounds the block's per-replication arrays (sums, releases,
@@ -201,21 +201,22 @@ def generate_arrays(
     """
     _check_count("n", n, 1)
     _check_true_ratio(true_ratio)
-    y, s, w = np.empty(n), np.empty(n), np.empty(n)
+    y, s, w = np.empty(n), np.empty(n), np.empty(n) if weighted else np.ones(n)
     _datasets(rng.random((4 + weighted, n)), weighted, true_ratio, y, s, w)
     return y, s, w
 
 
 def _datasets(
-    u: np.ndarray, weighted: bool, true_ratio: float, y: np.ndarray, s: np.ndarray, w: np.ndarray
+    u: np.ndarray, weighted: bool, true_ratio: float, y: np.ndarray, s: np.ndarray, w: np.ndarray | None
 ) -> None:
     """Turn uniforms ``u`` of shape (..., 4 or 5, n) into datasets in the
     caller's (..., n) arrays, settings unchecked; overwrites ``u``.  Per
     dataset, blocks of n: three whose median, the second order statistic of
     three uniforms and so Beta(2, 2), is ``s``; the labels' uniforms; and,
-    if ``weighted``, the weights', mapped to Exponential(1) by -log1p(-u).
-    Every step is elementwise, so a matrix of datasets gets the values each
-    dataset would get on its own."""
+    if ``weighted``, the weights', mapped to Exponential(1) by -log1p(-u)
+    (unit weights are not written, and ``w`` is not read).  Every step is
+    elementwise, so a matrix of datasets gets the values each dataset would
+    get on its own."""
     a, b, c, labels = (u[..., i, :] for i in range(4))
     np.minimum(a, b, out=y)
     np.maximum(a, b, out=a)
@@ -227,8 +228,6 @@ def _datasets(
         np.log1p(np.negative(weights, out=weights), out=w)
         np.negative(w, out=w)
         np.clip(w, WEIGHT_CLIP[0], WEIGHT_CLIP[1], out=w)
-    else:
-        w.fill(1.0)
 
 
 def _interval_scores(
@@ -307,23 +306,23 @@ def _block_sums(config: SimulationConfig, start: int, stop: int) -> tuple[np.nda
     chunk is turned into (rows, n) datasets and summed in one pass; the
     block's sums are then checked once.  The records are not: they lie
     within ``config.bounds`` by construction (scores in [0, 1), labels 0 or
-    1, weights clipped or ones).  The results equal a per-replication loop
-    bit for bit.
+    1, weights clipped or, under ``UNWEIGHTED5``, ones neither written nor
+    read).  The results equal a per-replication loop bit for bit.
     """
     n, weighted = config.n, config.weighted
+    profile = config.bounds.profile
     rng = _stream(config.master_seed, _PURPOSE_DATA, None, start * (4 + weighted) * n)
     exact = np.empty((stop - start, len(SUM_FIELDS)))
     chunk = min(max(1, _CHUNK_VALUES // n), stop - start)
-    data, uniforms = np.empty((3, chunk, n)), np.empty((chunk, 4 + weighted, n))
+    data, uniforms = np.empty((2 + weighted, chunk, n)), np.empty((chunk, 4 + weighted, n))
     for lo in range(0, stop - start, chunk):
         hi = min(lo + chunk, stop - start)
-        y, s, w = data[:, : hi - lo]
+        rows = data[:, : hi - lo]
+        y, s, w = rows[0], rows[1], rows[2] if weighted else None
         u = rng.random(out=uniforms[: hi - lo])
         _datasets(u, weighted, config.true_ratio, y, s, w)
         # Looked up on the module, where perfbench's tracer wraps the kernel.
-        exact[lo:hi] = core.weighted_sums(y, s, w)
-    profile = config.bounds.profile
-    profile.mirror(exact)
+        exact[lo:hi] = core.weighted_sums(y, s, w, profile)
     _check_sum_rows(exact, profile)
     return exact, kish_rows(exact)
 

@@ -189,7 +189,9 @@ class TestSensitivities:
         # The kernel's sums of the one record at the upper bounds, bit for bit.
         fields = [core.SUM_FIELDS.index(f) for f in bounds.profile.released_fields]
         sens = np.array(list(d.sensitivity_per_sum(bounds).values()))
-        top = core.weighted_sums(*(np.array([v]) for v in (bounds.y_high, bounds.s_high, bounds.w_high)))
+        top = core.weighted_sums(
+            *(np.array([v]) for v in (bounds.y_high, bounds.s_high, bounds.w_high)), bounds.profile
+        )
         assert sens.tobytes() == top[fields].tobytes()
         # Records within the bounds, one per row, so each row's sums are its summands.
         lows, highs = (bounds.y_low, bounds.s_low, bounds.w_low), (bounds.y_high, bounds.s_high, bounds.w_high)
@@ -200,7 +202,7 @@ class TestSensitivities:
         if bounds.binary_y:
             y = np.round(y)
         core._check_records(y.ravel(), s.ravel(), w.ravel(), bounds, 0)
-        assert (core.weighted_sums(y, s, w)[:, fields] <= sens).all()
+        assert (core.weighted_sums(y, s, w, bounds.profile)[:, fields] <= sens).all()
 
     def test_binary_unit_weight_all_ones(self):
         for bounds in (d.Bounds.binary_unweighted(), d.Bounds.binary()):
@@ -634,7 +636,7 @@ class TestSumDatasetCsv:
         path.write_bytes(_csv_bytes(y, s, w))
         sums = core.sum_dataset_csv(path, d.Bounds.binary(w_low=1 / 3, w_high=3.0))
         assert len(three_ranges[-1]) == 4
-        want = np.array([math.fsum(column) for column in core._summands(y, s, w)])
+        want = np.array([math.fsum(column) for _, column in core._summands(y, s, w, core.Profile.FULL7)])
         assert _sum_bytes(sums) == want.tobytes()
 
     def test_plain_and_strict_paths_agree(self, tmp_path, three_ranges):
@@ -650,7 +652,7 @@ class TestSumDatasetCsv:
         from_strict = core.sum_dataset_csv(strict, bounds)
         assert len(three_ranges) == 1  # the CR in the header goes to the strict parser
         assert _sum_bytes(from_plain) == _sum_bytes(from_strict)
-        want = np.array([math.fsum(column) for column in core._summands(y, s, w)])
+        want = np.array([math.fsum(column) for _, column in core._summands(y, s, w, core.Profile.FULL7)])
         assert _sum_bytes(from_plain) == want.tobytes()
 
     def test_bounds_violation_in_last_range_has_global_index(self, tmp_path, three_ranges):
@@ -704,7 +706,7 @@ class TestSumDatasetCsv:
         sums = core.sum_dataset_csv(path, _loose_bounds())
         cuts = three_ranges[-1]
         assert len(cuts) == 4 and path.read_bytes().index(b'"') > cuts[2]
-        want = np.array([math.fsum(column) for column in core._summands(y, s, w)])
+        want = np.array([math.fsum(column) for _, column in core._summands(y, s, w, core.Profile.FULL7)])
         assert _sum_bytes(sums) == want.tobytes()
         columns = core.read_dataset_csv(path)
         strict = core._read_strict(path)
@@ -729,5 +731,5 @@ class TestSumDatasetCsv:
             with pytest.raises(d.InvalidConfigError, match="sum_w2 summands up to"):
                 core.sum_dataset_csv(path, d.Bounds(w_low=0.1, w_high=w_high))
         sums = core.sum_dataset_csv(path, d.Bounds(w_low=0.1, w_high=1e150))
-        want = np.array([math.fsum(column) for column in core._summands(y, s, w)])
+        want = np.array([math.fsum(column) for _, column in core._summands(y, s, w, core.Profile.FULL7)])
         assert _sum_bytes(sums) == want.tobytes()

@@ -60,6 +60,13 @@ class TestGenerate:
         assert (s / 1.1 <= 1.0 / 1.1).all()
         assert (w == 1.0).all()
 
+    @pytest.mark.parametrize("n", [1, 2, 5000])
+    def test_unweighted_design_returns_unit_weights(self, n):
+        # The kernel never reads unit weights, but callers of generate_arrays do.
+        _, _, w = d.generate_arrays(n, False, 1.1, np.random.default_rng(n))
+        assert w.dtype == np.float64 and w.shape == (n,)
+        assert (w == 1.0).all()
+
     def test_large_sample_means(self):
         rng = np.random.default_rng(1)
         y, s, _ = d.generate_arrays(1_000_000, False, 1.1, rng)
@@ -441,12 +448,16 @@ class TestBlockSums:
         bounds = small_config(n=n, weighted=weighted, true_ratio=true_ratio).bounds
         y, s, w = np.empty((3, rows, n))
         u = np.random.default_rng(seed).random((rows, 4 + weighted, n))
-        simulation._datasets(u, weighted, true_ratio, y, s, w)
+        simulation._datasets(u, weighted, true_ratio, y, s, w if weighted else None)
+        if not weighted:
+            # Unit weights are not drawn: under UNWEIGHTED5 the kernel takes
+            # every weight as 1, which the bounds pin.
+            assert bounds.profile is d.Profile.UNWEIGHTED5 and bounds.w_low == bounds.w_high == 1.0
+            w = np.ones_like(y)
         for values, low, high in ((y, bounds.y_low, bounds.y_high), (s, bounds.s_low, bounds.s_high),
                                   (w, bounds.w_low, bounds.w_high)):
             assert ((values >= low) & (values <= high)).all()
         assert ((y == 0.0) | (y == 1.0)).all()
-        assert weighted or (w == 1.0).all()
 
 
 class _Reads:
