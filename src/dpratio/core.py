@@ -31,8 +31,9 @@ from .errors import (
     InvalidSumsError,
 )
 
-#: Canonical field order of the seven sums.
+#: Canonical field order of the seven sums, and the column of each.
 SUM_FIELDS = ("sum_w", "sum_wy", "sum_ws", "sum_w2", "sum_wy2", "sum_ws2", "sum_wys")
+SUM_W, SUM_WY, SUM_WS, SUM_W2, SUM_WY2, SUM_WS2, SUM_WYS = range(len(SUM_FIELDS))
 
 # Relative slack for the Cauchy-Schwarz sanity check on exact sums.
 _CS_SLACK = 1e-12
@@ -64,37 +65,37 @@ class Profile(str, Enum):
     additionally make ``sum_w2`` redundant with ``sum_w``.  The profile
     follows from the public :class:`Bounds`, never from the data, because
     the number of released sums is public metadata.
+
+    Each member's value is its name and ``collapsed`` its table of (alias,
+    source) columns.  From it are built, once, the ``columns`` of the sums
+    that carry independent noise on release, in ``SUM_FIELDS`` order, their
+    ``released_fields`` names and their count, ``size``.
     """
 
-    FULL7 = "full7"
-    BINARY6 = "binary6"
-    UNWEIGHTED5 = "unweighted5"
+    FULL7 = "full7", ()
+    BINARY6 = "binary6", ((SUM_WY2, SUM_WY),)
+    UNWEIGHTED5 = "unweighted5", ((SUM_WY2, SUM_WY), (SUM_W2, SUM_W))
 
-    @property
-    def released_fields(self) -> tuple[str, ...]:
-        """Names of the sums that carry independent noise on release."""
-        dropped = self.aliases
-        return tuple(f for f in SUM_FIELDS if f not in dropped)
+    def __new__(cls, value: str, collapsed: tuple[tuple[int, int], ...]) -> "Profile":
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.collapsed = collapsed
+        member.columns = tuple(c for c in range(len(SUM_FIELDS)) if c not in dict(collapsed))
+        member.released_fields = tuple(SUM_FIELDS[c] for c in member.columns)
+        member.size = len(member.columns)
+        return member
 
     @property
     def aliases(self) -> dict[str, str]:
         """Collapsed sums, mapped to the released sum they duplicate."""
-        if self is Profile.BINARY6:
-            return {"sum_wy2": "sum_wy"}
-        if self is Profile.UNWEIGHTED5:
-            return {"sum_wy2": "sum_wy", "sum_w2": "sum_w"}
-        return {}
-
-    @property
-    def size(self) -> int:
-        return len(self.released_fields)
+        return {SUM_FIELDS[alias]: SUM_FIELDS[source] for alias, source in self.collapsed}
 
     def mirror(self, *arrays: np.ndarray) -> None:
         """Copy each released sum into the collapsed sums that duplicate it,
         in place, along the last axis (``SUM_FIELDS`` order) of every array."""
-        for alias, source in self.aliases.items():
+        for alias, source in self.collapsed:
             for array in arrays:
-                array[..., SUM_FIELDS.index(alias)] = array[..., SUM_FIELDS.index(source)]
+                array[..., alias] = array[..., source]
 
 
 @dataclass(frozen=True)
@@ -238,23 +239,23 @@ def weighted_sums(y: np.ndarray, s: np.ndarray, w: np.ndarray | None, profile: P
 def _summands(y, s, w, profile: Profile):
     """Yield (column, summand) of w, wy, ws, w^2, wy^2, ws^2 and wys, the sums ``profile`` releases.
 
-    The one statement of what the sums add.  Under ``UNWEIGHTED5`` the bounds
-    make every weight 1, so ``w`` is not read: the ``sum_w`` summand is 1.0
-    and wy, ws are y, s.  :func:`weighted_sums` reduces each summand as it is
-    made, :class:`_BinnedSums` folds a block's, and :func:`sensitivity_per_sum`
-    takes them at the upper bounds, plain floats.
+    The one statement of what the sums add.  A profile that does not release
+    ``sum_w2`` has unit weight bounds, so ``w`` is not read: the ``sum_w``
+    summand is 1.0 and wy, ws are y, s.  :func:`weighted_sums` reduces each
+    summand as it is made, :class:`_BinnedSums` folds a block's, and
+    :func:`sensitivity_per_sum` takes them at the upper bounds, plain floats.
     """
-    unit = profile is Profile.UNWEIGHTED5
+    unit = SUM_W2 not in profile.columns
     wy, ws = (y, s) if unit else (w * y, w * s)
-    yield 0, 1.0 if unit else w
-    yield 1, wy
-    yield 2, ws
+    yield SUM_W, 1.0 if unit else w
+    yield SUM_WY, wy
+    yield SUM_WS, ws
     if not unit:
-        yield 3, w * w
-    if profile is Profile.FULL7:
-        yield 4, wy * y
-    yield 5, ws * s
-    yield 6, wy * s
+        yield SUM_W2, w * w
+    if SUM_WY2 in profile.columns:
+        yield SUM_WY2, wy * y
+    yield SUM_WS2, ws * s
+    yield SUM_WYS, wy * s
 
 
 def _check_records(y: np.ndarray, s: np.ndarray, w: np.ndarray, bounds: Bounds, first: int) -> None:
@@ -291,15 +292,14 @@ def _check_sum_rows(totals: np.ndarray, profile: Profile) -> None:
     """The invariants of exact sums, for (7,) or (rows, 7) ``SUM_FIELDS`` rows."""
     if not np.isfinite(totals).all():
         raise InvalidSumsError("sums must be finite")
-    column = {f: totals[..., i] for i, f in enumerate(SUM_FIELDS)}
-    if not (column["sum_w"] > 0.0).all():
+    if not (totals[..., SUM_W] > 0.0).all():
         raise InvalidSumsError("sum_w must be positive for non-empty data")
-    for alias, source in profile.aliases.items():
-        if not (column[alias] == column[source]).all():
-            raise InvalidSumsError(f"profile {profile.value} requires {alias} == {source}")
+    for alias, source in profile.collapsed:
+        if not (totals[..., alias] == totals[..., source]).all():
+            raise InvalidSumsError(f"profile {profile.value} requires {SUM_FIELDS[alias]} == {SUM_FIELDS[source]}")
     with np.errstate(over="ignore"):
-        cs_bound = column["sum_wy2"] * column["sum_ws2"]
-        if (column["sum_wys"] * column["sum_wys"] > cs_bound * (1.0 + _CS_SLACK) + _CS_SLACK).any():
+        cs_bound = totals[..., SUM_WY2] * totals[..., SUM_WS2]
+        if (totals[..., SUM_WYS] * totals[..., SUM_WYS] > cs_bound * (1.0 + _CS_SLACK) + _CS_SLACK).any():
             raise InvalidSumsError("sum_wys^2 exceeds sum_wy2 * sum_ws2")
 
 
@@ -354,7 +354,7 @@ def kish_effective_n(sums: SumVector) -> float:
 
 def kish_rows(totals: np.ndarray) -> np.ndarray:
     """:func:`kish_effective_n` of (7,) or (rows, 7) ``SUM_FIELDS`` rows."""
-    sum_w, sum_w2 = totals[..., SUM_FIELDS.index("sum_w")], totals[..., SUM_FIELDS.index("sum_w2")]
+    sum_w, sum_w2 = totals[..., SUM_W], totals[..., SUM_W2]
     if not (sum_w2 > 0.0).all():
         raise InvalidSumsError("sum_w2 must be positive")
     with np.errstate(over="ignore"):
@@ -401,7 +401,7 @@ class _BinnedSums:
                     "can overflow a double"
                 )
             exponents.append(exponent)
-        self._profile, self._columns = bounds.profile, [SUM_FIELDS.index(f) for f in released]
+        self._profile, self._columns = bounds.profile, list(bounds.profile.columns)
         self._first = np.array(exponents)
         self._step = 53 - reach  # fold j + 1 starts where the remainders of fold j can reach
         self.folds: list[np.ndarray] = []

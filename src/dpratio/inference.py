@@ -21,7 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SUM_FIELDS, Moments, SumVector, _check_count, _parse_member
+from .core import SUM_W, SUM_W2, SUM_WS, SUM_WS2, SUM_WY, SUM_WY2, SUM_WYS
+from .core import Moments, SumVector, _check_count, _parse_member
 from .errors import (
     DegenerateDenominatorError,
     DegenerateNumeratorError,
@@ -39,7 +40,6 @@ from .mechanisms import (
 from .mechanisms import draw_noise  # noqa: F401
 
 _NORMAL = NormalDist()
-_SUM_W, _SUM_WY, _SUM_WS, _SUM_W2, _SUM_WY2, _SUM_WS2, _SUM_WYS = range(len(SUM_FIELDS))
 
 #: Default confidence level and Monte Carlo draw count of every interval entry point.
 DEFAULT_LEVEL = 0.95
@@ -159,8 +159,8 @@ def _refuse(refusal: np.ndarray, mask: np.ndarray, code: Refusal) -> None:
 
 def _point_arrays(values: np.ndarray, scale: Scale, refusal: np.ndarray) -> np.ndarray:
     """Noisy score sum over noisy label sum, optionally on the log scale."""
-    numerator = values[:, _SUM_WS]
-    denominator = values[:, _SUM_WY]
+    numerator = values[:, SUM_WS]
+    denominator = values[:, SUM_WY]
     _refuse(refusal, ~(denominator > 0.0), Refusal.NONPOSITIVE_DENOMINATOR)
     ratio = numerator / denominator
     if scale is Scale.LOG:
@@ -176,14 +176,14 @@ def _moment_arrays(values: np.ndarray, refusal: np.ndarray) -> _MomentArrays:
     zero and flagged; a covariance outside the Cauchy-Schwarz envelope is
     flagged but kept.
     """
-    total_w = values[:, _SUM_W]
+    total_w = values[:, SUM_W]
     _refuse(refusal, ~(total_w > 0.0), Refusal.NONPOSITIVE_DENOMINATOR)
-    mu_y = values[:, _SUM_WY] / total_w
-    mu_s = values[:, _SUM_WS] / total_w
-    kish_inverse = values[:, _SUM_W2] / (total_w * total_w)
-    var_s = kish_inverse * (values[:, _SUM_WS2] / total_w - mu_s * mu_s)
-    var_y = kish_inverse * (values[:, _SUM_WY2] / total_w - mu_y * mu_y)
-    cov = kish_inverse * (values[:, _SUM_WYS] / total_w - mu_y * mu_s)
+    mu_y = values[:, SUM_WY] / total_w
+    mu_s = values[:, SUM_WS] / total_w
+    kish_inverse = values[:, SUM_W2] / (total_w * total_w)
+    var_s = kish_inverse * (values[:, SUM_WS2] / total_w - mu_s * mu_s)
+    var_y = kish_inverse * (values[:, SUM_WY2] / total_w - mu_y * mu_y)
+    cov = kish_inverse * (values[:, SUM_WYS] / total_w - mu_y * mu_s)
     floored_s = var_s < 0.0
     floored_y = var_y < 0.0
     var_s = np.where(floored_s, 0.0, var_s)
@@ -248,15 +248,15 @@ def _noisy_halves(released: ReleasedBlock) -> tuple[int, int]:
     """The halves ``lo:hi`` of a (numerator, denominator) pair that carry
     noise.  As in draw_noise, a sum without noise, or a release without a
     mechanism, draws nothing, so the drawn halves are a contiguous slice."""
-    lo = 0 if released.mechanism is not None and released.variance("sum_ws") > 0.0 else 1
-    hi = 2 if released.mechanism is not None and released.variance("sum_wy") > 0.0 else 1
+    lo = 0 if released.mechanism is not None and released.noise_variance[SUM_WS] > 0.0 else 1
+    hi = 2 if released.mechanism is not None and released.noise_variance[SUM_WY] > 0.0 else 1
     return lo, hi
 
 
 def _replicates(
-    sums: np.ndarray, uniforms: np.ndarray | None, released: ReleasedBlock, field: str, truncated: bool
+    sums: np.ndarray, uniforms: np.ndarray | None, released: ReleasedBlock, column: int, truncated: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's noisy sum plus fresh noise at ``field``'s release variance,
+    """Each row's noisy sum plus fresh noise at the release variance of ``column``,
     one replicate per uniform, conditioned to be positive if ``truncated``,
     and the noise mass each row's condition cuts off.  A sum without noise
     (``uniforms`` None) is its own replicate.  Rounding at the cut can leave
@@ -264,7 +264,7 @@ def _replicates(
     the doubles at its sum, the finest step a sum plus noise resolves."""
     if uniforms is None:
         return sums[:, None], np.zeros(len(sums))
-    mechanism, variance = released.mechanism, released.variance(field)
+    mechanism, variance = released.mechanism, float(released.noise_variance[column])
     mass = lower_tail_mass(mechanism, variance, sums) if truncated else np.zeros(len(sums))
     replicates = truncated_noise(uniforms, mechanism, variance, mass[:, None])
     replicates += sums[:, None]
@@ -312,13 +312,13 @@ def _score_piece(
     uniforms = np.empty((len(rows), hi - lo, draws))
     _read_rows(rng, rows.tolist(), first, uniforms)
     sums = released.values[rows]
-    denominators, cut = _replicates(sums[:, _SUM_WY], uniforms[:, -1] if hi == 2 else None,
-                                    released, "sum_wy", True)
+    denominators, cut = _replicates(sums[:, SUM_WY], uniforms[:, -1] if hi == 2 else None,
+                                    released, SUM_WY, True)
     for (scale, point, member), (extra, truncated) in zip(cells, results):
         inside = member[rows]
         at = rows[inside]
-        numerators, numerator_cut = _replicates(sums[inside, _SUM_WS], uniforms[inside, 0] if lo == 0 else None,
-                                                released, "sum_ws", scale is Scale.LOG)
+        numerators, numerator_cut = _replicates(sums[inside, SUM_WS], uniforms[inside, 0] if lo == 0 else None,
+                                                released, SUM_WS, scale is Scale.LOG)
         replicates = np.divide(numerators, denominators[inside])
         extra[at] = _mean_square_deviation(replicates, point[at], scale)
         truncated[at] = 1.0 - (1.0 - cut[inside]) * (1.0 - numerator_cut) >= 1.0 / draws
@@ -417,10 +417,10 @@ def _estimate_scales(
             if method is Method.ANALYTICAL:
                 # Release noise is independent of the data: it adds its variance to
                 # the score-sum and label-sum terms and leaves the covariance alone.
-                w2 = values[:, _SUM_W] * values[:, _SUM_W]
+                w2 = values[:, SUM_W] * values[:, SUM_W]
                 moments = moments._replace(
-                    var_s_bar=moments.var_s_bar + released.variance("sum_ws") / w2,
-                    var_y_bar=moments.var_y_bar + released.variance("sum_wy") / w2,
+                    var_s_bar=moments.var_s_bar + released.noise_variance[SUM_WS] / w2,
+                    var_y_bar=moments.var_y_bar + released.noise_variance[SUM_WY] / w2,
                 )
             variance, flag[:, _MOMENT_FLAGS] = _variance_arrays(moments, scale, refusal)
             points.append(point)

@@ -127,8 +127,7 @@ def _calibrate(
 ) -> Calibration:
     """:func:`calibrate`, once per key; ``signs`` only keys the cache."""
     check_mechanism_budget(mechanism, total_budget)
-    fields = bounds.profile.released_fields
-    k = len(fields)
+    fields, k = bounds.profile.released_fields, bounds.profile.size
     epsilon, delta = total_budget.epsilon / k, total_budget.delta / k
     if epsilon == 0.0 or delta == 0.0 < total_budget.delta:
         raise InvalidBudgetError(
@@ -333,7 +332,7 @@ class ReleasedBlock(NamedTuple):
         return cls(values, np.zeros(len(SUM_FIELDS)), None, None, profile)
 
     def variance(self, field: str) -> float:
-        return float(self.noise_variance[SUM_FIELDS.index(field)])
+        return dict(zip(SUM_FIELDS, self.noise_variance.tolist()))[field]
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,8 +390,7 @@ class ReleasedSums:
         finite and at least 0.
         """
         profile = _parse_member(Profile, payload["profile"], "profile")
-        released = profile.released_fields
-        columns = [SUM_FIELDS.index(f) for f in released]
+        released, columns = profile.released_fields, list(profile.columns)
         values, variance = np.zeros((1, len(SUM_FIELDS))), np.zeros(len(SUM_FIELDS))
         for key, array in (("values", values[0]), ("noise_variance", variance)):
             missing = set(released) - set(payload[key])
@@ -429,12 +427,11 @@ def release_block(
     """
     calibration = calibrate(bounds, total_budget, mechanism)
     profile = bounds.profile
-    fields = profile.released_fields
+    columns = list(profile.columns)
 
-    noises = rng.random((len(sums), len(fields)))
+    noises = rng.random((len(sums), profile.size))
     _inverse_cdf(np.maximum(noises, _TINY, out=noises), calibration.mechanism, calibration.scales)
 
-    columns = [SUM_FIELDS.index(f) for f in fields]
     values = np.array(sums, dtype=np.float64)
     values[:, columns] += noises
     noise_variance = np.zeros(len(SUM_FIELDS))

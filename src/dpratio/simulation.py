@@ -345,7 +345,7 @@ def _run_block(
     for eps in config.epsilons:
         released = release_block(
             exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism,
-            _stream(config.master_seed, _PURPOSE_RELEASE, eps, start * len(bounds.profile.released_fields)),
+            _stream(config.master_seed, _PURPOSE_RELEASE, eps, start * bounds.profile.size),
         )
         width = _row_uniforms(released, config.mc_draws)
         mc_rng = _stream(config.master_seed, _PURPOSE_MC, eps, start * width)

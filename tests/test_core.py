@@ -1,6 +1,7 @@
 import csv
 import decimal
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -300,6 +301,66 @@ class TestBounds:
         assert d.Bounds(0, 1, 0, 1, 1, 1).profile is d.Profile.FULL7
         assert d.Bounds.binary(w_low=0.5, w_high=2.0).profile is d.Profile.BINARY6
         assert d.Bounds(0, 1, 0, 1, 0.5, 2.0).profile is d.Profile.FULL7
+
+
+class TestSumLayout:
+    """Each profile's table of collapsed (alias, source) columns, and all that derives from it."""
+
+    ALIASES = {
+        d.Profile.FULL7: {},
+        d.Profile.BINARY6: {"sum_wy2": "sum_wy"},
+        d.Profile.UNWEIGHTED5: {"sum_wy2": "sum_wy", "sum_w2": "sum_w"},
+    }
+    BOUNDS = {
+        d.Profile.FULL7: d.Bounds(0.0, 2.0, 0.0, 3.0, 0.5, 4.0),
+        d.Profile.BINARY6: d.Bounds.binary(0.5, 4.0),
+        d.Profile.UNWEIGHTED5: d.Bounds.binary(),
+    }
+
+    def test_columns_name_the_canonical_order(self):
+        assert core.SUM_FIELDS == ("sum_w", "sum_wy", "sum_ws", "sum_w2", "sum_wy2", "sum_ws2", "sum_wys")
+        columns = (core.SUM_W, core.SUM_WY, core.SUM_WS, core.SUM_W2, core.SUM_WY2, core.SUM_WS2, core.SUM_WYS)
+        assert columns == tuple(range(7))
+
+    @pytest.mark.parametrize("profile", list(d.Profile))
+    def test_every_view_agrees_with_the_table(self, profile):
+        names = {core.SUM_FIELDS[alias]: core.SUM_FIELDS[source] for alias, source in profile.collapsed}
+        assert names == profile.aliases == self.ALIASES[profile]
+        assert profile.columns == tuple(c for c in range(7) if c not in dict(profile.collapsed))
+        assert all(source in profile.columns for _, source in profile.collapsed)
+        assert profile.released_fields == tuple(core.SUM_FIELDS[c] for c in profile.columns)
+        assert profile.size == len(profile.columns) == 7 - len(profile.collapsed)
+        assert self.BOUNDS[profile].profile is profile
+        profile.aliases.clear()
+        assert profile.aliases == self.ALIASES[profile]
+        rows = np.arange(14.0).reshape(2, 7)
+        profile.mirror(rows)
+        want = np.arange(14.0).reshape(2, 7)
+        for alias, source in self.ALIASES[profile].items():
+            want[:, core.SUM_FIELDS.index(alias)] = want[:, core.SUM_FIELDS.index(source)]
+        np.testing.assert_array_equal(rows, want)
+
+    @pytest.mark.parametrize("profile", list(d.Profile))
+    def test_summands_are_the_released_columns_in_order(self, profile):
+        bounds = self.BOUNDS[profile]
+        rng = np.random.default_rng(5)
+        y = rng.random(50) < 0.5 if bounds.binary_y else rng.uniform(0.0, 2.0, 50)
+        w = np.ones(50) if profile is d.Profile.UNWEIGHTED5 else rng.uniform(0.5, 4.0, 50)
+        y, s = y.astype(float), rng.uniform(0.0, bounds.s_high, 50)
+        products = (w, w * y, w * s, w * w, w * y * y, w * s * s, w * y * s)
+        for args in ((y, s, w), (bounds.y_high, bounds.s_high, bounds.w_high)):
+            summands = list(core._summands(*args, profile))
+            assert tuple(column for column, _ in summands) == profile.columns
+            if args[0] is y:
+                for column, summand in summands:
+                    np.testing.assert_array_equal(np.broadcast_to(summand, y.shape), products[column])
+        assert tuple(d.sensitivity_per_sum(bounds)) == profile.released_fields
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("profile", list(d.Profile))
+    def test_members_survive_pickle_as_themselves(self, profile, protocol):
+        assert pickle.loads(pickle.dumps(profile, protocol)) is profile
+        assert d.Profile(profile.value) is profile and profile == profile.value
 
 
 class TestCsv:

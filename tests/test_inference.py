@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dpratio as d
 from dpratio import inference
-from dpratio.core import SUM_FIELDS
+from dpratio.core import SUM_FIELDS, SUM_WY
 
 
 def make_released(values, noise=None, mechanism=d.MechanismKind.GAUSSIAN,
@@ -662,7 +662,7 @@ class TestTruncationEdges:
         assert mass[0] == pytest.approx(0.5) and mass[-1] == 0.0
         for truncated in (True, False):
             uniforms = np.tile(self.UNIFORMS, (len(sums), 1))
-            replicates, _ = inference._replicates(sums, uniforms, released, "sum_wy", truncated)
+            replicates, _ = inference._replicates(sums, uniforms, released, SUM_WY, truncated)
             assert np.isfinite(replicates).all()
             if truncated:
                 assert (replicates > 0.0).all()

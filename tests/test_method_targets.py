@@ -105,25 +105,25 @@ class TestLogScaleTarget:
 
 
 class TestRatioScaleGrowth:
-    """The ratio-scale extra has no finite target near zero: over 40 seeds
-    its median grows at least fivefold per tenfold draws at SNR 2, and moves
-    less than 5% at SNR 45."""
+    """The ratio-scale extra has no finite target near zero: over 40 rows
+    its median grows at least fivefold per tenfold draws at SNR 2, and over
+    400 rows it moves less than 5% at SNR 45."""
 
     DRAWS = (200, 2_000, 20_000)
 
-    def _medians(self, mechanism, cell):
-        released = _released(mechanism, *cell, rows=40)
+    def _medians(self, mechanism, cell, rows):
+        released = _released(mechanism, *cell, rows=rows)
         return np.array([
-            np.median(_squared_deviations(released, d.Scale.RATIO, draws, range(40)).mean(axis=1))
+            np.median(_squared_deviations(released, d.Scale.RATIO, draws, range(rows)).mean(axis=1))
             for draws in self.DRAWS
         ])
 
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     def test_grows_at_snr_2(self, mechanism):
-        medians = self._medians(mechanism, (30.0, 40.0, 400.0, 400.0))
+        medians = self._medians(mechanism, (30.0, 40.0, 400.0, 400.0), 40)
         assert (medians[1:] >= 5.0 * medians[:-1]).all(), medians
 
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     def test_settles_at_snr_45(self, mechanism):
-        medians = self._medians(mechanism, (500.0, 900.0, 400.0, 400.0))
+        medians = self._medians(mechanism, (500.0, 900.0, 400.0, 400.0), 400)
         assert (np.abs(medians / medians[0] - 1.0) < 0.05).all(), medians
