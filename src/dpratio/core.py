@@ -191,7 +191,13 @@ class SumVector:
     profile: Profile
 
     def __post_init__(self) -> None:
-        _check_sum_rows(np.array([getattr(self, f) for f in SUM_FIELDS]), self.profile)
+        _check_sum_rows(self.row, self.profile)
+
+    @property
+    def row(self) -> np.ndarray:
+        """The sums as a (7,) float64 row in ``SUM_FIELDS`` order; the
+        constructor takes them positionally in the same order."""
+        return np.array([getattr(self, f) for f in SUM_FIELDS], dtype=np.float64)
 
     def as_dict(self) -> dict[str, float]:
         return {f: getattr(self, f) for f in SUM_FIELDS}
@@ -202,8 +208,7 @@ class SumVector:
             return NotImplemented
         if other.profile is not self.profile:
             raise InvalidSumsError("cannot add sums with different profiles")
-        merged = {f: getattr(self, f) + getattr(other, f) for f in SUM_FIELDS}
-        return SumVector(profile=self.profile, **merged)
+        return SumVector(*(self.row + other.row).tolist(), self.profile)
 
 
 def weighted_sums(y: np.ndarray, s: np.ndarray, w: np.ndarray | None, profile: Profile) -> np.ndarray:
@@ -322,7 +327,7 @@ def compute_sums_from_arrays(
         raise EmptyDatasetError("dataset has no records")
     _check_records(y, s, w, bounds, 0)
     totals = weighted_sums(y, s, w, bounds.profile)
-    return SumVector(profile=bounds.profile, **dict(zip(SUM_FIELDS, totals.tolist())))
+    return SumVector(*totals.tolist(), bounds.profile)
 
 
 def compute_sums(records: Sequence[Record], bounds: Bounds) -> SumVector:
@@ -349,7 +354,7 @@ def sensitivity_per_sum(bounds: Bounds) -> dict[str, float]:
 
 def kish_effective_n(sums: SumVector) -> float:
     """Kish's effective sample size, (sum w)^2 / sum w^2."""
-    return float(kish_rows(np.array([getattr(sums, f) for f in SUM_FIELDS])))
+    return float(kish_rows(sums.row))
 
 
 def kish_rows(totals: np.ndarray) -> np.ndarray:
@@ -563,7 +568,7 @@ def sum_dataset_csv(path: str | Path, bounds: Bounds) -> SumVector:
         raise EmptyDatasetError("dataset has no records")
     if rows > records:
         raise DatasetFormatError(f"{path} grew while it was read")
-    return SumVector(profile=bounds.profile, **dict(zip(SUM_FIELDS, total.sums().tolist())))
+    return SumVector(*total.sums().tolist(), bounds.profile)
 
 
 def _range_cuts(fh, start: int, stop: int, count: int) -> list[int]:

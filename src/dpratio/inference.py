@@ -238,33 +238,19 @@ def _wald_arrays(
 _PIECE_VALUES = 2**13
 
 
-def _pieces(count: int, draws: int) -> list[slice]:
-    """Consecutive slices of ``count`` rows, each of at most ``_PIECE_VALUES`` draws (or one row)."""
-    step = max(1, _PIECE_VALUES // draws)
-    return [slice(a, a + step) for a in range(0, count, step)]
-
-
-def _noisy_halves(released: ReleasedBlock) -> tuple[int, int]:
-    """The halves ``lo:hi`` of a (numerator, denominator) pair that carry
-    noise.  As in draw_noise, a sum without noise, or a release without a
-    mechanism, draws nothing, so the drawn halves are a contiguous slice."""
-    lo = 0 if released.mechanism is not None and released.noise_variance[SUM_WS] > 0.0 else 1
-    hi = 2 if released.mechanism is not None and released.noise_variance[SUM_WY] > 0.0 else 1
-    return lo, hi
-
-
 def _replicates(
-    sums: np.ndarray, uniforms: np.ndarray | None, released: ReleasedBlock, column: int, truncated: bool
+    sums: np.ndarray, uniforms: np.ndarray, released: ReleasedBlock, column: int, truncated: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's noisy sum plus fresh noise at the release variance of ``column``,
     one replicate per uniform, conditioned to be positive if ``truncated``,
-    and the noise mass each row's condition cuts off.  A sum without noise
-    (``uniforms`` None) is its own replicate.  Rounding at the cut can leave
-    a truncated replicate at or below 0, so it is raised to the spacing of
-    the doubles at its sum, the finest step a sum plus noise resolves."""
-    if uniforms is None:
-        return sums[:, None], np.zeros(len(sums))
+    and the noise mass each row's condition cuts off.  A sum without noise,
+    or any sum of a release without a mechanism, is its own replicate and
+    leaves its uniforms unused.  Rounding at the cut can leave a truncated
+    replicate at or below 0, so it is raised to the spacing of the doubles
+    at its sum, the finest step a sum plus noise resolves."""
     mechanism, variance = released.mechanism, float(released.noise_variance[column])
+    if mechanism is None or not variance > 0.0:
+        return sums[:, None], np.zeros(len(sums))
     mass = lower_tail_mass(mechanism, variance, sums) if truncated else np.zeros(len(sums))
     replicates = truncated_noise(uniforms, mechanism, variance, mass[:, None])
     replicates += sums[:, None]
@@ -283,41 +269,23 @@ def _mean_square_deviation(replicates: np.ndarray, point: np.ndarray, scale: Sca
     return np.mean(np.square(replicates, out=replicates), axis=1)
 
 
-def _row_uniforms(released: ReleasedBlock, draws: int) -> int:
-    """The uniforms one Monte Carlo row reads: ``draws`` per noisy sum."""
-    lo, hi = _noisy_halves(released)
-    return (hi - lo) * draws
-
-
-def _read_rows(rng: np.random.Generator, rows: list[int], first: int, out: np.ndarray) -> None:
-    """Fill ``out[i]`` with row ``rows[i]``'s uniforms, at offset row
-    times out[i].size, ``rng`` standing at row ``first`` <= rows[0]: one
-    call per run of consecutive rows, the rows between passed over."""
-    width = out[0].size
-    runs = [i for i in range(1, len(rows)) if rows[i] != rows[i - 1] + 1]
-    for a, b in zip([0, *runs], [*runs, len(rows)]):
-        if rows[a] > first:
-            rng.bit_generator.advance((rows[a] - first) * width)
-        rng.random(out=out[a:b])
-        first = rows[b - 1] + 1
-
-
 def _score_piece(
-    released: ReleasedBlock, cells: Sequence[tuple[Scale, np.ndarray, np.ndarray]], rows: np.ndarray,
-    draws: int, rng: np.random.Generator, first: int, results: list[tuple[np.ndarray, np.ndarray]],
+    released: ReleasedBlock, cells: Sequence[tuple[Scale, np.ndarray, np.ndarray]], start: int, stop: int,
+    draws: int, rng: np.random.Generator, results: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
-    """:func:`_monte_carlo_extras` on one piece of ``rows``, with ``rng`` at
-    row ``first``, into ``results``; nothing of the piece outlives the call."""
-    lo, hi = _noisy_halves(released)
-    uniforms = np.empty((len(rows), hi - lo, draws))
-    _read_rows(rng, rows.tolist(), first, uniforms)
+    """:func:`_monte_carlo_extras` on rows ``start`` to ``stop - 1``, with
+    ``rng`` at row ``start``, into ``results``: every row's uniforms are
+    drawn in one call, the rows some cell corrects scored.  Nothing of the
+    piece outlives the call."""
+    uniforms = rng.random((stop - start, 2, draws))
+    local = np.flatnonzero(np.logical_or.reduce([member[start:stop] for _, _, member in cells]))
+    rows = start + local
     sums = released.values[rows]
-    denominators, cut = _replicates(sums[:, SUM_WY], uniforms[:, -1] if hi == 2 else None,
-                                    released, SUM_WY, True)
+    denominators, cut = _replicates(sums[:, SUM_WY], uniforms[local, 1], released, SUM_WY, True)
     for (scale, point, member), (extra, truncated) in zip(cells, results):
         inside = member[rows]
         at = rows[inside]
-        numerators, numerator_cut = _replicates(sums[inside, SUM_WS], uniforms[inside, 0] if lo == 0 else None,
+        numerators, numerator_cut = _replicates(sums[inside, SUM_WS], uniforms[local[inside], 0],
                                                 released, SUM_WS, scale is Scale.LOG)
         replicates = np.divide(numerators, denominators[inside])
         extra[at] = _mean_square_deviation(replicates, point[at], scale)
@@ -333,16 +301,18 @@ def _monte_carlo_extras(
     """Injected variance of the point estimates, estimated by re-noising.
 
     Each cell is a (scale, point estimates, mask of the rows to correct)
-    triple.  Row i reads its :func:`_row_uniforms` at offset i times their
-    count, numerators first; a row no cell corrects is passed over, and
-    ``rng`` ends just past the last row read.  Every scale maps the same
-    uniforms.  Uniform j of a sum gives its replicate j by inverse CDF
+    triple.  Row i reads 2 x ``draws`` uniforms at offset 2 i ``draws``,
+    numerators first, whether or not a cell corrects it and whether or not
+    its sums carry noise, so ``rng`` ends 2 B ``draws`` values on for a
+    block of B rows.  Every scale maps the same uniforms.  Uniform j of a
+    sum gives its replicate j by inverse CDF
     (:func:`~dpratio.mechanisms.truncated_noise`): the noisy sum plus fresh
     noise at its release variance, conditioned to be positive for the
     denominator, and for the numerator on the log scale.  The two sums'
     noise is independent, so that is the law of the replicates positive
-    sums accept.  The rows are drawn and scored a piece at a time
-    (:func:`_pieces`), each reduced on its own, so pieces change no value.
+    sums accept.  The rows are drawn and scored front to back, a piece of
+    max(1, ``_PIECE_VALUES`` // ``draws``) rows at a time, each row reduced
+    on its own, so pieces change no value.
 
     Returns, per cell, the mean squared deviation from the point estimate
     and the truncation flag, of block length: set where the mass the scale
@@ -351,15 +321,9 @@ def _monte_carlo_extras(
     """
     size = len(released.values)
     results = [(np.zeros(size), np.zeros(size, dtype=bool)) for _ in cells]
-    union = np.flatnonzero(np.logical_or.reduce([member for _, _, member in cells]))
-    lo, hi = _noisy_halves(released)
-    if lo == hi:
-        return results
-    first = 0
-    for piece in _pieces(len(union), draws):
-        rows = union[piece]
-        _score_piece(released, cells, rows, draws, rng, first, results)
-        first = int(rows[-1]) + 1
+    step = max(1, _PIECE_VALUES // draws)
+    for start in range(0, size, step):
+        _score_piece(released, cells, start, min(start + step, size), draws, rng, results)
     return results
 
 
@@ -375,10 +339,10 @@ def estimate_block(
 
     ``method`` and ``scale`` are members or their values.  ``Method.PUBLIC``
     is the no-correction pipeline, meant for exact sums.
-    ``Method.MONTE_CARLO`` needs ``rng``: row i reads ``draws`` uniforms
-    per noisy sum at offset i times that count, unless refused before.
-    The rows are drawn and scored a piece at a time, so the pass's memory
-    does not grow with the block.
+    ``Method.MONTE_CARLO`` needs ``rng``: row i reads 2 x ``draws``
+    uniforms at offset 2 i ``draws``, refused or not, and the pass leaves
+    ``rng`` 2 B ``draws`` values on.  The rows are drawn and scored a piece
+    at a time, so the pass's memory does not grow with the block.
     """
     return _estimate_scales(released, method, (scale,), level, draws, rng)[0]
 
@@ -528,8 +492,9 @@ def ci_monte_carlo(
     squared deviation of the re-noised ratios from the point estimate is
     added to the no-correction variance.  Each re-noised denominator (and,
     on the log scale, numerator) is drawn conditioned to be positive, by
-    inverse CDF from one uniform, so ``rng`` yields exactly ``draws``
-    uniforms per noisy sum, numerators first.
+    inverse CDF from one uniform, so ``rng`` yields exactly 2 x ``draws``
+    uniforms in one call, numerators first; a sum without noise leaves its
+    half unused.
     """
     return _estimate_one(released, Method.MONTE_CARLO, scale, level, draws, rng)
 

@@ -455,11 +455,9 @@ def release(
         raise InvalidConfigError(
             f"bounds declare profile {bounds.profile.value} but sums carry {sums.profile.value}"
         )
-    row = np.array([[getattr(sums, f) for f in SUM_FIELDS]])
-    return ReleasedSums(release_block(row, bounds, total_budget, mechanism, rng))
+    return ReleasedSums(release_block(sums.row[None], bounds, total_budget, mechanism, rng))
 
 
 def exact_release(sums: SumVector) -> ReleasedSums:
     """Wrap exact sums as a zero-noise release (the non-private baseline)."""
-    row = np.array([[getattr(sums, f) for f in SUM_FIELDS]], dtype=np.float64)
-    return ReleasedSums(ReleasedBlock.exact(row, sums.profile))
+    return ReleasedSums(ReleasedBlock.exact(sums.row[None], sums.profile))

@@ -11,11 +11,12 @@ public baseline, then every method at each epsilon in turn.
 Each key (master_seed, purpose[, epsilon]) has one PCG64 stream
 (:func:`_stream`), and replication r reads its row, of fixed length L, at
 offset r L: 4n data uniforms (5n if weighted), k release uniforms, or
-``mc_draws`` per noisy sum for Monte Carlo.  A block jumps each stream to
-its first row, so results are bit-reproducible regardless of block cuts,
-worker count or execution order, and adding epsilon values never perturbs
-existing streams.  The scale is not part of the key, so cells that differ
-only in scale draw the same data and releases: :func:`run_experiments` runs
+2 ``mc_draws`` for Monte Carlo, drawn whether or not the row is refused.
+A block jumps each stream to its first row, so results are
+bit-reproducible regardless of block cuts, worker count or execution
+order, and adding epsilon values never perturbs existing streams.  The
+scale is not part of the key, so cells that differ only in scale draw the
+same data and releases: :func:`run_experiments` runs
 them in one pass, sharing those draws.  Each stage runs on arrays over the
 block: the datasets are drawn into (rows, n) matrices a chunk at a time and
 summed in one pass per chunk, and release and inference, including one
@@ -45,7 +46,7 @@ from .core import SUM_FIELDS, Bounds, _check_count, _check_sum_rows, _parse_memb
 from .errors import InvalidConfigError, InvalidIntervalError
 from .inference import (
     DEFAULT_LEVEL, DEFAULT_MC_DRAWS, DP_METHODS, FLAGS, REFUSAL_CAUSES, EstimateBlock, Method,
-    Refusal, Scale, _estimate_scales, _row_uniforms, check_interval_settings,
+    Refusal, Scale, _estimate_scales, check_interval_settings,
 )
 from .mechanisms import (
     MechanismKind, PrivacyBudget, ReleasedBlock, calibrate, default_delta, release_block,
@@ -66,7 +67,7 @@ _CHUNK_VALUES = 2**14
 #: max(1, _BLOCK_VALUES // mc_draws) replications (see _block_cuts), 327 at
 #: 200 draws.  It bounds the block's per-replication arrays (sums, releases,
 #: estimates); the Monte Carlo pass runs a piece of rows at a time
-#: (inference._pieces), so its memory does not grow with the block.
+#: (inference._PIECE_VALUES), so its memory does not grow with the block.
 _BLOCK_VALUES = 2**16
 
 
@@ -347,8 +348,7 @@ def _run_block(
             exact, bounds, PrivacyBudget(eps, config.delta), config.mechanism,
             _stream(config.master_seed, _PURPOSE_RELEASE, eps, start * bounds.profile.size),
         )
-        width = _row_uniforms(released, config.mc_draws)
-        mc_rng = _stream(config.master_seed, _PURPOSE_MC, eps, start * width)
+        mc_rng = _stream(config.master_seed, _PURPOSE_MC, eps, start * 2 * config.mc_draws)
         for method in DP_METHODS:
             columns[(method, eps)] = _estimate_scales(
                 released, method, scales, config.level, config.mc_draws, mc_rng

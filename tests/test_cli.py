@@ -442,6 +442,17 @@ class TestSimulate:
         assert error["type"] == "InvalidConfigError"
         assert "JSON object" in error["message"]
 
+    def test_malformed_config_json_exits_before_output(self, tmp_path, capsys):
+        # json's own error, not an InvalidConfigError, though it is a ValueError.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 100,\n "replications": }')
+        out_dir = tmp_path / "out"
+        status, out = run_cli(capsys, "simulate", "--output-dir", str(out_dir), "--config", str(cfg))
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "JSONDecodeError" and "line 2 column 18" in error["message"]
+        assert not out_dir.exists()
+
     def test_config_number_too_large_for_a_double(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"true_ratio": 1' + "0" * 400 + "}")

@@ -663,7 +663,7 @@ def _csv_bytes(y, s, w, newline="\n"):
 
 
 def _sum_bytes(sums):
-    return np.array([getattr(sums, f) for f in core.SUM_FIELDS]).tobytes()
+    return sums.row.tobytes()
 
 
 @pytest.fixture
@@ -772,6 +772,42 @@ class TestSumDatasetCsv:
         columns = core.read_dataset_csv(path)
         strict = core._read_strict(path)
         assert [c.tobytes() for c in columns] == [c.tobytes() for c in strict] == [c.tobytes() for c in (y, s, w)]
+
+    @pytest.mark.parametrize("before", [40, 5])
+    def test_line_over_the_field_size_limit_goes_to_the_strict_parser(self, tmp_path, monkeypatch, before):
+        # At a field size limit of 64, 32-byte blocks and 256-byte ranges on
+        # two cores, the file's body is two ranges cut near its middle byte.
+        # After 40 short lines a 206-byte line holds the byte before that
+        # cut, which _range_cuts reads; after 5 it lies in the first range,
+        # whose blocks carry it as a tail that outgrows the limit.  Either
+        # way the plain reader gives up and the strict parser names the line.
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 32)
+        monkeypatch.setattr(core, "_RANGE_BYTES", 256)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 2)
+        short, long = b"0,0.5\n", b"1,0." + b"0" * 200 + b"1\n"
+        header, body = b"y,s\n", short * before + long + short * (80 - before)
+        path = tmp_path / "data.csv"
+        path.write_bytes(header + body)
+        cuts, range_cuts = [], core._range_cuts
+
+        def spy(*args):
+            cuts.append(None)  # stays None if _range_cuts raises
+            cuts[-1] = range_cuts(*args)
+            return cuts[-1]
+
+        monkeypatch.setattr(core, "_range_cuts", spy)
+        limit = csv.field_size_limit(64)
+        try:
+            with pytest.raises(d.DatasetFormatError, match="field larger") as err:
+                core.sum_dataset_csv(path, d.Bounds.binary_unweighted())
+        finally:
+            csv.field_size_limit(limit)
+        assert err.value.line == before + 2
+        start = len(header) + len(short) * before
+        if before == 40:
+            assert cuts == [None] and start < len(header) + len(body) // 2 - 1 < start + len(long) - 65
+        else:
+            assert len(cuts[0]) == 3 and cuts[0][0] < start < start + len(long) < cuts[0][1]
 
     def test_header_only_file_is_empty(self, tmp_path, three_ranges):
         path = tmp_path / "data.csv"

@@ -384,28 +384,25 @@ def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rng):
     """The Monte Carlo correction of the ``rows`` a mask selects, row by row:
     the reference for the sampler.
 
-    Row ``row`` reads ``draws`` uniforms per noisy sum, numerators first, in
-    one call of a copy of ``rng`` advanced to the row's offset, ``row``
-    times that count.  A sum without noise, or any sum of a release without
-    a mechanism, reads none and is its own replicate.  The denominator is
-    truncated to positive replicates, and so is the numerator on the log
-    scale.  A row is flagged where the mass cut off, 1 - (1 - p0 of sum_wy)
-    (1 - p0 of sum_ws), is at least 1 / ``draws``.
+    Row ``row`` reads 2 x ``draws`` uniforms, numerators first, in one call
+    of a copy of ``rng`` advanced to the row's offset, ``row`` times 2 x
+    ``draws``.  A sum without noise, or any sum of a release without a
+    mechanism, leaves its half unused and is its own replicate.  The
+    denominator is truncated to positive replicates, and so is the numerator
+    on the log scale.  A row is flagged where the mass cut off, 1 - (1 - p0
+    of sum_wy) (1 - p0 of sum_ws), is at least 1 / ``draws``.
     """
     extra = np.zeros(len(point))
     truncated = np.zeros(len(point), dtype=bool)
     mechanism = released.mechanism
     sums = [(SUM_FIELDS.index(name), released.variance(name), name == "sum_wy" or scale is d.Scale.LOG)
             for name in ("sum_ws", "sum_wy")]
-    noisy = [mechanism is not None and variance > 0.0 for _, variance, _ in sums]
-    if not any(noisy):
-        return extra, truncated
     for row in np.flatnonzero(rows):
-        uniforms = iter(_at(rng, int(row) * sum(noisy) * draws).random((sum(noisy), draws)))
+        uniforms = _at(rng, int(row) * 2 * draws).random((2, draws))
         (numerators, p0_s), (denominators, p0_y) = (
-            _reference_replicates(mechanism, variance, float(released.values[row, col]), next(uniforms), cut)
-            if drawn else (np.full(draws, released.values[row, col]), 0.0)
-            for (col, variance, cut), drawn in zip(sums, noisy)
+            _reference_replicates(mechanism, variance, float(released.values[row, col]), u, cut)
+            if mechanism is not None and variance > 0.0 else (np.full(draws, released.values[row, col]), 0.0)
+            for (col, variance, cut), u in zip(sums, uniforms)
         )
         replicates = numerators / denominators
         if scale is d.Scale.LOG:
@@ -418,12 +415,10 @@ def _per_row_monte_carlo_extra(released, scale, point, rows, draws, rng):
 def _per_row_monte_carlo_extras(released, cells, draws, rng):
     """The per-row loop on each (scale, point, row mask) cell, each row from
     its offset of ``rng``'s stream: what the batched pass of one cell must
-    equal.  Then ``rng`` is moved just past the last row any cell reads."""
+    equal.  Then ``rng`` is moved past every row of the block, refused or not."""
     extras = [_per_row_monte_carlo_extra(released, scale, point, rows, draws, rng)
               for scale, point, rows in cells]
-    union = np.flatnonzero(np.logical_or.reduce([rows for _, _, rows in cells]))
-    if len(union):
-        rng.bit_generator.advance((int(union[-1]) + 1) * inference._row_uniforms(released, draws))
+    rng.bit_generator.advance(len(released.values) * 2 * draws)
     return extras
 
 
@@ -499,11 +494,11 @@ class TestBatchedMonteCarloPass:
 
     @pytest.mark.parametrize("scale", [d.Scale.RATIO, d.Scale.LOG])
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
-    def test_sum_without_noise_draws_nothing(self, monkeypatch, mechanism, scale):
-        # Score bounds (0, 0) give sum_ws no noise, so only the denominator
-        # draws.  A positive numerator in its place makes the replicates
-        # depend on the denominator's draws; the mirror case gives sum_wy no
-        # noise instead.
+    def test_sum_without_noise_is_its_own_replicate(self, monkeypatch, mechanism, scale):
+        # Score bounds (0, 0) give sum_ws no noise, so only the denominator's
+        # uniforms map to replicates, though every row reads 2 x draws.  A
+        # positive numerator in its place makes the replicates depend on the
+        # denominator's draws; the mirror case gives sum_wy no noise instead.
         released = _simulated_release(mechanism, d.Bounds(0, 1, 0, 0), 0.02, rows=32, weighted=False)
         assert released.variance("sum_ws") == 0.0 < released.variance("sum_wy")
         self._check(monkeypatch, released, scale, 1000)
@@ -516,8 +511,12 @@ class TestBatchedMonteCarloPass:
         quiet_y[SUM_FIELDS.index("sum_wy")] = 0.0
         self._check(monkeypatch, noisy._replace(noise_variance=quiet_y), scale, 1000)
         # Without a mechanism (a release read back from JSON may lack one)
-        # no sum draws, whatever its variance.
-        self._check(monkeypatch, noisy._replace(mechanism=None), scale, 1000)
+        # every sum is its own replicate, whatever its variance, and the
+        # correction is zero.
+        est = self._check(monkeypatch, noisy._replace(mechanism=None), scale, 1000)
+        corrected = est.refusal == d.Refusal.NONE
+        plain = d.estimate_block(noisy._replace(mechanism=None), d.Method.NO_CORRECTION, scale)
+        assert est.variance[corrected].tobytes() == plain.variance[corrected].tobytes()
 
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     def test_sums_at_the_cut(self, monkeypatch, mechanism):
@@ -574,37 +573,33 @@ class _Counted:
 
 
 class TestGeneratorReads:
-    """The Monte Carlo pass reads ``draws`` uniforms per noisy sum for each
-    row that a scale corrects, one call per run of consecutive such rows;
-    the rows between runs are passed over, not drawn, and the generator ends
-    just past the last row read."""
+    """The Monte Carlo pass reads 2 x ``draws`` uniforms for every row of the
+    block, refused or not and noisy or not, in one call per piece, and the
+    generator ends just past the last row."""
 
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     @pytest.mark.parametrize("quiet", [None, "sum_ws", "sum_wy", "mechanism"])
-    def test_one_call_per_run_of_rows(self, mechanism, quiet):
+    def test_one_call_per_piece(self, mechanism, quiet):
         # Epsilon 0.02 on 100 weighted records: some rows are refused on
-        # both scales, some only on the log scale.
-        rows, draws = 64, 50
+        # both scales, some only on the log scale.  At 500 draws a piece
+        # holds 16 rows, so the 64 rows are four pieces.
+        rows, draws = 64, 500
         released = _simulated_release(mechanism, _WEIGHTED, 0.02, rows=rows)
-        noisy = 2
         if quiet == "mechanism":
-            released, noisy = released._replace(mechanism=None), 0
+            released = released._replace(mechanism=None)
         elif quiet is not None:
             variance = released.noise_variance.copy()
             variance[SUM_FIELDS.index(quiet)] = 0.0
-            released, noisy = released._replace(noise_variance=variance), 1
+            released = released._replace(noise_variance=variance)
         generator = _Counted(np.random.default_rng(23))
         ratio, log = inference._estimate_scales(
             released, d.Method.MONTE_CARLO, (d.Scale.RATIO, d.Scale.LOG), draws=draws, rng=generator
         )
-        corrected = np.flatnonzero((ratio.refusal == d.Refusal.NONE) | (log.refusal == d.Refusal.NONE))
-        assert 0 < len(corrected) < rows - 1
-        runs = 1 + np.count_nonzero(np.diff(corrected) != 1)
-        assert runs > 1
-        assert generator.calls == (runs if noisy else 0)
-        assert generator.values == len(corrected) * noisy * draws
-        end = (corrected[-1] + 1) * noisy * draws
-        assert generator.bit_generator.state == _advanced(23, int(end)).bit_generator.state
+        corrected = (ratio.refusal == d.Refusal.NONE) | (log.refusal == d.Refusal.NONE)
+        assert 0 < corrected.sum() < rows - 1 and not corrected[-1]
+        assert generator.calls == -(-rows // (inference._PIECE_VALUES // draws)) == 4
+        assert generator.values == rows * 2 * draws
+        assert generator.bit_generator.state == _advanced(23, rows * 2 * draws).bit_generator.state
 
 
 class TestReplicatesFromUniforms:

@@ -67,22 +67,26 @@ def _log_target(mechanism, sum_ws, sum_wy, var_ws, var_wy):
     return var_s + var_y + (mean_s - mean_y - point) ** 2
 
 
-def _squared_deviations(released, scale, draws, seeds):
-    """Each row's Monte Carlo squared deviations, one row per seed: the
-    replicates the pass reduces, as it hands them to _mean_square_deviation."""
+def _mean_squared_deviations(released, scale, draws, seeds):
+    """Each row's mean Monte Carlo squared deviation and its standard error,
+    one row per seed, from the replicates the pass hands to
+    _mean_square_deviation.  Only each row's two numbers are kept, so the
+    memory is that of the pass's pieces, not of every deviation."""
     reduce = inference._mean_square_deviation
-    rows = []
+    means, errors = [], []
 
     def watched(replicates, point, scale):
         deviations = np.log(replicates) if scale is d.Scale.LOG else replicates.copy()
-        rows.extend(np.square(deviations - point[:, None]))
+        squares = np.square(deviations - point[:, None])
+        means.extend(squares.mean(axis=1))
+        errors.extend(squares.std(axis=1) / math.sqrt(squares.shape[1]))
         return reduce(replicates, point, scale)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "_mean_square_deviation", watched)
         d.estimate_block(released, d.Method.MONTE_CARLO, scale, draws=draws,
                          rng=np.random.default_rng(list(seeds)))
-    return np.array(rows)
+    return np.array(means), np.array(errors)
 
 
 #: (noisy sum_ws, noisy sum_wy, noise variance of each): denominator SNRs
@@ -98,9 +102,8 @@ class TestLogScaleTarget:
     @pytest.mark.parametrize("mechanism", _MECHANISMS)
     def test_extra_matches_quadrature(self, mechanism, cell):
         target = _log_target(mechanism, *cell)
-        deviations = _squared_deviations(_released(mechanism, *cell, rows=3), d.Scale.LOG, 200_000, range(3))
-        extra = deviations.mean(axis=1)
-        error = deviations.std(axis=1) / math.sqrt(deviations.shape[1])
+        released = _released(mechanism, *cell, rows=3)
+        extra, error = _mean_squared_deviations(released, d.Scale.LOG, 200_000, range(3))
         assert (np.abs(extra - target) < 4.0 * error).all(), (target, extra, error)
 
 
@@ -114,7 +117,7 @@ class TestRatioScaleGrowth:
     def _medians(self, mechanism, cell, rows):
         released = _released(mechanism, *cell, rows=rows)
         return np.array([
-            np.median(_squared_deviations(released, d.Scale.RATIO, draws, range(rows)).mean(axis=1))
+            np.median(_mean_squared_deviations(released, d.Scale.RATIO, draws, range(rows))[0])
             for draws in self.DRAWS
         ])
 

@@ -431,7 +431,7 @@ class TestBlockSums:
         for i, r in enumerate(range(start, start + rows)):
             y, s, w = d.generate_arrays(n, weighted, config.true_ratio, _data_stream(config, r))
             sums = d.compute_sums_from_arrays(y, s, w, config.bounds)
-            assert exact[i].tobytes() == np.array([getattr(sums, f) for f in SUM_FIELDS]).tobytes()
+            assert exact[i].tobytes() == sums.row.tobytes()
             assert kish[i].tobytes() == np.float64(d.kish_effective_n(sums)).tobytes()
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -462,13 +462,13 @@ class TestBlockSums:
 
 class _Reads:
     """What a block run reads: each block's exact sums and releases, and the
-    Monte Carlo uniforms of each (block, epsilon), per block-relative row."""
+    Monte Carlo uniforms of each (block, epsilon), one array per call."""
 
     def __init__(self, patch):
         self.sums, self.releases, self.uniforms = {}, {}, {}
-        self.block = self.key = None
-        block_sums, release_block, read_rows = (
-            simulation._block_sums, simulation.release_block, inference._read_rows
+        self.block = None
+        block_sums, release_block, stream = (
+            simulation._block_sums, simulation.release_block, simulation._stream
         )
 
         def watched_sums(config, start, stop):
@@ -477,17 +477,28 @@ class _Reads:
             return result
 
         def watched_release(sums, bounds, budget, mechanism, rng):
-            self.key = (self.block, budget.epsilon)
-            self.releases[self.key] = released = release_block(sums, bounds, budget, mechanism, rng)
+            released = release_block(sums, bounds, budget, mechanism, rng)
+            self.releases[self.block, budget.epsilon] = released
             return released
 
-        def watched_read(rng, rows, first, out):
-            read_rows(rng, rows, first, out)
-            self.uniforms.setdefault(self.key, {}).update(zip(rows, out.copy()))
+        def watched_stream(master_seed, purpose, epsilon, offset):
+            rng = stream(master_seed, purpose, epsilon, offset)
+            if purpose != _PURPOSE_MC:
+                return rng
+            calls = self.uniforms.setdefault((self.block, epsilon), [])
+
+            class Recorded:
+                bit_generator = rng.bit_generator
+
+                def random(self, size):
+                    calls.append(rng.random(size))
+                    return calls[-1].copy()
+
+            return Recorded()
 
         patch.setattr(simulation, "_block_sums", watched_sums)
         patch.setattr(simulation, "release_block", watched_release)
-        patch.setattr(inference, "_read_rows", watched_read)
+        patch.setattr(simulation, "_stream", watched_stream)
 
 
 class TestKeyedStreams:
@@ -498,9 +509,9 @@ class TestKeyedStreams:
         "mechanism, delta", [(d.MechanismKind.GAUSSIAN, 1e-6), (d.MechanismKind.LAPLACE, 0.0)]
     )
     def test_rows_of_a_block_run_equal_rows_drawn_alone(self, monkeypatch, mechanism, delta, weighted):
-        # Blocks of 9 or 10 replications from a pool of two, pieces of 2 or 3
-        # rows, and epsilon 0.02, which refuses some rows: the Monte Carlo pass
-        # then passes over them.  Row r of each stream must be what a
+        # Blocks of 9 or 10 replications, pieces of 3 rows, and epsilon
+        # 0.02, which refuses some rows on both scales: the Monte Carlo pass
+        # reads them all the same.  Row r of each stream must be what a
         # generator advanced to r times the row's length draws: the data as
         # generate_arrays reads it, the release as release() reads it, and
         # Monte Carlo uniforms as one (2, draws) call reads them.
@@ -515,24 +526,28 @@ class TestKeyedStreams:
         cuts = _block_cuts(config.replications, config.mc_draws)
         assert len(cuts) == 6 and sorted(reads.sums) == cuts[:-1]
 
-        k, skipped = len(config.bounds.profile.released_fields), 0
+        k, refused = len(config.bounds.profile.released_fields), 0
+        denominators = [SUM_FIELDS.index("sum_w"), SUM_FIELDS.index("sum_wy")]
         for a, b in zip(cuts, cuts[1:]):
+            for eps in config.epsilons:
+                # One call per piece of at most 3 rows, front to back.
+                calls = reads.uniforms[a, eps]
+                assert [len(u) for u in calls] == [min(3, b - a - i) for i in range(0, b - a, 3)]
+                refused += int((reads.releases[a, eps].values[:, denominators] <= 0.0).any(axis=1).sum())
             for i, r in enumerate(range(a, b)):
                 y, s, w = d.generate_arrays(config.n, weighted, config.true_ratio, _data_stream(config, r))
                 sums = d.compute_sums_from_arrays(y, s, w, config.bounds)
-                assert reads.sums[a][0][i].tobytes() == np.array([getattr(sums, f) for f in SUM_FIELDS]).tobytes(), r
+                assert reads.sums[a][0][i].tobytes() == sums.row.tobytes(), r
                 for eps in config.epsilons:
                     budget = d.PrivacyBudget(eps, config.delta)
                     alone = d.release(sums, config.bounds, budget, mechanism,
                                       _keyed(config.master_seed, _PURPOSE_RELEASE, eps, r * k))
                     assert reads.releases[a, eps].values[i].tobytes() == alone.block.values[0].tobytes(), r
-                    uniforms = reads.uniforms[a, eps].get(i)
-                    if uniforms is None:  # refused on both scales: passed over
-                        skipped += 1
-                        continue
+                    uniforms = np.concatenate(reads.uniforms[a, eps])[i]
                     mc = _keyed(config.master_seed, _PURPOSE_MC, eps, r * 2 * config.mc_draws)
                     assert uniforms.tobytes() == mc.random((2, config.mc_draws)).tobytes(), r
-        assert skipped > 0
+        # Rows refused on both scales (a noisy sum_w or sum_wy not positive) were read too.
+        assert refused > 0
 
     @given(
         master_seed=st.integers(0, 2**64 - 1),
