@@ -240,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_simulate(args)
     except (DPRatioError, OSError, json.JSONDecodeError, MemoryError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
-        line = getattr(exc, "line", None)
+        # A format error names its line as ``line``, json's own error as ``lineno``.
+        line = getattr(exc, "line", getattr(exc, "lineno", None))
         if line is not None:
             error["line"] = line
         index = getattr(exc, "index", None)

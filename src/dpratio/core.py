@@ -461,15 +461,20 @@ class _RangeSums(NamedTuple):
 # newline, so it holds whole lines.  A block's transients are its bytes, a
 # copy without ``.+-eE``, the int64 offsets of its non-digit bytes, and a few
 # field-sized arrays: offsets, digit counts, three uint64 words and a
-# longdouble quotient per field (no str, no StringIO).  At 64 KiB a block of
-# lines like ``1,0.9123456789012345,1.234567890123456`` has about 5,000
-# fields, and each transient stays under the 128 KiB at which the allocator
-# maps fresh pages for it; larger blocks paid those page faults on every
-# temporary and raised the peak.
-_BLOCK_BYTES = 1 << 16
+# longdouble quotient per field (no str, no StringIO).  Parsing, checking
+# and folding a block take over a hundred numpy calls whatever its size, so
+# blocks are large: at 256 KiB a block of lines like
+# ``1,0.9123456789012345,1.234567890123456`` has about 20,000 fields.  Its
+# transients then exceed the 128 KiB at which the allocator maps fresh pages,
+# but a file of two or more ranges is folded in pool workers, whose peak
+# stays below the parent's.  A one-range file is folded in this process and
+# pays them: on a 2.4 MB file the traced peak is about 3.7 MB, against about
+# 0.9 MB at 64 KiB blocks.
+_BLOCK_BYTES = 1 << 18
 
 # Body bytes per byte range: a file of at least two ranges is summed by one
-# process per usable core, the parent folding the first range.
+# pool worker per range, one range per usable core; the parent only cuts,
+# waits and merges.
 _RANGE_BYTES = 1 << 22
 
 # What a plain block's non-digit bytes may be.  Spaces, quotes, carriage
@@ -534,9 +539,10 @@ def sum_dataset_csv(path: str | Path, bounds: Bounds) -> SumVector:
     correctly rounded, equal to ``math.fsum`` of its summands whatever the
     record order, block size or number of processes.  A plain file's body is
     cut at line starts into one byte range per usable core, at most one per
-    ``_RANGE_BYTES``; the parent folds the first while a process pool folds
-    the rest.  A :class:`_NotPlain` from the header or any range sends the
-    whole file to the strict parser, in this process.
+    ``_RANGE_BYTES``.  One range is folded in this process; two or more are
+    all folded by a process pool, one worker each, while the parent waits
+    to merge them.  A :class:`_NotPlain` from the header or any range sends
+    the whole file to the strict parser, in this process.
 
     Errors are those of reading, then summing, the whole file: a format
     error anywhere wins over any bounds violation, the first out-of-bounds
@@ -597,9 +603,8 @@ def _fold_ranges(
     fold = partial(_fold_range, path, width, bounds, records)
     if len(cuts) == 2:
         return [fold(*cuts)]
-    with ProcessPoolExecutor(max_workers=len(cuts) - 2) as pool:
-        rest = pool.map(fold, cuts[1:-1], cuts[2:])
-        return [fold(cuts[0], cuts[1]), *rest]
+    with ProcessPoolExecutor(max_workers=len(cuts) - 1) as pool:
+        return list(pool.map(fold, cuts[:-1], cuts[1:]))
 
 
 def _fold_range(

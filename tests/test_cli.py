@@ -451,6 +451,7 @@ class TestSimulate:
         assert status == 2
         error = json.loads(out)["error"]
         assert error["type"] == "JSONDecodeError" and "line 2 column 18" in error["message"]
+        assert error["line"] == 2
         assert not out_dir.exists()
 
     def test_config_number_too_large_for_a_double(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import csv
 import decimal
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -666,6 +667,11 @@ def _sum_bytes(sums):
     return sums.row.tobytes()
 
 
+def _fsum_bytes(y, s, w):
+    """:func:`_sum_bytes` of the seven sums, each the ``math.fsum`` of its summands."""
+    return np.array([math.fsum(column) for _, column in core._summands(y, s, w, core.Profile.FULL7)]).tobytes()
+
+
 @pytest.fixture
 def three_ranges(monkeypatch):
     """Small blocks and ranges and three usable cores: a few kB of CSV are
@@ -697,8 +703,7 @@ class TestSumDatasetCsv:
         path.write_bytes(_csv_bytes(y, s, w))
         sums = core.sum_dataset_csv(path, d.Bounds.binary(w_low=1 / 3, w_high=3.0))
         assert len(three_ranges[-1]) == 4
-        want = np.array([math.fsum(column) for _, column in core._summands(y, s, w, core.Profile.FULL7)])
-        assert _sum_bytes(sums) == want.tobytes()
+        assert _sum_bytes(sums) == _fsum_bytes(y, s, w)
 
     def test_plain_and_strict_paths_agree(self, tmp_path, three_ranges):
         # CRLF line endings send the same records to the strict parser.
@@ -713,8 +718,7 @@ class TestSumDatasetCsv:
         from_strict = core.sum_dataset_csv(strict, bounds)
         assert len(three_ranges) == 1  # the CR in the header goes to the strict parser
         assert _sum_bytes(from_plain) == _sum_bytes(from_strict)
-        want = np.array([math.fsum(column) for _, column in core._summands(y, s, w, core.Profile.FULL7)])
-        assert _sum_bytes(from_plain) == want.tobytes()
+        assert _sum_bytes(from_plain) == _fsum_bytes(y, s, w)
 
     def test_bounds_violation_in_last_range_has_global_index(self, tmp_path, three_ranges):
         rng = np.random.default_rng(5)
@@ -767,11 +771,34 @@ class TestSumDatasetCsv:
         sums = core.sum_dataset_csv(path, _loose_bounds())
         cuts = three_ranges[-1]
         assert len(cuts) == 4 and path.read_bytes().index(b'"') > cuts[2]
-        want = np.array([math.fsum(column) for _, column in core._summands(y, s, w, core.Profile.FULL7)])
-        assert _sum_bytes(sums) == want.tobytes()
+        assert _sum_bytes(sums) == _fsum_bytes(y, s, w)
         columns = core.read_dataset_csv(path)
         strict = core._read_strict(path)
         assert [c.tobytes() for c in columns] == [c.tobytes() for c in strict] == [c.tobytes() for c in (y, s, w)]
+
+    def test_parent_parses_only_a_one_range_file(self, tmp_path, monkeypatch):
+        # About 2.4 MB in 1 MiB ranges at the default block size: on two
+        # usable cores the file is two ranges and the pool's workers parse
+        # both, so the parent traces only the cuts and the merge.  On one
+        # core the parent parses every block itself, and its peak holds a
+        # block's transients.
+        rng = np.random.default_rng(12)
+        y, s, w = _random_arrays(rng, 42_000)
+        path = tmp_path / "data.csv"
+        path.write_bytes(_csv_bytes(y, s, w))
+        assert 2 << 20 < path.stat().st_size < 3 << 20
+        monkeypatch.setattr(core, "_RANGE_BYTES", 1 << 20)
+        peaks, sums = [], []
+        for cores in (2, 1):
+            monkeypatch.setattr(core, "_usable_cores", lambda: cores)
+            tracemalloc.start()
+            try:
+                sums.append(_sum_bytes(core.sum_dataset_csv(path, _loose_bounds())))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < core._BLOCK_BYTES < peaks[1]
+        assert sums[0] == sums[1] == _fsum_bytes(y, s, w)
 
     @pytest.mark.parametrize("before", [40, 5])
     def test_line_over_the_field_size_limit_goes_to_the_strict_parser(self, tmp_path, monkeypatch, before):
@@ -828,5 +855,4 @@ class TestSumDatasetCsv:
             with pytest.raises(d.InvalidConfigError, match="sum_w2 summands up to"):
                 core.sum_dataset_csv(path, d.Bounds(w_low=0.1, w_high=w_high))
         sums = core.sum_dataset_csv(path, d.Bounds(w_low=0.1, w_high=1e150))
-        want = np.array([math.fsum(column) for _, column in core._summands(y, s, w, core.Profile.FULL7)])
-        assert _sum_bytes(sums) == want.tobytes()
+        assert _sum_bytes(sums) == _fsum_bytes(y, s, w)
